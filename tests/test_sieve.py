@@ -95,6 +95,17 @@ class TestSeparations:
             rep = run(limit)
             assert rep.separations.size == max(0, rep.counts[-1].pi2 - 2)
 
+    def test_onsets_match_oracle(self, oracle100k):
+        # each new running maximum of the oracle stream, stamped with the
+        # lower member of the twin that closes its interval
+        expected, best = [], -1
+        for sep, term in zip(oracle100k["seps"], oracle100k["terms"]):
+            if sep > best:
+                expected.append((sep, term))
+                best = sep
+        rep = run(oracle100k["limit"])
+        assert rep.max_separation_onsets == expected
+
     def test_onsets_strictly_increasing(self, oracle100k):
         rep = run(oracle100k["limit"])
         ons = rep.max_separation_onsets
