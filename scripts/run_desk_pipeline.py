@@ -5,18 +5,19 @@ Sieves to the requested limit, then reports everything the analysis
 pipeline produces: the decay-law constant m0, the linear and three-term
 laws for the average separation s0, goodness of fit of the real spectra
 against the no-cutoff model, and how the observed maximal separations
-compare with the risk-factor cutoff.
+compare with the risk-factor cutoff.  A checkpoint is flagged when its
+running maximum passes the model's overshoot bound ceil(L) + sbar*ln(f/alpha)
+(twinsep.model.overshoot_bound); the "over" column gives (max - L)/sbar.
 
     python3 scripts/run_desk_pipeline.py --limit 1e8 --out-dir runs/r8
 """
 
 import argparse
-import math
 import sys
 import time
 
 from twinsep.fit import fit_exp_slope, fit_m0, fit_s0_linear, fit_s0_loglog
-from twinsep.model import SolverInput, solve_approx, solve_f0
+from twinsep.model import overshoot_bound, solve_checkpoint, solve_f0
 from twinsep.montecarlo import gof_compare
 from twinsep.pipeline import (
     count_cutoff_exceedances,
@@ -72,25 +73,27 @@ def main():
     if len(s0_pts) >= 4:
         loglog = fit_s0_loglog(s0_pts)
         c = loglog.coefficients
+        d = loglog.sensitivity_deltas
         print(
             f"s0 three-term: intercept {c[0]:.3f}, linear {c[1]:.4f}, loglog {c[2]:.3f}"
-            + (f", upper-half deltas {loglog.sensitivity_deltas}" if loglog.sensitivity_deltas else "")
+            + (f", upper-half deltas {d[0]:.3f}, {d[1]:.4f}, {d[2]:.3f}" if d else "")
         )
 
-    print(f"{'n':>12} {'s0':>8} {'l_cut':>8} {'obs_max':>8} {'exceed':>7} {'ks':>8}")
+    print(f"{'n':>12} {'s0':>8} {'l_cut':>8} {'obs_max':>8} {'over':>6} {'exceed':>7} {'ks':>8}")
     maxes = max_separation_by_checkpoint(report.separations, table)
     exceed = count_cutoff_exceedances(report.separations, table, f=args.f)
     decade_ns = [n for n in maxes if n in {10**k for k in range(3, 14)}]
     for rec in table.rows:
         s0 = s0_from_counts(rec).value
-        l_cut = solve_approx(SolverInput(s0=s0, pi2=rec.pi2, f=args.f)).l_cut
+        law = solve_checkpoint(rec, args.f)
         ks = ""
         if rec.n in decade_ns:
             ks = f"{gof_compare(spectra[rec.n], solve_f0(s0)).ks_distance:.5f}"
-        flag = "" if maxes[rec.n] <= math.ceil(l_cut) + 1 else "  > ceil(L)+1"
+        over = (maxes[rec.n] - law.l_cut) / law.sbar
+        flag = "" if maxes[rec.n] <= overshoot_bound(law) else "  > overshoot bound"
         if rec.n in decade_ns or flag:
             print(
-                f"{rec.n:>12} {s0:>8.3f} {l_cut:>8.2f} {maxes[rec.n]:>8} "
+                f"{rec.n:>12} {s0:>8.3f} {law.l_cut:>8.2f} {maxes[rec.n]:>8} {over:>6.2f} "
                 f"{exceed[rec.n]:>7} {ks:>8}{flag}"
             )
 

@@ -18,8 +18,8 @@ from .model import (
     ModelParams,
     SolverInput,
     eval_pmf,
-    predict_lmax,
     solve_approx,
+    solve_checkpoint,
     solve_exact,
     solve_f0,
 )
@@ -37,9 +37,7 @@ from .sieve import (
     CountRecord,
     SieveConfig,
     SieveReport,
-    adjusted_pi1,
     geometric_checkpoints,
-    max_gap_onsets,
     read_separations,
     sieve_range,
     write_separations,
@@ -77,7 +75,6 @@ __all__ = [
     "TwinsepError",
     "ValidationError",
     "accumulate",
-    "adjusted_pi1",
     "eval_pmf",
     "figure_pipeline",
     "fit_exp_slope",
@@ -87,16 +84,15 @@ __all__ = [
     "geometric_checkpoints",
     "gof_compare",
     "ingest_counts",
-    "max_gap_onsets",
     "merge",
     "per_checkpoint_spectra",
-    "predict_lmax",
     "read_separations",
     "read_spectrum_csv",
     "s0_from_counts",
     "sample_separations",
     "sieve_range",
     "solve_approx",
+    "solve_checkpoint",
     "solve_exact",
     "solve_f0",
     "table_from_report",

@@ -9,7 +9,6 @@ TWINSEP_* environment variables, then defaults.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -17,8 +16,8 @@ import sys
 
 from .errors import NumericalError, ValidationError
 from .fit import fit_exp_slope, fit_m0, fit_s0_linear, fit_s0_loglog
-from .ioutil import format_metadata, split_metadata
-from .model import SolverInput, solve_approx, solve_f0
+from .ioutil import format_metadata, read_columns, write_csv
+from .model import SolverInput, risk_factor, solve_approx, solve_checkpoint, solve_f0
 from .montecarlo import GENERATOR, SimConfig, gof_compare, sample_separations
 from .pipeline import (
     figure_pipeline,
@@ -60,31 +59,16 @@ def _env(name, default):
 
 
 def _parse_checkpoints(text, limit):
-    if text.startswith("geometric"):
-        _, _, arg = text.partition(":")
-        per_decade = int(arg) if arg else 20
-        return geometric_checkpoints(limit, per_decade=per_decade)
+    geometric = text.startswith("geometric")
     try:
-        grid = tuple(int(tok) for tok in text.split(",") if tok.strip())
+        if geometric:
+            _, _, arg = text.partition(":")
+            per_decade = int(arg) if arg else 20
+        else:
+            grid = tuple(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError as exc:
         raise ValidationError(f"bad checkpoint spec {text!r}") from exc
-    return grid
-
-
-def _read_points(path, xcol, ycol):
-    with open(path, newline="") as fh:
-        meta, rows = split_metadata(fh)
-    reader = csv.DictReader(rows)
-    if reader.fieldnames is None or xcol not in reader.fieldnames or ycol not in reader.fieldnames:
-        raise ValidationError(f"{path}: expected columns {xcol!r} and {ycol!r}")
-    pts = []
-    for row in reader:
-        try:
-            pts.append((float(row[xcol]), float(row[ycol])))
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"{path}: unparseable row {row!r}") from exc
-    del meta
-    return pts
+    return geometric_checkpoints(limit, per_decade=per_decade) if geometric else grid
 
 
 def _solve_from_flags(s0, f, pi2):
@@ -107,12 +91,7 @@ def cmd_sieve(args):
     write_counts(args.out, table)
     write_separations(args.separations, report.separations)
     if args.onsets:
-        with open(args.onsets, "w", newline="") as fh:
-            for line in format_metadata(report.metadata):
-                fh.write(line + "\n")
-            writer = csv.writer(fh)
-            writer.writerow(["separation", "n"])
-            writer.writerows(report.max_separation_onsets)
+        write_csv(args.onsets, report.metadata, ["separation", "n"], report.max_separation_onsets)
     rec = report.counts[-1]
     print(
         f"sieved to {args.limit}: pi1={rec.pi1} pi2={rec.pi2} "
@@ -169,11 +148,11 @@ def cmd_fit(args):
         spec, _ = read_spectrum_csv(args.infile)
         fit = fit_exp_slope(spec)
     elif args.kind == "m0":
-        fit = fit_m0(_read_points(args.infile, "pi1", "m"))
+        fit = fit_m0(read_columns(args.infile, ("pi1", "m"), float)[1])
     elif args.kind == "s0lin":
-        fit = fit_s0_linear(_read_points(args.infile, "pi1", "s0"))
+        fit = fit_s0_linear(read_columns(args.infile, ("pi1", "s0"), float)[1])
     else:
-        fit = fit_s0_loglog(_read_points(args.infile, "pi1", "s0"))
+        fit = fit_s0_loglog(read_columns(args.infile, ("pi1", "s0"), float)[1])
     payload = {
         "model_id": fit.model_id,
         "coefficients": list(fit.coefficients),
@@ -197,32 +176,30 @@ def cmd_fit(args):
 def cmd_predict(args):
     conv = CONVENTIONS[args.convention]
     table = ingest_counts(args.counts)
-    skipped = 0
-    with open(args.out, "w", newline="") as fh:
-        for line in format_metadata(
-            {"risk_factor": repr(args.f), "s0_convention": conv.value, "log_base": "natural"}
-        ):
-            fh.write(line + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["n", "log_n", "s0", "sbar", "a", "l_cut", "l_ceil"])
-        for rec in table.rows:
-            try:
-                s0 = s0_from_counts(rec, conv).value
-                params = solve_approx(SolverInput(s0=s0, pi2=rec.pi2, f=args.f))
-            except ValidationError:
-                skipped += 1
-                continue
-            writer.writerow(
-                [
-                    rec.n,
-                    repr(math.log(rec.n)),
-                    repr(s0),
-                    repr(params.sbar),
-                    repr(params.a),
-                    repr(params.l_cut),
-                    params.l_ceil,
-                ]
-            )
+    rows = []
+    for rec in table.rows:
+        try:
+            params = solve_checkpoint(rec, args.f, conv)
+        except ValidationError:
+            continue
+        rows.append(
+            [
+                rec.n,
+                repr(math.log(rec.n)),
+                repr(s0_from_counts(rec, conv).value),
+                repr(params.sbar),
+                repr(params.a),
+                repr(params.l_cut),
+                params.l_ceil,
+            ]
+        )
+    write_csv(
+        args.out,
+        {"risk_factor": repr(args.f), "s0_convention": conv.value, "log_base": "natural"},
+        ["n", "log_n", "s0", "sbar", "a", "l_cut", "l_ceil"],
+        rows,
+    )
+    skipped = len(table.rows) - len(rows)
     if skipped:
         print(f"skipped {skipped} rows outside the solvable regime", file=sys.stderr)
     return EXIT_OK
@@ -268,10 +245,7 @@ def cmd_figures(args):
         spectra = per_checkpoint_spectra(read_separations(args.separations), table)
     onsets = None
     if args.onsets:
-        with open(args.onsets, newline="") as fh:
-            _, rows = split_metadata(fh)
-        reader = csv.DictReader(rows)
-        onsets = [(int(r["separation"]), int(r["n"])) for r in reader]
+        _, onsets = read_columns(args.onsets, ("separation", "n"), int)
     figures = figure_pipeline(table, spectra=spectra, f=args.f, convention=conv, onsets=onsets)
     for path in figures.write(args.out_dir):
         print(f"wrote {path}")
@@ -288,7 +262,7 @@ def build_parser():
     p = sub.add_parser("sieve", help="sieve primes/twins and stream separations")
     p.add_argument("--limit", type=int, required=True)
     p.add_argument(
-        "--segment-size", type=int, default=int(_env("SEGMENT_SIZE", DEFAULT_SEGMENT_FLAGS))
+        "--segment-size", type=int, default=_env("SEGMENT_SIZE", DEFAULT_SEGMENT_FLAGS)
     )
     p.add_argument("--checkpoints", default=_env("CHECKPOINTS", "geometric:20"))
     p.add_argument("--out", required=True, help="counts CSV")
@@ -318,7 +292,7 @@ def build_parser():
 
     p = sub.add_parser("predict", help="maximal-separation cutoff per checkpoint")
     p.add_argument("--counts", required=True)
-    p.add_argument("--f", type=float, default=float(_env("F", "1.0")))
+    p.add_argument("--f", type=risk_factor, default=_env("F", "1.0"))
     p.add_argument(
         "--convention", choices=sorted(CONVENTIONS), default=_env("CONVENTION", "raw")
     )
@@ -328,7 +302,7 @@ def build_parser():
     p = sub.add_parser("simulate", help="sample synthetic separations")
     p.add_argument("--s0", type=float, required=True)
     p.add_argument("--pi2", type=int)
-    p.add_argument("--f", type=float, default=float(_env("F", "0.0")))
+    p.add_argument("--f", type=float, default=_env("F", "0.0"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
@@ -337,16 +311,16 @@ def build_parser():
     p = sub.add_parser("gof", help="goodness of fit of a spectrum against the model")
     p.add_argument("--spectrum", required=True)
     p.add_argument("--s0", type=float, required=True)
-    p.add_argument("--f", type=float, default=float(_env("F", "0.0")))
+    p.add_argument("--f", type=float, default=_env("F", "0.0"))
     p.add_argument("--pi2", type=int)
-    p.add_argument("--alpha", type=float, default=float(_env("ALPHA", "0.01")))
+    p.add_argument("--alpha", type=float, default=_env("ALPHA", "0.01"))
     p.set_defaults(func=cmd_gof)
 
     p = sub.add_parser("figures", help="emit the three plot datasets")
     p.add_argument("--counts", required=True)
     p.add_argument("--separations")
     p.add_argument("--onsets")
-    p.add_argument("--f", type=float, default=float(_env("F", "1.0")))
+    p.add_argument("--f", type=risk_factor, default=_env("F", "1.0"))
     p.add_argument(
         "--convention", choices=sorted(CONVENTIONS), default=_env("CONVENTION", "raw")
     )

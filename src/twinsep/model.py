@@ -21,11 +21,12 @@ from dataclasses import dataclass
 
 from .errors import ConvergenceError, NoSolutionError, ValidationError
 from .sieve import CountRecord
-from .spectrum import S0Convention, s0_from_counts
+from .spectrum import S0Convention, SeparationSpectrum, s0_from_counts
 
 DEFAULT_TOL = 1e-12
 MAX_ITERATIONS = 200
 DEFAULT_RISK_FACTOR = 1.0
+OVERSHOOT_ALPHA = 1e-3  # per-checkpoint false-alarm rate of overshoot_bound
 
 
 @dataclass(frozen=True)
@@ -63,6 +64,17 @@ class ModelParams:
     def l_ceil(self) -> int | None:
         """Integer cutoff for uses that need a whole separation count."""
         return None if self.l_cut is None else math.ceil(self.l_cut)
+
+
+def overshoot_bound(law: ModelParams) -> float:
+    """ceil(L) + sbar*ln(f/alpha): the 1-alpha quantile of the running maximum.
+
+    The cutoff L leaves about f separations beyond it, so the running
+    maximum M of the pi2-2 closed separations obeys
+    P(M > L + x) ~ 1 - exp(-f*q**x); setting that to alpha = OVERSHOOT_ALPHA
+    and taking 1 - exp(-y) ~ y gives x = sbar*ln(f/alpha).
+    """
+    return math.ceil(law.l_cut) + law.sbar * math.log(law.f / OVERSHOOT_ALPHA)
 
 
 @dataclass(frozen=True)
@@ -215,14 +227,26 @@ def eval_pmf(params: ModelParams, s: int) -> float:
     return params.a * params.q**s
 
 
-def predict_lmax(
-    record: CountRecord,
-    f: float = DEFAULT_RISK_FACTOR,
-    convention: S0Convention | str = S0Convention.RAW,
-) -> float:
-    """Expected maximal separation at this checkpoint for risk factor f."""
+def risk_factor(value) -> float:
+    """value as a risk factor for a finite cutoff, which must be > 0."""
+    f = float(value)
     if not f > 0.0:
-        raise ValidationError(f"f must be > 0 for a finite cutoff, got {f}")
-    est = s0_from_counts(record, convention)
-    params = solve_approx(SolverInput(s0=est.value, pi2=record.pi2, f=f))
-    return params.l_cut
+        raise ValidationError(f"risk factor f must be > 0 for a finite cutoff, got {f}")
+    return f
+
+
+def solve_checkpoint(
+    record: CountRecord,
+    f: float,
+    convention: S0Convention | str = S0Convention.RAW,
+    spectrum: SeparationSpectrum | None = None,
+) -> ModelParams:
+    """Self-consistent cutoff law at one checkpoint for risk factor f > 0.
+
+    solve_approx at the checkpoint's pi2 and its s0 under convention
+    (spectrum as for s0_from_counts); l_cut is the expected maximal
+    separation.
+    """
+    f = risk_factor(f)
+    s0 = s0_from_counts(record, convention, spectrum=spectrum).value
+    return solve_approx(SolverInput(s0=s0, pi2=record.pi2, f=f))

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _stats
 
 from .errors import ValidationError
 from .model import ModelParams
@@ -99,6 +98,8 @@ def gof_compare(
     count minus one.  Pass means the chi-square statistic stays below the
     critical value at the given alpha.
     """
+    from scipy.special import chdtri  # the only scipy use; import twinsep stays numpy-only
+
     total = empirical.total_intervals
     if total < 50:
         raise ValidationError(f"insufficient events: need >= 50 intervals, got {total}")
@@ -137,7 +138,7 @@ def gof_compare(
             continue
         chi2 += (o - e) ** 2 / e
     dof = len(pooled) - 1
-    crit = float(_stats.chi2.ppf(1.0 - alpha, dof))
+    crit = float(chdtri(dof, alpha))
 
     cum_model = np.cumsum(probs)
     cum_emp = np.cumsum(observed[:-1]) / total

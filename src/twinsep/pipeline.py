@@ -10,7 +10,6 @@ against log(n) alongside observed record onsets.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from dataclasses import dataclass, field
@@ -19,10 +18,10 @@ import numpy as np
 
 from .errors import ValidationError
 from .fit import fit_exp_slope, fit_m0, fit_s0_linear
-from .ioutil import format_metadata
-from .model import DEFAULT_RISK_FACTOR, SolverInput, solve_approx
+from .ioutil import read_csv, write_csv
+from .model import DEFAULT_RISK_FACTOR, risk_factor, solve_checkpoint
 from .sieve import CountRecord, SieveReport
-from .spectrum import S0Convention, SeparationSpectrum, accumulate, s0_from_counts
+from .spectrum import S0Convention, SeparationSpectrum, accumulate, merge, s0_from_counts
 
 SOURCE_SIEVED = "sieved"
 SOURCE_EXTERNAL = "external"
@@ -56,42 +55,17 @@ def table_from_report(report: SieveReport) -> CountTable:
 
 def ingest_counts(path) -> CountTable:
     """Parse a counts CSV, rejecting malformed or non-monotone rows by line number."""
-    metadata: dict[str, str] = {}
-    data: list[tuple[int, list[str]]] = []
-    with open(path, newline="") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if body.startswith("metadata:"):
-                    key, _, value = body[len("metadata:"):].strip().partition("=")
-                    metadata[key.strip()] = value.strip()
-                continue
-            data.append((lineno, next(csv.reader([line]))))
-    if not data:
-        raise ValidationError(f"{path}: no data rows")
-
-    header_line, header = data[0]
-    cols = [h.strip() for h in header]
-    for required in ("n", "pi1", "pi2"):
-        if required not in cols:
-            raise ValidationError(f"{path}:{header_line}: missing column {required!r}")
-    idx = {name: cols.index(name) for name in cols}
-    has_adjusted = "pi1_adjusted" in idx
-
+    required = ("n", "pi1", "pi2")
+    metadata, data = read_csv(path, required)
     rows: list[CountRecord] = []
     seen: dict[int, int] = {}
     prev: CountRecord | None = None
-    for lineno, fields in data[1:]:
+    for lineno, fields in data:
         try:
-            n = int(fields[idx["n"]])
-            pi1 = int(fields[idx["pi1"]])
-            pi2 = int(fields[idx["pi2"]])
-            adj_text = fields[idx["pi1_adjusted"]].strip() if has_adjusted else ""
+            n, pi1, pi2 = (int(fields[c]) for c in required)
+            adj_text = fields.get("pi1_adjusted", "").strip()
             adj = int(adj_text) if adj_text else None
-        except (IndexError, ValueError) as exc:
+        except ValueError as exc:
             raise ValidationError(f"{path}:{lineno}: unparseable row {fields!r}") from exc
         if n in seen:
             raise ValidationError(
@@ -113,35 +87,49 @@ def ingest_counts(path) -> CountTable:
 
 
 def write_counts(path, table: CountTable) -> None:
-    with open(path, "w", newline="") as fh:
-        for line in format_metadata(table.metadata):
-            fh.write(line + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["n", "pi1", "pi2", "pi1_adjusted"])
-        for r in table.rows:
-            writer.writerow(
-                [r.n, r.pi1, r.pi2, "" if r.pi1_adjusted is None else r.pi1_adjusted]
+    write_csv(
+        path,
+        table.metadata,
+        ["n", "pi1", "pi2", "pi1_adjusted"],
+        ([r.n, r.pi1, r.pi2, r.pi1_adjusted] for r in table.rows),
+    )
+
+
+def _closed_intervals(separations: np.ndarray, table: CountTable):
+    """Yield (record, k) per checkpoint: the first k separations have closed by record.n.
+
+    By the time pi2 twins have appeared, exactly k = pi2 - 2 separation
+    intervals have closed (the pair (3 5) is discarded and the last
+    interval is still open), so each checkpoint sees a prefix of the
+    stream, and the prefixes grow with n.
+    """
+    done = 0
+    for rec in table.rows:
+        k = max(0, rec.pi2 - 2)
+        if k > separations.size:
+            raise ValidationError(
+                f"separation stream too short for checkpoint n={rec.n}: "
+                f"needs {k}, have {separations.size}"
             )
+        if k < done:
+            raise ValidationError(f"pi2 decreases at checkpoint n={rec.n}")
+        done = k
+        yield rec, k
 
 
 def per_checkpoint_spectra(separations, table: CountTable) -> dict[int, SeparationSpectrum]:
     """Spectrum of the separations completed by each checkpoint.
 
-    By the time pi2 twins have appeared, exactly pi2 - 2 separation
-    intervals have closed (the pair (3 5) is discarded and the last
-    interval is still open), so each checkpoint sees a prefix of the
-    stream.
+    Each slice between checkpoints is histogrammed once and merged into
+    the running spectrum.
     """
     arr = np.asarray(separations)
     out: dict[int, SeparationSpectrum] = {}
-    for rec in table.rows:
-        k = max(0, rec.pi2 - 2)
-        if k > arr.size:
-            raise ValidationError(
-                f"separation stream too short for checkpoint n={rec.n}: "
-                f"needs {k}, have {arr.size}"
-            )
-        out[rec.n] = accumulate(arr[:k])
+    spec, done = SeparationSpectrum(), 0
+    for rec, k in _closed_intervals(arr, table):
+        spec = merge(spec, accumulate(arr[done:k]))
+        out[rec.n] = spec
+        done = k
     return out
 
 
@@ -150,9 +138,8 @@ def max_separation_by_checkpoint(separations, table: CountTable) -> dict[int, in
     arr = np.asarray(separations)
     cummax = np.maximum.accumulate(arr) if arr.size else arr
     out: dict[int, int | None] = {}
-    for rec in table.rows:
-        k = max(0, rec.pi2 - 2)
-        out[rec.n] = int(cummax[k - 1]) if 0 < k <= arr.size else None
+    for rec, k in _closed_intervals(arr, table):
+        out[rec.n] = int(cummax[k - 1]) if k else None
     return out
 
 
@@ -165,10 +152,8 @@ def count_cutoff_exceedances(
     """Per checkpoint, how many completed separations exceed that checkpoint's cutoff."""
     arr = np.asarray(separations)
     out: dict[int, int] = {}
-    for rec in table.rows:
-        k = max(0, rec.pi2 - 2)
-        s0 = s0_from_counts(rec, convention).value
-        params = solve_approx(SolverInput(s0=s0, pi2=rec.pi2, f=f))
+    for rec, k in _closed_intervals(arr, table):
+        params = solve_checkpoint(rec, f, convention)
         out[rec.n] = int(np.count_nonzero(arr[:k] > params.l_cut))
     return out
 
@@ -189,12 +174,7 @@ class FigureSet:
             ("fig3.csv", FIG3_COLUMNS, self.fig3),
         ):
             path = os.path.join(out_dir, name)
-            with open(path, "w", newline="") as fh:
-                for line in format_metadata(self.metadata):
-                    fh.write(line + "\n")
-                writer = csv.DictWriter(fh, fieldnames=columns, extrasaction="ignore")
-                writer.writeheader()
-                writer.writerows(rows)
+            write_csv(path, self.metadata, columns, ([row[c] for c in columns] for row in rows))
             written.append(path)
         return written
 
@@ -214,6 +194,7 @@ def figure_pipeline(
     failing the whole export.
     """
     conv = S0Convention(convention)
+    f = risk_factor(f)  # checked here: fig3 skips rows that fail, which would hide a bad f
     s0_by_n: dict[int, float] = {}
     for rec in table.rows:
         try:
@@ -284,11 +265,8 @@ def figure_pipeline(
 
     fig3 = []
     for rec in table.rows:
-        s0 = s0_by_n.get(rec.n)
-        if s0 is None or s0 <= 0 or rec.pi2 < 3:
-            continue
         try:
-            params = solve_approx(SolverInput(s0=s0, pi2=rec.pi2, f=f))
+            params = solve_checkpoint(rec, f, conv, spectrum=(spectra or {}).get(rec.n))
         except ValidationError:
             continue
         fig3.append(
@@ -316,7 +294,7 @@ def figure_pipeline(
         {
             "log_base": "natural",
             "s0_convention": conv.value,
-            "risk_factor": repr(float(f)),
+            "risk_factor": repr(f),
         }
     )
     return FigureSet(fig1=fig1, fig2=fig2, fig3=fig3, metadata=metadata)

@@ -10,6 +10,7 @@ neighbouring twins.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -237,53 +238,6 @@ def sieve_range(config: SieveConfig) -> SieveReport:
     )
 
 
-def adjusted_pi1(record: CountRecord, last_twin_upper: int, trailing_singletons: int) -> int:
-    """pi1 with trailing singletons past the last twin and the primes 2, 3 removed.
-
-    Returns the adjusted count; store it with
-    dataclasses.replace(record, pi1_adjusted=value).
-    """
-    if trailing_singletons < 0:
-        raise ValidationError("trailing_singletons must be >= 0")
-    if last_twin_upper > record.n:
-        raise ValidationError(
-            f"last twin upper member {last_twin_upper} exceeds checkpoint bound {record.n}"
-        )
-    value = record.pi1 - trailing_singletons - 2
-    if value < 0:
-        raise ValidationError(
-            f"inconsistent input: pi1={record.pi1} minus {trailing_singletons} trailing "
-            "singletons minus 2 is negative"
-        )
-    return value
-
-
-def max_gap_onsets(separations, twin_positions) -> list[tuple[int, int]]:
-    """Running-maximum separations and the bound where each record first occurs.
-
-    twin_positions holds the lower members of the twins bounding the stream:
-    separation i lies between twins i and i+1, so a record set by separation
-    i is stamped with twin_positions[i + 1].
-    """
-    seps = list(separations)
-    pos = list(twin_positions)
-    if not seps:
-        return []
-    if len(pos) != len(seps) + 1:
-        raise ValidationError(
-            f"need {len(seps) + 1} twin positions for {len(seps)} separations, got {len(pos)}"
-        )
-    out: list[tuple[int, int]] = []
-    best = -1
-    for i, s in enumerate(seps):
-        if s < 0:
-            raise ValidationError("separations must be >= 0")
-        if s > best:
-            out.append((int(s), int(pos[i + 1])))
-            best = s
-    return out
-
-
 def write_separations(path, separations) -> None:
     """Write a separation stream as little-endian unsigned 32-bit values."""
     arr = np.asarray(separations)
@@ -293,5 +247,11 @@ def write_separations(path, separations) -> None:
 
 
 def read_separations(path) -> np.ndarray:
-    """Read a little-endian unsigned 32-bit separation stream."""
+    """Read a little-endian unsigned 32-bit separation stream.
+
+    A file whose size is not a whole number of 4-byte values is rejected.
+    """
+    size = os.path.getsize(path)
+    if size % 4:
+        raise ValidationError(f"{path}: {size} bytes is not a whole number of 4-byte separations")
     return np.fromfile(path, dtype="<u4")

@@ -8,14 +8,13 @@ interval-exact bookkeeping disagree by small offsets.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .errors import ValidationError
-from .ioutil import format_metadata, split_metadata
+from .ioutil import read_columns, write_csv
 from .sieve import CountRecord
 
 
@@ -128,30 +127,13 @@ def s0_from_counts(
 
 def write_spectrum_csv(path, spectrum: SeparationSpectrum, metadata=None) -> None:
     """CSV with columns s,count sorted ascending, plus metadata comments."""
-    with open(path, "w", newline="") as fh:
-        for line in format_metadata(metadata or {}):
-            fh.write(line + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["s", "count"])
-        for s in sorted(spectrum.bins):
-            writer.writerow([s, spectrum.bins[s]])
+    write_csv(path, metadata or {}, ["s", "count"], sorted(spectrum.bins.items()))
 
 
 def read_spectrum_csv(path) -> tuple[SeparationSpectrum, dict[str, str]]:
-    with open(path, newline="") as fh:
-        meta, rows = split_metadata(fh)
-    reader = csv.reader(rows)
-    header = next(reader, None)
-    if header is None or [h.strip() for h in header[:2]] != ["s", "count"]:
-        raise ValidationError(f"{path}: expected header 's,count'")
+    meta, rows = read_columns(path, ("s", "count"), int)
     bins: dict[int, int] = {}
-    for row in reader:
-        if not row:
-            continue
-        try:
-            s, c = int(row[0]), int(row[1])
-        except (IndexError, ValueError) as exc:
-            raise ValidationError(f"{path}: bad spectrum row {row!r}") from exc
+    for s, c in rows:
         if s in bins:
             raise ValidationError(f"{path}: duplicate separation {s}")
         bins[s] = c

@@ -3,10 +3,11 @@
 Criteria 3-6 share a single sieve run to 1e9 (module fixture).  Each test
 prints one PASS/FAIL line on the live terminal.
 
-Criterion 5's running-maximum clause takes its bound from the model.  The
-f=1 cutoff L leaves about f separations beyond it, so at a checkpoint the
-running maximum passes L with probability 1 - exp(-f), about 63%, and then
-overshoots it by a geometric excess of scale sbar, not by 1.  The clause
+Criterion 5's running-maximum clause takes its bound from the model,
+twinsep.model.overshoot_bound.  The f=1 cutoff L leaves about f
+separations beyond it, so at a checkpoint the running maximum passes L
+with probability 1 - exp(-f), about 63%, and then overshoots it by a
+geometric excess of scale sbar, not by 1.  The clause
 therefore allows ceil(L) + sbar*ln(f/alpha), the 1-alpha quantile of the
 overshoot, at a fixed alpha of 1e-3 per checkpoint.  The sieved data to
 1e9 meets it (worst overshoot 3.81 sbar: the record 101 at n = 891 251,
@@ -29,7 +30,15 @@ import pytest
 
 import oracle
 from twinsep.fit import fit_exp_slope, fit_m0, fit_s0_linear, fit_s0_loglog
-from twinsep.model import SolverInput, solve_approx, solve_exact, solve_f0
+from twinsep.model import (
+    OVERSHOOT_ALPHA,
+    SolverInput,
+    overshoot_bound,
+    solve_approx,
+    solve_checkpoint,
+    solve_exact,
+    solve_f0,
+)
 from twinsep.montecarlo import SimConfig, gof_compare, sample_separations
 from twinsep.pipeline import (
     max_separation_by_checkpoint,
@@ -48,7 +57,6 @@ BIG_LIMIT = 10**9
 M0_TARGET = 1.321
 S1_TARGET = 0.7918
 LOGLOG_TRIPLE = (-3.55, 0.745, 1.10)
-OVERSHOOT_ALPHA = 1e-3  # per-checkpoint false-alarm rate of criterion 5's max clause
 CALIBRATION_STREAMS = 100
 
 
@@ -165,16 +173,8 @@ def test_criterion_4_desk_scale_s1(bigrun, capsys):
 
 
 def cutoff_laws(rows, f=1.0):
-    """solve_approx at risk factor f for every checkpoint row, keyed by n."""
-    return {
-        rec.n: solve_approx(SolverInput(s0=s0_from_counts(rec).value, pi2=rec.pi2, f=f))
-        for rec in rows
-    }
-
-
-def overshoot_bound(law):
-    """ceil(L) + sbar*ln(f/alpha): the 1-alpha quantile of the running maximum."""
-    return math.ceil(law.l_cut) + law.sbar * math.log(law.f / OVERSHOOT_ALPHA)
+    """The cutoff law at risk factor f for every checkpoint row, keyed by n."""
+    return {rec.n: solve_checkpoint(rec, f) for rec in rows}
 
 
 def plus_one_bound(law):
@@ -248,9 +248,7 @@ def test_criterion_5_cutoff_consistency(bigrun, capsys):
     }
     worst_n = max(overshoots, key=overshoots.get)
 
-    final = bigrun.table.rows[-1]
-    s0_final = s0_from_counts(final).value
-    l_final = solve_approx(SolverInput(s0=s0_final, pi2=final.pi2, f=1.0)).l_cut
+    l_final = solve_checkpoint(bigrun.table.rows[-1], 1.0).l_cut
     exceedances = int(np.count_nonzero(bigrun.report.separations > l_final))
 
     ok = not violations and exceedances <= 3

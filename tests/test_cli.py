@@ -83,6 +83,70 @@ class TestSieveCommand:
         assert [r.n for r in ingest_counts(counts).rows] == [100, 500, 1000]
 
 
+BAD_ONSETS = {
+    "non_integer": "separation,n\n0,11\n1,twenty-nine\n",
+    "no_separation_column": "sep,n\n0,11\n",
+}
+
+
+class TestContract:
+    """Bad input exits 2 with a one-line error naming the problem, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, env, needle",
+        [
+            (["figures", "--counts", "{counts}", "--onsets", "{non_integer}",
+              "--out-dir", "{tmp}/figs"], {}, ":3:"),
+            (["figures", "--counts", "{counts}", "--onsets", "{no_separation_column}",
+              "--out-dir", "{tmp}/figs"], {}, "separation"),
+            (["sieve", "--limit", "1000", "--checkpoints", "geometric:x",
+              "--out", "{tmp}/c.csv", "--separations", "{tmp}/s.bin"], {}, "geometric:x"),
+            (["predict", "--counts", "{counts}", "--out", "{tmp}/o.csv"],
+             {"TWINSEP_F": "abc"}, "--f"),
+            (["gof", "--spectrum", "{tmp}/none.csv", "--s0", "5.0"],
+             {"TWINSEP_ALPHA": "abc"}, "--alpha"),
+            (["sieve", "--limit", "1000", "--out", "{tmp}/c.csv", "--separations", "{tmp}/s.bin"],
+             {"TWINSEP_SEGMENT_SIZE": "abc"}, "--segment-size"),
+            (["predict", "--counts", "{counts}", "--f", "0", "--out", "{tmp}/o.csv"], {}, "--f"),
+            (["predict", "--counts", "{counts}", "--f", "-1", "--out", "{tmp}/o.csv"], {}, "--f"),
+            (["figures", "--counts", "{counts}", "--f", "0", "--out-dir", "{tmp}/figs"], {},
+             "--f"),
+            (["spectrum", "--separations", "{truncated}", "--out", "{tmp}/sp.csv"], {},
+             "4-byte"),
+        ],
+        ids=[
+            "onsets-non-integer",
+            "onsets-no-separation-column",
+            "checkpoints-geometric-x",
+            "env-f",
+            "env-alpha",
+            "env-segment-size",
+            "predict-f-0",
+            "predict-f-negative",
+            "figures-f-0",
+            "seps-partial-record",
+        ],
+    )
+    def test_exit_2(self, argv, env, needle, sieved, tmp_path, monkeypatch, capsys):
+        counts, seps, _ = sieved
+        files = {"counts": counts, "tmp": tmp_path, "truncated": tmp_path / "trunc.bin"}
+        files["truncated"].write_bytes(seps.read_bytes()[:-2])
+        for name, text in BAD_ONSETS.items():
+            files[name] = tmp_path / f"{name}.csv"
+            files[name].write_text(text)
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        capsys.readouterr()
+        try:
+            rc = main([arg.format(**files) for arg in argv])
+        except SystemExit as exc:  # argparse rejects bad option values itself
+            rc = exc.code
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "Traceback" not in err
+        assert needle in err.strip().splitlines()[-1]
+
+
 class TestSpectrumAndS0:
     def test_spectrum_roundtrip(self, sieved, tmp_path):
         _, seps, _ = sieved

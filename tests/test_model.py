@@ -9,8 +9,8 @@ from twinsep.model import (
     ModelParams,
     SolverInput,
     eval_pmf,
-    predict_lmax,
     solve_approx,
+    solve_checkpoint,
     solve_exact,
     solve_f0,
 )
@@ -160,14 +160,16 @@ class TestEvalPmf:
 class TestPredictLmax:
     def test_n100_case(self):
         rec = CountRecord(n=100, pi1=25, pi2=8)
-        l_cut = predict_lmax(rec, f=1.0)
+        params = solve_checkpoint(rec, f=1.0)
+        assert params == solve_approx(SolverInput(s0=9 / 8, pi2=8, f=1.0))
+        l_cut = params.l_cut
         assert l_cut == pytest.approx(2.4548166450612476, abs=1e-12)
         # observed maximum separation below 100 is 2
         assert 2 <= math.ceil(l_cut)
 
     def test_decreasing_in_f(self):
         rec = CountRecord(n=10**6, pi1=78498, pi2=8169)
-        ls = [predict_lmax(rec, f=f) for f in (0.5, 1.0, 2.0, 4.0)]
+        ls = [solve_checkpoint(rec, f=f).l_cut for f in (0.5, 1.0, 2.0, 4.0)]
         assert all(a > b for a, b in zip(ls, ls[1:]))
 
     def test_increasing_in_pi2_at_fixed_s0(self):
@@ -185,8 +187,9 @@ class TestPredictLmax:
         assert all(a < b for a, b in zip(ls, ls[1:]))
 
     def test_requires_positive_f(self):
-        with pytest.raises(ValidationError):
-            predict_lmax(CountRecord(n=100, pi1=25, pi2=8), f=0.0)
+        for f in (0.0, -1.0):
+            with pytest.raises(ValidationError):
+                solve_checkpoint(CountRecord(n=100, pi1=25, pi2=8), f=f)
 
 
 class TestModelParamsValidation:

@@ -14,6 +14,7 @@ from twinsep.pipeline import (
     write_counts,
 )
 from twinsep.sieve import CountRecord, SieveConfig, geometric_checkpoints, sieve_range
+from twinsep.spectrum import accumulate
 
 
 @pytest.fixture(scope="module")
@@ -99,8 +100,31 @@ class TestCheckpointViews:
 
     def test_stream_too_short_rejected(self, run100k):
         _, table = run100k
-        with pytest.raises(ValidationError):
-            per_checkpoint_spectra([0, 1, 2], table)
+        for view in (
+            per_checkpoint_spectra,
+            max_separation_by_checkpoint,
+            count_cutoff_exceedances,
+        ):
+            with pytest.raises(ValidationError, match="too short"):
+                view([0, 1, 2], table)
+
+    def test_decreasing_pi2_rejected(self):
+        table = CountTable(
+            rows=[CountRecord(n=100, pi1=25, pi2=8), CountRecord(n=200, pi1=46, pi2=7)]
+        )
+        with pytest.raises(ValidationError, match="decreases"):
+            per_checkpoint_spectra(list(range(10)), table)
+
+    def test_spectra_fold_matches_prefix_histograms(self, run100k):
+        report, table = run100k
+        spectra = per_checkpoint_spectra(report.separations, table)
+        for rec in table.rows:
+            assert spectra[rec.n] == accumulate(report.separations[: max(0, rec.pi2 - 2)])
+
+    def test_exceedances_reject_zero_risk_factor(self, run100k):
+        report, table = run100k
+        with pytest.raises(ValidationError, match="f must be > 0"):
+            count_cutoff_exceedances(report.separations, table, f=0.0)
 
     def test_exceedances_stay_near_risk_factor(self, run100k):
         # with f=1, about one completed separation should exceed each

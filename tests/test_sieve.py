@@ -10,9 +10,7 @@ from twinsep.errors import ValidationError
 from twinsep.sieve import (
     CountRecord,
     SieveConfig,
-    adjusted_pi1,
     geometric_checkpoints,
-    max_gap_onsets,
     read_separations,
     sieve_range,
     write_separations,
@@ -141,36 +139,6 @@ class TestDeterminism:
         assert rep.separations.tolist() == oracle100k["seps"][: max(0, n_twins - 1)]
 
 
-class TestOps:
-    def test_adjusted_pi1_n100(self):
-        rec = CountRecord(n=100, pi1=25, pi2=8)
-        assert adjusted_pi1(rec, last_twin_upper=73, trailing_singletons=4) == 19
-
-    def test_adjusted_pi1_no_trailing(self):
-        rec = CountRecord(n=50, pi1=10, pi2=4)
-        assert adjusted_pi1(rec, last_twin_upper=43, trailing_singletons=0) == 8
-
-    def test_adjusted_pi1_negative_result(self):
-        rec = CountRecord(n=5, pi1=2, pi2=0)
-        with pytest.raises(ValidationError):
-            adjusted_pi1(rec, last_twin_upper=5, trailing_singletons=1)
-
-    def test_max_gap_onsets_n100(self):
-        seps = [0, 0, 1, 1, 2, 1]
-        positions = [5, 11, 17, 29, 41, 59, 71]
-        assert max_gap_onsets(seps, positions) == [(0, 11), (1, 29), (2, 59)]
-
-    def test_max_gap_onsets_empty(self):
-        assert max_gap_onsets([], []) == []
-
-    def test_max_gap_onsets_single(self):
-        assert max_gap_onsets([5], [101, 149]) == [(5, 149)]
-
-    def test_max_gap_onsets_length_mismatch(self):
-        with pytest.raises(ValidationError):
-            max_gap_onsets([1, 2], [5, 11])
-
-
 class TestConfigValidation:
     def test_limit_too_small(self):
         with pytest.raises(ValidationError):
@@ -216,3 +184,11 @@ class TestSerialization:
         assert path.stat().st_size == 4 * seps.size
         raw = path.read_bytes()
         assert int.from_bytes(raw[:4], "little") == int(seps[0])
+
+    def test_partial_record_rejected(self, tmp_path):
+        path = tmp_path / "seps.bin"
+        write_separations(path, run(10_000).separations)
+        with open(path, "ab") as fh:
+            fh.write(b"\x01\x02")
+        with pytest.raises(ValidationError, match="4-byte"):
+            read_separations(path)
