@@ -71,6 +71,11 @@ def _parse_checkpoints(text, limit):
     return geometric_checkpoints(limit, per_decade=per_decade) if geometric else grid
 
 
+def risk_factor_or_zero(value) -> float:
+    """--f of simulate and gof: 0 selects the no-cutoff model, else a risk factor > 0."""
+    return 0.0 if float(value) == 0.0 else risk_factor(value)
+
+
 def _solve_from_flags(s0, f, pi2):
     if f > 0:
         if pi2 is None:
@@ -302,7 +307,7 @@ def build_parser():
     p = sub.add_parser("simulate", help="sample synthetic separations")
     p.add_argument("--s0", type=float, required=True)
     p.add_argument("--pi2", type=int)
-    p.add_argument("--f", type=float, default=_env("F", "0.0"))
+    p.add_argument("--f", type=risk_factor_or_zero, default=_env("F", "0.0"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
@@ -311,7 +316,7 @@ def build_parser():
     p = sub.add_parser("gof", help="goodness of fit of a spectrum against the model")
     p.add_argument("--spectrum", required=True)
     p.add_argument("--s0", type=float, required=True)
-    p.add_argument("--f", type=float, default=_env("F", "0.0"))
+    p.add_argument("--f", type=risk_factor_or_zero, default=_env("F", "0.0"))
     p.add_argument("--pi2", type=int)
     p.add_argument("--alpha", type=float, default=_env("ALPHA", "0.01"))
     p.set_defaults(func=cmd_gof)

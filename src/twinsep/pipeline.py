@@ -57,6 +57,8 @@ def ingest_counts(path) -> CountTable:
     """Parse a counts CSV, rejecting malformed or non-monotone rows by line number."""
     required = ("n", "pi1", "pi2")
     metadata, data = read_csv(path, required)
+    if not data:
+        raise ValidationError(f"{path}: no data rows")
     rows: list[CountRecord] = []
     seen: dict[int, int] = {}
     prev: CountRecord | None = None

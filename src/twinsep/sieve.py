@@ -5,10 +5,18 @@ singleton-prime separations between neighbouring twins, and records the
 onset of each new maximal separation.  A "separation" is the number of
 primes that belong to no twin pair and lie strictly between two
 neighbouring twins.
+
+A run has three parts.  A literal prelude holds the primes 2, 3, 5, 7 and
+with them the only overlapping twins, (3 5) and (5 7).  One segment kernel,
+`_segment_primes(low, high, base)`, returns the odd primes of a value range;
+it also sieves the base primes.  `sieve_range` accumulates each segment's
+primes into twins, separations, record onsets and checkpoint counts, and
+carries five values from one segment to the next.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 from dataclasses import dataclass, field
@@ -22,6 +30,9 @@ DEFAULT_SEGMENT_FLAGS = 1 << 20  # odd-number flags per segment (spans twice as 
 # The bound stamped on a new record separation is the lower member of the
 # twin that closes the record interval.
 ONSET_CONVENTION = "lower member of terminating twin"
+
+FIRST_SEGMENT = 9  # the prelude counts 2, 3, 5, 7; segments sieve from here on
+PRELUDE_LAST_TWIN = 2  # 0-based prime index of 5, the lower member of (5 7)
 
 
 @dataclass(frozen=True)
@@ -103,127 +114,97 @@ def geometric_checkpoints(limit, per_decade=20, start=1000):
     return tuple(sorted(p for p in pts if p >= start))
 
 
-def _odd_base_primes(limit):
-    """Odd primes <= limit by a dense sieve. limit is ~sqrt of the run bound."""
-    if limit < 3:
+def _segment_primes(low, high, base):
+    """Odd primes in [low, high), low odd, given every odd prime <= isqrt(high - 1).
+
+    This is the one marking loop: each base prime p crosses out its odd
+    multiples from max(p*p, low) on.
+    """
+    flags = np.ones((high - low + 1) // 2, dtype=bool)  # index i <-> low + 2i
+    for p in base.tolist():
+        start = p * p
+        if start >= high:
+            break
+        if start < low:
+            start = (low + p - 1) // p * p
+        if start % 2 == 0:
+            start += p
+        flags[(start - low) // 2 :: p] = False
+    return low + 2 * np.flatnonzero(flags)
+
+
+def _odd_base_primes(n):
+    """Odd primes <= n, sieved in one segment by the odd primes <= isqrt(n)."""
+    if n < 3:
         return np.empty(0, dtype=np.int64)
-    flags = np.ones((limit - 1) // 2, dtype=bool)  # index i <-> value 2i + 3
-    for i in range((math.isqrt(limit) - 1) // 2):
-        if flags[i]:
-            p = 2 * i + 3
-            flags[(p * p - 3) // 2 :: p] = False
-    return 2 * np.flatnonzero(flags).astype(np.int64) + 3
+    return _segment_primes(3, n + 1, _odd_base_primes(math.isqrt(n)))
+
+
+def _prelude(n):
+    """Counts at n < FIRST_SEGMENT, read off the primes 2, 3, 5, 7."""
+    return CountRecord(
+        n=n,
+        pi1=sum(p <= n for p in (2, 3, 5, 7)),
+        pi2=(n >= 5) + (n >= 7),
+        pi1_adjusted=PRELUDE_LAST_TWIN if n >= 7 else None,
+    )
 
 
 def sieve_range(config: SieveConfig) -> SieveReport:
     """Sieve [2, limit] and return counts, the separation stream, and onsets.
 
-    Twin pairs are (p, p+2) with p+2 <= limit.  The pair (3 5) is counted in
-    pi2 but discarded before separation accounting, so the stream starts
-    with the interval that follows (5 7).  Segments are sieved over odd
-    numbers only; twin and separation state is carried across segment
-    boundaries, so the result is identical for any segment size.
+    Twin pairs are (p, p+2) with p+2 <= limit.  The primes 2, 3, 5, 7 and
+    their twins (3 5) and (5 7) form a literal prelude: (3 5) is counted in
+    pi2 but opens no interval, so the stream starts after (5 7).  Segments
+    of odd numbers then start at FIRST_SEGMENT, and every twin they hold
+    closes one interval.  Five values carry across segments, so the result
+    is identical for any segment size.
     """
     limit = config.limit
-    cps = list(config.checkpoint_grid) if config.checkpoint_grid else [limit]
+    cps = config.checkpoint_grid or (limit,)
     base = _odd_base_primes(math.isqrt(limit))
-    span = 2 * config.segment_size
 
-    counts: list[CountRecord] = []
-    sep_chunks: list[np.ndarray] = []
+    counts = [_prelude(c) for c in cps if c < FIRST_SEGMENT]
+    sep_chunks = [np.empty(0, dtype=np.uint32)]
     onsets: list[tuple[int, int]] = []
+    head = _prelude(min(limit, FIRST_SEGMENT - 1))
+    prime_count, twin_count = head.pi1, head.pi2
+    last_prime, last_twin = 7, PRELUDE_LAST_TWIN  # last_twin: 0-based index of a lower member
     running_max = -1
 
-    prime_count = 1  # the prime 2
-    twin_count = 0
-    prev_val, prev_idx = 2, 0  # last prime seen and its 0-based index
-    pending_idx = -1  # index of the last twin's lower member, after discarding (3 5)
-    last_adj_twin: tuple[int, int] | None = None  # last twin with lower member >= 5
-    cp_pos = 0
+    span = 2 * config.segment_size
+    for low in range(FIRST_SEGMENT, limit + 1, span):
+        high = min(low + span, limit + 1)
+        vals = _segment_primes(low, high, base)
+        upper = np.flatnonzero(np.diff(vals, prepend=last_prime) == 2)
+        twins = vals[upper] - 2  # lower members, all >= 11
+        idx = prime_count - 1 + upper
+        seps = np.diff(idx, prepend=last_twin) - 2
+        sep_chunks.append(seps.astype(np.uint32))
 
-    while cp_pos < len(cps) and cps[cp_pos] < 3:
-        c = cps[cp_pos]
-        counts.append(CountRecord(n=c, pi1=1 if c >= 2 else 0, pi2=0))
-        cp_pos += 1
+        hits = np.flatnonzero(seps > running_max)
+        for s, t in zip(seps[hits].tolist(), twins[hits].tolist()):
+            if s > running_max:
+                running_max = s
+                onsets.append((s, t))
 
-    low = 3
-    while low <= limit:
-        high = min(low + span, limit + 1)  # half-open value range
-        flags = np.ones((high - low + 1) // 2, dtype=bool)  # index i <-> low + 2i
-        for p in base:
-            p = int(p)
-            pp = p * p
-            if pp >= high:
-                break
-            start = pp if pp >= low else ((low + p - 1) // p) * p
-            if start % 2 == 0:
-                start += p
-            if start < high:
-                flags[(start - low) // 2 :: p] = False
-        vals = low + 2 * np.flatnonzero(flags)
+        for c in cps[bisect.bisect_left(cps, low) : bisect.bisect_left(cps, high)]:
+            k = int(np.searchsorted(twins, c - 2, side="right"))
+            counts.append(
+                CountRecord(
+                    n=c,
+                    pi1=prime_count + int(np.searchsorted(vals, c, side="right")),
+                    pi2=twin_count + k,
+                    pi1_adjusted=int(idx[k - 1]) if k else last_twin,
+                )
+            )
 
-        # Twin starts in this segment, including one reaching back across the boundary.
-        if vals.size > 1:
-            w = np.flatnonzero(np.diff(vals) == 2)
-        else:
-            w = np.empty(0, dtype=np.int64)
-        tv = vals[w]
-        ti = prime_count + w
-        if vals.size and int(vals[0]) - prev_val == 2:
-            tv = np.concatenate(([prev_val], tv))
-            ti = np.concatenate(([prev_idx], ti))
+        prime_count += vals.size
+        twin_count += upper.size
+        last_prime = int(vals[-1]) if vals.size else last_prime
+        last_twin = int(idx[-1]) if idx.size else last_twin
 
-        # Separation accounting, discarding the anomalous twin (3 5).
-        keep = tv != 3
-        tv2, ti2 = tv[keep], ti[keep]
-        if tv2.size:
-            if pending_idx < 0:
-                seps = np.diff(ti2) - 2
-                term = tv2[1:]
-            else:
-                seps = np.diff(np.concatenate(([pending_idx], ti2))) - 2
-                term = tv2
-            pending_idx = int(ti2[-1])
-            if seps.size:
-                sep_chunks.append(seps.astype(np.uint32))
-                cm = np.maximum.accumulate(seps)
-                prior = np.empty_like(cm)
-                prior[0] = running_max
-                np.maximum(cm[:-1], running_max, out=prior[1:])
-                for j in np.flatnonzero(seps > prior):
-                    onsets.append((int(seps[j]), int(term[j])))
-                running_max = max(running_max, int(cm[-1]))
-
-        # Checkpoints falling inside this segment.
-        while cp_pos < len(cps) and cps[cp_pos] < high:
-            c = cps[cp_pos]
-            pi1_c = prime_count + int(np.searchsorted(vals, c, side="right"))
-            k_tw = int(np.searchsorted(tv, c - 2, side="right"))
-            pi2_c = twin_count + k_tw
-            adj = None
-            j = k_tw - 1
-            if j >= 0 and tv[j] == 3:
-                j -= 1
-            if j >= 0:
-                adj = int(ti[j])
-            elif last_adj_twin is not None and last_adj_twin[0] + 2 <= c:
-                adj = last_adj_twin[1]
-            counts.append(CountRecord(n=c, pi1=pi1_c, pi2=pi2_c, pi1_adjusted=adj))
-            cp_pos += 1
-
-        if vals.size:
-            prev_val = int(vals[-1])
-            prev_idx = prime_count + int(vals.size) - 1
-        prime_count += int(vals.size)
-        if tv.size:
-            twin_count += int(tv.size)
-            if tv2.size:
-                last_adj_twin = (int(tv2[-1]), int(ti2[-1]))
-        low = high
-
-    separations = (
-        np.concatenate(sep_chunks) if sep_chunks else np.empty(0, dtype=np.uint32)
-    )
+    separations = np.concatenate(sep_chunks)
     assert separations.size == max(0, twin_count - 2), "separation accounting out of sync"
     meta = {
         "limit": str(limit),

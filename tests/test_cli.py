@@ -83,9 +83,10 @@ class TestSieveCommand:
         assert [r.n for r in ingest_counts(counts).rows] == [100, 500, 1000]
 
 
-BAD_ONSETS = {
+BAD_FILES = {
     "non_integer": "separation,n\n0,11\n1,twenty-nine\n",
     "no_separation_column": "sep,n\n0,11\n",
+    "header_only": "n,pi1,pi2\n",
 }
 
 
@@ -113,6 +114,11 @@ class TestContract:
              "--f"),
             (["spectrum", "--separations", "{truncated}", "--out", "{tmp}/sp.csv"], {},
              "4-byte"),
+            (["simulate", "--s0", "5", "--n", "1000", "--seed", "1", "--f", "-1",
+              "--out", "{tmp}/sp.csv"], {}, "--f"),
+            (["gof", "--spectrum", "{tmp}/none.csv", "--s0", "5", "--f", "-1"], {}, "--f"),
+            (["s0", "--counts", "{header_only}", "--convention", "exact",
+              "--spectrum", "{tmp}/none.csv"], {}, "header_only.csv: no data rows"),
         ],
         ids=[
             "onsets-non-integer",
@@ -125,13 +131,16 @@ class TestContract:
             "predict-f-negative",
             "figures-f-0",
             "seps-partial-record",
+            "simulate-f-negative",
+            "gof-f-negative",
+            "s0-header-only-counts",
         ],
     )
     def test_exit_2(self, argv, env, needle, sieved, tmp_path, monkeypatch, capsys):
         counts, seps, _ = sieved
         files = {"counts": counts, "tmp": tmp_path, "truncated": tmp_path / "trunc.bin"}
         files["truncated"].write_bytes(seps.read_bytes()[:-2])
-        for name, text in BAD_ONSETS.items():
+        for name, text in BAD_FILES.items():
             files[name] = tmp_path / f"{name}.csv"
             files[name].write_text(text)
         for key, value in env.items():

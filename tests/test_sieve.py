@@ -21,6 +21,14 @@ def run(limit, segment_size=1 << 20, grid=()):
     return sieve_range(SieveConfig(limit=limit, segment_size=segment_size, checkpoint_grid=grid))
 
 
+@st.composite
+def limit_and_grid(draw):
+    """A limit up to 1e5 and a checkpoint grid of up to 8 points inside [1, limit]."""
+    limit = draw(st.integers(min_value=2, max_value=100_000))
+    grid = draw(st.sets(st.integers(min_value=1, max_value=limit), max_size=8))
+    return limit, tuple(sorted(grid))
+
+
 class TestCounts:
     def test_limit_2(self):
         rep = run(2)
@@ -60,11 +68,15 @@ class TestCounts:
             assert rec == alone
 
     def test_pi1_adjusted_matches_oracle(self, oracle100k):
+        # every small limit covers the 2-3-5-7 prelude and the first segments
         primes, twins = oracle100k["primes"], oracle100k["twins"]
-        for limit in (100, 1000, 4999, 100_000):
-            rec = run(limit).counts[-1]
+        for limit in (*range(2, 400), 1000, 4999, 100_000):
+            rec = run(limit, segment_size=1024).counts[-1]
+            if not any(3 < t and t + 2 <= limit for t in twins):
+                assert rec.pi1_adjusted is None, limit
+                continue
             trailing = oracle.trailing_singletons(primes, twins, limit)
-            assert rec.pi1_adjusted == rec.pi1 - trailing - 2
+            assert rec.pi1_adjusted == rec.pi1 - trailing - 2, limit
 
     def test_no_adjustment_before_first_real_twin(self):
         # up to 6 the only twin is (3 5), which never anchors an adjustment
@@ -127,16 +139,20 @@ class TestDeterminism:
 
     @settings(max_examples=30, deadline=None)
     @given(
-        limit=st.integers(min_value=2, max_value=100_000),
+        limit_grid=limit_and_grid(),
         segment_size=st.sampled_from([1024, 2048, 30000, 1 << 20]),
     )
-    def test_exactness_random_limits(self, limit, segment_size, oracle100k):
+    def test_exactness_random_limits(self, limit_grid, segment_size, oracle100k):
+        # the grid usually ends below limit, so the stream outruns the last checkpoint
+        limit, grid = limit_grid
         primes, twins = oracle100k["primes"], oracle100k["twins"]
-        rep = run(limit, segment_size=segment_size)
-        rec = rep.counts[-1]
-        assert (rec.pi1, rec.pi2) == oracle.counts_at(primes, twins, limit)
-        n_twins = sum(1 for t in twins if t != 3 and t + 2 <= limit)
-        assert rep.separations.tolist() == oracle100k["seps"][: max(0, n_twins - 1)]
+        rep = run(limit, segment_size=segment_size, grid=grid)
+        assert [r.n for r in rep.counts] == list(grid or (limit,))
+        for rec in rep.counts:
+            assert (rec.pi1, rec.pi2) == oracle.counts_at(primes, twins, rec.n), rec.n
+        pi2 = oracle.counts_at(primes, twins, limit)[1]
+        assert rep.separations.size == max(0, pi2 - 2)
+        assert rep.separations.tolist() == oracle100k["seps"][: max(0, pi2 - 2)]
 
 
 class TestConfigValidation:
