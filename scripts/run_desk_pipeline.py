@@ -26,7 +26,7 @@ from twinsep.pipeline import (
     per_checkpoint_spectra,
     table_from_report,
 )
-from twinsep.sieve import SieveConfig, geometric_checkpoints, sieve_range
+from twinsep.sieve import DEFAULT_SEGMENT_FLAGS, SieveConfig, geometric_checkpoints, sieve_range
 from twinsep.spectrum import s0_from_counts
 
 
@@ -35,21 +35,24 @@ def main():
     ap.add_argument("--limit", type=float, default=1e8)
     ap.add_argument("--start", type=float, default=1e5, help="first checkpoint")
     ap.add_argument("--per-decade", type=int, default=20)
-    ap.add_argument("--segment-size", type=int, default=1 << 22)
+    ap.add_argument("--segment-size", type=int, default=DEFAULT_SEGMENT_FLAGS)
     ap.add_argument("--f", type=float, default=1.0)
     ap.add_argument("--out-dir", default=None, help="also write the figure datasets here")
     args = ap.parse_args()
 
     limit = int(args.limit)
     grid = geometric_checkpoints(limit, per_decade=args.per_decade, start=int(args.start))
-    t0 = time.monotonic()
     report = sieve_range(
         SieveConfig(limit=limit, segment_size=args.segment_size, checkpoint_grid=grid)
     )
-    t_sieve = time.monotonic() - t0
+    stats = report.stats
     table = table_from_report(report)
     final = table.rows[-1]
-    print(f"sieve to {limit:.3g}: {t_sieve:.1f}s  pi1={final.pi1} pi2={final.pi2}")
+    print(
+        f"sieve to {limit:.3g}: {stats['wall_s']:.1f}s  pi1={final.pi1} pi2={final.pi2}  "
+        f"({stats['workers']} workers, {stats['chunks']} chunks, "
+        f"{stats['segments_per_s']:.0f} segments/s)"
+    )
     print(f"separations: {report.separations.size}, max {int(report.separations.max())}")
 
     t0 = time.monotonic()

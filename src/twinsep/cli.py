@@ -12,7 +12,10 @@ import argparse
 import json
 import math
 import os
+import platform
 import sys
+
+import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .fit import fit_exp_slope, fit_m0, fit_s0_linear, fit_s0_loglog
@@ -97,6 +100,17 @@ def cmd_sieve(args):
     write_separations(args.separations, report.separations)
     if args.onsets:
         write_csv(args.onsets, report.metadata, ["separation", "n"], report.max_separation_onsets)
+    if args.stats:
+        manifest = {
+            "limit": args.limit,
+            "segment_size": args.segment_size,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            **report.stats,
+        }
+        with open(args.stats, "w") as fh:
+            json.dump(manifest, fh, indent=2)
+            fh.write("\n")
     rec = report.counts[-1]
     print(
         f"sieved to {args.limit}: pi1={rec.pi1} pi2={rec.pi2} "
@@ -273,6 +287,7 @@ def build_parser():
     p.add_argument("--out", required=True, help="counts CSV")
     p.add_argument("--separations", required=True, help="binary separation stream")
     p.add_argument("--onsets", help="optional CSV of record-separation onsets")
+    p.add_argument("--stats", help="optional JSON manifest of the run (workers, timing, peak RSS)")
     p.set_defaults(func=cmd_sieve)
 
     p = sub.add_parser("spectrum", help="histogram a separation stream")

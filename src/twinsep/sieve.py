@@ -6,19 +6,27 @@ onset of each new maximal separation.  A "separation" is the number of
 primes that belong to no twin pair and lie strictly between two
 neighbouring twins.
 
-A run has three parts.  A literal prelude holds the primes 2, 3, 5, 7 and
-with them the only overlapping twins, (3 5) and (5 7).  One segment kernel,
-`_segment_primes(low, high, base)`, returns the odd primes of a value range;
-it also sieves the base primes.  `sieve_range` accumulates each segment's
-primes into twins, separations, record onsets and checkpoint counts, and
-carries five values from one segment to the next.
+A run is plan -> chunk -> fold.  A literal prelude holds the primes 2, 3,
+5, 7 and with them the only overlapping twins, (3 5) and (5 7).  The plan
+splits the rest, [FIRST_SEGMENT, limit], into chunks of CHUNK_SPAN
+integers; it depends on the limit alone.  Each chunk is sieved on its own,
+segment by segment, by the one marking kernel
+`_segment_primes(low, high, base)` (which also sieves the base primes),
+into a `ChunkSummary`: local counts, boundary primes and twins, local
+separations, records and checkpoint rows.  `sieve_range` maps the chunks
+in-process or over a process pool and folds the summaries in order,
+carrying five values from one chunk to the next, so the result is exact
+and identical for any segment size and CPU count.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import os
+import resource
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +41,7 @@ ONSET_CONVENTION = "lower member of terminating twin"
 
 FIRST_SEGMENT = 9  # the prelude counts 2, 3, 5, 7; segments sieve from here on
 PRELUDE_LAST_TWIN = 2  # 0-based prime index of 5, the lower member of (5 7)
+CHUNK_SPAN = 1 << 27  # integers per chunk; even, so every chunk starts on an odd number
 
 
 @dataclass(frozen=True)
@@ -90,13 +99,42 @@ class SieveReport:
     separations is the ordered stream of singleton counts between
     neighbouring twins (anomalous pair (3 5) discarded first), and
     max_separation_onsets lists each new running-maximum separation with
-    the bound at which it first occurred.
+    the bound at which it first occurred.  stats describes the run itself
+    (workers, chunks, segments, wall_s, segments_per_s, peak_rss_mb); it
+    never enters metadata, so the files written from a report do not
+    depend on the machine.
     """
 
     counts: list[CountRecord]
     separations: np.ndarray
     max_separation_onsets: list[tuple[int, int]]
     metadata: dict[str, str] = field(default_factory=dict)
+    stats: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class ChunkSummary:
+    """One chunk [low, high) sieved on its own, as the fold needs it.
+
+    Prime indices are 0-based within the chunk, and a twin here has both
+    members in the chunk; a twin that straddles the boundary, (previous
+    chunk's last prime, low), is the fold's to add.  seps holds the
+    separations between the chunk's consecutive twins, after its first
+    twin, and records the running-maximum records of seps alone, as
+    (separation, lower member of the closing twin).  Each checkpoint row
+    is (n, primes <= n, twins with upper member <= n, index of the last
+    such twin's lower member or None).
+    """
+
+    primes: int
+    twins: int
+    first_prime: int  # 0 when the chunk holds no prime
+    last_prime: int
+    first_twin: tuple[int, int] | None  # (lower member, its index)
+    last_twin: int | None  # index of the last twin's lower member
+    seps: np.ndarray
+    records: tuple[tuple[int, int], ...]
+    checkpoints: tuple[tuple[int, int, int, int | None], ...]
 
 
 def geometric_checkpoints(limit, per_decade=20, start=1000):
@@ -150,20 +188,62 @@ def _prelude(n):
     )
 
 
-def sieve_range(config: SieveConfig) -> SieveReport:
-    """Sieve [2, limit] and return counts, the separation stream, and onsets.
+def _chunk_plan(limit):
+    """[low, high) spans covering [FIRST_SEGMENT, limit]; they depend on limit alone."""
+    return [
+        (low, min(low + CHUNK_SPAN, limit + 1))
+        for low in range(FIRST_SEGMENT, limit + 1, CHUNK_SPAN)
+    ]
 
-    Twin pairs are (p, p+2) with p+2 <= limit.  The primes 2, 3, 5, 7 and
-    their twins (3 5) and (5 7) form a literal prelude: (3 5) is counted in
-    pi2 but opens no interval, so the stream starts after (5 7).  Segments
-    of odd numbers then start at FIRST_SEGMENT, and every twin they hold
-    closes one interval.  Five values carry across segments, so the result
-    is identical for any segment size.
+
+def _sieve_chunk(low, high, segment_size, base, grid) -> ChunkSummary:
+    """Sieve [low, high) segment by segment; grid is the checkpoints inside it."""
+    span = 2 * segment_size
+    count = first = last = 0  # 0: no prime yet (every chunk prime is >= 11)
+    lowers, index, pi1 = [], [], []
+    for seg in range(low, high, span):
+        top = min(seg + span, high)
+        vals = _segment_primes(seg, top, base)
+        upper = np.flatnonzero(np.diff(vals, prepend=last) == 2)
+        lowers.append(vals[upper] - 2)
+        index.append(count - 1 + upper)
+        inside = grid[bisect.bisect_left(grid, seg) : bisect.bisect_left(grid, top)]
+        pi1 += (count + np.searchsorted(vals, inside, side="right")).tolist()
+        if vals.size:
+            first = first or int(vals[0])
+            last = int(vals[-1])
+        count += vals.size
+
+    lowers, index = np.concatenate(lowers), np.concatenate(index)
+    seps = np.diff(index) - 2
+    prior = np.maximum.accumulate(np.concatenate(([-1], seps)))[:-1]
+    hits = np.flatnonzero(seps > prior)
+    twins_below = np.searchsorted(lowers, np.asarray(grid, dtype=np.int64) - 2, side="right")
+    return ChunkSummary(
+        primes=count,
+        twins=lowers.size,
+        first_prime=first,
+        last_prime=last,
+        first_twin=(int(lowers[0]), int(index[0])) if lowers.size else None,
+        last_twin=int(index[-1]) if index.size else None,
+        seps=seps.astype(np.uint32),
+        records=tuple(zip(seps[hits].tolist(), lowers[1:][hits].tolist())),
+        checkpoints=tuple(
+            (n, p, k, int(index[k - 1]) if k else None)
+            for n, p, k in zip(grid, pi1, twins_below.tolist())
+        ),
+    )
+
+
+def _fold(summaries, cps, limit):
+    """Stitch chunk summaries, in order, onto the prelude: counts, stream, onsets.
+
+    Five values carry from one chunk to the next.  A chunk's first prime
+    closes a straddling twin with the previous chunk's last prime when they
+    differ by 2; that twin and the chunk's first own twin each close one
+    interval before the chunk's own separations.  A chunk's local record
+    is a global record only if it beats the running maximum so far.
     """
-    limit = config.limit
-    cps = config.checkpoint_grid or (limit,)
-    base = _odd_base_primes(math.isqrt(limit))
-
     counts = [_prelude(c) for c in cps if c < FIRST_SEGMENT]
     sep_chunks = [np.empty(0, dtype=np.uint32)]
     onsets: list[tuple[int, int]] = []
@@ -172,40 +252,86 @@ def sieve_range(config: SieveConfig) -> SieveReport:
     last_prime, last_twin = 7, PRELUDE_LAST_TWIN  # last_twin: 0-based index of a lower member
     running_max = -1
 
-    span = 2 * config.segment_size
-    for low in range(FIRST_SEGMENT, limit + 1, span):
-        high = min(low + span, limit + 1)
-        vals = _segment_primes(low, high, base)
-        upper = np.flatnonzero(np.diff(vals, prepend=last_prime) == 2)
-        twins = vals[upper] - 2  # lower members, all >= 11
-        idx = prime_count - 1 + upper
-        seps = np.diff(idx, prepend=last_twin) - 2
-        sep_chunks.append(seps.astype(np.uint32))
-
-        hits = np.flatnonzero(seps > running_max)
-        for s, t in zip(seps[hits].tolist(), twins[hits].tolist()):
-            if s > running_max:
-                running_max = s
-                onsets.append((s, t))
-
-        for c in cps[bisect.bisect_left(cps, low) : bisect.bisect_left(cps, high)]:
-            k = int(np.searchsorted(twins, c - 2, side="right"))
+    for s in summaries:
+        # chunks start on odd numbers, so a twin straddles two chunks only as (last_prime, low)
+        straddles = s.first_prime - last_prime == 2
+        below = prime_count - 1 if straddles else last_twin  # the last twin before the chunk's own
+        for n, pi1, pi2, adj in s.checkpoints:
             counts.append(
                 CountRecord(
-                    n=c,
-                    pi1=prime_count + int(np.searchsorted(vals, c, side="right")),
-                    pi2=twin_count + k,
-                    pi1_adjusted=int(idx[k - 1]) if k else last_twin,
+                    n=n,
+                    pi1=prime_count + pi1,
+                    pi2=twin_count + straddles + pi2,
+                    pi1_adjusted=below if adj is None else prime_count + adj,
                 )
             )
 
-        prime_count += vals.size
-        twin_count += upper.size
-        last_prime = int(vals[-1]) if vals.size else last_prime
-        last_twin = int(idx[-1]) if idx.size else last_twin
+        closing = [(last_prime, below)] if straddles else []
+        if s.first_twin is not None:
+            closing.append((s.first_twin[0], prime_count + s.first_twin[1]))
+        heads = []  # (separation, lower member) closed before the chunk's own separations
+        for lower, index in closing:
+            heads.append((index - last_twin - 2, lower))
+            last_twin = index
+        sep_chunks += [np.array([sep for sep, _ in heads], dtype=np.uint32), s.seps]
+        for sep, lower in (*heads, *s.records):
+            if sep > running_max:
+                running_max = sep
+                onsets.append((sep, lower))
+
+        twin_count += straddles + s.twins
+        if s.last_twin is not None:
+            last_twin = prime_count + s.last_twin
+        prime_count += s.primes
+        last_prime = s.last_prime or last_prime
 
     separations = np.concatenate(sep_chunks)
     assert separations.size == max(0, twin_count - 2), "separation accounting out of sync"
+    return counts, separations, onsets
+
+
+def sieve_range(config: SieveConfig) -> SieveReport:
+    """Sieve [2, limit] and return counts, the separation stream, and onsets.
+
+    Twin pairs are (p, p+2) with p+2 <= limit.  The primes 2, 3, 5, 7 and
+    their twins (3 5) and (5 7) form a literal prelude: (3 5) is counted in
+    pi2 but opens no interval, so the stream starts after (5 7).  The rest,
+    from FIRST_SEGMENT on, is split into chunks of CHUNK_SPAN integers that
+    are sieved independently and folded in order, so the result is
+    identical for any segment size and any number of CPUs.  A plan of more
+    than one chunk runs on a process pool with one worker per CPU in the
+    affinity mask (at most one per chunk); otherwise it runs in-process.
+    Workers are started by spawn, so a script that sieves past one chunk
+    must call this under `if __name__ == "__main__":`.
+    """
+    t0 = time.perf_counter()
+    limit = config.limit
+    cps = config.checkpoint_grid or (limit,)
+    base = _odd_base_primes(math.isqrt(limit))
+    plan = _chunk_plan(limit)
+    jobs = (
+        [low for low, _ in plan],
+        [high for _, high in plan],
+        itertools.repeat(config.segment_size),
+        itertools.repeat(base),
+        [cps[bisect.bisect_left(cps, low) : bisect.bisect_left(cps, high)] for low, high in plan],
+    )
+    workers = max(1, min(len(plan), len(os.sched_getaffinity(0))))
+    if workers == 1:
+        counts, separations, onsets = _fold(map(_sieve_chunk, *jobs), cps, limit)
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(workers, mp_context=spawn) as pool:
+            counts, separations, onsets = _fold(pool.map(_sieve_chunk, *jobs), cps, limit)
+
+    wall = time.perf_counter() - t0
+    segments = sum(len(range(low, high, 2 * config.segment_size)) for low, high in plan)
+    peak_kb = max(
+        resource.getrusage(who).ru_maxrss for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
+    )
     meta = {
         "limit": str(limit),
         "onset_n": ONSET_CONVENTION,
@@ -216,6 +342,14 @@ def sieve_range(config: SieveConfig) -> SieveReport:
         separations=separations,
         max_separation_onsets=onsets,
         metadata=meta,
+        stats={
+            "workers": workers,
+            "chunks": len(plan),
+            "segments": segments,
+            "wall_s": wall,
+            "segments_per_s": segments / wall,
+            "peak_rss_mb": peak_kb / 1024,
+        },
     )
 
 

@@ -395,3 +395,9 @@ def test_s0_conventions_converge(bigrun):
         ).value
         diffs[n] = abs(raw - exact)
     assert diffs[10**8] < diffs[10**5]
+
+
+def test_bigrun_published_counts(bigrun):
+    """The 1e9 row equals pi(1e9) (OEIS A006880) and pi2(1e9) (OEIS A007508)."""
+    rec = bigrun.table.rows[-1]
+    assert (rec.n, rec.pi1, rec.pi2) == (BIG_LIMIT, 50847534, 3424506)

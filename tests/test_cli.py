@@ -82,6 +82,28 @@ class TestSieveCommand:
         assert rc == 0
         assert [r.n for r in ingest_counts(counts).rows] == [100, 500, 1000]
 
+    def test_stats_manifest(self, sieved, tmp_path):
+        counts, seps, onsets = sieved
+        out = tmp_path / "run"
+        out.mkdir()
+        rc = main(
+            [
+                "sieve", "--limit", "50000", "--checkpoints", "geometric:10",
+                "--out", str(out / "counts.csv"), "--separations", str(out / "seps.bin"),
+                "--onsets", str(out / "onsets.csv"), "--stats", str(out / "stats.json"),
+            ]
+        )
+        assert rc == 0
+        stats = json.loads((out / "stats.json").read_text())
+        assert set(stats) == {
+            "limit", "segment_size", "python", "numpy",
+            "workers", "chunks", "segments", "wall_s", "segments_per_s", "peak_rss_mb",
+        }
+        assert (stats["limit"], stats["workers"], stats["chunks"]) == (50000, 1, 1)
+        # the manifest is the only file that describes the run; the data files are unchanged
+        for name, path in [("counts.csv", counts), ("seps.bin", seps), ("onsets.csv", onsets)]:
+            assert (out / name).read_bytes() == path.read_bytes(), name
+
 
 BAD_FILES = {
     "non_integer": "separation,n\n0,11\n1,twenty-nine\n",

@@ -1,11 +1,16 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
+from twinsep import sieve
 from twinsep.errors import ValidationError
 from twinsep.sieve import (
     CountRecord,
@@ -17,8 +22,47 @@ from twinsep.sieve import (
 )
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+# pi(10^k) (OEIS A006880) and twin pairs (p, p+2) with p+2 <= 10^k (OEIS A007508), k = 1..8
+PUBLISHED_PI = (4, 25, 168, 1229, 9592, 78498, 664579, 5761455)
+PUBLISHED_PI2 = (2, 8, 35, 205, 1224, 8169, 58980, 440312)
+
+# even chunk spans small enough to put many chunk boundaries below 1e5
+CHUNK_SPANS = (2, 6, 64, 1000, 1 << 14)
+
+
 def run(limit, segment_size=1 << 20, grid=()):
     return sieve_range(SieveConfig(limit=limit, segment_size=segment_size, checkpoint_grid=grid))
+
+
+def run_chunked(limit, span, segment_size=1 << 20, grid=()):
+    """sieve_range in-process, with chunks of span integers."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sieve, "CHUNK_SPAN", span)
+        mp.setattr(os, "sched_getaffinity", lambda pid: {0})
+        return run(limit, segment_size, grid)
+
+
+def snapshot(rep):
+    """Counts with field types, the stream with its dtype, onsets, metadata."""
+    return (
+        [[(type(v), v) for v in dataclasses.astuple(r)] for r in rep.counts],
+        rep.separations.dtype,
+        rep.separations.tolist(),
+        [[(type(v), v) for v in onset] for onset in rep.max_separation_onsets],
+        rep.metadata,
+    )
+
+
+def oracle_onsets(seps, terms):
+    """Each new running maximum of an oracle stream, with its closing twin."""
+    out, best = [], -1
+    for sep, term in zip(seps, terms):
+        if sep > best:
+            out.append((sep, term))
+            best = sep
+    return out
 
 
 @st.composite
@@ -27,6 +71,14 @@ def limit_and_grid(draw):
     limit = draw(st.integers(min_value=2, max_value=100_000))
     grid = draw(st.sets(st.integers(min_value=1, max_value=limit), max_size=8))
     return limit, tuple(sorted(grid))
+
+
+@st.composite
+def chunked_case(draw):
+    """limit_and_grid plus a chunk span giving at most 3000 chunks."""
+    limit, grid = draw(limit_and_grid())
+    span = draw(st.sampled_from([s for s in CHUNK_SPANS if limit // s <= 3000]))
+    return limit, grid, span
 
 
 class TestCounts:
@@ -77,6 +129,13 @@ class TestCounts:
                 continue
             trailing = oracle.trailing_singletons(primes, twins, limit)
             assert rec.pi1_adjusted == rec.pi1 - trailing - 2, limit
+
+    def test_published_counts_to_1e8(self):
+        grid = tuple(10**k for k in range(1, 9))
+        rep = run(10**8, grid=grid)
+        assert [r.n for r in rep.counts] == list(grid)
+        assert tuple(r.pi1 for r in rep.counts) == PUBLISHED_PI
+        assert tuple(r.pi2 for r in rep.counts) == PUBLISHED_PI2
 
     def test_no_adjustment_before_first_real_twin(self):
         # up to 6 the only twin is (3 5), which never anchors an adjustment
@@ -153,6 +212,68 @@ class TestDeterminism:
         pi2 = oracle.counts_at(primes, twins, limit)[1]
         assert rep.separations.size == max(0, pi2 - 2)
         assert rep.separations.tolist() == oracle100k["seps"][: max(0, pi2 - 2)]
+
+
+class TestChunks:
+    """A run is a plan of chunks folded in order: the plan must not show in the output."""
+
+    def check_against_one_chunk(self, limit, grid, span, segment_size, oracle100k):
+        rep = run_chunked(limit, span, segment_size, grid)
+        assert snapshot(rep) == snapshot(run(limit, segment_size, grid))
+        primes, twins = oracle100k["primes"], oracle100k["twins"]
+        for rec in rep.counts:
+            assert (rec.pi1, rec.pi2) == oracle.counts_at(primes, twins, rec.n), rec.n
+        k = max(0, oracle.counts_at(primes, twins, limit)[1] - 2)
+        seps, terms = oracle100k["seps"][:k], oracle100k["terms"][:k]
+        assert rep.separations.tolist() == seps
+        assert rep.max_separation_onsets == oracle_onsets(seps, terms)
+
+    @pytest.mark.parametrize("segment_size", [1024, 1 << 20])
+    def test_boundary_cases(self, segment_size, oracle100k):
+        # with 64-integer chunks from 9: (71 73), (1031 1033) and (1607 1609)
+        # straddle a boundary, [713, 777) holds no twin, 750 is a checkpoint
+        # in it, and no prime of [1289, 1353) lies above the checkpoint 1340
+        limit, span, grid = 2000, 64, (10, 72, 73, 750, 1033, 1340, 2000)
+        primes = set(oracle100k["primes"])
+        assert {71, 73, 1031, 1033, 1607, 1609} <= primes
+        assert [sieve.FIRST_SEGMENT + k * span for k in (1, 16, 25)] == [73, 1033, 1609]
+        assert not any(p in primes and p + 2 in primes for p in range(713, 775))
+        assert not any(p in primes for p in range(1341, 1353))
+        self.check_against_one_chunk(limit, grid, span, segment_size, oracle100k)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=chunked_case(), segment_size=st.sampled_from([1024, 2048, 1 << 20]))
+    @example(case=(400, (3, 9, 10, 11, 13, 200, 397), 2), segment_size=1024)  # chunks without primes
+    def test_chunk_span_invariance(self, case, segment_size, oracle100k):
+        limit, grid, span = case
+        self.check_against_one_chunk(limit, grid, span, segment_size, oracle100k)
+
+    def test_process_pool(self, monkeypatch):
+        grid = geometric_checkpoints(300_000, per_decade=5, start=100)
+        ref = run(300_000, segment_size=1024, grid=grid)
+        monkeypatch.setattr(sieve, "CHUNK_SPAN", 1 << 16)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        rep = run(300_000, segment_size=1024, grid=grid)
+        assert (rep.stats["workers"], rep.stats["chunks"]) == (2, 5)
+        assert snapshot(rep) == snapshot(ref)
+
+    def test_stats(self):
+        rep = run(100_000, segment_size=1024)
+        assert set(rep.stats) == {
+            "workers", "chunks", "segments", "wall_s", "segments_per_s", "peak_rss_mb"
+        }
+        assert (rep.stats["workers"], rep.stats["chunks"], rep.stats["segments"]) == (1, 1, 49)
+        assert rep.stats["peak_rss_mb"] > 0
+        assert not set(rep.stats) & set(rep.metadata)
+
+    def test_import_leaves_process_pool_unloaded(self):
+        code = "import sys, twinsep; print('concurrent.futures' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestConfigValidation:
