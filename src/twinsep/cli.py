@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Pipelines the sieve -> spectrum -> fit -> predict -> simulate flow and
-emits plot-ready datasets.  Configuration precedence is flags, then
+emits plot-ready datasets; `report` runs the whole analysis in one process
+and prints the fitted laws.  Configuration precedence is flags, then
 TWINSEP_* environment variables, then defaults.  Exit codes: 0 success,
 2 validation, 3 numerical, 4 I/O.
 """
@@ -14,17 +15,27 @@ import math
 import os
 import platform
 import sys
+import time
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .fit import fit_exp_slope, fit_m0, fit_s0_linear, fit_s0_loglog
 from .ioutil import format_metadata, read_columns, write_csv
-from .model import SolverInput, risk_factor, solve_approx, solve_checkpoint, solve_f0
+from .model import (
+    SolverInput,
+    overshoot_bound,
+    risk_factor,
+    solve_approx,
+    solve_checkpoint,
+    solve_f0,
+)
 from .montecarlo import GENERATOR, SimConfig, gof_compare, sample_separations
 from .pipeline import (
+    count_cutoff_exceedances,
     figure_pipeline,
     ingest_counts,
+    max_separation_by_checkpoint,
     per_checkpoint_spectra,
     table_from_report,
     write_counts,
@@ -265,9 +276,87 @@ def cmd_figures(args):
     onsets = None
     if args.onsets:
         _, onsets = read_columns(args.onsets, ("separation", "n"), int)
+        for sep, n in onsets:
+            if n < 1 or sep < 0:
+                raise ValidationError(
+                    f"{args.onsets}: onset needs n >= 1 and separation >= 0, "
+                    f"got separation={sep}, n={n}"
+                )
     figures = figure_pipeline(table, spectra=spectra, f=args.f, convention=conv, onsets=onsets)
     for path in figures.write(args.out_dir):
         print(f"wrote {path}")
+    return EXIT_OK
+
+
+def cmd_report(args):
+    """Sieve, then print the laws of one figure_pipeline call and a per-checkpoint table.
+
+    A law that could not be fitted prints n/a; a decade whose spectrum
+    gof_compare rejects gets a blank ks.  A checkpoint is also listed when
+    its running maximum passes overshoot_bound; "over" is (max - L)/sbar.
+    """
+    grid = geometric_checkpoints(args.limit, per_decade=args.per_decade, start=args.start)
+    report = sieve_range(SieveConfig(limit=args.limit, checkpoint_grid=grid))
+    stats, table = report.stats, table_from_report(report)
+    final = table.rows[-1]
+    maxes = max_separation_by_checkpoint(report.separations, table)
+    # first, so that a table no cutoff can be solved for fails before any output
+    exceed = count_cutoff_exceedances(report.separations, table, f=args.f)
+    print(
+        f"sieve to {args.limit:.3g}: {stats['wall_s']:.1f}s  pi1={final.pi1} pi2={final.pi2}  "
+        f"({stats['workers']} workers, {stats['chunks']} chunks, "
+        f"{stats['segments_per_s']:.0f} segments/s)"
+    )
+    print(f"separations: {report.separations.size}, max {maxes[final.n]}")
+
+    t0 = time.monotonic()
+    spectra = per_checkpoint_spectra(report.separations, table)
+    figs = figure_pipeline(table, spectra=spectra, f=args.f, onsets=report.max_separation_onsets)
+    m0, lin = figs.m0_fit, figs.s0_fit
+    print(
+        f"m0 law: m0 = {m0.coefficients[0]:.4f} +- {m0.std_errors[0]:.4f} "
+        f"({m0.n_points} checkpoints, {time.monotonic() - t0:.1f}s)"
+        if m0 else "m0 law: n/a"
+    )
+    print(
+        f"s0 linear: slope {lin.coefficients[1]:.4f} +- {lin.std_errors[1]:.4f}, "
+        f"intercept {lin.coefficients[0]:.4f} +- {lin.std_errors[0]:.4f}"
+        if lin else "s0 linear: n/a"
+    )
+    try:
+        loglog = fit_s0_loglog([(row["pi1"], row["s0"]) for row in figs.fig2])
+    except ValidationError:
+        print("s0 three-term: n/a")
+    else:
+        c, d = loglog.coefficients, loglog.sensitivity_deltas
+        print(
+            f"s0 three-term: intercept {c[0]:.3f}, linear {c[1]:.4f}, loglog {c[2]:.3f}"
+            + (f", upper-half deltas {d[0]:.3f}, {d[1]:.4f}, {d[2]:.3f}" if d else "")
+        )
+
+    print(f"{'n':>12} {'s0':>8} {'l_cut':>8} {'obs_max':>8} {'over':>6} {'exceed':>7} {'ks':>8}")
+    decades = {10**k for k in range(3, 14)}
+    for rec in table.rows:
+        s0 = s0_from_counts(rec).value
+        law = solve_checkpoint(rec, args.f)
+        flag = "" if maxes[rec.n] <= overshoot_bound(law) else "  > overshoot bound"
+        if rec.n not in decades and not flag:
+            continue
+        ks = ""
+        if rec.n in decades:
+            try:
+                ks = f"{gof_compare(spectra[rec.n], solve_f0(s0)).ks_distance:.5f}"
+            except ValidationError:
+                pass
+        over = (maxes[rec.n] - law.l_cut) / law.sbar
+        print(
+            f"{rec.n:>12} {s0:>8.3f} {law.l_cut:>8.2f} {maxes[rec.n]:>8} {over:>6.2f} "
+            f"{exceed[rec.n]:>7} {ks:>8}{flag}"
+        )
+
+    if args.out_dir:
+        for path in figs.write(args.out_dir):
+            print(f"wrote {path}")
     return EXIT_OK
 
 
@@ -346,6 +435,14 @@ def build_parser():
     )
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_figures)
+
+    p = sub.add_parser("report", help="sieve and print the fitted laws and cutoff checks")
+    p.add_argument("--limit", type=int, required=True)
+    p.add_argument("--start", type=int, default=100000, help="first checkpoint")
+    p.add_argument("--per-decade", type=int, default=20)
+    p.add_argument("--f", type=risk_factor, default=_env("F", "1.0"))
+    p.add_argument("--out-dir", help="also write the three figure datasets here")
+    p.set_defaults(func=cmd_report)
 
     return parser
 

@@ -17,14 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .fit import fit_exp_slope, fit_m0, fit_s0_linear
+from .fit import FitResult, fit_exp_slope, fit_m0, fit_s0_linear
 from .ioutil import read_csv, write_csv
 from .model import DEFAULT_RISK_FACTOR, risk_factor, solve_checkpoint
 from .sieve import CountRecord, SieveReport
 from .spectrum import S0Convention, SeparationSpectrum, accumulate, merge, s0_from_counts
-
-SOURCE_SIEVED = "sieved"
-SOURCE_EXTERNAL = "external"
 
 FIG1_COLUMNS = ["n", "pi1", "log_pi1", "inv_s0", "slope_m", "slope_se", "m0_curve"]
 FIG2_COLUMNS = ["n", "pi1", "log_pi1", "s0", "s0_fit"]
@@ -34,23 +31,16 @@ FIG3_COLUMNS = ["series", "n", "log_n", "value", "l_ceil"]
 @dataclass
 class CountTable:
     rows: list[CountRecord]
-    source: str = SOURCE_EXTERNAL
     metadata: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.source not in (SOURCE_SIEVED, SOURCE_EXTERNAL):
-            raise ValidationError(f"unknown source {self.source!r}")
         ns = [r.n for r in self.rows]
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise ValidationError("rows must be sorted by n with no duplicates")
 
 
 def table_from_report(report: SieveReport) -> CountTable:
-    return CountTable(
-        rows=list(report.counts),
-        source=SOURCE_SIEVED,
-        metadata=dict(report.metadata),
-    )
+    return CountTable(rows=list(report.counts), metadata=dict(report.metadata))
 
 
 def ingest_counts(path) -> CountTable:
@@ -85,7 +75,7 @@ def ingest_counts(path) -> CountTable:
             )
         rows.append(rec)
         prev = rec
-    return CountTable(rows=rows, source=SOURCE_EXTERNAL, metadata=metadata)
+    return CountTable(rows=rows, metadata=metadata)
 
 
 def write_counts(path, table: CountTable) -> None:
@@ -166,6 +156,9 @@ class FigureSet:
     fig2: list[dict]
     fig3: list[dict]
     metadata: dict[str, str]
+    # the decay law behind fig1's m0_curve and the linear law behind fig2's s0_fit
+    m0_fit: FitResult | None = None
+    s0_fit: FitResult | None = None
 
     def write(self, out_dir) -> list[str]:
         os.makedirs(out_dir, exist_ok=True)
@@ -217,14 +210,14 @@ def figure_pipeline(
         except ValidationError:
             continue
         slope_rows[rec.n] = (-fit.coefficients[1], fit.std_errors[1])
-    m0 = None
+    m0_fit = None
     m0_points = [
         (rec.pi1, slope_rows[rec.n][0])
         for rec in table.rows
         if rec.n in slope_rows and rec.pi1 >= 3
     ]
     if m0_points:
-        m0 = fit_m0(m0_points).coefficients[0]
+        m0_fit = fit_m0(m0_points)
 
     fig1 = []
     for rec in table.rows:
@@ -242,14 +235,14 @@ def figure_pipeline(
         }
         if rec.n in slope_rows:
             row["slope_m"], row["slope_se"] = slope_rows[rec.n]
-        if m0 is not None:
-            row["m0_curve"] = m0 / math.log(rec.pi1)
+        if m0_fit is not None:
+            row["m0_curve"] = m0_fit.coefficients[0] / math.log(rec.pi1)
         fig1.append(row)
 
-    line = None
+    s0_fit = None
     fit_pts = [(rec.pi1, s0_by_n[rec.n]) for rec in table.rows if rec.n in s0_by_n]
     if len(fit_pts) >= 2 and len({p for p, _ in fit_pts}) >= 2:
-        line = fit_s0_linear(fit_pts).coefficients
+        s0_fit = fit_s0_linear(fit_pts)
     fig2 = []
     for rec in table.rows:
         if rec.n not in s0_by_n or rec.pi1 < 1:
@@ -261,7 +254,7 @@ def figure_pipeline(
                 "pi1": rec.pi1,
                 "log_pi1": x,
                 "s0": s0_by_n[rec.n],
-                "s0_fit": line[0] + line[1] * x if line else "",
+                "s0_fit": s0_fit.coefficients[0] + s0_fit.coefficients[1] * x if s0_fit else "",
             }
         )
 
@@ -299,4 +292,4 @@ def figure_pipeline(
             "risk_factor": repr(f),
         }
     )
-    return FigureSet(fig1=fig1, fig2=fig2, fig3=fig3, metadata=metadata)
+    return FigureSet(fig1, fig2, fig3, metadata, m0_fit=m0_fit, s0_fit=s0_fit)

@@ -81,6 +81,8 @@ class CountRecord:
     pi1_adjusted: int | None = None
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValidationError(f"checkpoint n must be >= 1, got {self.n}")
         if self.pi1 < 0 or self.pi2 < 0:
             raise ValidationError("counts must be non-negative")
         # Twins overlap only at (3 5)/(5 7); any further pair needs 2 new primes.
@@ -143,6 +145,8 @@ def geometric_checkpoints(limit, per_decade=20, start=1000):
         raise ValidationError("limit must be >= 2")
     if per_decade < 1:
         raise ValidationError("per_decade must be >= 1")
+    if start < 1:
+        raise ValidationError(f"start must be >= 1, got {start}")
     if limit <= start:
         return (limit,)
     k0 = math.ceil(per_decade * math.log10(start) - 1e-9)

@@ -1,9 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from twinsep.cli import main
+from twinsep.ioutil import read_columns
 from twinsep.pipeline import ingest_counts
 from twinsep.sieve import SieveConfig, geometric_checkpoints, read_separations, sieve_range
 from twinsep.spectrum import read_spectrum_csv
@@ -109,6 +111,8 @@ BAD_FILES = {
     "non_integer": "separation,n\n0,11\n1,twenty-nine\n",
     "no_separation_column": "sep,n\n0,11\n",
     "header_only": "n,pi1,pi2\n",
+    "counts_n_zero": "n,pi1,pi2\n0,100,10\n1000,168,35\n",
+    "onsets_n_zero": "separation,n\n0,11\n3,0\n",
 }
 
 
@@ -141,6 +145,12 @@ class TestContract:
             (["gof", "--spectrum", "{tmp}/none.csv", "--s0", "5", "--f", "-1"], {}, "--f"),
             (["s0", "--counts", "{header_only}", "--convention", "exact",
               "--spectrum", "{tmp}/none.csv"], {}, "header_only.csv: no data rows"),
+            (["predict", "--counts", "{counts_n_zero}", "--out", "{tmp}/o.csv"], {},
+             "counts_n_zero.csv:2:"),
+            (["figures", "--counts", "{counts}", "--onsets", "{onsets_n_zero}",
+              "--out-dir", "{tmp}/figs"], {}, "onsets_n_zero.csv"),
+            (["report", "--limit", "1000000", "--f", "0"], {}, "--f"),
+            (["report", "--limit", "1000", "--start", "0"], {}, "start"),
         ],
         ids=[
             "onsets-non-integer",
@@ -156,6 +166,10 @@ class TestContract:
             "simulate-f-negative",
             "gof-f-negative",
             "s0-header-only-counts",
+            "counts-n-zero",
+            "onsets-n-zero",
+            "report-f-0",
+            "report-start-0",
         ],
     )
     def test_exit_2(self, argv, env, needle, sieved, tmp_path, monkeypatch, capsys):
@@ -324,3 +338,39 @@ class TestFiguresCommand:
             assert text.startswith("# metadata:")
         fig3 = (out_dir / "fig3.csv").read_text()
         assert "onset" in fig3 and "predicted" in fig3
+
+
+class TestReportCommand:
+    def test_smoke(self, capsys):
+        assert main(["report", "--limit", "1000000", "--start", "10000"]) == 0
+        assert any(l.startswith("m0 law:") for l in capsys.readouterr().out.splitlines())
+
+    def test_m0_is_the_fig1_law(self, tmp_path, capsys):
+        # the printed law and fig1's m0_curve come from one figure_pipeline call
+        out_dir = tmp_path / "figs"
+        argv = ["report", "--limit", "1000000", "--start", "10000", "--out-dir", str(out_dir)]
+        assert main(argv) == 0
+        line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("m0 law:"))
+        printed = line.split()[4]
+        _, rows = read_columns(out_dir / "fig1.csv", ("pi1", "m0_curve"), float)
+        pi1, m0_curve = rows[-1]
+        assert f"{m0_curve * math.log(pi1):.4f}" == printed
+
+    @pytest.mark.parametrize(
+        "argv, check",
+        [
+            # too few intervals at n=1000 for gof_compare: that row's ks is blank
+            (["--limit", "2000", "--start", "100"],
+             lambda out: any(l.split() and l.split()[0] == "1000" and len(l.split()) == 6
+                             for l in out.splitlines())),
+            # one checkpoint: the linear and three-term laws cannot be fitted
+            (["--limit", "1000000", "--start", "10000000"],
+             lambda out: "s0 linear: n/a" in out and "s0 three-term: n/a" in out),
+        ],
+        ids=["gof-too-few-intervals", "one-checkpoint"],
+    )
+    def test_unfittable_input_exits_0(self, argv, check, capsys):
+        assert main(["report", *argv]) == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert check(captured.out)

@@ -30,7 +30,6 @@ class TestIngest:
         path.write_text("n,pi1,pi2\n10,4,2\n100,25,8\n")
         table = ingest_counts(path)
         assert [(r.n, r.pi1, r.pi2) for r in table.rows] == [(10, 4, 2), (100, 25, 8)]
-        assert table.source == "external"
 
     def test_out_of_order_rows_name_the_line(self, tmp_path):
         path = tmp_path / "counts.csv"
@@ -190,7 +189,3 @@ class TestTableValidation:
     def test_unsorted_rejected(self):
         with pytest.raises(ValidationError):
             CountTable(rows=[CountRecord(n=100, pi1=25, pi2=8), CountRecord(n=10, pi1=4, pi2=2)])
-
-    def test_bad_source(self):
-        with pytest.raises(ValidationError):
-            CountTable(rows=[], source="guess")
