@@ -32,6 +32,7 @@ from .model import (
 )
 from .montecarlo import GENERATOR, SimConfig, gof_compare, sample_separations
 from .pipeline import (
+    check_onsets,
     count_cutoff_exceedances,
     figure_pipeline,
     ingest_counts,
@@ -276,12 +277,10 @@ def cmd_figures(args):
     onsets = None
     if args.onsets:
         _, onsets = read_columns(args.onsets, ("separation", "n"), int)
-        for sep, n in onsets:
-            if n < 1 or sep < 0:
-                raise ValidationError(
-                    f"{args.onsets}: onset needs n >= 1 and separation >= 0, "
-                    f"got separation={sep}, n={n}"
-                )
+        try:
+            check_onsets(onsets)  # figure_pipeline checks again, but cannot name the file
+        except ValidationError as exc:
+            raise ValidationError(f"{args.onsets}: {exc}") from exc
     figures = figure_pipeline(table, spectra=spectra, f=args.f, convention=conv, onsets=onsets)
     for path in figures.write(args.out_dir):
         print(f"wrote {path}")
@@ -304,7 +303,7 @@ def cmd_report(args):
     exceed = count_cutoff_exceedances(report.separations, table, f=args.f)
     print(
         f"sieve to {args.limit:.3g}: {stats['wall_s']:.1f}s  pi1={final.pi1} pi2={final.pi2}  "
-        f"({stats['workers']} workers, {stats['chunks']} chunks, "
+        f"({stats['kernel']} kernel, {stats['workers']} workers, {stats['chunks']} chunks, "
         f"{stats['segments_per_s']:.0f} segments/s)"
     )
     print(f"separations: {report.separations.size}, max {maxes[final.n]}")
@@ -451,7 +450,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a reader who left early shows up here
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`): not an error; send what is
+        # still buffered to devnull so the interpreter's final flush stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -143,9 +143,13 @@ def count_cutoff_exceedances(
 ) -> dict[int, int]:
     """Per checkpoint, how many completed separations exceed that checkpoint's cutoff."""
     arr = np.asarray(separations)
+    f = risk_factor(f)
     out: dict[int, int] = {}
     for rec, k in _closed_intervals(arr, table):
-        params = solve_checkpoint(rec, f, convention)
+        try:
+            params = solve_checkpoint(rec, f, convention)
+        except ValidationError as exc:
+            raise ValidationError(f"checkpoint n={rec.n}: {exc}") from exc
         out[rec.n] = int(np.count_nonzero(arr[:k] > params.l_cut))
     return out
 
@@ -174,6 +178,15 @@ class FigureSet:
         return written
 
 
+def check_onsets(onsets) -> None:
+    """Reject an onset that fig3 cannot place: it needs n >= 1 and separation >= 0."""
+    for sep, n in onsets:
+        if n < 1 or sep < 0:
+            raise ValidationError(
+                f"onset needs n >= 1 and separation >= 0, got separation={sep}, n={n}"
+            )
+
+
 def figure_pipeline(
     table: CountTable,
     spectra: dict[int, SeparationSpectrum] | None = None,
@@ -184,12 +197,13 @@ def figure_pipeline(
     """Assemble the three plot datasets from a count table.
 
     spectra (keyed by checkpoint n) feed the computed-slope series of the
-    first dataset; onsets feed the observed-record series of the third.
-    Rows whose counts cannot support an estimate are skipped rather than
-    failing the whole export.
+    first dataset; onsets, (separation >= 0, n >= 1) pairs, feed the
+    observed-record series of the third.  Rows whose counts cannot support
+    an estimate are skipped rather than failing the whole export.
     """
     conv = S0Convention(convention)
     f = risk_factor(f)  # checked here: fig3 skips rows that fail, which would hide a bad f
+    check_onsets(onsets or [])
     s0_by_n: dict[int, float] = {}
     for rec in table.rows:
         try:

@@ -9,23 +9,37 @@ neighbouring twins.
 A run is plan -> chunk -> fold.  A literal prelude holds the primes 2, 3,
 5, 7 and with them the only overlapping twins, (3 5) and (5 7).  The plan
 splits the rest, [FIRST_SEGMENT, limit], into chunks of CHUNK_SPAN
-integers; it depends on the limit alone.  Each chunk is sieved on its own,
-segment by segment, by the one marking kernel
-`_segment_primes(low, high, base)` (which also sieves the base primes),
+integers; it depends on the limit alone.  Each chunk is sieved on its own
 into a `ChunkSummary`: local counts, boundary primes and twins, local
-separations, records and checkpoint rows.  `sieve_range` maps the chunks
-in-process or over a process pool and folds the summaries in order,
-carrying five values from one chunk to the next, so the result is exact
-and identical for any segment size and CPU count.
+separations, records and checkpoint rows.  Two kernels produce the same
+summary:
+
+- `_kernel.c`, compiled on first use into a per-user cache and called
+  through ctypes (`_load_kernel`, `_kernel_chunk`), sieves one byte per
+  odd number in 32 KB blocks and emits the summary fields in one fused
+  scan;
+- `_sieve_chunk`, in numpy, runs the one marking loop
+  `_segment_primes(low, high, base)` (which also sieves the base primes)
+  segment by segment.  It is the reference, and the fallback when no C
+  compiler can build the kernel.
+
+`sieve_range` maps the chunks in-process, on a thread pool (compiled
+kernel) or on a spawn process pool (numpy), and folds the summaries in
+order, carrying five values from one chunk to the next, so the result is
+exact and identical for either kernel, any segment size and CPU count.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 import os
+import platform
 import resource
+import shutil
+import tempfile
 import time
 from dataclasses import dataclass, field
 
@@ -42,6 +56,10 @@ ONSET_CONVENTION = "lower member of terminating twin"
 FIRST_SEGMENT = 9  # the prelude counts 2, 3, 5, 7; segments sieve from here on
 PRELUDE_LAST_TWIN = 2  # 0-based prime index of 5, the lower member of (5 7)
 CHUNK_SPAN = 1 << 27  # integers per chunk; even, so every chunk starts on an odd number
+
+KERNEL_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
+KERNEL_CC = ("cc", "-O2", "-shared", "-fPIC")  # no -march=native: the build lives in a shared cache
+KERNEL_BLOCK = 1 << 15  # odd-number flags per block of the compiled kernel (32 KB)
 
 
 @dataclass(frozen=True)
@@ -102,7 +120,8 @@ class SieveReport:
     neighbouring twins (anomalous pair (3 5) discarded first), and
     max_separation_onsets lists each new running-maximum separation with
     the bound at which it first occurred.  stats describes the run itself
-    (workers, chunks, segments, wall_s, segments_per_s, peak_rss_mb); it
+    (kernel "c" or "numpy", workers, chunks, segments or kernel blocks,
+    wall_s, segments_per_s, peak_rss_mb); it
     never enters metadata, so the files written from a report do not
     depend on the machine.
     """
@@ -239,6 +258,95 @@ def _sieve_chunk(low, high, segment_size, base, grid) -> ChunkSummary:
     )
 
 
+def _open_kernel(source, directory, name):
+    """Load directory/name, first building it under a temporary name so concurrent builds are safe."""
+    import ctypes
+    import subprocess
+
+    path = os.path.join(directory, name)
+    if not os.path.exists(path):
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=name, suffix=".tmp")
+        os.close(fd)
+        try:
+            subprocess.run([*KERNEL_CC, "-x", "c", "-", "-o", tmp], input=source, check=True,
+                           capture_output=True)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    return ctypes.CDLL(path)
+
+
+@functools.cache
+def _load_kernel():
+    """The compiled chunk function of _kernel.c, or None when it cannot be built.
+
+    It is built on first use, never at import, into
+    ${XDG_CACHE_HOME:-~/.cache}/twinsep, keyed by the source, the compiler
+    command and the machine; when that directory cannot be written, into a
+    temporary directory for this process.
+    """
+    import ctypes
+    import hashlib
+    import subprocess
+
+    if shutil.which(KERNEL_CC[0]) is None:
+        return None
+    with open(KERNEL_SOURCE, "rb") as fh:
+        source = fh.read()
+    key = hashlib.sha256(repr((source, KERNEL_CC, platform.machine())).encode()).hexdigest()
+    name = f"chunk-{key}.so"
+    cache = os.path.join(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"),
+                         "twinsep")
+    try:
+        try:
+            lib = _open_kernel(source, cache, name)
+        except OSError:
+            with tempfile.TemporaryDirectory() as tmp:
+                lib = _open_kernel(source, tmp, name)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    i64 = ctypes.c_int64
+
+    def array(dtype):
+        return np.ctypeslib.ndpointer(dtype=dtype, flags="C_CONTIGUOUS")
+
+    fn = lib.twinsep_sieve_chunk
+    # without argtypes ctypes passes a Python int as a C int, and low > 2**31 would wrap
+    fn.argtypes = [i64, i64, i64, array(np.int64), i64, array(np.int64), i64,
+                   array(np.uint32), array(np.int64), array(np.int64), array(np.int64)]
+    fn.restype = i64
+    return fn
+
+
+def _kernel_chunk(kernel, low, high, base, grid) -> ChunkSummary:
+    """_sieve_chunk's summary of [low, high), from one call of the compiled kernel."""
+    grid = np.asarray(grid, dtype=np.int64)
+    # Bounds: every own twin has its lower member = 5 (mod 6); k records are
+    # distinct separations, so k(k-1)/2 <= their sum <= primes <= (high-low+1)/2.
+    seps = np.empty((high - low) // 6 + 2, dtype=np.uint32)
+    recs = np.empty((math.isqrt(high - low + 1) + 2, 2), dtype=np.int64)
+    rows = np.empty((grid.size, 3), dtype=np.int64)
+    out = np.empty(8, dtype=np.int64)
+    if kernel(low, high, KERNEL_BLOCK, base, base.size, grid, grid.size, seps, recs, rows, out):
+        raise MemoryError(f"sieve kernel could not allocate for [{low}, {high})")
+    primes, twins, first, last, first_twin, first_index, last_twin, nrec = out.tolist()
+    return ChunkSummary(
+        primes=primes,
+        twins=twins,
+        first_prime=first,
+        last_prime=last,
+        first_twin=(first_twin, first_index) if twins else None,
+        last_twin=last_twin if twins else None,
+        seps=seps[: max(0, twins - 1)].copy(),
+        records=tuple(map(tuple, recs[:nrec].tolist())),
+        checkpoints=tuple(
+            (n, p, k, i if k else None) for n, (p, k, i) in zip(grid.tolist(), rows.tolist())
+        ),
+    )
+
+
 def _fold(summaries, cps, limit):
     """Stitch chunk summaries, in order, onto the prelude: counts, stream, onsets.
 
@@ -302,37 +410,49 @@ def sieve_range(config: SieveConfig) -> SieveReport:
     pi2 but opens no interval, so the stream starts after (5 7).  The rest,
     from FIRST_SEGMENT on, is split into chunks of CHUNK_SPAN integers that
     are sieved independently and folded in order, so the result is
-    identical for any segment size and any number of CPUs.  A plan of more
-    than one chunk runs on a process pool with one worker per CPU in the
-    affinity mask (at most one per chunk); otherwise it runs in-process.
-    Workers are started by spawn, so a script that sieves past one chunk
-    must call this under `if __name__ == "__main__":`.
+    identical for either kernel, any segment size and any number of CPUs.
+    A plan of more than one chunk runs on a pool with one worker per CPU
+    in the affinity mask (at most one per chunk); otherwise it runs
+    in-process.  The pool holds threads when the compiled kernel loads,
+    since its calls release the GIL; segment_size is then unused, and
+    stats["segments"] counts 32 KB kernel blocks.  Without a compiler the
+    numpy kernel runs on a pool of processes started by spawn, so a script
+    that sieves past one chunk must call this under
+    `if __name__ == "__main__":` to run on either path.
     """
     t0 = time.perf_counter()
     limit = config.limit
     cps = config.checkpoint_grid or (limit,)
     base = _odd_base_primes(math.isqrt(limit))
     plan = _chunk_plan(limit)
-    jobs = (
-        [low for low, _ in plan],
-        [high for _, high in plan],
-        itertools.repeat(config.segment_size),
-        itertools.repeat(base),
-        [cps[bisect.bisect_left(cps, low) : bisect.bisect_left(cps, high)] for low, high in plan],
-    )
+    lows, highs = [low for low, _ in plan], [high for _, high in plan]
+    grids = [cps[bisect.bisect_left(cps, low) : bisect.bisect_left(cps, high)] for low, high in plan]
+    kernel = _load_kernel()
+    if kernel is not None:
+        chunk, segment = _kernel_chunk, KERNEL_BLOCK
+        jobs = (itertools.repeat(kernel), lows, highs, itertools.repeat(base), grids)
+    else:
+        chunk, segment = _sieve_chunk, config.segment_size
+        jobs = (lows, highs, itertools.repeat(segment), itertools.repeat(base), grids)
     workers = max(1, min(len(plan), len(os.sched_getaffinity(0))))
     if workers == 1:
-        counts, separations, onsets = _fold(map(_sieve_chunk, *jobs), cps, limit)
+        counts, separations, onsets = _fold(map(chunk, *jobs), cps, limit)
     else:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+        # a ctypes call releases the GIL, so the compiled kernel runs on threads
+        if kernel is not None:
+            from concurrent.futures import ThreadPoolExecutor
 
-        spawn = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(workers, mp_context=spawn) as pool:
-            counts, separations, onsets = _fold(pool.map(_sieve_chunk, *jobs), cps, limit)
+            pool = ThreadPoolExecutor(workers)
+        else:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+        with pool:
+            counts, separations, onsets = _fold(pool.map(chunk, *jobs), cps, limit)
 
     wall = time.perf_counter() - t0
-    segments = sum(len(range(low, high, 2 * config.segment_size)) for low, high in plan)
+    segments = sum(len(range(low, high, 2 * segment)) for low, high in plan)
     peak_kb = max(
         resource.getrusage(who).ru_maxrss for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
     )
@@ -347,6 +467,7 @@ def sieve_range(config: SieveConfig) -> SieveReport:
         max_separation_onsets=onsets,
         metadata=meta,
         stats={
+            "kernel": "numpy" if kernel is None else "c",
             "workers": workers,
             "chunks": len(plan),
             "segments": segments,

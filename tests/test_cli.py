@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -99,7 +103,7 @@ class TestSieveCommand:
         stats = json.loads((out / "stats.json").read_text())
         assert set(stats) == {
             "limit", "segment_size", "python", "numpy",
-            "workers", "chunks", "segments", "wall_s", "segments_per_s", "peak_rss_mb",
+            "kernel", "workers", "chunks", "segments", "wall_s", "segments_per_s", "peak_rss_mb",
         }
         assert (stats["limit"], stats["workers"], stats["chunks"]) == (50000, 1, 1)
         # the manifest is the only file that describes the run; the data files are unchanged
@@ -151,6 +155,7 @@ class TestContract:
               "--out-dir", "{tmp}/figs"], {}, "onsets_n_zero.csv"),
             (["report", "--limit", "1000000", "--f", "0"], {}, "--f"),
             (["report", "--limit", "1000", "--start", "0"], {}, "start"),
+            (["report", "--limit", "1000", "--start", "1"], {}, "checkpoint n=1:"),
         ],
         ids=[
             "onsets-non-integer",
@@ -170,6 +175,7 @@ class TestContract:
             "onsets-n-zero",
             "report-f-0",
             "report-start-0",
+            "report-unsolvable-checkpoint",
         ],
     )
     def test_exit_2(self, argv, env, needle, sieved, tmp_path, monkeypatch, capsys):
@@ -341,6 +347,20 @@ class TestFiguresCommand:
 
 
 class TestReportCommand:
+    def test_reader_closing_early_exits_0(self):
+        # `twinsep report ... | head -1`: unbuffered, so each line is written as printed
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONUNBUFFERED="1")
+        argv = [sys.executable, "-m", "twinsep.cli", "report", "--limit", "1000000",
+                "--start", "10000"]
+        with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline().startswith(b"sieve to")
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=120) == 0, err
+        assert err == b""
+
     def test_smoke(self, capsys):
         assert main(["report", "--limit", "1000000", "--start", "10000"]) == 0
         assert any(l.startswith("m0 law:") for l in capsys.readouterr().out.splitlines())

@@ -152,6 +152,12 @@ class TestFigurePipeline:
         assert series == {"predicted", "onset"}
         assert figs.metadata["log_base"] == "natural"
 
+    @pytest.mark.parametrize("onset", [(3, 0), (-1, 11)])
+    def test_bad_onset_rejected(self, run100k, onset):
+        _, table = run100k
+        with pytest.raises(ValidationError, match="onset needs n >= 1"):
+            figure_pipeline(table, f=1.0, onsets=[(0, 11), onset])
+
     def test_predicted_series_tracks_onsets(self, run100k):
         # onsets overshoot the cutoff by a few mean separations when a
         # record lands (that is what the risk factor prices in), so the

@@ -1,5 +1,7 @@
 import dataclasses
+import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +15,7 @@ import oracle
 from twinsep import sieve
 from twinsep.errors import ValidationError
 from twinsep.sieve import (
+    ChunkSummary,
     CountRecord,
     SieveConfig,
     geometric_checkpoints,
@@ -63,6 +66,40 @@ def oracle_onsets(seps, terms):
             out.append((sep, term))
             best = sep
     return out
+
+
+def typed(value):
+    """value with the type of every scalar in it, so 1 and np.int64(1) differ."""
+    if isinstance(value, tuple):
+        return tuple(typed(v) for v in value)
+    return type(value), value
+
+
+def assert_same_summary(got, want):
+    for f in dataclasses.fields(ChunkSummary):
+        g, w = getattr(got, f.name), getattr(want, f.name)
+        if f.name == "seps":
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        else:
+            assert typed(g) == typed(w), f.name
+
+
+@pytest.fixture(scope="module")
+def kernel():
+    fn = sieve._load_kernel()
+    if fn is None:
+        pytest.skip("no C compiler builds the sieve kernel")
+    return fn
+
+
+@st.composite
+def chunk_case(draw):
+    """An odd low >= 9, a high up to 3e6 + 1, a base bound >= isqrt(high - 1), and a grid inside."""
+    low = 2 * draw(st.integers(min_value=4, max_value=1_499_999)) + 1
+    high = draw(st.integers(min_value=low + 1, max_value=3_000_001))
+    bound = math.isqrt(draw(st.integers(min_value=high - 1, max_value=4 * high)))
+    grid = draw(st.sets(st.integers(min_value=low, max_value=high - 1), max_size=8))
+    return low, high, bound, tuple(sorted(grid))
 
 
 @st.composite
@@ -249,31 +286,104 @@ class TestChunks:
         self.check_against_one_chunk(limit, grid, span, segment_size, oracle100k)
 
     def test_process_pool(self, monkeypatch):
+        # the compiled kernel on a thread pool, then numpy on the spawn pool
         grid = geometric_checkpoints(300_000, per_decade=5, start=100)
         ref = run(300_000, segment_size=1024, grid=grid)
         monkeypatch.setattr(sieve, "CHUNK_SPAN", 1 << 16)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        rep = run(300_000, segment_size=1024, grid=grid)
-        assert (rep.stats["workers"], rep.stats["chunks"]) == (2, 5)
-        assert snapshot(rep) == snapshot(ref)
+        compiled = run(300_000, segment_size=1024, grid=grid)
+        assert compiled.stats["kernel"] == ("c" if sieve._load_kernel() else "numpy")
+        monkeypatch.setattr(sieve, "_load_kernel", lambda: None)
+        fallback = run(300_000, segment_size=1024, grid=grid)
+        assert fallback.stats["kernel"] == "numpy"
+        for rep in (compiled, fallback):
+            assert (rep.stats["workers"], rep.stats["chunks"]) == (2, 5)
+            assert snapshot(rep) == snapshot(ref)
 
-    def test_stats(self):
+    def test_stats(self, monkeypatch):
         rep = run(100_000, segment_size=1024)
         assert set(rep.stats) == {
-            "workers", "chunks", "segments", "wall_s", "segments_per_s", "peak_rss_mb"
+            "kernel", "workers", "chunks", "segments", "wall_s", "segments_per_s", "peak_rss_mb"
         }
-        assert (rep.stats["workers"], rep.stats["chunks"], rep.stats["segments"]) == (1, 1, 49)
+        # 49996 odd flags: two 32 KB kernel blocks, or 49 numpy segments of 1024
+        blocks = 2 if rep.stats["kernel"] == "c" else 49
+        assert (rep.stats["workers"], rep.stats["chunks"], rep.stats["segments"]) == (1, 1, blocks)
         assert rep.stats["peak_rss_mb"] > 0
         assert not set(rep.stats) & set(rep.metadata)
+        monkeypatch.setattr(sieve, "_load_kernel", lambda: None)
+        rep = run(100_000, segment_size=1024)
+        assert (rep.stats["kernel"], rep.stats["segments"]) == ("numpy", 49)
 
-    def test_import_leaves_process_pool_unloaded(self):
+    def test_import_leaves_process_pool_unloaded(self, tmp_path):
+        # and builds no kernel: that waits for the first sieve
         code = "import sys, twinsep; print('concurrent.futures' in sys.modules)"
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), XDG_CACHE_HOME=str(tmp_path))
         proc = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestKernel:
+    """The compiled chunk function against the numpy reference, and its loader."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=chunk_case(), segment_size=st.sampled_from([1024, 2048, 30000, 1 << 20]))
+    @example(case=(9, 10, 3, (9,)), segment_size=1024)  # one odd number, no prime
+    @example(case=(9, 12, 3, ()), segment_size=1024)
+    def test_matches_numpy_chunk(self, kernel, case, segment_size):
+        low, high, bound, grid = case
+        base = sieve._odd_base_primes(bound)
+        assert_same_summary(
+            sieve._kernel_chunk(kernel, low, high, base, grid),
+            sieve._sieve_chunk(low, high, segment_size, base, grid),
+        )
+
+    def test_chunk_above_2_32(self, kernel):
+        # low and every prime index arithmetic pass 2**32: a C int would wrap
+        low = 2**32 - 2**22 + 1
+        high = low + 2**23
+        base = sieve._odd_base_primes(math.isqrt(high))
+        grid = (low, 2**32 - 1, 2**32 + 15, high - 1)
+        got = sieve._kernel_chunk(kernel, low, high, base, grid)
+        assert_same_summary(got, sieve._sieve_chunk(low, high, 1 << 20, base, grid))
+        assert got.twins > 0 and got.last_prime > 2**32
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+    def test_compiler_means_compiled_kernel(self):
+        assert run(10**6).stats["kernel"] == "c"
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+    def test_cache(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        assert sieve._load_kernel.__wrapped__() is not None
+        built = list((tmp_path / "twinsep").iterdir())
+        assert len(built) == 1 and built[0].name.startswith("chunk-")
+        assert built[0].suffix == ".so"
+        stamp = built[0].stat().st_mtime_ns
+        assert sieve._load_kernel.__wrapped__() is not None
+        assert list((tmp_path / "twinsep").iterdir()) == built
+        assert built[0].stat().st_mtime_ns == stamp  # reused, not rebuilt
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+    def test_unwritable_cache_builds_in_a_temp_dir(self, tmp_path, monkeypatch):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        assert sieve._load_kernel.__wrapped__() is not None
+        assert list(tmp_path.iterdir()) == [blocker]
+
+    def test_failed_build_gives_none(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(sieve, "KERNEL_CC", (*sieve.KERNEL_CC, "-no-such-option"))
+        assert sieve._load_kernel.__wrapped__() is None
+        assert list((tmp_path / "twinsep").glob("*")) == []
+
+    def test_no_compiler_gives_none(self, monkeypatch):
+        monkeypatch.setattr(shutil, "which", lambda name: None)
+        assert sieve._load_kernel.__wrapped__() is None
 
 
 class TestConfigValidation:
