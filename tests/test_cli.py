@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from twinsep import cli
 from twinsep.cli import main
 from twinsep.ioutil import read_columns
 from twinsep.pipeline import ingest_counts
@@ -156,6 +157,8 @@ class TestContract:
             (["report", "--limit", "1000000", "--f", "0"], {}, "--f"),
             (["report", "--limit", "1000", "--start", "0"], {}, "start"),
             (["report", "--limit", "1000", "--start", "1"], {}, "checkpoint n=1:"),
+            (["sieve", "--limit", "99999999999999999999999", "--out", "{tmp}/c.csv",
+              "--separations", "{tmp}/s.bin"], {}, "2**62"),
         ],
         ids=[
             "onsets-non-integer",
@@ -176,6 +179,7 @@ class TestContract:
             "report-f-0",
             "report-start-0",
             "report-unsolvable-checkpoint",
+            "sieve-limit-above-2-62",
         ],
     )
     def test_exit_2(self, argv, env, needle, sieved, tmp_path, monkeypatch, capsys):
@@ -196,6 +200,19 @@ class TestContract:
         assert rc == 2
         assert "Traceback" not in err
         assert needle in err.strip().splitlines()[-1]
+
+    def test_out_of_memory_exits_4(self, tmp_path, monkeypatch, capsys):
+        def exhausted(config):
+            raise MemoryError("Unable to allocate 147. GiB")
+
+        monkeypatch.setattr(cli, "sieve_range", exhausted)
+        capsys.readouterr()
+        rc = main(["sieve", "--limit", "1000", "--out", str(tmp_path / "c.csv"),
+                   "--separations", str(tmp_path / "s.bin")])
+        err = capsys.readouterr().err
+        assert rc == 4
+        assert "Traceback" not in err
+        assert err.strip().splitlines() == ["error: out of memory: Unable to allocate 147. GiB"]
 
 
 class TestSpectrumAndS0:

@@ -305,8 +305,8 @@ class TestChunks:
         assert set(rep.stats) == {
             "kernel", "workers", "chunks", "segments", "wall_s", "segments_per_s", "peak_rss_mb"
         }
-        # 49996 odd flags: two 32 KB kernel blocks, or 49 numpy segments of 1024
-        blocks = 2 if rep.stats["kernel"] == "c" else 49
+        # 3334 wheel bytes: one 64 KB kernel block, or 49 numpy segments of 1024 odd flags
+        blocks = 1 if rep.stats["kernel"] == "c" else 49
         assert (rep.stats["workers"], rep.stats["chunks"], rep.stats["segments"]) == (1, 1, blocks)
         assert rep.stats["peak_rss_mb"] > 0
         assert not set(rep.stats) & set(rep.metadata)
@@ -326,20 +326,41 @@ class TestChunks:
         assert list(tmp_path.iterdir()) == []
 
 
+def wheel_examples(test):
+    """Chunks that start or end at the edges of the kernel's wheel bytes and words.
+
+    A wheel byte covers 30 integers and a word 240, from low - low % 30.
+    (239 241) and (269 271) are twins whose lower member is bit 63 of a
+    word, for low = 9 and low = 31.
+    """
+    cases = [(low, low + 2000, 47, (low, low + 1000)) for low in range(9, 41, 2)]  # each low % 30
+    cases += [(low, 1000, 31, grid) for low in (9, 31) for grid in ((), (240,), (241,), (300,))]
+    cases += [(low, high, 17, ()) for low in (9, 31) for high in (240, 241, 242, 270, 271, 272)]
+    for case in cases:
+        for block in (8, 64):
+            test = example(case=case, segment_size=1024, block=block)(test)
+    return test
+
+
 class TestKernel:
     """The compiled chunk function against the numpy reference, and its loader."""
 
     @settings(max_examples=40, deadline=None)
-    @given(case=chunk_case(), segment_size=st.sampled_from([1024, 2048, 30000, 1 << 20]))
-    @example(case=(9, 10, 3, (9,)), segment_size=1024)  # one odd number, no prime
-    @example(case=(9, 12, 3, ()), segment_size=1024)
-    def test_matches_numpy_chunk(self, kernel, case, segment_size):
+    @given(
+        case=chunk_case(),
+        segment_size=st.sampled_from([1024, 2048, 30000, 1 << 20]),
+        block=st.sampled_from([8, 64, 4096, sieve.KERNEL_BLOCK]),  # wheel bytes
+    )
+    @example(case=(9, 10, 3, (9,)), segment_size=1024, block=8)  # one odd number, no prime
+    @example(case=(9, 12, 3, ()), segment_size=1024, block=8)
+    @wheel_examples
+    def test_matches_numpy_chunk(self, kernel, case, segment_size, block):
         low, high, bound, grid = case
         base = sieve._odd_base_primes(bound)
-        assert_same_summary(
-            sieve._kernel_chunk(kernel, low, high, base, grid),
-            sieve._sieve_chunk(low, high, segment_size, base, grid),
-        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sieve, "KERNEL_BLOCK", block)
+            got = sieve._kernel_chunk(kernel, low, high, base, grid)
+        assert_same_summary(got, sieve._sieve_chunk(low, high, segment_size, base, grid))
 
     def test_chunk_above_2_32(self, kernel):
         # low and every prime index arithmetic pass 2**32: a C int would wrap
@@ -390,6 +411,12 @@ class TestConfigValidation:
     def test_limit_too_small(self):
         with pytest.raises(ValidationError):
             SieveConfig(limit=1)
+
+    def test_limit_too_large(self):
+        # 2**62 keeps every int64 argument and product of the compiled kernel in range
+        SieveConfig(limit=2**62)
+        with pytest.raises(ValidationError, match=r"2\*\*62"):
+            SieveConfig(limit=2**62 + 1)
 
     def test_segment_too_small(self):
         with pytest.raises(ValidationError):
