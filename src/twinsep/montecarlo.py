@@ -21,6 +21,9 @@ from .spectrum import SeparationSpectrum
 GENERATOR = "philox4x64"  # counter-based; the seed fully determines the stream
 DEFAULT_ALPHA = 0.01
 POOL_MIN_EXPECTED = 5.0
+# draws per block: 512 KB of doubles, small enough to stay in cache through the
+# ufunc sequence
+BLOCK_DRAWS = 1 << 16
 THRESHOLD_NOTE = "chi-square/KS pass thresholds are conventions of this toolkit"
 
 
@@ -57,34 +60,51 @@ def sample_separations(config: SimConfig) -> np.ndarray:
 
     With a cutoff the pmf is renormalised over the integers 0..floor(l_cut)
     and sampled by mapping uniforms into the truncated CDF range; without
-    one the draws are plain geometric.  Identical seeds give identical
-    streams.
+    one the draws are plain geometric.  The seed alone fixes the stream:
+    draw i comes from the i-th double of one Philox stream whatever the
+    block size, so identical seeds give identical arrays.  The draws are
+    made on the calling thread in blocks of BLOCK_DRAWS, each transformed
+    in place in a cache-sized buffer and written once into the result.
     """
     p = config.params
+    n = config.n_events
     rng = np.random.Generator(np.random.Philox(config.seed))
-    u = rng.random(config.n_events)
     lnq = math.log(p.q)
-    if p.l_cut is None:
-        s = np.floor(np.log1p(-u) / lnq)
-    else:
-        m = math.floor(p.l_cut)
-        u = u * -math.expm1((m + 1) * lnq)  # scale into (0, 1 - q**(m+1))
-        s = np.minimum(np.floor(np.log1p(-u) / lnq), m)
-    return s.astype(np.int64)
+    m = None if p.l_cut is None else math.floor(p.l_cut)
+    out = np.empty(n, dtype=np.int64)
+    buf = np.empty(min(BLOCK_DRAWS, n))
+    for lo in range(0, n, BLOCK_DRAWS):
+        u = buf[: min(BLOCK_DRAWS, n - lo)]
+        rng.random(out=u)  # consecutive fills continue the one stream
+        if m is not None:
+            u *= -math.expm1((m + 1) * lnq)  # scale into (0, 1 - q**(m+1))
+        np.negative(u, out=u)
+        np.log1p(u, out=u)
+        u /= lnq
+        np.floor(u, out=u)
+        if m is not None:
+            np.minimum(u, m, out=u)
+        np.copyto(out[lo : lo + u.size], u, casting="unsafe")
+    return out
 
 
 def _support_probabilities(params: ModelParams, s_max: int):
-    """Renormalised pmf over 0..s_max plus the tail mass beyond s_max."""
+    """Renormalised pmf over 0..min(s_max, top) plus the tail mass beyond s_max.
+
+    top bounds the support: floor(l_cut) with a cutoff, otherwise the s
+    past which q**s < 2**-1200, far below the smallest subnormal, so the
+    pmf is exactly 0.0 on every s above it.
+    """
     q = params.q
-    s = np.arange(s_max + 1)
+    top = math.ceil(1200 / -math.log2(q)) if params.l_cut is None else math.floor(params.l_cut)
+    s = np.arange(min(s_max, top) + 1)
     probs = (1.0 - q) * q**s
     if params.l_cut is None:
         tail = q ** (s_max + 1)
     else:
-        m = math.floor(params.l_cut)
-        norm = -math.expm1((m + 1) * math.log(q))  # 1 - q**(m+1)
-        probs = np.where(s <= m, probs / norm, 0.0)
-        tail = max(0.0, (q ** (s_max + 1) - q ** (m + 1)) / norm) if s_max < m else 0.0
+        norm = -math.expm1((top + 1) * math.log(q))  # 1 - q**(top+1)
+        probs /= norm
+        tail = max(0.0, (q ** (s_max + 1) - q ** (top + 1)) / norm) if s_max < top else 0.0
     return probs, tail
 
 
@@ -108,7 +128,11 @@ def gof_compare(
 
     s_max = empirical.max_separation() or 0
     probs, tail = _support_probabilities(params, s_max)
-    observed = np.array([empirical.bins.get(s, 0) for s in range(s_max + 1)] + [0.0])
+    # Above the support an empty bin has o = 0 and e = 0.0, which adds exactly
+    # nothing to the pooling walk or the KS maximum: keep only occupied ones.
+    stray = [c for s, c in sorted(empirical.bins.items()) if s >= probs.size]
+    observed = np.array([empirical.bins.get(s, 0) for s in range(probs.size)] + stray + [0.0])
+    probs = np.append(probs, np.zeros(len(stray)))
     expected = np.append(total * probs, total * tail)
 
     # pool from the tail until every pooled bin has enough expected mass

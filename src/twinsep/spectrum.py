@@ -57,8 +57,14 @@ class SeparationSpectrum:
 
 
 def accumulate(separations) -> SeparationSpectrum:
-    """Histogram a separation sequence."""
-    arr = np.asarray(separations)
+    """Histogram a separation sequence.
+
+    A dense np.bincount when the largest separation is below the length
+    (so the dense histogram is never larger than the input), np.unique
+    otherwise; the totals are summed from the bins as Python ints, so
+    they cannot overflow.
+    """
+    arr = np.asarray(separations).reshape(-1)
     if arr.size == 0:
         return SeparationSpectrum()
     if not np.issubdtype(arr.dtype, np.integer):
@@ -67,12 +73,18 @@ def accumulate(separations) -> SeparationSpectrum:
         arr = arr.astype(np.int64)
     if int(arr.min()) < 0:
         raise ValidationError("separations must be >= 0")
-    vals, cnts = np.unique(arr, return_counts=True)
-    bins = {int(s): int(c) for s, c in zip(vals, cnts)}
+    if int(arr.max()) < arr.size:
+        # bincount will not cast uint64 safely; every value here is below the size
+        cnts = np.bincount(arr.view(np.int64) if arr.dtype == np.uint64 else arr)
+        vals = np.flatnonzero(cnts)
+        cnts = cnts[vals]
+    else:
+        vals, cnts = np.unique(arr, return_counts=True)
+    bins = dict(zip(vals.tolist(), cnts.tolist()))
     return SeparationSpectrum(
         bins=bins,
         total_intervals=int(arr.size),
-        total_singletons=int(arr.astype(np.int64).sum()),
+        total_singletons=sum(s * c for s, c in bins.items()),
     )
 
 

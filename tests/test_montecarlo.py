@@ -1,12 +1,26 @@
+import hashlib
 import math
+import time
 
 import numpy as np
 import pytest
 
 from twinsep.errors import ValidationError
-from twinsep.model import SolverInput, solve_approx, solve_f0
-from twinsep.montecarlo import GofReport, SimConfig, gof_compare, sample_separations
+from twinsep.model import SolverInput, solve_approx, solve_exact, solve_f0
+from twinsep.montecarlo import (
+    BLOCK_DRAWS,
+    GofReport,
+    SimConfig,
+    gof_compare,
+    sample_separations,
+)
 from twinsep.spectrum import SeparationSpectrum, accumulate
+
+LAWS = {
+    "f0": lambda: solve_f0(8.0),
+    "f1": lambda: solve_exact(SolverInput(s0=8.0, pi2=10**6, f=1.0)),
+}
+CUT5 = solve_approx(SolverInput(s0=2.0, pi2=100, f=5.0))
 
 
 def spectrum_from_bins(bins):
@@ -17,7 +31,43 @@ def spectrum_from_bins(bins):
     )
 
 
+def one_shot_draws(config):
+    """The sampler as one whole-array pass: the reference for the blocked one."""
+    p = config.params
+    rng = np.random.Generator(np.random.Philox(config.seed))
+    u = rng.random(config.n_events)
+    lnq = math.log(p.q)
+    if p.l_cut is None:
+        s = np.floor(np.log1p(-u) / lnq)
+    else:
+        m = math.floor(p.l_cut)
+        u = u * -math.expm1((m + 1) * lnq)
+        s = np.minimum(np.floor(np.log1p(-u) / lnq), m)
+    return s.astype(np.int64)
+
+
 class TestSampler:
+    @pytest.mark.parametrize(
+        "law,digest",
+        [
+            ("f0", "240a8c6dc55b3312b38e9456cb6a450f6b2490c20ce5bf27ae9264d81ebd5551"),
+            ("f1", "058ebb98c7308feb6e30cca67ea0205c3b8b49a1e2336f5471ba06f5f8f83e88"),
+        ],
+    )
+    def test_pinned_stream(self, law, digest):
+        draws = sample_separations(SimConfig(LAWS[law](), n_events=100_000, seed=42))
+        assert hashlib.sha256(draws.astype("<i8").tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    @pytest.mark.parametrize(
+        "n", [1, 3, 4, 5, BLOCK_DRAWS - 1, BLOCK_DRAWS, BLOCK_DRAWS + 1, 2 * BLOCK_DRAWS * 3 + 3]
+    )
+    def test_blocks_keep_the_stream(self, law, n):
+        config = SimConfig(LAWS[law](), n_events=n, seed=2**64 - 1 - n)
+        draws = sample_separations(config)
+        assert draws.dtype == np.int64
+        assert np.array_equal(draws, one_shot_draws(config))
+
     def test_geometric_mean(self):
         # q = 1/2 gives mean q/(1-q) = 1 and variance q/(1-q)^2 = 2
         params = solve_f0(1.0)
@@ -65,7 +115,78 @@ class TestSampler:
             SimConfig(params, n_events=10, seed=-1)
 
 
+def dense_gof(empirical, params):
+    """(chi2, dof, ks) walking every s in 0..max + 1: the reference for gof_compare."""
+    total = empirical.total_intervals
+    s_max = empirical.max_separation()
+    q = params.q
+    s = np.arange(s_max + 1)
+    probs = (1.0 - q) * q**s
+    if params.l_cut is None:
+        tail = q ** (s_max + 1)
+    else:
+        m = math.floor(params.l_cut)
+        norm = -math.expm1((m + 1) * math.log(q))
+        probs = np.where(s <= m, probs / norm, 0.0)
+        tail = max(0.0, (q ** (s_max + 1) - q ** (m + 1)) / norm) if s_max < m else 0.0
+    observed = np.array([empirical.bins.get(k, 0) for k in range(s_max + 1)] + [0.0])
+    expected = np.append(total * probs, total * tail)
+    pooled = []
+    acc_o = acc_e = 0.0
+    for o, e in zip(observed[::-1], expected[::-1]):
+        acc_o += o
+        acc_e += e
+        if acc_e >= 5.0:
+            pooled.append((acc_o, acc_e))
+            acc_o = acc_e = 0.0
+    if acc_o or acc_e:
+        if pooled:
+            pooled[-1] = (pooled[-1][0] + acc_o, pooled[-1][1] + acc_e)
+        else:
+            pooled.append((acc_o, acc_e))
+    chi2 = 0.0
+    for o, e in reversed(pooled):
+        if e <= 0.0:
+            if o > 0:
+                chi2 = math.inf
+            continue
+        chi2 += (o - e) ** 2 / e
+    ks = float(np.max(np.abs(np.cumsum(observed[:-1]) / total - np.cumsum(probs))))
+    return float(chi2), len(pooled) - 1, min(1.0, ks)
+
+
 class TestGof:
+    @pytest.mark.parametrize(
+        "params,bins",
+        [
+            # q = 1/2: the pmf underflows near s = 1075; stray bins run on
+            # both sides of the support bound near 1200
+            (solve_f0(1.0), {0: 60, 1: 25, 2: 10, 3: 3, 4: 2, 1500: 1, 4000: 2}),
+            (solve_f0(1.0), {0: 60, 1: 25, 2: 10, **{s: 1 for s in range(1050, 1250)}}),
+            (solve_f0(1.0), {s: 2**12 >> s for s in range(13)}),
+            (CUT5, {0: 40, 1: 20, 2: 10, 30: 5, 900: 1}),
+            (CUT5, {0: 40, 1: 20, 2: 10, math.floor(CUT5.l_cut) + 1: 3}),
+            (CUT5, {0: 40, 1: 20, 2: 10, 3: 2}),
+            (LAWS["f0"](), None),
+            (LAWS["f1"](), None),
+        ],
+    )
+    def test_matches_dense_walk(self, params, bins):
+        if bins is None:
+            spec = accumulate(sample_separations(SimConfig(params, n_events=20_000, seed=3)))
+        else:
+            spec = spectrum_from_bins(bins)
+        report = gof_compare(spec, params)
+        assert (report.chi2, report.dof, report.ks_distance) == dense_gof(spec, params)
+
+    def test_far_stray_bin_is_cheap(self):
+        spec = spectrum_from_bins({0: 500, 1: 250, 2: 125, 3: 60, 10**7: 1})
+        gof_compare(spec, solve_f0(1.0))  # loads scipy outside the timed call
+        t0 = time.perf_counter()
+        report = gof_compare(spec, solve_f0(1.0))
+        assert time.perf_counter() - t0 < 1.0
+        assert report.dof >= 1
+
     def test_self_consistency_pass_rate(self):
         params = solve_f0(5.0)
         passed = 0

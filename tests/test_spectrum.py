@@ -1,3 +1,6 @@
+import collections
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -40,6 +43,31 @@ class TestAccumulate:
     @given(sep_lists, sep_lists)
     def test_concat_equals_merge(self, xs, ys):
         assert accumulate(xs + ys) == merge(accumulate(xs), accumulate(ys))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint32, np.uint64, np.float64])
+    @pytest.mark.parametrize("size,top", [(1, 0), (1000, 30), (1000, 999), (1000, 1000), (50, 10**6)])
+    def test_matches_counter(self, dtype, size, top):
+        # both branches: bincount while max < size, np.unique above
+        arr = np.random.default_rng(size + top).integers(0, top + 1, size).astype(dtype)
+        counts = collections.Counter(int(x) for x in arr)
+        spec = accumulate(arr)
+        assert spec.bins == dict(counts)
+        assert spec.total_intervals == size
+        assert spec.total_singletons == sum(s * c for s, c in counts.items())
+        assert all(type(s) is int and type(c) is int for s, c in spec.bins.items())
+
+    def test_sparse_values(self):
+        spec = accumulate(np.array([0, 10**12]))
+        assert spec.bins == {0: 1, 10**12: 1}
+        assert spec.total_singletons == 10**12
+
+    def test_total_beyond_int64(self):
+        spec = accumulate(np.array([2**62, 2**62]))
+        assert spec.bins == {2**62: 2}
+        assert spec.total_singletons == 2**63
+        big = accumulate(np.array([2**64 - 1, 1, 1], dtype=np.uint64))
+        assert big.bins == {1: 2, 2**64 - 1: 1}
+        assert big.total_singletons == 2**64 + 1
 
 
 class TestMerge:
