@@ -67,17 +67,18 @@ static uint8_t bits_below(int64_t r) /* the bits of residues < r */
 }
 
 /* The wheel bytes from 0 with the multiples of p[0..2] clear: one period, p[0]*p[1]*p[2]
- * bytes, then its first block bytes again, so any block starts at an offset below the period. */
+ * bytes, then its first block bytes again, so any block starts at an offset below the period.
+ * Each p crosses p*m, m = R[i] (mod 30), as a stride-p byte progression with a fixed bit. */
 static void pattern(uint8_t *pat, int64_t block, const int64_t *p)
 {
     int64_t period = p[0] * p[1] * p[2];
-    for (int64_t j = 0; j < period; j++) {
-        pat[j] = 0;
-        for (int b = 0; b < 8; b++) {
-            int64_t n = 30 * j + R[b];
-            pat[j] |= (n % p[0] && n % p[1] && n % p[2]) << b;
+    memset(pat, 0xff, period);
+    for (int k = 0; k < 3; k++)
+        for (int i = 0; i < 8; i++) {
+            uint8_t m = (uint8_t)~(1 << bit_of(p[k] * R[i] % 30));
+            for (int64_t j = p[k] * R[i] / 30; j < period; j += p[k])
+                pat[j] &= m;
         }
-    }
     for (int64_t j = period; j < period + block; j++)
         pat[j] = pat[j - period];
 }
@@ -118,14 +119,16 @@ int64_t twinsep_sieve_chunk(int64_t low, int64_t high, int64_t block,
                             uint32_t *seps, int64_t *recs, int64_t *rows, int64_t *out)
 {
     int64_t w0 = low - low % 30, nbytes = (high - w0 + 29) / 30, k0 = 0, nb = 0;
-    /* working memory: per progression its next byte and bit mask; the block; two patterns */
-    int64_t *next = malloc(9 * 8 * (nbase + 1) + 3 * block + 8 + 1001 + 7429);
+    /* working memory: per progression its next byte and bit mask; the block, cut to the
+     * chunk (span bytes, 8 of padding); two patterns, each continued for span bytes */
+    int64_t span = block < nbytes ? block : nbytes;
+    int64_t *next = malloc(9 * 8 * (nbase + 1) + 3 * span + 8 + 1001 + 7429);
     if (!next)
         return -1;
     uint8_t *mask = (uint8_t *)(next + 8 * (nbase + 1)), *flags = mask + 8 * (nbase + 1);
-    uint8_t *pat1 = flags + block + 8, *pat2 = pat1 + 1001 + block;
-    pattern(pat1, block, PRESIEVED);
-    pattern(pat2, block, PRESIEVED + 3);
+    uint8_t *pat1 = flags + span + 8, *pat2 = pat1 + 1001 + span;
+    pattern(pat1, span, PRESIEVED);
+    pattern(pat2, span, PRESIEVED + 3);
     while (k0 < nbase && base[k0] < 29)
         k0++;
     for (; k0 + nb < nbase && base[k0 + nb] * base[k0 + nb] < high; nb++) {

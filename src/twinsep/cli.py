@@ -36,7 +36,6 @@ from .pipeline import (
     count_cutoff_exceedances,
     figure_pipeline,
     ingest_counts,
-    max_separation_by_checkpoint,
     per_checkpoint_spectra,
     table_from_report,
     write_counts,
@@ -298,9 +297,10 @@ def cmd_report(args):
     report = sieve_range(SieveConfig(limit=args.limit, checkpoint_grid=grid))
     stats, table = report.stats, table_from_report(report)
     final = table.rows[-1]
-    maxes = max_separation_by_checkpoint(report.separations, table)
     # first, so that a table no cutoff can be solved for fails before any output
     exceed = count_cutoff_exceedances(report.separations, table, f=args.f)
+    spectra = per_checkpoint_spectra(report.separations, table)
+    maxes = {n: spec.max_separation() for n, spec in spectra.items()}
     print(
         f"sieve to {args.limit:.3g}: {stats['wall_s']:.1f}s  pi1={final.pi1} pi2={final.pi2}  "
         f"({stats['kernel']} kernel, {stats['workers']} workers, {stats['chunks']} chunks, "
@@ -309,7 +309,6 @@ def cmd_report(args):
     print(f"separations: {report.separations.size}, max {maxes[final.n]}")
 
     t0 = time.monotonic()
-    spectra = per_checkpoint_spectra(report.separations, table)
     figs = figure_pipeline(table, spectra=spectra, f=args.f, onsets=report.max_separation_onsets)
     m0, lin = figs.m0_fit, figs.s0_fit
     print(

@@ -1,11 +1,14 @@
-"""Count-table ingestion and plot-ready dataset assembly.
+"""Count-table ingestion, per-checkpoint views and plot-ready dataset assembly.
 
 A CountTable is the bridge between sieved runs and externally published
-count tables: rows of (n, pi1, pi2[, pi1_adjusted]) sorted by n.  The
-figure pipeline turns a table (plus, optionally, the separation stream)
-into three CSV-ready datasets: slopes against log(pi1), the average
-separation against log(pi1), and the predicted maximal separation
-against log(n) alongside observed record onsets.
+count tables: rows of (n, pi1, pi2[, pi1_adjusted]) sorted by n.  At each
+checkpoint the separation stream is read once, as the running spectrum of
+the separations closed by then; the running maximum and the count beyond
+the cutoff are reads of that spectrum.  The figure pipeline turns a table
+(plus, optionally, those spectra) into three CSV-ready datasets: slopes
+against log(pi1), the average separation against log(pi1), and the
+predicted maximal separation against log(n) alongside observed record
+onsets.
 """
 
 from __future__ import annotations
@@ -87,52 +90,46 @@ def write_counts(path, table: CountTable) -> None:
     )
 
 
-def _closed_intervals(separations: np.ndarray, table: CountTable):
-    """Yield (record, k) per checkpoint: the first k separations have closed by record.n.
+def _closed_intervals(separations, table: CountTable):
+    """Yield (record, slice) per checkpoint: the separations closed since the previous one.
 
     By the time pi2 twins have appeared, exactly k = pi2 - 2 separation
     intervals have closed (the pair (3 5) is discarded and the last
     interval is still open), so each checkpoint sees a prefix of the
     stream, and the prefixes grow with n.
     """
+    arr = np.asarray(separations)
     done = 0
     for rec in table.rows:
         k = max(0, rec.pi2 - 2)
-        if k > separations.size:
+        if k > arr.size:
             raise ValidationError(
                 f"separation stream too short for checkpoint n={rec.n}: "
-                f"needs {k}, have {separations.size}"
+                f"needs {k}, have {arr.size}"
             )
         if k < done:
             raise ValidationError(f"pi2 decreases at checkpoint n={rec.n}")
+        yield rec, arr[done:k]
         done = k
-        yield rec, k
 
 
 def per_checkpoint_spectra(separations, table: CountTable) -> dict[int, SeparationSpectrum]:
     """Spectrum of the separations completed by each checkpoint.
 
     Each slice between checkpoints is histogrammed once and merged into
-    the running spectrum.
+    the running spectrum; every other per-checkpoint view is read from it.
     """
-    arr = np.asarray(separations)
     out: dict[int, SeparationSpectrum] = {}
-    spec, done = SeparationSpectrum(), 0
-    for rec, k in _closed_intervals(arr, table):
-        spec = merge(spec, accumulate(arr[done:k]))
-        out[rec.n] = spec
-        done = k
+    spec = SeparationSpectrum()
+    for rec, part in _closed_intervals(separations, table):
+        spec = out[rec.n] = merge(spec, accumulate(part))
     return out
 
 
 def max_separation_by_checkpoint(separations, table: CountTable) -> dict[int, int | None]:
     """Running-maximum separation seen by each checkpoint (None before data)."""
-    arr = np.asarray(separations)
-    cummax = np.maximum.accumulate(arr) if arr.size else arr
-    out: dict[int, int | None] = {}
-    for rec, k in _closed_intervals(arr, table):
-        out[rec.n] = int(cummax[k - 1]) if k else None
-    return out
+    spectra = per_checkpoint_spectra(separations, table)
+    return {n: spec.max_separation() for n, spec in spectra.items()}
 
 
 def count_cutoff_exceedances(
@@ -142,15 +139,15 @@ def count_cutoff_exceedances(
     convention: S0Convention | str = S0Convention.RAW,
 ) -> dict[int, int]:
     """Per checkpoint, how many completed separations exceed that checkpoint's cutoff."""
-    arr = np.asarray(separations)
     f = risk_factor(f)
+    spectra = per_checkpoint_spectra(separations, table)
     out: dict[int, int] = {}
-    for rec, k in _closed_intervals(arr, table):
+    for rec in table.rows:
         try:
             params = solve_checkpoint(rec, f, convention)
         except ValidationError as exc:
             raise ValidationError(f"checkpoint n={rec.n}: {exc}") from exc
-        out[rec.n] = int(np.count_nonzero(arr[:k] > params.l_cut))
+        out[rec.n] = sum(c for s, c in spectra[rec.n].bins.items() if s > params.l_cut)
     return out
 
 

@@ -1,7 +1,8 @@
 """Separation histograms and the average-separation estimate.
 
-Spectra are mergeable value objects: accumulation is single-writer,
-merging enables parallel reduction.  Three conventions for the average
+Spectra are mergeable value objects holding only their bins: accumulation
+is single-writer, merging enables parallel reduction, and the totals and
+the maximum are read off the bins.  Three conventions for the average
 separation s0 are kept first-class because published count tables and
 interval-exact bookkeeping disagree by small offsets.
 """
@@ -14,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ValidationError
-from .ioutil import read_columns, write_csv
+from .ioutil import read_csv, write_csv
 from .sieve import CountRecord
 
 
@@ -38,19 +39,21 @@ class S0Estimate:
 
 @dataclass
 class SeparationSpectrum:
-    """Histogram of separations: bins maps separation -> occurrence count."""
+    """Histogram of separations: bins maps separation -> occurrence count.
+
+    The totals are read off the bins once, as Python ints: the number of
+    intervals and the number of singletons inside them.
+    """
 
     bins: dict[int, int] = field(default_factory=dict)
-    total_intervals: int = 0
-    total_singletons: int = 0
+    total_intervals: int = field(init=False)
+    total_singletons: int = field(init=False)
 
     def __post_init__(self):
         if any(s < 0 or c < 0 for s, c in self.bins.items()):
             raise ValidationError("bins must have non-negative keys and counts")
-        if self.total_intervals != sum(self.bins.values()):
-            raise ValidationError("total_intervals inconsistent with bins")
-        if self.total_singletons != sum(s * c for s, c in self.bins.items()):
-            raise ValidationError("total_singletons inconsistent with bins")
+        self.total_intervals = sum(self.bins.values())
+        self.total_singletons = sum(s * c for s, c in self.bins.items())
 
     def max_separation(self) -> int | None:
         return max(self.bins) if self.bins else None
@@ -61,8 +64,7 @@ def accumulate(separations) -> SeparationSpectrum:
 
     A dense np.bincount when the largest separation is below the length
     (so the dense histogram is never larger than the input), np.unique
-    otherwise; the totals are summed from the bins as Python ints, so
-    they cannot overflow.
+    otherwise.
     """
     arr = np.asarray(separations).reshape(-1)
     if arr.size == 0:
@@ -80,12 +82,7 @@ def accumulate(separations) -> SeparationSpectrum:
         cnts = cnts[vals]
     else:
         vals, cnts = np.unique(arr, return_counts=True)
-    bins = dict(zip(vals.tolist(), cnts.tolist()))
-    return SeparationSpectrum(
-        bins=bins,
-        total_intervals=int(arr.size),
-        total_singletons=sum(s * c for s, c in bins.items()),
-    )
+    return SeparationSpectrum(dict(zip(vals.tolist(), cnts.tolist())))
 
 
 def merge(a: SeparationSpectrum, b: SeparationSpectrum) -> SeparationSpectrum:
@@ -93,11 +90,7 @@ def merge(a: SeparationSpectrum, b: SeparationSpectrum) -> SeparationSpectrum:
     bins = dict(a.bins)
     for s, c in b.bins.items():
         bins[s] = bins.get(s, 0) + c
-    return SeparationSpectrum(
-        bins=bins,
-        total_intervals=a.total_intervals + b.total_intervals,
-        total_singletons=a.total_singletons + b.total_singletons,
-    )
+    return SeparationSpectrum(bins)
 
 
 def s0_from_counts(
@@ -143,15 +136,17 @@ def write_spectrum_csv(path, spectrum: SeparationSpectrum, metadata=None) -> Non
 
 
 def read_spectrum_csv(path) -> tuple[SeparationSpectrum, dict[str, str]]:
-    meta, rows = read_columns(path, ("s", "count"), int)
+    """The spectrum and metadata of a CSV from write_spectrum_csv; errors name the file and line."""
+    meta, rows = read_csv(path, ("s", "count"))
     bins: dict[int, int] = {}
-    for s, c in rows:
+    for lineno, row in rows:
+        try:
+            s, c = int(row["s"]), int(row["count"])
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{lineno}: unparseable row {row!r}") from exc
+        if s < 0 or c < 0:
+            raise ValidationError(f"{path}:{lineno}: negative separation or count {row!r}")
         if s in bins:
-            raise ValidationError(f"{path}: duplicate separation {s}")
+            raise ValidationError(f"{path}:{lineno}: duplicate separation {s}")
         bins[s] = c
-    spec = SeparationSpectrum(
-        bins=bins,
-        total_intervals=sum(bins.values()),
-        total_singletons=sum(s * c for s, c in bins.items()),
-    )
-    return spec, meta
+    return SeparationSpectrum(bins), meta

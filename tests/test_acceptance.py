@@ -339,11 +339,7 @@ def test_criterion_7_regression_recovery(capsys):
     """All four fits recover exactly-constructed coefficients to 1e-6."""
     # integer counts on an exact log-line: 2**(30-s)
     bins = {s: 2 ** (30 - s) for s in range(21)}
-    spec = SeparationSpectrum(
-        bins=bins,
-        total_intervals=sum(bins.values()),
-        total_singletons=sum(s * c for s, c in bins.items()),
-    )
+    spec = SeparationSpectrum(bins=bins)
     slope_fit = fit_exp_slope(spec)
     assert abs(slope_fit.coefficients[1] + math.log(2)) < 1e-9
     assert abs(slope_fit.coefficients[0] - 30 * math.log(2)) < 1e-9

@@ -118,6 +118,8 @@ BAD_FILES = {
     "header_only": "n,pi1,pi2\n",
     "counts_n_zero": "n,pi1,pi2\n0,100,10\n1000,168,35\n",
     "onsets_n_zero": "separation,n\n0,11\n3,0\n",
+    "spectrum_negative_count": "s,count\n0,5\n1,-2\n",
+    "spectrum_negative_s": "s,count\n-1,3\n0,5\n",
 }
 
 
@@ -159,6 +161,10 @@ class TestContract:
             (["report", "--limit", "1000", "--start", "1"], {}, "checkpoint n=1:"),
             (["sieve", "--limit", "99999999999999999999999", "--out", "{tmp}/c.csv",
               "--separations", "{tmp}/s.bin"], {}, "2**62"),
+            (["gof", "--spectrum", "{spectrum_negative_count}", "--s0", "5"], {},
+             "spectrum_negative_count.csv:3:"),
+            (["fit", "--kind", "slope", "--in", "{spectrum_negative_s}", "--out", "{tmp}/f.json"],
+             {}, "spectrum_negative_s.csv:2:"),
         ],
         ids=[
             "onsets-non-integer",
@@ -180,6 +186,8 @@ class TestContract:
             "report-start-0",
             "report-unsolvable-checkpoint",
             "sieve-limit-above-2-62",
+            "gof-spectrum-negative-count",
+            "fit-spectrum-negative-separation",
         ],
     )
     def test_exit_2(self, argv, env, needle, sieved, tmp_path, monkeypatch, capsys):

@@ -17,11 +17,7 @@ from twinsep.spectrum import SeparationSpectrum, accumulate
 
 
 def spectrum_from_bins(bins):
-    return SeparationSpectrum(
-        bins=bins,
-        total_intervals=sum(bins.values()),
-        total_singletons=sum(s * c for s, c in bins.items()),
-    )
+    return SeparationSpectrum(bins=bins)
 
 
 def check_orthogonality(X, y, coeffs, tol=1e-9):

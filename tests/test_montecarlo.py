@@ -24,11 +24,7 @@ CUT5 = solve_approx(SolverInput(s0=2.0, pi2=100, f=5.0))
 
 
 def spectrum_from_bins(bins):
-    return SeparationSpectrum(
-        bins=bins,
-        total_intervals=sum(bins.values()),
-        total_singletons=sum(s * c for s, c in bins.items()),
-    )
+    return SeparationSpectrum(bins=bins)
 
 
 def one_shot_draws(config):

@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from twinsep.errors import ValidationError
+from twinsep.model import solve_checkpoint
 from twinsep.pipeline import (
     CountTable,
     count_cutoff_exceedances,
@@ -115,10 +117,23 @@ class TestCheckpointViews:
             per_checkpoint_spectra(list(range(10)), table)
 
     def test_spectra_fold_matches_prefix_histograms(self, run100k):
+        # every view is read from the running spectrum; each is checked here
+        # against a literal scan of the prefix the checkpoint has closed
         report, table = run100k
-        spectra = per_checkpoint_spectra(report.separations, table)
+        seps = report.separations
+        spectra = per_checkpoint_spectra(seps, table)
+        maxes = max_separation_by_checkpoint(seps, table)
         for rec in table.rows:
-            assert spectra[rec.n] == accumulate(report.separations[: max(0, rec.pi2 - 2)])
+            k = max(0, rec.pi2 - 2)
+            assert spectra[rec.n] == accumulate(seps[:k])
+            assert maxes[rec.n] == int(seps[:k].max())  # k >= 6 from n = 100 on
+        for f in (1.0, 5.0):  # f = 5 still solves at n = 100, where pi2 = 8
+            counts = count_cutoff_exceedances(seps, table, f=f)
+            for rec in table.rows:
+                l_cut = solve_checkpoint(rec, f).l_cut
+                k = max(0, rec.pi2 - 2)
+                assert counts[rec.n] == int(np.count_nonzero(seps[:k] > l_cut)), (f, rec.n)
+            assert max(counts.values()) > 1
 
     def test_exceedances_reject_zero_risk_factor(self, run100k):
         report, table = run100k
