@@ -16,9 +16,12 @@ summary:
 
 - `_kernel.c`, compiled on first use into a per-user cache and called
   through ctypes (`_load_kernel`, `_kernel_chunk`), sieves a mod-30 wheel
-  (one byte per 30 integers) in 64 KB blocks, each presieved by 7..23,
-  and emits the summary fields in one fused scan that finds twins a
-  64-bit word at a time;
+  (one byte per 30 integers) in 64 KB blocks, with base primes in three
+  tiers: 7..97 are presieved by ANDing fixed-period patterns a 64-bit word
+  at a time, primes below one block cross it in stride-p loops, and
+  primes above one block wait in per-block buckets (a bucket sieve) until
+  the block they hit.  It emits the summary fields in one fused scan that
+  finds twins a 64-bit word at a time;
 - `_sieve_chunk`, in numpy, runs the one marking loop
   `_segment_primes(low, high, base)` (which also sieves the base primes)
   segment by segment.  It is the reference, and the fallback when no C
@@ -60,8 +63,9 @@ CHUNK_SPAN = 1 << 27  # integers per chunk; even, so every chunk starts on an od
 
 KERNEL_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
 KERNEL_CC = ("cc", "-O2", "-shared", "-fPIC")  # no -march=native: the build lives in a shared cache
-# wheel bytes (30 integers each) per block of the compiled kernel, a multiple of 8;
-# 64 KB measured faster than 32 KB near 1e10 and level with it near 1e9
+# wheel bytes (30 integers each) per block of the compiled kernel, a power of two from 8
+# to 2**28; one 2**27 chunk on one CPU took 5-12% longer with 32 KB blocks and 11-23%
+# longer with 128 KB blocks than with 64 KB, from 1e9 to 1e12
 KERNEL_BLOCK = 1 << 16
 MAX_LIMIT = 2**62  # keeps every int64 argument and product of the kernel in range
 
@@ -488,11 +492,15 @@ def sieve_range(config: SieveConfig) -> SieveReport:
 
 
 def write_separations(path, separations) -> None:
-    """Write a separation stream as little-endian unsigned 32-bit values."""
+    """Write a separation stream as little-endian unsigned 32-bit values.
+
+    A `<u4` stream, as the sieve makes it, is written as it is, without a
+    range check or a copy.
+    """
     arr = np.asarray(separations)
-    if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= 2**32):
+    if arr.dtype != np.dtype("<u4") and arr.size and (int(arr.min()) < 0 or int(arr.max()) >= 2**32):
         raise ValidationError("separation values do not fit in unsigned 32-bit")
-    arr.astype("<u4").tofile(path)
+    arr.astype("<u4", copy=False).tofile(path)
 
 
 def read_separations(path) -> np.ndarray:

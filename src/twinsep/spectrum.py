@@ -19,6 +19,9 @@ from .ioutil import read_csv, write_csv
 from .sieve import CountRecord
 
 
+BINCOUNT_BLOCK = 1 << 16  # elements per np.bincount call on values that need a cast to intp
+
+
 class S0Convention(str, Enum):
     RAW = "raw"                        # (pi1 - 2*pi2) / pi2
     PAPER_OFFSET = "paper_offset"      # (pi1 - 2*pi2 + 2) / (pi2 - 2)
@@ -75,9 +78,18 @@ def accumulate(separations) -> SeparationSpectrum:
         arr = arr.astype(np.int64)
     if int(arr.min()) < 0:
         raise ValidationError("separations must be >= 0")
-    if int(arr.max()) < arr.size:
+    top = int(arr.max()) + 1
+    if top <= arr.size:
         # bincount will not cast uint64 safely; every value here is below the size
-        cnts = np.bincount(arr.view(np.int64) if arr.dtype == np.uint64 else arr)
+        if arr.dtype == np.uint64:
+            arr = arr.view(np.int64)
+        if arr.dtype == np.intp:
+            cnts = np.bincount(arr)
+        else:  # bincount casts to intp: a block at a time, so the cast never copies the stream
+            step = max(BINCOUNT_BLOCK, top)
+            cnts = np.zeros(top, dtype=np.intp)
+            for i in range(0, arr.size, step):
+                cnts += np.bincount(arr[i : i + step], minlength=top)
         vals = np.flatnonzero(cnts)
         cnts = cnts[vals]
     else:

@@ -362,6 +362,46 @@ class TestKernel:
             got = sieve._kernel_chunk(kernel, low, high, base, grid)
         assert_same_summary(got, sieve._sieve_chunk(low, high, segment_size, base, grid))
 
+    @pytest.mark.parametrize("block", [8, 64])
+    @pytest.mark.parametrize("low", [9, 29, 31, 37, 89, 97, 101])
+    def test_presieved_primes_set_back(self, kernel, low, block):
+        # the presieved primes 7..97 sit in wheel bytes 0..3 from low - low % 30; each high
+        # cuts between two of them, or leaves them all in range
+        base = sieve._odd_base_primes(math.isqrt(2000))
+        presieved = [p for p in range(7, 98) if all(p % q for q in range(2, p))]
+        highs = {low + 1, low + 2, 2000} | {p + 1 for p in presieved if p >= low}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sieve, "KERNEL_BLOCK", block)
+            for high in sorted(highs):
+                got = sieve._kernel_chunk(kernel, low, high, base, (high - 1,))
+                assert_same_summary(got, sieve._sieve_chunk(low, high, 1024, base, (high - 1,)))
+
+    @pytest.mark.parametrize("block", [8, 64])
+    def test_bucketed_primes_near_2_32(self, kernel, block):
+        # nearly every base prime (up to 65537) exceeds a block of 8 or 64 wheel bytes
+        low = 2**32 - 2**16 + 1
+        high = low + 2**17
+        base = sieve._odd_base_primes(math.isqrt(high))
+        assert np.count_nonzero(base >= block) > 0.99 * base.size
+        grid = (low, 2**32 - 1, 2**32 + 15, high - 1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sieve, "KERNEL_BLOCK", block)
+            got = sieve._kernel_chunk(kernel, low, high, base, grid)
+        assert_same_summary(got, sieve._sieve_chunk(low, high, 1 << 20, base, grid))
+
+    def test_bucketed_prime_skips_blocks(self, kernel):
+        # 64-byte blocks over 2**22 integers: 2185 blocks, and the base primes, up to 3767,
+        # step over as many as 58 blocks between two hits of one progression
+        low = 10**7 + 1
+        high = low + 2**22
+        base = sieve._odd_base_primes(math.isqrt(high))
+        assert base[-1] > 50 * 64
+        grid = (low + 2**21, high - 1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sieve, "KERNEL_BLOCK", 64)
+            got = sieve._kernel_chunk(kernel, low, high, base, grid)
+        assert_same_summary(got, sieve._sieve_chunk(low, high, 1 << 20, base, grid))
+
     def test_chunk_above_2_32(self, kernel):
         # low and every prime index arithmetic pass 2**32: a C int would wrap
         low = 2**32 - 2**22 + 1
@@ -458,6 +498,19 @@ class TestSerialization:
         assert path.stat().st_size == 4 * seps.size
         raw = path.read_bytes()
         assert int.from_bytes(raw[:4], "little") == int(seps[0])
+
+    @pytest.mark.parametrize("bad", [-1, 2**32])
+    def test_out_of_range_rejected(self, tmp_path, bad):
+        with pytest.raises(ValidationError, match="32-bit"):
+            write_separations(tmp_path / "seps.bin", np.array([0, bad], dtype=np.int64))
+
+    @pytest.mark.parametrize("dtype", ["<u4", ">u4", np.int64])
+    def test_written_bytes(self, tmp_path, dtype):
+        # a <u4 stream is written as it is; every other dtype is range-checked and cast
+        values = [0, 1, 255, 2**16 + 3, 2**32 - 1]
+        path = tmp_path / "seps.bin"
+        write_separations(path, np.array(values, dtype=dtype))
+        assert path.read_bytes() == b"".join(v.to_bytes(4, "little") for v in values)
 
     def test_partial_record_rejected(self, tmp_path):
         path = tmp_path / "seps.bin"

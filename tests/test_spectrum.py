@@ -45,9 +45,14 @@ class TestAccumulate:
         assert accumulate(xs + ys) == merge(accumulate(xs), accumulate(ys))
 
     @pytest.mark.parametrize("dtype", [np.int64, np.uint32, np.uint64, np.float64])
-    @pytest.mark.parametrize("size,top", [(1, 0), (1000, 30), (1000, 999), (1000, 1000), (50, 10**6)])
+    @pytest.mark.parametrize(
+        "size,top",
+        [(1, 0), (1000, 30), (1000, 999), (1000, 1000), (50, 10**6),
+         (2**16 - 1, 60), (2**16 + 1, 60), (3 * 2**16 + 5, 60), (3 * 2**16 + 5, 2**17)],
+    )
     def test_matches_counter(self, dtype, size, top):
-        # both branches: bincount while max < size, np.unique above
+        # both branches: bincount while max < size, np.unique above; uint32 and uint64
+        # streams longer than BINCOUNT_BLOCK are counted a block at a time
         arr = np.random.default_rng(size + top).integers(0, top + 1, size).astype(dtype)
         counts = collections.Counter(int(x) for x in arr)
         spec = accumulate(arr)
