@@ -27,10 +27,10 @@ summary:
   segment by segment.  It is the reference, and the fallback when no C
   compiler can build the kernel.
 
-`sieve_range` maps the chunks in-process, on a thread pool (compiled
-kernel) or on a spawn process pool (numpy), and folds the summaries in
-order, carrying five values from one chunk to the next, so the result is
-exact and identical for either kernel, any segment size and CPU count.
+`sieve_range` maps the chunks in-process or on a thread pool, and folds
+the summaries in order, carrying five values from one chunk to the next,
+so the result is exact and identical for either kernel, any segment size
+and CPU count.
 """
 
 from __future__ import annotations
@@ -421,15 +421,11 @@ def sieve_range(config: SieveConfig) -> SieveReport:
     from FIRST_SEGMENT on, is split into chunks of CHUNK_SPAN integers that
     are sieved independently and folded in order, so the result is
     identical for either kernel, any segment size and any number of CPUs.
-    A plan of more than one chunk runs on a pool with one worker per CPU
-    in the affinity mask (at most one per chunk); otherwise it runs
-    in-process.  The pool holds threads when the compiled kernel loads,
-    since its calls release the GIL; segment_size is then unused, and
-    stats["segments"] counts the kernel's blocks of KERNEL_BLOCK wheel
-    bytes.  Without a compiler the numpy kernel runs on a pool of
-    processes started by spawn, so a script that sieves past one chunk
-    must call this under `if __name__ == "__main__":` to run on either
-    path.
+    A plan of more than one chunk runs on a thread pool with one worker
+    per CPU in the affinity mask (at most one per chunk); otherwise it
+    runs in-process.  When the compiled kernel loads, segment_size is
+    unused and stats["segments"] counts the kernel's blocks of
+    KERNEL_BLOCK wheel bytes.
     """
     t0 = time.perf_counter()
     limit = config.limit
@@ -440,35 +436,26 @@ def sieve_range(config: SieveConfig) -> SieveReport:
     grids = [cps[bisect.bisect_left(cps, low) : bisect.bisect_left(cps, high)] for low, high in plan]
     kernel = _load_kernel()
     if kernel is not None:
-        chunk = _kernel_chunk
-        jobs = (itertools.repeat(kernel), lows, highs, itertools.repeat(base), grids)
+        chunk = functools.partial(_kernel_chunk, kernel)
         # wheel byte 0 of a chunk starts at low - low % 30
         segments = sum(len(range(low - low % 30, high, 30 * KERNEL_BLOCK)) for low, high in plan)
     else:
-        chunk, segment = _sieve_chunk, config.segment_size
-        jobs = (lows, highs, itertools.repeat(segment), itertools.repeat(base), grids)
-        segments = sum(len(range(low, high, 2 * segment)) for low, high in plan)
+        def chunk(low, high, base, grid):
+            return _sieve_chunk(low, high, config.segment_size, base, grid)
+
+        segments = sum(len(range(low, high, 2 * config.segment_size)) for low, high in plan)
+    jobs = (chunk, lows, highs, itertools.repeat(base), grids)
     workers = max(1, min(len(plan), len(os.sched_getaffinity(0))))
     if workers == 1:
-        counts, separations, onsets = _fold(map(chunk, *jobs), cps, limit)
+        counts, separations, onsets = _fold(map(*jobs), cps, limit)
     else:
-        # a ctypes call releases the GIL, so the compiled kernel runs on threads
-        if kernel is not None:
-            from concurrent.futures import ThreadPoolExecutor
+        from concurrent.futures import ThreadPoolExecutor
 
-            pool = ThreadPoolExecutor(workers)
-        else:
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
-        with pool:
-            counts, separations, onsets = _fold(pool.map(chunk, *jobs), cps, limit)
+        with ThreadPoolExecutor(workers) as pool:
+            counts, separations, onsets = _fold(pool.map(*jobs), cps, limit)
 
     wall = time.perf_counter() - t0
-    peak_kb = max(
-        resource.getrusage(who).ru_maxrss for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
-    )
+    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     meta = {
         "limit": str(limit),
         "onset_n": ONSET_CONVENTION,

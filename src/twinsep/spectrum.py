@@ -76,7 +76,7 @@ def accumulate(separations) -> SeparationSpectrum:
         if not np.all(arr == np.floor(arr)):
             raise ValidationError("separations must be integers")
         arr = arr.astype(np.int64)
-    if int(arr.min()) < 0:
+    if arr.dtype.kind != "u" and int(arr.min()) < 0:  # an unsigned stream cannot be negative
         raise ValidationError("separations must be >= 0")
     top = int(arr.max()) + 1
     if top <= arr.size:

@@ -16,10 +16,6 @@ from twinsep.fit import (
 from twinsep.spectrum import SeparationSpectrum, accumulate
 
 
-def spectrum_from_bins(bins):
-    return SeparationSpectrum(bins=bins)
-
-
 def check_orthogonality(X, y, coeffs, tol=1e-9):
     resid = y - X @ np.asarray(coeffs)
     assert np.all(np.abs(X.T @ resid) < tol)
@@ -28,12 +24,12 @@ def check_orthogonality(X, y, coeffs, tol=1e-9):
 class TestExpSlope:
     def test_synthetic_exponential(self):
         bins = {s: round(1000 * math.exp(-0.5 * s)) for s in range(11)}
-        fit = fit_exp_slope(spectrum_from_bins(bins))
+        fit = fit_exp_slope(SeparationSpectrum(bins))
         assert fit.coefficients[1] == pytest.approx(-0.5, abs=0.01)
         assert fit.model_id == MODEL_EXP_SLOPE
 
     def test_n100_spectrum(self):
-        fit = fit_exp_slope(spectrum_from_bins({0: 2, 1: 3, 2: 1}))
+        fit = fit_exp_slope(SeparationSpectrum({0: 2, 1: 3, 2: 1}))
         assert fit.n_points == 3
         assert all(math.isfinite(c) for c in fit.coefficients)
         # hand OLS on the three points (s, log count)
@@ -45,24 +41,24 @@ class TestExpSlope:
 
     def test_exact_log_linear_has_zero_rms(self):
         bins = {s: round(math.exp(14 - 0.25 * s)) for s in range(0, 30, 3)}
-        fit = fit_exp_slope(spectrum_from_bins(bins))
+        fit = fit_exp_slope(SeparationSpectrum(bins))
         assert fit.residual_rms < 0.01  # rounding noise only
 
     def test_insufficient_bins(self):
         with pytest.raises(ValidationError):
-            fit_exp_slope(spectrum_from_bins({4: 12}))
+            fit_exp_slope(SeparationSpectrum({4: 12}))
         with pytest.raises(ValidationError):
-            fit_exp_slope(spectrum_from_bins({0: 5, 1: 2}))
+            fit_exp_slope(SeparationSpectrum({0: 5, 1: 2}))
 
     @settings(max_examples=50)
     @given(scale=st.floats(min_value=0.1, max_value=100.0))
     def test_scale_invariance(self, scale):
         base = {0: 40, 1: 22, 2: 11, 3: 5, 4: 2}
-        f0 = fit_exp_slope(spectrum_from_bins(base))
+        f0 = fit_exp_slope(SeparationSpectrum(base))
         scaled = {s: max(1, round(c * scale * 1000)) for s, c in base.items()}
         unscaled = {s: max(1, round(c * 1000)) for s, c in base.items()}
-        f1 = fit_exp_slope(spectrum_from_bins(unscaled))
-        f2 = fit_exp_slope(spectrum_from_bins(scaled))
+        f1 = fit_exp_slope(SeparationSpectrum(unscaled))
+        f2 = fit_exp_slope(SeparationSpectrum(scaled))
         assert f2.coefficients[1] == pytest.approx(f1.coefficients[1], abs=1e-3)
         assert f2.coefficients[0] - f1.coefficients[0] == pytest.approx(
             math.log(scale), abs=2e-3
@@ -71,7 +67,7 @@ class TestExpSlope:
 
     def test_orthogonality(self):
         bins = {0: 50, 1: 31, 2: 17, 3: 9, 4: 6, 5: 2}
-        fit = fit_exp_slope(spectrum_from_bins(bins))
+        fit = fit_exp_slope(SeparationSpectrum(bins))
         s = np.array(sorted(bins), dtype=float)
         X = np.column_stack([np.ones_like(s), s])
         y = np.log([bins[int(v)] for v in s])

@@ -23,10 +23,6 @@ LAWS = {
 CUT5 = solve_approx(SolverInput(s0=2.0, pi2=100, f=5.0))
 
 
-def spectrum_from_bins(bins):
-    return SeparationSpectrum(bins=bins)
-
-
 def one_shot_draws(config):
     """The sampler as one whole-array pass: the reference for the blocked one."""
     p = config.params
@@ -171,12 +167,12 @@ class TestGof:
         if bins is None:
             spec = accumulate(sample_separations(SimConfig(params, n_events=20_000, seed=3)))
         else:
-            spec = spectrum_from_bins(bins)
+            spec = SeparationSpectrum(bins)
         report = gof_compare(spec, params)
         assert (report.chi2, report.dof, report.ks_distance) == dense_gof(spec, params)
 
     def test_far_stray_bin_is_cheap(self):
-        spec = spectrum_from_bins({0: 500, 1: 250, 2: 125, 3: 60, 10**7: 1})
+        spec = SeparationSpectrum({0: 500, 1: 250, 2: 125, 3: 60, 10**7: 1})
         gof_compare(spec, solve_f0(1.0))  # loads scipy outside the timed call
         t0 = time.perf_counter()
         report = gof_compare(spec, solve_f0(1.0))
@@ -194,7 +190,7 @@ class TestGof:
         assert passed >= trials - 1
 
     def test_gross_mismatch_fails(self):
-        uniform = spectrum_from_bins({s: 10 for s in range(21)})
+        uniform = SeparationSpectrum({s: 10 for s in range(21)})
         report = gof_compare(uniform, solve_f0(1.0), alpha=0.01)
         assert not report.passed
         assert report.ks_distance > 0.2
@@ -202,14 +198,14 @@ class TestGof:
     def test_pooling_rule_dof(self):
         # q = 1/2, 100 events: expected 50 25 12.5 6.25 3.125 | tail 3.125
         # tail pools with s=4 to reach 6.25, leaving 5 bins -> dof 4
-        obs = spectrum_from_bins({0: 60, 1: 25, 2: 10, 3: 3, 4: 2})
+        obs = SeparationSpectrum({0: 60, 1: 25, 2: 10, 3: 3, 4: 2})
         report = gof_compare(obs, solve_f0(1.0), alpha=0.01)
         assert report.dof == 4
 
     def test_observation_beyond_cutoff_fails(self):
         params = solve_approx(SolverInput(s0=2.0, pi2=100, f=5.0))
         bad = math.floor(params.l_cut) + 8
-        obs = spectrum_from_bins({0: 40, 1: 20, 2: 10, bad: 5})
+        obs = SeparationSpectrum({0: 40, 1: 20, 2: 10, bad: 5})
         report = gof_compare(obs, params, alpha=0.01)
         assert not report.passed
 
@@ -221,10 +217,10 @@ class TestGof:
 
     def test_requires_enough_events(self):
         with pytest.raises(ValidationError):
-            gof_compare(spectrum_from_bins({0: 30}), solve_f0(1.0))
+            gof_compare(SeparationSpectrum({0: 30}), solve_f0(1.0))
 
     def test_alpha_bounds(self):
-        spec = spectrum_from_bins({0: 40, 1: 20, 2: 10})
+        spec = SeparationSpectrum({0: 40, 1: 20, 2: 10})
         with pytest.raises(ValidationError):
             gof_compare(spec, solve_f0(1.0), alpha=0.0)
 

@@ -285,8 +285,8 @@ class TestChunks:
         limit, grid, span = case
         self.check_against_one_chunk(limit, grid, span, segment_size, oracle100k)
 
-    def test_process_pool(self, monkeypatch):
-        # the compiled kernel on a thread pool, then numpy on the spawn pool
+    def test_thread_pool(self, monkeypatch):
+        # the compiled kernel, then numpy, each on a thread pool of two workers
         grid = geometric_checkpoints(300_000, per_decade=5, start=100)
         ref = run(300_000, segment_size=1024, grid=grid)
         monkeypatch.setattr(sieve, "CHUNK_SPAN", 1 << 16)
@@ -299,6 +299,25 @@ class TestChunks:
         for rep in (compiled, fallback):
             assert (rep.stats["workers"], rep.stats["chunks"]) == (2, 5)
             assert snapshot(rep) == snapshot(ref)
+
+    def test_script_without_main_guard(self, tmp_path):
+        # workers started by spawn would re-run this script on import and break the pool
+        script = tmp_path / "script.py"
+        script.write_text(
+            "import dataclasses, os\n"
+            "from twinsep import sieve\n"
+            "sieve._load_kernel = lambda: None\n"
+            "sieve.CHUNK_SPAN = 1 << 16\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "rep = sieve.sieve_range(sieve.SieveConfig(limit=300_000))\n"
+            "print(rep.stats['kernel'], rep.stats['workers'], *dataclasses.astuple(rep.counts[-1]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, str(script)], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["numpy", "2", "300000", "25997", "2994", "25973"]
 
     def test_stats(self, monkeypatch):
         rep = run(100_000, segment_size=1024)
