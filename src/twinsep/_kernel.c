@@ -24,7 +24,7 @@
  * A scan over each finished block, one 64-bit word (240 integers) at a
  * time, counts primes with popcount and finds twins alone: lower members
  * sit at bits 2, 4, 7 of a byte (11, 17, 29 mod 30), so the word's own
- * twins are x & x >> 1 & TWIN_LOWER, and one more straddles the previous
+ * twins are x & x >> 1 & TWIN_LOWER, and one more spans the previous
  * word when its bit 63 and this word's bit 0 are both primes.  Only a word
  * that reaches a checkpoint walks every prime.  The scan emits the fields
  * of a ChunkSummary directly, so the caller allocates only the outputs:
@@ -32,9 +32,8 @@
  *   recs[2r], [2r+1] r-th running-maximum record: (separation, lower member);
  *   rows[3g..3g+2]  at grid[g]: primes <= n, twins with upper member <= n,
  *                   index of the last such twin's lower member or -1;
- *   out[0..7]       primes, twins, first prime, last prime (0 if none),
- *                   first twin's lower member and index (-1 if none),
- *                   last twin's index (-1 if none), record count.
+ *   out[0..5]       primes, twins, first twin's lower member and index (-1 if
+ *                   none), last twin's index (-1 if none), record count.
  * Prime indices are 0-based within the chunk.  base holds every odd prime
  * <= isqrt(high - 1), ascending; low is odd and at least 9, high is at most
  * 2**62 + 1, and high - low is below 2**33.  Returns 0, or -1 when the
@@ -62,7 +61,7 @@ static const int64_t PRESIEVE[NGROUP][3] = {{7, 67, 71},  {11, 41, 73}, {13, 43,
 
 struct scan {
     int64_t primes, twins, tw_low, tw_first, tw_last, nrec, best;
-    int64_t first, last, g, ngrid; /* first and last prime (0 before the first), next checkpoint */
+    int64_t last, g, ngrid; /* last prime (0 before the first), next checkpoint */
     const int64_t *grid;
     uint32_t *seps;
     int64_t *recs, *rows;
@@ -261,7 +260,7 @@ static HOT void scan(struct scan *s, const uint8_t *flags, int64_t len, int64_t 
                 s->primes++;
             }
         } else {
-            if (x & 1 && s->last == v0 - 1) /* the twin (v0 - 1, v0 + 1) straddles two words */
+            if (x & 1 && s->last == v0 - 1) /* the twin (v0 - 1, v0 + 1) spans two words */
                 twin(s, s->last, s->primes - 1);
             for (y = lower; y; y &= y - 1) {
                 int t = __builtin_ctzll(y);
@@ -269,8 +268,6 @@ static HOT void scan(struct scan *s, const uint8_t *flags, int64_t len, int64_t 
             }
             s->primes += __builtin_popcountll(x);
         }
-        if (!s->first)
-            s->first = value(v0, __builtin_ctzll(x));
         s->last = value(v0, 63 - __builtin_clzll(x));
     }
 }
@@ -336,7 +333,7 @@ int64_t twinsep_sieve_chunk(int64_t low, int64_t high, int64_t block,
         }
     }
 
-    struct scan s = {0, 0, 0, -1, -1, 0, -1, 0, 0, 0, ngrid, grid, seps, recs, rows};
+    struct scan s = {0, 0, 0, -1, -1, 0, -1, 0, 0, ngrid, grid, seps, recs, rows};
     for (int64_t b0 = 0; b0 < nbytes; b0 += block) {
         int64_t len = nbytes - b0 < block ? nbytes - b0 : block;
         presieve(flags, len, pat, at, lim);
@@ -358,7 +355,7 @@ int64_t twinsep_sieve_chunk(int64_t low, int64_t high, int64_t block,
     }
     while (s.g < ngrid)
         row(&s);
-    int64_t res[8] = {s.primes, s.twins, s.first, s.last, s.tw_low, s.tw_first, s.tw_last, s.nrec};
+    int64_t res[6] = {s.primes, s.twins, s.tw_low, s.tw_first, s.tw_last, s.nrec};
     memcpy(out, res, sizeof res);
     free(next);
     return 0;

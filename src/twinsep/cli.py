@@ -33,7 +33,7 @@ from .model import (
 from .montecarlo import GENERATOR, SimConfig, gof_compare, sample_separations
 from .pipeline import (
     check_onsets,
-    count_cutoff_exceedances,
+    cutoff_exceedances,
     figure_pipeline,
     ingest_counts,
     per_checkpoint_spectra,
@@ -297,9 +297,9 @@ def cmd_report(args):
     report = sieve_range(SieveConfig(limit=args.limit, checkpoint_grid=grid))
     stats, table = report.stats, table_from_report(report)
     final = table.rows[-1]
-    # first, so that a table no cutoff can be solved for fails before any output
-    exceed = count_cutoff_exceedances(report.separations, table, f=args.f)
     spectra = per_checkpoint_spectra(report.separations, table)
+    # before any output, so that a table no cutoff can be solved for fails first
+    exceed = cutoff_exceedances(spectra, table, f=args.f)
     maxes = {n: spec.max_separation() for n, spec in spectra.items()}
     print(
         f"sieve to {args.limit:.3g}: {stats['wall_s']:.1f}s  pi1={final.pi1} pi2={final.pi2}  "
@@ -309,7 +309,8 @@ def cmd_report(args):
     print(f"separations: {report.separations.size}, max {maxes[final.n]}")
 
     t0 = time.monotonic()
-    figs = figure_pipeline(table, spectra=spectra, f=args.f, onsets=report.max_separation_onsets)
+    figs = figure_pipeline(table, spectra=spectra, f=args.f, onsets=report.max_separation_onsets,
+                           laws={n: law for n, (law, _) in exceed.items()})
     m0, lin = figs.m0_fit, figs.s0_fit
     print(
         f"m0 law: m0 = {m0.coefficients[0]:.4f} +- {m0.std_errors[0]:.4f} "
@@ -336,7 +337,7 @@ def cmd_report(args):
     decades = {10**k for k in range(3, 14)}
     for rec in table.rows:
         s0 = s0_from_counts(rec).value
-        law = solve_checkpoint(rec, args.f)
+        law, beyond = exceed[rec.n]
         flag = "" if maxes[rec.n] <= overshoot_bound(law) else "  > overshoot bound"
         if rec.n not in decades and not flag:
             continue
@@ -349,7 +350,7 @@ def cmd_report(args):
         over = (maxes[rec.n] - law.l_cut) / law.sbar
         print(
             f"{rec.n:>12} {s0:>8.3f} {law.l_cut:>8.2f} {maxes[rec.n]:>8} {over:>6.2f} "
-            f"{exceed[rec.n]:>7} {ks:>8}{flag}"
+            f"{beyond:>7} {ks:>8}{flag}"
         )
 
     if args.out_dir:

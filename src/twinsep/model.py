@@ -52,8 +52,8 @@ class ModelParams:
             raise ValidationError(f"f must be >= 0, got {self.f}")
         if (self.f == 0.0) != (self.l_cut is None):
             raise ValidationError("l_cut must be None exactly when f == 0")
-        if self.l_cut is not None and self.l_cut < 0.0:
-            raise ValidationError(f"l_cut must be >= 0, got {self.l_cut}")
+        if self.l_cut is not None and not 0.0 <= self.l_cut < math.inf:
+            raise ValidationError(f"l_cut must be finite and >= 0, got {self.l_cut}")
 
     @property
     def m(self) -> float:
@@ -86,8 +86,8 @@ class SolverInput:
     f: float
 
     def __post_init__(self):
-        if not self.s0 > 0.0:
-            raise ValidationError(f"s0 must be > 0, got {self.s0}")
+        if not 0.0 < self.s0 < math.inf:
+            raise ValidationError(f"s0 must be finite and > 0, got {self.s0}")
         if int(self.pi2) != self.pi2 or self.pi2 < 3:
             raise ValidationError(f"pi2 must be an integer >= 3, got {self.pi2}")
         if self.f < 0.0:
@@ -96,6 +96,8 @@ class SolverInput:
             raise ValidationError(
                 f"risk factor f={self.f} outside regime: must be well below pi2={self.pi2}"
             )
+        if self.f > 0.0 and self.pi2 / self.f == math.inf:  # a subnormal f: L = log(1 + pi2/f)*sbar
+            raise ValidationError(f"risk factor f={self.f} too small: the cutoff is infinite")
 
 
 def solve_f0(s0: float) -> ModelParams:
@@ -103,8 +105,8 @@ def solve_f0(s0: float) -> ModelParams:
 
     The geometric sums then give total mass 1 and mean s0 identically.
     """
-    if not s0 > 0.0:
-        raise ValidationError(f"s0 must be > 0, got {s0}")
+    if not 0.0 < s0 < math.inf:
+        raise ValidationError(f"s0 must be finite and > 0, got {s0}")
     return ModelParams(
         a=1.0 / (1.0 + s0),
         sbar=1.0 / math.log1p(1.0 / s0),

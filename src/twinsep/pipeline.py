@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ValidationError
 from .fit import FitResult, fit_exp_slope, fit_m0, fit_s0_linear
 from .ioutil import read_csv, write_csv
-from .model import DEFAULT_RISK_FACTOR, risk_factor, solve_checkpoint
+from .model import DEFAULT_RISK_FACTOR, ModelParams, risk_factor, solve_checkpoint
 from .sieve import CountRecord, SieveReport
 from .spectrum import S0Convention, SeparationSpectrum, accumulate, merge, s0_from_counts
 
@@ -132,6 +132,24 @@ def max_separation_by_checkpoint(separations, table: CountTable) -> dict[int, in
     return {n: spec.max_separation() for n, spec in spectra.items()}
 
 
+def cutoff_exceedances(
+    spectra: dict[int, SeparationSpectrum],
+    table: CountTable,
+    f: float = DEFAULT_RISK_FACTOR,
+    convention: S0Convention | str = S0Convention.RAW,
+) -> dict[int, tuple[ModelParams, int]]:
+    """Per checkpoint, its cutoff law and how many separations of its spectrum pass the cutoff."""
+    f = risk_factor(f)
+    out: dict[int, tuple[ModelParams, int]] = {}
+    for rec in table.rows:
+        try:
+            law = solve_checkpoint(rec, f, convention, spectrum=spectra[rec.n])
+        except ValidationError as exc:
+            raise ValidationError(f"checkpoint n={rec.n}: {exc}") from exc
+        out[rec.n] = law, sum(c for s, c in spectra[rec.n].bins.items() if s > law.l_cut)
+    return out
+
+
 def count_cutoff_exceedances(
     separations,
     table: CountTable,
@@ -139,16 +157,8 @@ def count_cutoff_exceedances(
     convention: S0Convention | str = S0Convention.RAW,
 ) -> dict[int, int]:
     """Per checkpoint, how many completed separations exceed that checkpoint's cutoff."""
-    f = risk_factor(f)
     spectra = per_checkpoint_spectra(separations, table)
-    out: dict[int, int] = {}
-    for rec in table.rows:
-        try:
-            params = solve_checkpoint(rec, f, convention)
-        except ValidationError as exc:
-            raise ValidationError(f"checkpoint n={rec.n}: {exc}") from exc
-        out[rec.n] = sum(c for s, c in spectra[rec.n].bins.items() if s > params.l_cut)
-    return out
+    return {n: k for n, (_, k) in cutoff_exceedances(spectra, table, f, convention).items()}
 
 
 @dataclass
@@ -190,13 +200,16 @@ def figure_pipeline(
     f: float = DEFAULT_RISK_FACTOR,
     convention: S0Convention | str = S0Convention.RAW,
     onsets: list[tuple[int, int]] | None = None,
+    laws: dict[int, ModelParams] | None = None,
 ) -> FigureSet:
     """Assemble the three plot datasets from a count table.
 
     spectra (keyed by checkpoint n) feed the computed-slope series of the
     first dataset; onsets, (separation >= 0, n >= 1) pairs, feed the
-    observed-record series of the third.  Rows whose counts cannot support
-    an estimate are skipped rather than failing the whole export.
+    observed-record series of the third.  laws (keyed by n) are cutoff
+    laws already solved at f and convention, which the third dataset then
+    reads instead of solving again.  Rows whose counts cannot support an
+    estimate are skipped rather than failing the whole export.
     """
     conv = S0Convention(convention)
     f = risk_factor(f)  # checked here: fig3 skips rows that fail, which would hide a bad f
@@ -272,7 +285,9 @@ def figure_pipeline(
     fig3 = []
     for rec in table.rows:
         try:
-            params = solve_checkpoint(rec, f, conv, spectrum=(spectra or {}).get(rec.n))
+            params = (laws or {}).get(rec.n) or solve_checkpoint(
+                rec, f, conv, spectrum=(spectra or {}).get(rec.n)
+            )
         except ValidationError:
             continue
         fig3.append(

@@ -1,4 +1,4 @@
-"""Segmented odd-only sieve with twin-pair and separation accounting.
+"""Chunked prime sieve with twin-pair and separation accounting.
 
 Counts primes and twin pairs up to a bound, streams the sequence of
 singleton-prime separations between neighbouring twins, and records the
@@ -9,8 +9,9 @@ neighbouring twins.
 A run is plan -> chunk -> fold.  A literal prelude holds the primes 2, 3,
 5, 7 and with them the only overlapping twins, (3 5) and (5 7).  The plan
 splits the rest, [FIRST_SEGMENT, limit], into chunks of CHUNK_SPAN
-integers; it depends on the limit alone.  Each chunk is sieved on its own
-into a `ChunkSummary`: local counts, boundary primes and twins, local
+integers; it depends on the limit alone.  Every chunk starts on an odd
+multiple of 3, so no twin spans two chunks.  Each chunk is sieved on
+its own into a `ChunkSummary`: local counts, first and last twin, local
 separations, records and checkpoint rows.  Two kernels produce the same
 summary:
 
@@ -22,13 +23,13 @@ summary:
   primes above one block wait in per-block buckets (a bucket sieve) until
   the block they hit.  It emits the summary fields in one fused scan that
   finds twins a 64-bit word at a time;
-- `_sieve_chunk`, in numpy, runs the one marking loop
+- `_sieve_chunk`, in numpy, runs the one odd-only marking loop
   `_segment_primes(low, high, base)` (which also sieves the base primes)
   segment by segment.  It is the reference, and the fallback when no C
   compiler can build the kernel.
 
 `sieve_range` maps the chunks in-process or on a thread pool, and folds
-the summaries in order, carrying five values from one chunk to the next,
+the summaries in order, carrying four values from one chunk to the next,
 so the result is exact and identical for either kernel, any segment size
 and CPU count.
 """
@@ -59,13 +60,13 @@ ONSET_CONVENTION = "lower member of terminating twin"
 
 FIRST_SEGMENT = 9  # the prelude counts 2, 3, 5, 7; segments sieve from here on
 PRELUDE_LAST_TWIN = 2  # 0-based prime index of 5, the lower member of (5 7)
-CHUNK_SPAN = 1 << 27  # integers per chunk; even, so every chunk starts on an odd number
+CHUNK_SPAN = 30 << 22  # integers per chunk, about 2**27; a multiple of 6 (see _chunk_plan)
 
 KERNEL_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
 KERNEL_CC = ("cc", "-O2", "-shared", "-fPIC")  # no -march=native: the build lives in a shared cache
 # wheel bytes (30 integers each) per block of the compiled kernel, a power of two from 8
-# to 2**28; one 2**27 chunk on one CPU took 5-12% longer with 32 KB blocks and 11-23%
-# longer with 128 KB blocks than with 64 KB, from 1e9 to 1e12
+# to 2**28; one chunk of about 2**27 integers on one CPU took 5-12% longer with 32 KB
+# blocks and 11-23% longer with 128 KB blocks than with 64 KB, from 1e9 to 1e12
 KERNEL_BLOCK = 1 << 16
 MAX_LIMIT = 2**62  # keeps every int64 argument and product of the kernel in range
 
@@ -148,19 +149,15 @@ class ChunkSummary:
     """One chunk [low, high) sieved on its own, as the fold needs it.
 
     Prime indices are 0-based within the chunk, and a twin here has both
-    members in the chunk; a twin that straddles the boundary, (previous
-    chunk's last prime, low), is the fold's to add.  seps holds the
-    separations between the chunk's consecutive twins, after its first
-    twin, and records the running-maximum records of seps alone, as
-    (separation, lower member of the closing twin).  Each checkpoint row
-    is (n, primes <= n, twins with upper member <= n, index of the last
-    such twin's lower member or None).
+    members in the chunk.  seps holds the separations between the chunk's
+    consecutive twins, after its first twin, and records the
+    running-maximum records of seps alone, as (separation, lower member of
+    the closing twin).  Each checkpoint row is (n, primes <= n, twins with
+    upper member <= n, index of the last such twin's lower member or None).
     """
 
     primes: int
     twins: int
-    first_prime: int  # 0 when the chunk holds no prime
-    last_prime: int
     first_twin: tuple[int, int] | None  # (lower member, its index)
     last_twin: int | None  # index of the last twin's lower member
     seps: np.ndarray
@@ -223,6 +220,8 @@ def _prelude(n):
 
 def _chunk_plan(limit):
     """[low, high) spans covering [FIRST_SEGMENT, limit]; they depend on limit alone."""
+    # each low is an odd multiple of 3 above 3, not prime: no twin (low - 2, low) spans two chunks
+    assert FIRST_SEGMENT % 6 == 3 and CHUNK_SPAN % 6 == 0, "chunks must start on odd multiples of 3"
     return [
         (low, min(low + CHUNK_SPAN, limit + 1))
         for low in range(FIRST_SEGMENT, limit + 1, CHUNK_SPAN)
@@ -232,7 +231,7 @@ def _chunk_plan(limit):
 def _sieve_chunk(low, high, segment_size, base, grid) -> ChunkSummary:
     """Sieve [low, high) segment by segment; grid is the checkpoints inside it."""
     span = 2 * segment_size
-    count = first = last = 0  # 0: no prime yet (every chunk prime is >= 11)
+    count = last = 0  # 0: no prime yet (every chunk prime is >= 11)
     lowers, index, pi1 = [], [], []
     for seg in range(low, high, span):
         top = min(seg + span, high)
@@ -242,9 +241,7 @@ def _sieve_chunk(low, high, segment_size, base, grid) -> ChunkSummary:
         index.append(count - 1 + upper)
         inside = grid[bisect.bisect_left(grid, seg) : bisect.bisect_left(grid, top)]
         pi1 += (count + np.searchsorted(vals, inside, side="right")).tolist()
-        if vals.size:
-            first = first or int(vals[0])
-            last = int(vals[-1])
+        last = int(vals[-1]) if vals.size else last
         count += vals.size
 
     lowers, index = np.concatenate(lowers), np.concatenate(index)
@@ -255,8 +252,6 @@ def _sieve_chunk(low, high, segment_size, base, grid) -> ChunkSummary:
     return ChunkSummary(
         primes=count,
         twins=lowers.size,
-        first_prime=first,
-        last_prime=last,
         first_twin=(int(lowers[0]), int(index[0])) if lowers.size else None,
         last_twin=int(index[-1]) if index.size else None,
         seps=seps.astype(np.uint32),
@@ -338,15 +333,13 @@ def _kernel_chunk(kernel, low, high, base, grid) -> ChunkSummary:
     seps = np.empty((high - low) // 6 + 2, dtype=np.uint32)
     recs = np.empty((math.isqrt(high - low + 1) + 2, 2), dtype=np.int64)
     rows = np.empty((grid.size, 3), dtype=np.int64)
-    out = np.empty(8, dtype=np.int64)
+    out = np.empty(6, dtype=np.int64)
     if kernel(low, high, KERNEL_BLOCK, base, base.size, grid, grid.size, seps, recs, rows, out):
         raise MemoryError(f"sieve kernel could not allocate for [{low}, {high})")
-    primes, twins, first, last, first_twin, first_index, last_twin, nrec = out.tolist()
+    primes, twins, first_twin, first_index, last_twin, nrec = out.tolist()
     return ChunkSummary(
         primes=primes,
         twins=twins,
-        first_prime=first,
-        last_prime=last,
         first_twin=(first_twin, first_index) if twins else None,
         last_twin=last_twin if twins else None,
         seps=seps[: max(0, twins - 1)].copy(),
@@ -360,9 +353,8 @@ def _kernel_chunk(kernel, low, high, base, grid) -> ChunkSummary:
 def _fold(summaries, cps, limit):
     """Stitch chunk summaries, in order, onto the prelude: counts, stream, onsets.
 
-    Five values carry from one chunk to the next.  A chunk's first prime
-    closes a straddling twin with the previous chunk's last prime when they
-    differ by 2; that twin and the chunk's first own twin each close one
+    Four values carry from one chunk to the next.  No twin spans two
+    chunks (see _chunk_plan), so a chunk's first twin alone closes the
     interval before the chunk's own separations.  A chunk's local record
     is a global record only if it beats the running maximum so far.
     """
@@ -371,41 +363,30 @@ def _fold(summaries, cps, limit):
     onsets: list[tuple[int, int]] = []
     head = _prelude(min(limit, FIRST_SEGMENT - 1))
     prime_count, twin_count = head.pi1, head.pi2
-    last_prime, last_twin = 7, PRELUDE_LAST_TWIN  # last_twin: 0-based index of a lower member
+    last_twin = PRELUDE_LAST_TWIN  # 0-based index of the last twin's lower member
     running_max = -1
 
     for s in summaries:
-        # chunks start on odd numbers, so a twin straddles two chunks only as (last_prime, low)
-        straddles = s.first_prime - last_prime == 2
-        below = prime_count - 1 if straddles else last_twin  # the last twin before the chunk's own
         for n, pi1, pi2, adj in s.checkpoints:
             counts.append(
                 CountRecord(
                     n=n,
                     pi1=prime_count + pi1,
-                    pi2=twin_count + straddles + pi2,
-                    pi1_adjusted=below if adj is None else prime_count + adj,
+                    pi2=twin_count + pi2,
+                    pi1_adjusted=last_twin if adj is None else prime_count + adj,
                 )
             )
-
-        closing = [(last_prime, below)] if straddles else []
         if s.first_twin is not None:
-            closing.append((s.first_twin[0], prime_count + s.first_twin[1]))
-        heads = []  # (separation, lower member) closed before the chunk's own separations
-        for lower, index in closing:
-            heads.append((index - last_twin - 2, lower))
-            last_twin = index
-        sep_chunks += [np.array([sep for sep, _ in heads], dtype=np.uint32), s.seps]
-        for sep, lower in (*heads, *s.records):
-            if sep > running_max:
-                running_max = sep
-                onsets.append((sep, lower))
-
-        twin_count += straddles + s.twins
-        if s.last_twin is not None:
+            lower, index = s.first_twin
+            gap = prime_count + index - last_twin - 2  # closed by the chunk's first twin
+            sep_chunks += [np.array([gap], dtype=np.uint32), s.seps]
+            for sep, n in ((gap, lower), *s.records):
+                if sep > running_max:
+                    running_max = sep
+                    onsets.append((sep, n))
             last_twin = prime_count + s.last_twin
+        twin_count += s.twins
         prime_count += s.primes
-        last_prime = s.last_prime or last_prime
 
     separations = np.concatenate(sep_chunks)
     assert separations.size == max(0, twin_count - 2), "separation accounting out of sync"

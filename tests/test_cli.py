@@ -120,6 +120,7 @@ BAD_FILES = {
     "onsets_n_zero": "separation,n\n0,11\n3,0\n",
     "spectrum_negative_count": "s,count\n0,5\n1,-2\n",
     "spectrum_negative_s": "s,count\n-1,3\n0,5\n",
+    "spectrum_ok": "s,count\n0,5\n1,2\n",
 }
 
 
@@ -165,6 +166,15 @@ class TestContract:
              "spectrum_negative_count.csv:3:"),
             (["fit", "--kind", "slope", "--in", "{spectrum_negative_s}", "--out", "{tmp}/f.json"],
              {}, "spectrum_negative_s.csv:2:"),
+            (["simulate", "--s0", "inf", "--n", "10", "--seed", "1", "--out", "{tmp}/sp.csv"], {},
+             "s0 must be finite"),
+            (["gof", "--spectrum", "{spectrum_ok}", "--s0", "inf"], {}, "s0 must be finite"),
+            (["report", "--limit", "100000", "--f", "1e-320"], {},
+             "checkpoint n=100000: risk factor f=1e-320 too small"),
+            (["simulate", "--s0", "5", "--pi2", "100", "--f", "1e-320", "--n", "10", "--seed", "1",
+              "--out", "{tmp}/sp.csv"], {}, "cutoff is infinite"),
+            (["gof", "--spectrum", "{spectrum_ok}", "--s0", "5", "--pi2", "100", "--f", "1e-320"],
+             {}, "cutoff is infinite"),
         ],
         ids=[
             "onsets-non-integer",
@@ -188,6 +198,11 @@ class TestContract:
             "sieve-limit-above-2-62",
             "gof-spectrum-negative-count",
             "fit-spectrum-negative-separation",
+            "simulate-s0-inf",
+            "gof-s0-inf",
+            "report-f-subnormal",
+            "simulate-f-subnormal",
+            "gof-f-subnormal",
         ],
     )
     def test_exit_2(self, argv, env, needle, sieved, tmp_path, monkeypatch, capsys):
@@ -208,6 +223,22 @@ class TestContract:
         assert rc == 2
         assert "Traceback" not in err
         assert needle in err.strip().splitlines()[-1]
+
+    def test_subnormal_f_skips_every_row(self, sieved, tmp_path, capsys):
+        # with f = 1e-320, pi2/f overflows and no checkpoint has a finite cutoff
+        counts, seps, onsets = sieved
+        capsys.readouterr()
+        assert main(["predict", "--counts", str(counts), "--f", "1e-320",
+                     "--out", str(tmp_path / "p.csv")]) == 0
+        assert main(["figures", "--counts", str(counts), "--separations", str(seps),
+                     "--onsets", str(onsets), "--f", "1e-320",
+                     "--out-dir", str(tmp_path / "figs")]) == 0
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"skipped {len(ingest_counts(counts).rows)} rows" in err
+        assert read_columns(tmp_path / "p.csv", ("n",), int)[1] == []
+        _, rows = read_columns(tmp_path / "figs" / "fig3.csv", ("series",), str)
+        assert rows and {series for series, in rows} == {"onset"}
 
     def test_out_of_memory_exits_4(self, tmp_path, monkeypatch, capsys):
         def exhausted(config):

@@ -70,6 +70,14 @@ class TestSolveF0:
         with pytest.raises(ValidationError):
             solve_f0(-2.0)
 
+    @pytest.mark.parametrize("s0", [math.inf, math.nan])
+    def test_rejects_non_finite(self, s0):
+        # 1/log1p(1/inf) would divide by zero
+        with pytest.raises(ValidationError, match="finite"):
+            solve_f0(s0)
+        with pytest.raises(ValidationError, match="finite"):
+            SolverInput(s0=s0, pi2=1000, f=1.0)
+
 
 class TestSolveApprox:
     def test_reference_case(self):
@@ -97,6 +105,13 @@ class TestSolveApprox:
     def test_f_equal_pi2_rejected(self):
         with pytest.raises(ValidationError):
             SolverInput(s0=10.0, pi2=1000, f=1000.0)
+
+    @pytest.mark.parametrize("f", [1e-320, 5e-324])
+    def test_subnormal_f_rejected(self, f):
+        # pi2/f overflows, so the cutoff log(1 + pi2/f)*sbar would be infinite
+        with pytest.raises(ValidationError, match="cutoff is infinite"):
+            SolverInput(s0=10.0, pi2=1000, f=f)
+        assert math.isfinite(solve_approx(SolverInput(s0=10.0, pi2=1000, f=1e-300)).l_cut)
 
 
 class TestSolveExact:
@@ -202,6 +217,12 @@ class TestModelParamsValidation:
             ModelParams(a=0.5, sbar=1 / math.log(2), q=0.5, l_cut=10.0, f=0.0)
         with pytest.raises(ValidationError):
             ModelParams(a=0.5, sbar=1 / math.log(2), q=0.5, l_cut=None, f=1.0)
+
+    @pytest.mark.parametrize("l_cut", [math.inf, math.nan, -1.0])
+    def test_cutoff_finite_and_nonnegative(self, l_cut):
+        # l_ceil takes math.ceil of it, which raises OverflowError on inf
+        with pytest.raises(ValidationError, match="l_cut"):
+            ModelParams(a=0.5, sbar=1 / math.log(2), q=0.5, l_cut=l_cut, f=1.0)
 
     def test_l_ceil(self):
         p = solve_approx(SolverInput(s0=10.0, pi2=1000, f=1.0))

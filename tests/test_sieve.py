@@ -31,8 +31,9 @@ ROOT = Path(__file__).resolve().parents[1]
 PUBLISHED_PI = (4, 25, 168, 1229, 9592, 78498, 664579, 5761455)
 PUBLISHED_PI2 = (2, 8, 35, 205, 1224, 8169, 58980, 440312)
 
-# even chunk spans small enough to put many chunk boundaries below 1e5
-CHUNK_SPANS = (2, 6, 64, 1000, 1 << 14)
+# chunk spans (multiples of 6, as _chunk_plan requires) small enough to put many chunk
+# boundaries below 1e5
+CHUNK_SPANS = (6, 12, 66, 1002, 30 << 9)
 
 
 def run(limit, segment_size=1 << 20, grid=()):
@@ -224,8 +225,11 @@ class TestSeparations:
 
 class TestDeterminism:
     @pytest.mark.parametrize("segment_size", [1024, 4096, 65536, 1 << 20])
-    def test_segment_size_invariance(self, segment_size, oracle100k):
+    def test_segment_size_invariance(self, segment_size, oracle100k, monkeypatch):
+        # the compiled kernel ignores segment_size: the numpy fallback's segment loop uses it
+        monkeypatch.setattr(sieve, "_load_kernel", lambda: None)
         ref = run(oracle100k["limit"])
+        assert ref.stats["kernel"] == "numpy"
         rep = run(oracle100k["limit"], segment_size=segment_size)
         assert [dataclasses.astuple(r) for r in rep.counts] == [
             dataclasses.astuple(r) for r in ref.counts
@@ -267,20 +271,31 @@ class TestChunks:
 
     @pytest.mark.parametrize("segment_size", [1024, 1 << 20])
     def test_boundary_cases(self, segment_size, oracle100k):
-        # with 64-integer chunks from 9: (71 73), (1031 1033) and (1607 1609)
-        # straddle a boundary, [713, 777) holds no twin, 750 is a checkpoint
-        # in it, and no prime of [1289, 1353) lies above the checkpoint 1340
-        limit, span, grid = 2000, 64, (10, 72, 73, 750, 1033, 1340, 2000)
-        primes = set(oracle100k["primes"])
-        assert {71, 73, 1031, 1033, 1607, 1609} <= primes
-        assert [sieve.FIRST_SEGMENT + k * span for k in (1, 16, 25)] == [73, 1033, 1609]
-        assert not any(p in primes and p + 2 in primes for p in range(713, 775))
-        assert not any(p in primes for p in range(1341, 1353))
+        # with 30-integer chunks from 9: the first two primes of [69, 99) are the twin
+        # (71 73), [669, 699) holds primes but no twin and the checkpoint 680, and
+        # [1329, 1359) holds no prime and the checkpoint 1340
+        limit, span, grid = 2000, 30, (10, 72, 73, 680, 1340, 2000)
+        primes, twins = oracle100k["primes"], oracle100k["twins"]
+        assert [sieve.FIRST_SEGMENT + k * span for k in (2, 22, 44)] == [69, 669, 1329]
+        assert [p for p in primes if 69 <= p < 99][:2] == [71, 73]
+        assert any(669 <= p < 699 for p in primes)
+        assert not any(669 <= t < 697 for t in twins)
+        assert not any(1329 <= p < 1359 for p in primes)
         self.check_against_one_chunk(limit, grid, span, segment_size, oracle100k)
+
+    @settings(max_examples=50, deadline=None)
+    @given(limit=st.integers(min_value=sieve.FIRST_SEGMENT, max_value=10**11))
+    def test_every_chunk_starts_on_an_odd_multiple_of_3(self, limit):
+        # so low is never prime, and no twin (low - 2, low) straddles two chunks
+        plan = sieve._chunk_plan(limit)
+        lows = [low for low, _ in plan]
+        assert all(low % 6 == 3 for low in lows)
+        assert lows == [sieve.FIRST_SEGMENT, *(high for _, high in plan[:-1])]
+        assert plan[-1][1] == limit + 1
 
     @settings(max_examples=40, deadline=None)
     @given(case=chunked_case(), segment_size=st.sampled_from([1024, 2048, 1 << 20]))
-    @example(case=(400, (3, 9, 10, 11, 13, 200, 397), 2), segment_size=1024)  # chunks without primes
+    @example(case=(400, (3, 9, 10, 11, 13, 200, 397), 6), segment_size=1024)  # chunks without primes
     def test_chunk_span_invariance(self, case, segment_size, oracle100k):
         limit, grid, span = case
         self.check_against_one_chunk(limit, grid, span, segment_size, oracle100k)
@@ -289,7 +304,7 @@ class TestChunks:
         # the compiled kernel, then numpy, each on a thread pool of two workers
         grid = geometric_checkpoints(300_000, per_decade=5, start=100)
         ref = run(300_000, segment_size=1024, grid=grid)
-        monkeypatch.setattr(sieve, "CHUNK_SPAN", 1 << 16)
+        monkeypatch.setattr(sieve, "CHUNK_SPAN", 30 << 11)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         compiled = run(300_000, segment_size=1024, grid=grid)
         assert compiled.stats["kernel"] == ("c" if sieve._load_kernel() else "numpy")
@@ -307,7 +322,7 @@ class TestChunks:
             "import dataclasses, os\n"
             "from twinsep import sieve\n"
             "sieve._load_kernel = lambda: None\n"
-            "sieve.CHUNK_SPAN = 1 << 16\n"
+            "sieve.CHUNK_SPAN = 30 << 11\n"
             "os.sched_getaffinity = lambda pid: {0, 1}\n"
             "rep = sieve.sieve_range(sieve.SieveConfig(limit=300_000))\n"
             "print(rep.stats['kernel'], rep.stats['workers'], *dataclasses.astuple(rep.counts[-1]))\n"
@@ -429,7 +444,8 @@ class TestKernel:
         grid = (low, 2**32 - 1, 2**32 + 15, high - 1)
         got = sieve._kernel_chunk(kernel, low, high, base, grid)
         assert_same_summary(got, sieve._sieve_chunk(low, high, 1 << 20, base, grid))
-        assert got.twins > 0 and got.last_prime > 2**32
+        n, below, _, _ = got.checkpoints[1]
+        assert n == 2**32 - 1 and got.twins > 0 and got.primes > below  # primes above 2**32
 
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
     def test_compiler_means_compiled_kernel(self):
