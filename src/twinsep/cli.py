@@ -309,8 +309,7 @@ def cmd_report(args):
     print(f"separations: {report.separations.size}, max {maxes[final.n]}")
 
     t0 = time.monotonic()
-    figs = figure_pipeline(table, spectra=spectra, f=args.f, onsets=report.max_separation_onsets,
-                           laws={n: law for n, (law, _) in exceed.items()})
+    figs = figure_pipeline(table, spectra=spectra, f=args.f, onsets=report.max_separation_onsets)
     m0, lin = figs.m0_fit, figs.s0_fit
     print(
         f"m0 law: m0 = {m0.coefficients[0]:.4f} +- {m0.std_errors[0]:.4f} "
@@ -337,7 +336,7 @@ def cmd_report(args):
     decades = {10**k for k in range(3, 14)}
     for rec in table.rows:
         s0 = s0_from_counts(rec).value
-        law, beyond = exceed[rec.n]
+        law = solve_checkpoint(rec, args.f)
         flag = "" if maxes[rec.n] <= overshoot_bound(law) else "  > overshoot bound"
         if rec.n not in decades and not flag:
             continue
@@ -350,7 +349,7 @@ def cmd_report(args):
         over = (maxes[rec.n] - law.l_cut) / law.sbar
         print(
             f"{rec.n:>12} {s0:>8.3f} {law.l_cut:>8.2f} {maxes[rec.n]:>8} {over:>6.2f} "
-            f"{beyond:>7} {ks:>8}{flag}"
+            f"{exceed[rec.n]:>7} {ks:>8}{flag}"
         )
 
     if args.out_dir:

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ValidationError
 from .fit import FitResult, fit_exp_slope, fit_m0, fit_s0_linear
 from .ioutil import read_csv, write_csv
-from .model import DEFAULT_RISK_FACTOR, ModelParams, risk_factor, solve_checkpoint
+from .model import DEFAULT_RISK_FACTOR, risk_factor, solve_checkpoint
 from .sieve import CountRecord, SieveReport
 from .spectrum import S0Convention, SeparationSpectrum, accumulate, merge, s0_from_counts
 
@@ -137,16 +137,16 @@ def cutoff_exceedances(
     table: CountTable,
     f: float = DEFAULT_RISK_FACTOR,
     convention: S0Convention | str = S0Convention.RAW,
-) -> dict[int, tuple[ModelParams, int]]:
-    """Per checkpoint, its cutoff law and how many separations of its spectrum pass the cutoff."""
+) -> dict[int, int]:
+    """Per checkpoint, how many separations of its spectrum exceed that checkpoint's cutoff."""
     f = risk_factor(f)
-    out: dict[int, tuple[ModelParams, int]] = {}
+    out: dict[int, int] = {}
     for rec in table.rows:
         try:
-            law = solve_checkpoint(rec, f, convention, spectrum=spectra[rec.n])
+            params = solve_checkpoint(rec, f, convention)
         except ValidationError as exc:
             raise ValidationError(f"checkpoint n={rec.n}: {exc}") from exc
-        out[rec.n] = law, sum(c for s, c in spectra[rec.n].bins.items() if s > law.l_cut)
+        out[rec.n] = sum(c for s, c in spectra[rec.n].bins.items() if s > params.l_cut)
     return out
 
 
@@ -157,8 +157,7 @@ def count_cutoff_exceedances(
     convention: S0Convention | str = S0Convention.RAW,
 ) -> dict[int, int]:
     """Per checkpoint, how many completed separations exceed that checkpoint's cutoff."""
-    spectra = per_checkpoint_spectra(separations, table)
-    return {n: k for n, (_, k) in cutoff_exceedances(spectra, table, f, convention).items()}
+    return cutoff_exceedances(per_checkpoint_spectra(separations, table), table, f, convention)
 
 
 @dataclass
@@ -200,16 +199,13 @@ def figure_pipeline(
     f: float = DEFAULT_RISK_FACTOR,
     convention: S0Convention | str = S0Convention.RAW,
     onsets: list[tuple[int, int]] | None = None,
-    laws: dict[int, ModelParams] | None = None,
 ) -> FigureSet:
     """Assemble the three plot datasets from a count table.
 
     spectra (keyed by checkpoint n) feed the computed-slope series of the
     first dataset; onsets, (separation >= 0, n >= 1) pairs, feed the
-    observed-record series of the third.  laws (keyed by n) are cutoff
-    laws already solved at f and convention, which the third dataset then
-    reads instead of solving again.  Rows whose counts cannot support an
-    estimate are skipped rather than failing the whole export.
+    observed-record series of the third.  Rows whose counts cannot support
+    an estimate are skipped rather than failing the whole export.
     """
     conv = S0Convention(convention)
     f = risk_factor(f)  # checked here: fig3 skips rows that fail, which would hide a bad f
@@ -285,9 +281,7 @@ def figure_pipeline(
     fig3 = []
     for rec in table.rows:
         try:
-            params = (laws or {}).get(rec.n) or solve_checkpoint(
-                rec, f, conv, spectrum=(spectra or {}).get(rec.n)
-            )
+            params = solve_checkpoint(rec, f, conv, spectrum=(spectra or {}).get(rec.n))
         except ValidationError:
             continue
         fig3.append(

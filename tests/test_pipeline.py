@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from twinsep import pipeline
 from twinsep.errors import ValidationError
 from twinsep.model import solve_checkpoint
 from twinsep.pipeline import (
@@ -137,16 +136,16 @@ class TestCheckpointViews:
                 assert counts[rec.n] == int(np.count_nonzero(seps[:k] > l_cut)), (f, rec.n)
             assert max(counts.values()) > 1
 
-    def test_exceedances_with_laws(self, run100k):
-        # one fold feeds both; each law is the checkpoint's own, solved once
+    def test_exceedances_from_spectra(self, run100k):
+        # one fold feeds both; the cutoff is solved from the counts alone
         report, table = run100k
         spectra = per_checkpoint_spectra(report.separations, table)
-        both = cutoff_exceedances(spectra, table, f=1.0)
-        assert {n: k for n, (_, k) in both.items()} == count_cutoff_exceedances(
-            report.separations, table, f=1.0
-        )
-        for rec in table.rows:
-            assert both[rec.n][0] == solve_checkpoint(rec, 1.0), rec.n
+        for conv in ("raw", "paper_offset"):
+            assert cutoff_exceedances(spectra, table, 1.0, conv) == count_cutoff_exceedances(
+                report.separations, table, 1.0, conv
+            ), conv
+        with pytest.raises(ValidationError, match="interval_exact convention requires a spectrum"):
+            cutoff_exceedances(spectra, table, 1.0, "interval_exact")
 
     def test_unsolvable_checkpoint_named(self):
         table = CountTable(rows=[CountRecord(n=1000, pi1=168, pi2=35)])
@@ -169,15 +168,6 @@ class TestCheckpointViews:
 
 
 class TestFigurePipeline:
-    def test_given_laws_are_read_not_solved(self, run100k, monkeypatch):
-        report, table = run100k
-        spectra = per_checkpoint_spectra(report.separations, table)
-        want = figure_pipeline(table, spectra=spectra, f=1.0)
-        laws = {n: law for n, (law, _) in cutoff_exceedances(spectra, table, f=1.0).items()}
-        monkeypatch.setattr(pipeline, "solve_checkpoint", None)
-        got = figure_pipeline(table, spectra=spectra, f=1.0, laws=laws)
-        assert got.fig3 == want.fig3
-
     def test_three_datasets(self, run100k):
         report, table = run100k
         spectra = per_checkpoint_spectra(report.separations, table)
