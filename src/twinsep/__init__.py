@@ -8,7 +8,6 @@ factor.
 
 from .errors import (
     ConvergenceError,
-    NoSolutionError,
     NumericalError,
     TwinsepError,
     ValidationError,
@@ -63,7 +62,6 @@ __all__ = [
     "FitResult",
     "GofReport",
     "ModelParams",
-    "NoSolutionError",
     "NumericalError",
     "S0Convention",
     "S0Estimate",

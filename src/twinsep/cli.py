@@ -173,16 +173,20 @@ def cmd_s0(args):
     return EXIT_OK
 
 
+# fit kind -> (fitter, value column beside pi1)
+FITS = {"m0": (fit_m0, "m"), "s0lin": (fit_s0_linear, "s0"), "s0loglog": (fit_s0_loglog, "s0")}
+
+
 def cmd_fit(args):
     if args.kind == "slope":
-        spec, _ = read_spectrum_csv(args.infile)
-        fit = fit_exp_slope(spec)
-    elif args.kind == "m0":
-        fit = fit_m0(read_columns(args.infile, ("pi1", "m"), float)[1])
-    elif args.kind == "s0lin":
-        fit = fit_s0_linear(read_columns(args.infile, ("pi1", "s0"), float)[1])
+        fitter, data = fit_exp_slope, read_spectrum_csv(args.infile)[0]
     else:
-        fit = fit_s0_loglog(read_columns(args.infile, ("pi1", "s0"), float)[1])
+        fitter, value = FITS[args.kind]
+        data = read_columns(args.infile, ("pi1", value), float)[1]
+    try:
+        fit = fitter(data)
+    except ValidationError as exc:
+        raise ValidationError(f"{args.infile}: {exc}") from None
     payload = {
         "model_id": fit.model_id,
         "coefficients": list(fit.coefficients),
@@ -392,7 +396,7 @@ def build_parser():
     p.set_defaults(func=cmd_s0)
 
     p = sub.add_parser("fit", help="least-squares fits")
-    p.add_argument("--kind", choices=["slope", "m0", "s0lin", "s0loglog"], required=True)
+    p.add_argument("--kind", choices=["slope", *FITS], required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit)

@@ -17,9 +17,5 @@ class NumericalError(TwinsepError, RuntimeError):
     """A solver could not produce a result at the requested accuracy."""
 
 
-class NoSolutionError(NumericalError):
-    """No sign change was found inside the search bracket."""
-
-
 class ConvergenceError(NumericalError):
-    """Iteration cap reached before the residual tolerance was met."""
+    """A fixed-point iteration did not settle within its cap or the float range."""

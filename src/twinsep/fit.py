@@ -82,13 +82,22 @@ def fit_exp_slope(spectrum: SeparationSpectrum) -> FitResult:
     return _ols(X, y, MODEL_EXP_SLOPE)
 
 
+def _finite_points(points, value: str) -> list[tuple[float, float]]:
+    """points as (pi1, value) float pairs; a non-finite pi1 or value is rejected."""
+    pts = [(float(p), float(v)) for p, v in points]
+    for i, (p, v) in enumerate(pts):
+        if not (math.isfinite(p) and math.isfinite(v)):
+            raise ValidationError(f"point {i}: pi1 and {value} must be finite, got ({p}, {v})")
+    return pts
+
+
 def fit_m0(points) -> FitResult:
     """One-parameter law m = m0 / log(pi1).
 
     Equal-weight least squares reduces to the mean of m_i * log(pi1_i);
     the standard error is that of the mean.
     """
-    pts = [(float(p), float(m)) for p, m in points]
+    pts = _finite_points(points, "m")
     if not pts:
         raise ValidationError("need at least one point")
     if any(p < 3 for p, _ in pts):
@@ -109,7 +118,7 @@ def fit_m0(points) -> FitResult:
 
 def fit_s0_linear(points) -> FitResult:
     """OLS of s0 on log(pi1); coefficients are [intercept, slope]."""
-    pts = [(float(p), float(v)) for p, v in points]
+    pts = _finite_points(points, "s0")
     if len(pts) < 2:
         raise ValidationError(f"need >= 2 points, got {len(pts)}")
     if any(p < 1 for p, _ in pts):
@@ -129,7 +138,7 @@ def fit_s0_loglog(points) -> FitResult:
     extreme, and sensitivity_deltas reports how the coefficients move when
     refitting on the upper half of the x-range.
     """
-    pts = [(float(p), float(v)) for p, v in points]
+    pts = _finite_points(points, "s0")
     if len(pts) < 4:
         raise ValidationError(f"need >= 4 points, got {len(pts)}")
     if any(p <= math.e for p, _ in pts):

@@ -1,4 +1,4 @@
-"""Geometric separation model: closed-form and numerical parameter solving.
+"""Geometric separation model: one self-consistency map, its start and its fixed point.
 
 The probability that a twin interval holds s singleton primes is modelled
 as P(s) = a * q**s with q = exp(-1/sbar).  Three relations tie the
@@ -8,10 +8,14 @@ parameters to the observed counts (writing c = f/pi2 for the risk ratio):
     1     = a * (1 - q**(L+1)) / (1 - q)       mass up to the cutoff L
     s0    = q / (1 - q) - (L + 1) * c          observed mean separation
 
-With f = 0 the cutoff disappears and the system solves exactly:
-sbar = 1/log(1 + 1/s0), a = 1/(1 + s0).  With f > 0, dropping the
-(L+1)*c term keeps those expressions and yields closed forms for a and L
-(solve_approx); solve_exact instead solves the full system numerically.
+In the odds y = q/(1-q) the first two give a = (1 + c)/(1 + y) and
+L + 1 = T*sbar, with T = log(1 + pi2/f) and sbar = 1/log1p(1/y), so the
+mean is the self-consistency map y = h(y) = s0 + c*T/log1p(1/y).  With
+f = 0, h is the constant s0 and there is no cutoff (solve_f0); solve_approx
+stops at the map's starting point y = s0, and solve_exact iterates it to its
+fixed point.  h is increasing and h(s0) > s0, so the iterates climb; since
+f < pi2, c*T < ln 2 < 1 and h(y) < s0 + c*T*(y + 1/2) falls ever further
+below y, so they stop at the unique root.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConvergenceError, NoSolutionError, ValidationError
+from .errors import ConvergenceError, ValidationError
 from .sieve import CountRecord
 from .spectrum import S0Convention, SeparationSpectrum, s0_from_counts
 
@@ -107,117 +111,54 @@ def solve_f0(s0: float) -> ModelParams:
     """
     if not 0.0 < s0 < math.inf:
         raise ValidationError(f"s0 must be finite and > 0, got {s0}")
-    return ModelParams(
-        a=1.0 / (1.0 + s0),
-        sbar=1.0 / math.log1p(1.0 / s0),
-        q=s0 / (1.0 + s0),
-        l_cut=None,
-        f=0.0,
-    )
+    return _law(s0, s0)
 
 
 def solve_approx(inp: SolverInput) -> ModelParams:
-    """Closed-form solution that drops the (L+1)*f/pi2 term from the mean relation.
+    """The law at the map's starting point y = s0, which drops the (L+1)*f/pi2 term.
 
-    sbar and q match solve_f0; the normalisation picks up the factor
-    (1 + f/pi2) and the cutoff becomes
+    sbar and q match solve_f0, a = (1 + f/pi2)/(1 + s0) and
     L = -1 + log(1 + pi2/f) / log(1 + 1/s0).
     """
     if inp.f == 0.0:
         return solve_f0(inp.s0)
-    s0, c = inp.s0, inp.f / inp.pi2
-    a = (1.0 + c) / (1.0 + s0)
-    if a > 1.0:
-        raise ValidationError(
-            f"risk factor f={inp.f} too large for s0={s0}: normalisation exceeds 1"
-        )
-    sbar = 1.0 / math.log1p(1.0 / s0)
-    l_cut = -1.0 + math.log1p(inp.pi2 / inp.f) * sbar
-    return ModelParams(a=a, sbar=sbar, q=s0 / (1.0 + s0), l_cut=l_cut, f=inp.f)
+    return _law(inp.s0, inp.s0, inp.f, inp.pi2)
 
 
-def solve_exact(inp: SolverInput, tol: float = DEFAULT_TOL) -> ModelParams:
-    """Solve the full three-relation system numerically.
+def solve_exact(inp: SolverInput) -> ModelParams:
+    """The law at the fixed point of y <- s0 + c*T/log1p(1/y), iterated from y = s0.
 
-    Eliminating a and q**(L+1) reduces the system to one equation for the
-    odds y = q/(1-q):
-
-        y - s0 - c * T / log1p(1/y) = 0,   T = log(1 + pi2/f),  c = f/pi2
-
-    which is monotone on the bracket [s0, +inf) and solved by bisection
-    with secant refinement.  Residuals are measured relative to each
-    relation's left-hand side (max(1, |lhs|) scaling).  Solving in y
-    rather than q keeps the mean relation well-conditioned at large s0.
+    Each step is the residual of the mean relation; the loop stops once one
+    is at most DEFAULT_TOL * max(1, s0), within MAX_ITERATIONS and the floats.
     """
-    if tol <= 0.0:
-        raise ValidationError(f"tol must be positive, got {tol}")
     if inp.f == 0.0:
         return solve_f0(inp.s0)
-    s0, c = inp.s0, inp.f / inp.pi2
-    big_t = math.log1p(inp.pi2 / inp.f)
-    scale = max(1.0, s0)
-
-    def resid(y):
-        return (y - s0 - c * big_t / math.log1p(1.0 / y)) / scale
-
-    lo = s0
-    hi = s0 + max(1.0, c * big_t / math.log1p(1.0 / s0))
-    for _ in range(64):
-        if resid(hi) > 0.0:
-            break
-        hi = s0 + 2.0 * (hi - s0)
-    else:
-        raise NoSolutionError("could not bracket the cutoff equation")
-    y = _find_root(resid, lo, hi, tol)
-
-    q = y / (1.0 + y)
-    a = (1.0 + c) / (1.0 + y)
-    if a > 1.0:
-        raise ValidationError(
-            f"risk factor f={inp.f} too large for s0={s0}: normalisation exceeds 1"
-        )
-    sbar = 1.0 / math.log1p(1.0 / y)
-    l_cut = -1.0 + big_t * sbar
-    return ModelParams(a=a, sbar=sbar, q=q, l_cut=l_cut, f=inp.f)
+    s0, pi2, f = inp.s0, inp.pi2, inp.f
+    ct = f / pi2 * math.log1p(pi2 / f)
+    tol = DEFAULT_TOL * max(1.0, s0)
+    y = s0
+    for _ in range(MAX_ITERATIONS):
+        h = s0 + ct / math.log1p(1.0 / y)
+        if abs(h - y) <= tol:
+            return _law(h, s0, f, pi2)
+        if h == math.inf:
+            raise ConvergenceError(f"the fixed point for s0={s0} lies beyond the float range")
+        y = h
+    raise ConvergenceError(f"no convergence to |residual| <= {tol} in {MAX_ITERATIONS} iterations")
 
 
-def _find_root(g, lo, hi, tol, max_iter=MAX_ITERATIONS):
-    """Root of monotone g on [lo, hi] with g(lo) <= 0 <= g(hi).
+def _law(y: float, s0: float, f: float = 0.0, pi2: int = 1) -> ModelParams:
+    """The law at odds y = q/(1-q) for mean s0, risk factor f and pi2 twins.
 
-    Bisection steps keep the bracket honest; a secant candidate is taken
-    whenever it lands comfortably inside.  Terminates on |g| <= tol.
+    a = (1 + f/pi2)/(1 + y) and sbar = 1/log1p(1/y); the cutoff
+    L = log(1 + pi2/f)*sbar - 1 exists only when f > 0.
     """
-    glo, ghi = g(lo), g(hi)
-    if glo == 0.0:
-        return lo
-    if ghi == 0.0:
-        return hi
-    if glo > 0.0 or ghi < 0.0:
-        raise NoSolutionError("bracket does not straddle a sign change")
-    x, gx = (lo, glo) if abs(glo) <= abs(ghi) else (hi, ghi)
-    for _ in range(max_iter):
-        if abs(gx) <= tol:
-            return x
-        width = hi - lo
-        denom = ghi - glo
-        cand = hi - ghi * width / denom if denom != 0.0 else 0.5 * (lo + hi)
-        if not (lo + 0.01 * width < cand < hi - 0.01 * width):
-            cand = 0.5 * (lo + hi)
-        gc = g(cand)
-        if gc == 0.0:
-            return cand
-        if gc < 0.0:
-            lo, glo = cand, gc
-        else:
-            hi, ghi = cand, gc
-        x, gx = (lo, glo) if abs(glo) <= abs(ghi) else (hi, ghi)
-        if width <= 4.0 * math.ulp(max(abs(lo), abs(hi))):
-            break
-    if abs(gx) <= tol:
-        return x
-    raise ConvergenceError(
-        f"no convergence to |residual| <= {tol} in {max_iter} iterations (best {gx:.3e})"
-    )
+    a = (1.0 + f / pi2) / (1.0 + y)
+    if a > 1.0:
+        raise ValidationError(f"risk factor f={f} too large for s0={s0}: normalisation exceeds 1")
+    sbar = 1.0 / math.log1p(1.0 / y)
+    l_cut = None if f == 0.0 else -1.0 + math.log1p(pi2 / f) * sbar
+    return ModelParams(a=a, sbar=sbar, q=y / (1.0 + y), l_cut=l_cut, f=f)
 
 
 def eval_pmf(params: ModelParams, s: int) -> float:

@@ -119,8 +119,8 @@ class CountRecord:
             raise ValidationError(
                 f"pi1={self.pi1} is too small for pi2={self.pi2}"
             )
-        if self.pi1_adjusted is not None and self.pi1_adjusted > self.pi1:
-            raise ValidationError("pi1_adjusted cannot exceed pi1")
+        if self.pi1_adjusted is not None and not 0 <= self.pi1_adjusted <= self.pi1:
+            raise ValidationError(f"pi1_adjusted must be in [0, pi1], got {self.pi1_adjusted}")
 
 
 @dataclass

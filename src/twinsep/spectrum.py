@@ -158,6 +158,8 @@ def read_spectrum_csv(path) -> tuple[SeparationSpectrum, dict[str, str]]:
             raise ValidationError(f"{path}:{lineno}: unparseable row {row!r}") from exc
         if s < 0 or c < 0:
             raise ValidationError(f"{path}:{lineno}: negative separation or count {row!r}")
+        if max(s, c) >= 2**63:
+            raise ValidationError(f"{path}:{lineno}: separation or count is 2**63 or more")
         if s in bins:
             raise ValidationError(f"{path}:{lineno}: duplicate separation {s}")
         bins[s] = c

@@ -125,7 +125,7 @@ def test_criterion_2_closed_form_identities(capsys):
         assert e_total <= 1e-12 and e_mean <= 1e-12, s0
 
         pi2, f = regimes[i % len(regimes)]
-        px = solve_exact(SolverInput(s0=s0, pi2=pi2, f=f), tol=1e-12)
+        px = solve_exact(SolverInput(s0=s0, pi2=pi2, f=f))
         c = f / pi2
         r1 = abs(px.a / (1 - px.q) - (1 + c))
         r2 = abs(px.a * (1 - px.q ** (px.l_cut + 1)) / (1 - px.q) - 1.0)

@@ -121,6 +121,11 @@ BAD_FILES = {
     "spectrum_negative_count": "s,count\n0,5\n1,-2\n",
     "spectrum_negative_s": "s,count\n-1,3\n0,5\n",
     "spectrum_ok": "s,count\n0,5\n1,2\n",
+    "spectrum_s_huge": f"s,count\n0,5\n1,2\n{10**400},1\n",
+    "spectrum_count_2_63": f"s,count\n0,5\n1,{2**63}\n",
+    "s0_inf": "pi1,s0\n100,5\n1000,inf\n10000,7\n100000,8\n",
+    "m_nan": "pi1,m\n100,0.2\nnan,0.1\n",
+    "counts_negative_adjusted": "n,pi1,pi2,pi1_adjusted\n100,25,8,-7\n",
 }
 
 
@@ -175,6 +180,19 @@ class TestContract:
               "--out", "{tmp}/sp.csv"], {}, "cutoff is infinite"),
             (["gof", "--spectrum", "{spectrum_ok}", "--s0", "5", "--pi2", "100", "--f", "1e-320"],
              {}, "cutoff is infinite"),
+            (["fit", "--kind", "s0lin", "--in", "{s0_inf}", "--out", "{tmp}/f.json"], {},
+             "s0_inf.csv: point 1: pi1 and s0 must be finite"),
+            (["fit", "--kind", "s0loglog", "--in", "{s0_inf}", "--out", "{tmp}/f.json"], {},
+             "s0_inf.csv: point 1: pi1 and s0 must be finite"),
+            (["fit", "--kind", "m0", "--in", "{m_nan}", "--out", "{tmp}/f.json"], {},
+             "m_nan.csv: point 1: pi1 and m must be finite"),
+            (["gof", "--spectrum", "{spectrum_s_huge}", "--s0", "5"], {}, "spectrum_s_huge.csv:4:"),
+            (["fit", "--kind", "slope", "--in", "{spectrum_s_huge}", "--out", "{tmp}/f.json"], {},
+             "spectrum_s_huge.csv:4:"),
+            (["gof", "--spectrum", "{spectrum_count_2_63}", "--s0", "5"], {},
+             "spectrum_count_2_63.csv:3:"),
+            (["predict", "--counts", "{counts_negative_adjusted}", "--out", "{tmp}/o.csv"], {},
+             "counts_negative_adjusted.csv:2: pi1_adjusted"),
         ],
         ids=[
             "onsets-non-integer",
@@ -203,6 +221,13 @@ class TestContract:
             "report-f-subnormal",
             "simulate-f-subnormal",
             "gof-f-subnormal",
+            "fit-s0lin-inf",
+            "fit-s0loglog-inf",
+            "fit-m0-nan",
+            "gof-spectrum-s-2-63",
+            "fit-spectrum-s-2-63",
+            "gof-spectrum-count-2-63",
+            "predict-negative-pi1-adjusted",
         ],
     )
     def test_exit_2(self, argv, env, needle, sieved, tmp_path, monkeypatch, capsys):

@@ -102,6 +102,21 @@ class TestM0Law:
             fit_m0([])
 
 
+class TestNonFinitePoints:
+    """An inf or nan pi1 or value is rejected, not fitted into NaN coefficients."""
+
+    GOOD = [(100.0, 2.0), (1000.0, 3.0), (10_000.0, 4.0), (100_000.0, 5.0)]
+
+    @pytest.mark.parametrize("fitter", [fit_m0, fit_s0_linear, fit_s0_loglog])
+    @pytest.mark.parametrize(
+        "bad", [(math.inf, 3.0), (math.nan, 3.0), (1000.0, math.inf), (1000.0, -math.inf),
+                (1000.0, math.nan)],
+    )
+    def test_rejected(self, fitter, bad):
+        with pytest.raises(ValidationError, match="point 2: pi1 and .* must be finite"):
+            fitter([*self.GOOD[:2], bad, *self.GOOD[2:]])
+
+
 class TestS0Linear:
     def test_exact_line_recovery(self):
         pts = [(round(math.exp(x)), 0.7918 * math.log(round(math.exp(x))) - 1.194)

@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twinsep.errors import ValidationError
+from twinsep.errors import ConvergenceError, ValidationError
 from twinsep.model import (
     ModelParams,
     SolverInput,
@@ -16,7 +20,10 @@ from twinsep.model import (
 )
 from twinsep.sieve import CountRecord
 
+ROOT = Path(__file__).resolve().parents[1]
 s0_values = st.floats(min_value=0.1, max_value=1000.0, allow_nan=False)
+GRID_S0 = [10 ** (k / 2) for k in range(-8, 11)]  # 1e-4 .. 1e5
+NEAR_FLOAT_MAX = [1e300, 1e307, 1e308, sys.float_info.max]
 
 
 def relation_residuals(params, s0, pi2, f):
@@ -114,13 +121,43 @@ class TestSolveApprox:
         assert math.isfinite(solve_approx(SolverInput(s0=10.0, pi2=1000, f=1e-300)).l_cut)
 
 
+class TestClosedForms:
+    """solve_f0 and solve_approx are the literal closed forms, bit for bit."""
+
+    @pytest.mark.parametrize("s0", GRID_S0)
+    def test_f0(self, s0):
+        want = ModelParams(
+            a=1.0 / (1.0 + s0), sbar=1.0 / math.log1p(1.0 / s0), q=s0 / (1.0 + s0),
+            l_cut=None, f=0.0,
+        )
+        assert repr(solve_f0(s0)) == repr(want)
+        assert repr(solve_approx(SolverInput(s0=s0, pi2=1000, f=0.0))) == repr(want)
+
+    @pytest.mark.parametrize("s0", GRID_S0)
+    def test_approx(self, s0):
+        for pi2, f in ((3, 1e-6), (8, 1.0), (1000, 0.5), (10**9, 1.0), (10**9, 5e8)):
+            a = (1.0 + f / pi2) / (1.0 + s0)
+            if a > 1.0:
+                with pytest.raises(ValidationError) as exc:
+                    solve_approx(SolverInput(s0=s0, pi2=pi2, f=f))
+                assert str(exc.value) == (
+                    f"risk factor f={f} too large for s0={s0}: normalisation exceeds 1"
+                )
+                continue
+            sbar = 1.0 / math.log1p(1.0 / s0)
+            want = ModelParams(
+                a=a, sbar=sbar, q=s0 / (1.0 + s0), l_cut=-1.0 + math.log1p(pi2 / f) * sbar, f=f
+            )
+            assert repr(solve_approx(SolverInput(s0=s0, pi2=pi2, f=f))) == repr(want)
+
+
 class TestSolveExact:
     def test_f_zero_degenerate(self):
         assert solve_exact(SolverInput(s0=7.0, pi2=100, f=0.0)) == solve_f0(7.0)
 
     def test_reference_case(self):
         s0, pi2, f = 10.0, 1000, 1.0
-        p = solve_exact(SolverInput(s0=s0, pi2=pi2, f=f), tol=1e-12)
+        p = solve_exact(SolverInput(s0=s0, pi2=pi2, f=f))
         r1, r2, r3 = relation_residuals(p, s0, pi2, f)
         assert max(r1, r2, r3) < 1e-10
         assert p.q > 10 / 11  # mean relation pushes q above the approximate value
@@ -128,7 +165,7 @@ class TestSolveExact:
 
     def test_desk_case_n100(self):
         s0, pi2, f = 1.125, 8, 1.0
-        p = solve_exact(SolverInput(s0=s0, pi2=pi2, f=f), tol=1e-12)
+        p = solve_exact(SolverInput(s0=s0, pi2=pi2, f=f))
         r1, r2, r3 = relation_residuals(p, s0, pi2, f)
         assert max(r1, r2, r3) < 1e-10
         assert p.l_cut > 0
@@ -138,13 +175,42 @@ class TestSolveExact:
     def test_random_inputs_satisfy_relations(self, s0, pi2, f):
         if f > pi2 / 10:  # stay inside the modelled regime
             f = pi2 / 10
-        p = solve_exact(SolverInput(s0=s0, pi2=pi2, f=f), tol=1e-12)
+        p = solve_exact(SolverInput(s0=s0, pi2=pi2, f=f))
         r1, r2, r3 = relation_residuals(p, s0, pi2, f)
         assert max(r1, r2, r3) < 1e-10
 
-    def test_tol_must_be_positive(self):
-        with pytest.raises(ValidationError):
-            solve_exact(SolverInput(s0=1.0, pi2=100, f=1.0), tol=0.0)
+    def test_domain_grid(self):
+        # every input ends in a law, a ValidationError or a ConvergenceError; at
+        # s0 = 1e308 the iterates overflow, and q rounds to 1 once s0 passes 2**53
+        solved = 0
+        for s0 in GRID_S0 + NEAR_FLOAT_MAX:
+            for pi2 in (3, 10**3, 10**9):
+                for ratio in (1e-9, 1e-6, 1e-3, 0.1, 0.5, 0.9, 0.999):
+                    f = ratio * pi2
+                    try:
+                        p = solve_exact(SolverInput(s0=s0, pi2=pi2, f=f))
+                    except (ValidationError, ConvergenceError) as exc:
+                        assert s0 in NEAR_FLOAT_MAX, (s0, pi2, f, exc)
+                        continue
+                    assert max(relation_residuals(p, s0, pi2, f)) < 1e-10, (s0, pi2, f)
+                    solved += 1
+        assert solved == len(GRID_S0) * 3 * 7
+        with pytest.raises(ConvergenceError, match="beyond the float range"):
+            solve_exact(SolverInput(s0=1e308, pi2=10, f=5))
+
+    def test_leaves_scipy_unloaded(self):
+        # a bracketing root finder from scipy.optimize would cost its import here
+        code = (
+            "import sys, twinsep\n"
+            "twinsep.solve_exact(twinsep.SolverInput(s0=8.0, pi2=10**6, f=1.0))\n"
+            "print('scipy' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestEvalPmf:

@@ -64,6 +64,12 @@ class TestIngest:
         with pytest.raises(ValidationError, match=":2:"):
             ingest_counts(path)
 
+    def test_negative_pi1_adjusted_names_the_line(self, tmp_path):
+        path = tmp_path / "counts.csv"
+        path.write_text("n,pi1,pi2,pi1_adjusted\n10,4,2,\n100,25,8,-7\n")
+        with pytest.raises(ValidationError, match=r"counts\.csv:3: pi1_adjusted must be in \[0, "):
+            ingest_counts(path)
+
     def test_roundtrip(self, tmp_path):
         table = CountTable(
             rows=[
