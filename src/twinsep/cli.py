@@ -27,7 +27,6 @@ from .model import (
     overshoot_bound,
     risk_factor,
     solve_approx,
-    solve_checkpoint,
     solve_f0,
 )
 from .montecarlo import GENERATOR, SimConfig, gof_compare, sample_separations
@@ -213,14 +212,15 @@ def cmd_predict(args):
     rows = []
     for rec in table.rows:
         try:
-            params = solve_checkpoint(rec, args.f, conv)
+            s0 = s0_from_counts(rec, conv).value
+            params = solve_approx(SolverInput(s0=s0, pi2=rec.pi2, f=args.f))
         except ValidationError:
             continue
         rows.append(
             [
                 rec.n,
                 repr(math.log(rec.n)),
-                repr(s0_from_counts(rec, conv).value),
+                repr(s0),
                 repr(params.sbar),
                 repr(params.a),
                 repr(params.l_cut),
@@ -340,7 +340,7 @@ def cmd_report(args):
     decades = {10**k for k in range(3, 14)}
     for rec in table.rows:
         s0 = s0_from_counts(rec).value
-        law = solve_checkpoint(rec, args.f)
+        law = solve_approx(SolverInput(s0=s0, pi2=rec.pi2, f=args.f))
         flag = "" if maxes[rec.n] <= overshoot_bound(law) else "  > overshoot bound"
         if rec.n not in decades and not flag:
             continue

@@ -52,7 +52,7 @@ class ModelParams:
             raise ValidationError(f"q must be in (0, 1), got {self.q}")
         if abs(self.q - math.exp(-1.0 / self.sbar)) > 1e-12 * self.q:
             raise ValidationError("q and sbar disagree: q must equal exp(-1/sbar)")
-        if self.f < 0.0:
+        if not self.f >= 0.0:  # written so that NaN fails it
             raise ValidationError(f"f must be >= 0, got {self.f}")
         if (self.f == 0.0) != (self.l_cut is None):
             raise ValidationError("l_cut must be None exactly when f == 0")
@@ -94,7 +94,7 @@ class SolverInput:
             raise ValidationError(f"s0 must be finite and > 0, got {self.s0}")
         if int(self.pi2) != self.pi2 or self.pi2 < 3:
             raise ValidationError(f"pi2 must be an integer >= 3, got {self.pi2}")
-        if self.f < 0.0:
+        if not self.f >= 0.0:  # written so that NaN fails it
             raise ValidationError(f"f must be >= 0, got {self.f}")
         if self.f >= self.pi2:
             raise ValidationError(

@@ -8,13 +8,16 @@ the cutoff are reads of that spectrum.  The figure pipeline turns a table
 (plus, optionally, those spectra) into three CSV-ready datasets: slopes
 against log(pi1), the average separation against log(pi1), and the
 predicted maximal separation against log(n) alongside observed record
-onsets.
+onsets.  It derives each checkpoint's slope, s0 and cutoff law once, in one
+pass over the rows, then fits the m0 and linear s0 laws over what that pass
+found; the interval_exact convention needs the spectra.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +25,7 @@ import numpy as np
 from .errors import ValidationError
 from .fit import FitResult, fit_exp_slope, fit_m0, fit_s0_linear
 from .ioutil import read_csv, write_csv
-from .model import DEFAULT_RISK_FACTOR, risk_factor, solve_checkpoint
+from .model import DEFAULT_RISK_FACTOR, SolverInput, risk_factor, solve_approx, solve_checkpoint
 from .sieve import CountRecord, SieveReport
 from .spectrum import S0Convention, SeparationSpectrum, accumulate, merge, s0_from_counts
 
@@ -203,113 +206,58 @@ def figure_pipeline(
     """Assemble the three plot datasets from a count table.
 
     spectra (keyed by checkpoint n) feed the computed-slope series of the
-    first dataset; onsets, (separation >= 0, n >= 1) pairs, feed the
-    observed-record series of the third.  Rows whose counts cannot support
-    an estimate are skipped rather than failing the whole export.
+    first dataset and are required under interval_exact; onsets,
+    (separation >= 0, n >= 1) pairs, feed the observed-record series of the
+    third.  Each row's slope, s0 and cutoff law are derived once; a row whose
+    counts cannot support one of them is left out of the datasets that need
+    it rather than failing the whole export.
     """
     conv = S0Convention(convention)
     f = risk_factor(f)  # checked here: fig3 skips rows that fail, which would hide a bad f
+    if spectra is None and conv is S0Convention.INTERVAL_EXACT:
+        raise ValidationError("interval_exact convention requires spectra")
     check_onsets(onsets or [])
+    spectra = spectra or {}
+
+    slope_by_n: dict[int, tuple[float, float]] = {}
     s0_by_n: dict[int, float] = {}
-    for rec in table.rows:
-        try:
-            s0_by_n[rec.n] = s0_from_counts(
-                rec, conv, spectrum=(spectra or {}).get(rec.n)
-            ).value
-        except ValidationError:
-            continue
-
-    # slopes from per-checkpoint spectra, then the one-parameter decay law
-    slope_rows: dict[int, tuple[float, float]] = {}
-    for rec in table.rows:
-        spec = (spectra or {}).get(rec.n)
-        if spec is None:
-            continue
-        try:
-            fit = fit_exp_slope(spec)
-        except ValidationError:
-            continue
-        slope_rows[rec.n] = (-fit.coefficients[1], fit.std_errors[1])
-    m0_fit = None
-    m0_points = [
-        (rec.pi1, slope_rows[rec.n][0])
-        for rec in table.rows
-        if rec.n in slope_rows and rec.pi1 >= 3
-    ]
-    if m0_points:
-        m0_fit = fit_m0(m0_points)
-
-    fig1 = []
-    for rec in table.rows:
-        s0 = s0_by_n.get(rec.n)
-        if s0 is None or s0 <= 0 or rec.pi1 < 2:
-            continue
-        row = {
-            "n": rec.n,
-            "pi1": rec.pi1,
-            "log_pi1": math.log(rec.pi1),
-            "inv_s0": 1.0 / s0,
-            "slope_m": "",
-            "slope_se": "",
-            "m0_curve": "",
-        }
-        if rec.n in slope_rows:
-            row["slope_m"], row["slope_se"] = slope_rows[rec.n]
-        if m0_fit is not None:
-            row["m0_curve"] = m0_fit.coefficients[0] / math.log(rec.pi1)
-        fig1.append(row)
-
-    s0_fit = None
-    fit_pts = [(rec.pi1, s0_by_n[rec.n]) for rec in table.rows if rec.n in s0_by_n]
-    if len(fit_pts) >= 2 and len({p for p, _ in fit_pts}) >= 2:
-        s0_fit = fit_s0_linear(fit_pts)
-    fig2 = []
-    for rec in table.rows:
-        if rec.n not in s0_by_n or rec.pi1 < 1:
-            continue
-        x = math.log(rec.pi1)
-        fig2.append(
-            {
-                "n": rec.n,
-                "pi1": rec.pi1,
-                "log_pi1": x,
-                "s0": s0_by_n[rec.n],
-                "s0_fit": s0_fit.coefficients[0] + s0_fit.coefficients[1] * x if s0_fit else "",
-            }
-        )
-
     fig3 = []
     for rec in table.rows:
+        spec = spectra.get(rec.n)
+        if spec is not None:
+            with suppress(ValidationError):
+                fit = fit_exp_slope(spec)
+                slope_by_n[rec.n] = (-fit.coefficients[1], fit.std_errors[1])
         try:
-            params = solve_checkpoint(rec, f, conv, spectrum=(spectra or {}).get(rec.n))
+            s0 = s0_by_n[rec.n] = s0_from_counts(rec, conv, spectrum=spec).value
+            law = solve_approx(SolverInput(s0=s0, pi2=rec.pi2, f=f))
         except ValidationError:
             continue
-        fig3.append(
-            {
-                "series": "predicted",
-                "n": rec.n,
-                "log_n": math.log(rec.n),
-                "value": params.l_cut,
-                "l_ceil": params.l_ceil,
-            }
-        )
-    for sep, n in onsets or []:
-        fig3.append(
-            {
-                "series": "onset",
-                "n": n,
-                "log_n": math.log(n),
-                "value": sep,
-                "l_ceil": "",
-            }
-        )
+        row = ("predicted", rec.n, math.log(rec.n), law.l_cut, law.l_ceil)
+        fig3.append(dict(zip(FIG3_COLUMNS, row)))
+    fig3 += [dict(zip(FIG3_COLUMNS, ("onset", n, math.log(n), sep, ""))) for sep, n in onsets or []]
+
+    m0_points = [
+        (rec.pi1, slope_by_n[rec.n][0])
+        for rec in table.rows
+        if rec.n in slope_by_n and rec.pi1 >= 3
+    ]
+    m0_fit = fit_m0(m0_points) if m0_points else None
+    s0_points = [(rec.pi1, s0_by_n[rec.n]) for rec in table.rows if rec.n in s0_by_n]
+    s0_fit = fit_s0_linear(s0_points) if len({p for p, _ in s0_points}) >= 2 else None
+    fig1, fig2 = [], []
+    for rec in table.rows:
+        s0 = s0_by_n.get(rec.n)
+        if s0 is None or rec.pi1 < 1:
+            continue
+        x = math.log(rec.pi1)
+        line = s0_fit.coefficients[0] + s0_fit.coefficients[1] * x if s0_fit else ""
+        fig2.append(dict(zip(FIG2_COLUMNS, (rec.n, rec.pi1, x, s0, line))))
+        if s0 > 0 and rec.pi1 >= 2:
+            m, se = slope_by_n.get(rec.n, ("", ""))
+            curve = m0_fit.coefficients[0] / x if m0_fit else ""
+            fig1.append(dict(zip(FIG1_COLUMNS, (rec.n, rec.pi1, x, 1.0 / s0, m, se, curve))))
 
     metadata = dict(table.metadata)
-    metadata.update(
-        {
-            "log_base": "natural",
-            "s0_convention": conv.value,
-            "risk_factor": repr(f),
-        }
-    )
+    metadata.update({"log_base": "natural", "s0_convention": conv.value, "risk_factor": repr(f)})
     return FigureSet(fig1, fig2, fig3, metadata, m0_fit=m0_fit, s0_fit=s0_fit)

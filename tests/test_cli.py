@@ -193,6 +193,8 @@ class TestContract:
              "spectrum_count_2_63.csv:3:"),
             (["predict", "--counts", "{counts_negative_adjusted}", "--out", "{tmp}/o.csv"], {},
              "counts_negative_adjusted.csv:2: pi1_adjusted"),
+            (["figures", "--counts", "{counts}", "--convention", "exact", "--out-dir", "{tmp}/figs"],
+             {}, "interval_exact convention requires spectra"),
         ],
         ids=[
             "onsets-non-integer",
@@ -228,6 +230,7 @@ class TestContract:
             "fit-spectrum-s-2-63",
             "gof-spectrum-count-2-63",
             "predict-negative-pi1-adjusted",
+            "figures-exact-no-separations",
         ],
     )
     def test_exit_2(self, argv, env, needle, sieved, tmp_path, monkeypatch, capsys):

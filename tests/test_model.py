@@ -120,6 +120,12 @@ class TestSolveApprox:
             SolverInput(s0=10.0, pi2=1000, f=f)
         assert math.isfinite(solve_approx(SolverInput(s0=10.0, pi2=1000, f=1e-300)).l_cut)
 
+    def test_nan_f_rejected(self):
+        # NaN fails every comparison, so each check on f must be one that NaN fails;
+        # otherwise solve_approx reports a bad a and solve_exact spins to ConvergenceError
+        with pytest.raises(ValidationError, match="f must be >= 0, got nan"):
+            SolverInput(s0=5.0, pi2=100, f=math.nan)
+
 
 class TestClosedForms:
     """solve_f0 and solve_approx are the literal closed forms, bit for bit."""
@@ -289,6 +295,10 @@ class TestModelParamsValidation:
         # l_ceil takes math.ceil of it, which raises OverflowError on inf
         with pytest.raises(ValidationError, match="l_cut"):
             ModelParams(a=0.5, sbar=1 / math.log(2), q=0.5, l_cut=l_cut, f=1.0)
+
+    def test_nan_f_rejected(self):
+        with pytest.raises(ValidationError, match="f must be >= 0, got nan"):
+            ModelParams(a=0.5, sbar=1 / math.log(2), q=0.5, l_cut=3.0, f=math.nan)
 
     def test_l_ceil(self):
         p = solve_approx(SolverInput(s0=10.0, pi2=1000, f=1.0))

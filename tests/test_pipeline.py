@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from twinsep.errors import ValidationError
+from twinsep.fit import fit_exp_slope, fit_m0, fit_s0_linear
 from twinsep.model import solve_checkpoint
 from twinsep.pipeline import (
     CountTable,
@@ -17,7 +18,7 @@ from twinsep.pipeline import (
     write_counts,
 )
 from twinsep.sieve import CountRecord, SieveConfig, geometric_checkpoints, sieve_range
-from twinsep.spectrum import accumulate
+from twinsep.spectrum import S0Convention, SeparationSpectrum, accumulate, s0_from_counts
 
 
 @pytest.fixture(scope="module")
@@ -25,6 +26,101 @@ def run100k():
     grid = geometric_checkpoints(100_000, per_decade=10, start=100)
     report = sieve_range(SieveConfig(limit=100_000, checkpoint_grid=grid))
     return report, table_from_report(report)
+
+
+# Rows that each hit one skip rule of figure_pipeline, under one convention or another.
+EDGE_TABLE = CountTable(
+    rows=[
+        CountRecord(n=2, pi1=1, pi2=0),  # s0 only from its spectrum; pi1 = 1 bars fig1 and m0
+        CountRecord(n=9, pi1=3, pi2=2),  # raw s0 < 0 and no paper s0, but a fitted slope
+        CountRecord(n=10, pi1=4, pi2=2),  # raw s0 == 0: fig2 only
+        CountRecord(n=12, pi1=5, pi2=2),  # raw s0 > 0, but pi2 < 3 has no law
+        CountRecord(n=100, pi1=25, pi2=8),
+        CountRecord(n=1000, pi1=168, pi2=35),
+    ]
+)
+EDGE_SPECTRA = {
+    2: SeparationSpectrum({0: 2, 1: 1, 4: 1}),  # exact s0 5/4, and a slope
+    9: SeparationSpectrum({0: 4, 1: 2, 2: 1}),  # exact s0 4/7, pi2 < 3
+    12: SeparationSpectrum({0: 3}),  # exact s0 == 0, and too few bins for a slope
+    100: SeparationSpectrum({0: 3, 1: 2, 3: 1}),
+}  # 10 and 1000 have none: no slope, and no exact s0
+
+
+def attempt(fn, *args, **kwargs):
+    """fn(*args, **kwargs), or None where it raises ValidationError."""
+    try:
+        return fn(*args, **kwargs)
+    except ValidationError:
+        return None
+
+
+def oracle_figures(table, spectra, f, conv, onsets):
+    """fig1-fig3 and the two laws, each value from the call that defines it, row by row.
+
+    fig1 admits rows with s0 > 0 and pi1 >= 2, fig2 rows with an s0 and
+    pi1 >= 1, fig3 rows with a law, then the onsets; m0 is fitted over every
+    row with a slope and pi1 >= 3, whether or not it has an s0.
+    """
+    spectra = spectra or {}
+    s0, slope, law = {}, {}, {}
+    for rec in table.rows:
+        spec = spectra.get(rec.n)
+        est = attempt(s0_from_counts, rec, conv, spectrum=spec)
+        if est is not None:
+            s0[rec.n] = est.value
+        fit = None if spec is None else attempt(fit_exp_slope, spec)
+        if fit is not None:
+            slope[rec.n] = (-fit.coefficients[1], fit.std_errors[1])
+        params = attempt(solve_checkpoint, rec, f, conv, spectrum=spec)
+        if params is not None:
+            law[rec.n] = params
+    m0_points = [(r.pi1, slope[r.n][0]) for r in table.rows if r.n in slope and r.pi1 >= 3]
+    m0_fit = fit_m0(m0_points) if m0_points else None
+    s0_points = [(r.pi1, s0[r.n]) for r in table.rows if r.n in s0]
+    s0_fit = attempt(fit_s0_linear, s0_points)
+    fig1 = [
+        {
+            "n": r.n,
+            "pi1": r.pi1,
+            "log_pi1": math.log(r.pi1),
+            "inv_s0": 1.0 / s0[r.n],
+            "slope_m": slope[r.n][0] if r.n in slope else "",
+            "slope_se": slope[r.n][1] if r.n in slope else "",
+            "m0_curve": m0_fit.coefficients[0] / math.log(r.pi1) if m0_fit else "",
+        }
+        for r in table.rows
+        if r.n in s0 and s0[r.n] > 0 and r.pi1 >= 2
+    ]
+    fig2 = [
+        {
+            "n": r.n,
+            "pi1": r.pi1,
+            "log_pi1": math.log(r.pi1),
+            "s0": s0[r.n],
+            "s0_fit": (
+                s0_fit.coefficients[0] + s0_fit.coefficients[1] * math.log(r.pi1)
+                if s0_fit else ""
+            ),
+        }
+        for r in table.rows
+        if r.n in s0 and r.pi1 >= 1
+    ]
+    fig3 = [
+        {
+            "series": "predicted",
+            "n": r.n,
+            "log_n": math.log(r.n),
+            "value": law[r.n].l_cut,
+            "l_ceil": law[r.n].l_ceil,
+        }
+        for r in table.rows
+        if r.n in law
+    ] + [
+        {"series": "onset", "n": n, "log_n": math.log(n), "value": sep, "l_ceil": ""}
+        for sep, n in onsets or []
+    ]
+    return fig1, fig2, fig3, m0_fit, s0_fit
 
 
 class TestIngest:
@@ -209,6 +305,52 @@ class TestFigurePipeline:
             later = [preds[m] for m in sorted(preds) if m >= n]
             if later and n >= 1000:
                 assert sep <= 2.5 * later[0]
+
+    @pytest.mark.parametrize("f", [1.0, 3.5])
+    @pytest.mark.parametrize(
+        "data, conv",
+        [
+            (data, conv)
+            for data in ("1e5", "1e5-bare", "edge", "edge-bare")
+            for conv in S0Convention
+            # interval_exact without spectra is rejected: test_exact_needs_spectra
+            if not (data.endswith("bare") and conv is S0Convention.INTERVAL_EXACT)
+        ],
+    )
+    def test_rows_match_oracle(self, data, conv, f, run100k):
+        report, table = run100k
+        spectra = per_checkpoint_spectra(report.separations, table)
+        onsets = report.max_separation_onsets
+        if data.startswith("edge"):
+            table, spectra, onsets = EDGE_TABLE, EDGE_SPECTRA, [(1, 9), (3, 100)]
+        if data.endswith("bare"):
+            spectra = onsets = None
+        figs = figure_pipeline(table, spectra=spectra, f=f, convention=conv, onsets=onsets)
+        fig1, fig2, fig3, m0_fit, s0_fit = oracle_figures(table, spectra, f, conv, onsets)
+        assert [r["n"] for r in figs.fig1] == [r["n"] for r in fig1]
+        assert [r["n"] for r in figs.fig2] == [r["n"] for r in fig2]
+        assert [(r["series"], r["n"]) for r in figs.fig3] == [(r["series"], r["n"]) for r in fig3]
+        assert figs.fig1 == fig1
+        assert figs.fig2 == fig2
+        assert figs.fig3 == fig3
+        assert (figs.m0_fit, figs.s0_fit) == (m0_fit, s0_fit)
+
+    def test_edge_rows_hit_each_skip_rule(self):
+        figs = figure_pipeline(EDGE_TABLE, spectra=EDGE_SPECTRA, f=1.0)
+        assert [r["n"] for r in figs.fig1] == [12, 100, 1000]  # n=9 has no s0, n=10 has s0 == 0
+        assert [r["n"] for r in figs.fig2] == [10, 12, 100, 1000]
+        assert [r["n"] for r in figs.fig3] == [100, 1000]  # pi2 < 3 below n=100
+        # n=9 has no raw s0, yet its slope joins n=100's in the m0 fit; n=2's has pi1 < 3
+        assert figs.m0_fit.n_points == 2
+        exact = figure_pipeline(EDGE_TABLE, spectra=EDGE_SPECTRA, f=1.0, convention="interval_exact")
+        assert [r["n"] for r in exact.fig1] == [9, 100]  # n=12 has exact s0 == 0
+        assert [r["n"] for r in exact.fig2] == [2, 9, 12, 100]  # n=2 has pi1 < 2
+        assert [r["n"] for r in exact.fig3] == [100]
+
+    def test_exact_needs_spectra(self, run100k):
+        _, table = run100k
+        with pytest.raises(ValidationError, match="interval_exact convention requires spectra"):
+            figure_pipeline(table, f=1.0, convention="interval_exact")
 
     def test_no_spectra_leaves_slope_blank(self, run100k):
         _, table = run100k
