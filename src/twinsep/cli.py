@@ -209,10 +209,15 @@ def cmd_fit(args):
 def cmd_predict(args):
     conv = CONVENTIONS[args.convention]
     table = ingest_counts(args.counts)
+    spectra = {}
+    if conv is S0Convention.INTERVAL_EXACT:
+        if not args.separations:
+            raise ValidationError("--separations is required for the exact convention")
+        spectra = per_checkpoint_spectra(read_separations(args.separations), table)
     rows = []
     for rec in table.rows:
         try:
-            s0 = s0_from_counts(rec, conv).value
+            s0 = s0_from_counts(rec, conv, spectrum=spectra.get(rec.n)).value
             params = solve_approx(SolverInput(s0=s0, pi2=rec.pi2, f=args.f))
         except ValidationError:
             continue
@@ -403,6 +408,7 @@ def build_parser():
 
     p = sub.add_parser("predict", help="maximal-separation cutoff per checkpoint")
     p.add_argument("--counts", required=True)
+    p.add_argument("--separations", help="separation stream (required for --convention exact)")
     p.add_argument("--f", type=risk_factor, default=_env("F", "1.0"))
     p.add_argument(
         "--convention", choices=sorted(CONVENTIONS), default=_env("CONVENTION", "raw")

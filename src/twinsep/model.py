@@ -184,11 +184,11 @@ def solve_checkpoint(
     convention: S0Convention | str = S0Convention.RAW,
     spectrum: SeparationSpectrum | None = None,
 ) -> ModelParams:
-    """Self-consistent cutoff law at one checkpoint for risk factor f > 0.
+    """Closed-form cutoff law at one checkpoint for risk factor f > 0.
 
     solve_approx at the checkpoint's pi2 and its s0 under convention
-    (spectrum as for s0_from_counts); l_cut is the expected maximal
-    separation.
+    (spectrum as for s0_from_counts), not solve_exact's fixed point; l_cut
+    is the expected maximal separation.
     """
     f = risk_factor(f)
     s0 = s0_from_counts(record, convention, spectrum=spectrum).value

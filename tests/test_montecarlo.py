@@ -1,6 +1,11 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -11,6 +16,7 @@ from twinsep.montecarlo import (
     BLOCK_DRAWS,
     GofReport,
     SimConfig,
+    _chi2_isf,
     gof_compare,
     sample_separations,
 )
@@ -173,7 +179,7 @@ class TestGof:
 
     def test_far_stray_bin_is_cheap(self):
         spec = SeparationSpectrum({0: 500, 1: 250, 2: 125, 3: 60, 10**7: 1})
-        gof_compare(spec, solve_f0(1.0))  # loads scipy outside the timed call
+        gof_compare(spec, solve_f0(1.0))  # warm-up: the first call pays a one-off import
         t0 = time.perf_counter()
         report = gof_compare(spec, solve_f0(1.0))
         assert time.perf_counter() - t0 < 1.0
@@ -229,3 +235,77 @@ class TestGof:
             GofReport(chi2=-1.0, dof=3, ks_distance=0.5, passed=False, alpha=0.01, chi2_critical=1.0)
         with pytest.raises(ValidationError):
             GofReport(chi2=1.0, dof=3, ks_distance=1.5, passed=False, alpha=0.01, chi2_critical=1.0)
+
+
+ORACLE_DOFS = [*range(1, 401), 500, 1000, 10**4, 10**5]
+ALPHAS = [1e-300, 1e-100, 1e-20, 1e-6, 0.001, 0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.999999]
+
+
+class TestChi2Isf:
+    def test_matches_scipy(self):
+        chdtri = pytest.importorskip("scipy.special").chdtri
+        worse = [
+            (dof, alpha)
+            for dof in ORACLE_DOFS
+            for alpha in ALPHAS
+            if not math.isclose(_chi2_isf(dof, alpha), chdtri(dof, alpha), rel_tol=1e-12)
+        ]
+        assert worse == []
+
+    @pytest.mark.parametrize(
+        "dof,alpha,want",
+        [
+            # scipy.special.chdtri; (71, 0.01) is the critical value of README step 6
+            (71, 0.01, 101.62144051355197),
+            (1, 0.05, 3.8414588206941285),
+            (10, 0.001, 29.58829844507442),
+            (400, 0.05, 447.6324678308084),
+            (3, 0.999999, 0.00024181048720587874),
+            (7, 1e-20, 109.82144367398818),
+            (10**5, 1e-300, 117494.58207835734),
+        ],
+    )
+    def test_pinned_values(self, dof, alpha, want):
+        assert math.isclose(_chi2_isf(dof, alpha), want, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_closed_forms(self, alpha):
+        # two degrees of freedom: an exponential tail; one: a squared normal
+        assert math.isclose(_chi2_isf(2, alpha), -2.0 * math.log(alpha), rel_tol=1e-13)
+        z = NormalDist().inv_cdf(alpha / 2.0)
+        assert math.isclose(_chi2_isf(1, alpha), z * z, rel_tol=1e-12)
+
+    def test_monotone(self):
+        for dof in (1, 2, 3, 10, 71, 400, 10**4):
+            values = [_chi2_isf(dof, alpha) for alpha in ALPHAS]
+            assert all(b < a for a, b in zip(values, values[1:])), dof
+        for alpha in ALPHAS:
+            values = [_chi2_isf(dof, alpha) for dof in (1, 2, 3, 10, 71, 400, 10**4)]
+            assert all(a < b for a, b in zip(values, values[1:])), alpha
+
+    def test_runs_without_scipy(self, tmp_path):
+        # scipy blocked: any import of it raises ImportError
+        code = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from twinsep.cli import main\n"
+            "from twinsep.model import solve_f0\n"
+            "from twinsep.montecarlo import gof_compare\n"
+            "from twinsep.spectrum import read_spectrum_csv\n"
+            "out = sys.argv[1]\n"
+            "assert main(['simulate', '--s0', '8.0', '--n', '100000', '--seed', '42',\n"
+            "             '--out', out]) == 0\n"
+            "assert main(['gof', '--spectrum', out, '--s0', '8.0', '--alpha', '0.01']) == 0\n"
+            "print(repr(gof_compare(read_spectrum_csv(out)[0], solve_f0(8.0)).chi2_critical))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' and sys.modules[m]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "synth.csv")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert "critical=101.6214 " in lines[1]
+        assert math.isclose(float(lines[-2]), 101.62144051355197, rel_tol=1e-12)
+        assert lines[-1] == "[]"

@@ -246,8 +246,13 @@ class TestCheckpointViews:
             assert cutoff_exceedances(spectra, table, 1.0, conv) == count_cutoff_exceedances(
                 report.separations, table, 1.0, conv
             ), conv
-        with pytest.raises(ValidationError, match="interval_exact convention requires a spectrum"):
-            cutoff_exceedances(spectra, table, 1.0, "interval_exact")
+        # under interval_exact each cutoff is solve_approx of that spectrum's own mean
+        assert cutoff_exceedances(spectra, table, 1.0, "interval_exact") == {
+            100: 1, 126: 1, 158: 1, 200: 2, 251: 2, 316: 0, 398: 0, 501: 1, 631: 1, 794: 1,
+            1000: 2, 1259: 2, 1585: 2, 1995: 3, 2512: 3, 3162: 4, 3981: 4, 5012: 3, 6310: 0,
+            7943: 0, 10000: 0, 12589: 0, 15849: 0, 19953: 0, 25119: 1, 31623: 2, 39811: 2,
+            50119: 1, 63096: 2, 79433: 1, 100000: 1,
+        }
 
     def test_unsolvable_checkpoint_named(self):
         table = CountTable(rows=[CountRecord(n=1000, pi1=168, pi2=35)])
