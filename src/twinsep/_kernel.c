@@ -1,4 +1,7 @@
-/* Fused twin kernel: sieve one chunk [low, high) and summarise it.
+/* twinsep's compiled kernel, two entry points: twinsep_sieve_chunk, the fused twin sieve
+ * below, and twinsep_philox_fill, the Monte Carlo sampler's uniforms (at the end).
+ *
+ * Fused twin kernel: sieve one chunk [low, high) and summarise it.
  *
  * Wheel: one byte covers 30 integers, bits 0..7 <-> residues 1, 7, 11, 13,
  * 17, 19, 23, 29 (mod 30).  Byte 0 starts at low - low % 30; bits below low
@@ -43,6 +46,9 @@
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 #if __BYTE_ORDER__ != __ORDER_LITTLE_ENDIAN__
 #error "the scan reads wheel byte 0 as the low byte of a 64-bit word"
@@ -207,6 +213,15 @@ static HOT void drain(struct buckets *all, uint8_t *flags, int64_t b0, int64_t n
     all->spare = bk.spare;
 }
 
+/* gcc without -mpopcnt (which KERNEL_CC leaves out) calls libgcc for __builtin_popcountll */
+static inline int popcount(uint64_t x) /* SWAR */
+{
+    x -= x >> 1 & 0x5555555555555555ULL;
+    x = (x & 0x3333333333333333ULL) + (x >> 2 & 0x3333333333333333ULL);
+    x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+    return (int)(x * 0x0101010101010101ULL >> 56);
+}
+
 static void twin(struct scan *s, int64_t lower, int64_t index)
 {
     if (s->twins) {
@@ -264,9 +279,9 @@ static HOT void scan(struct scan *s, const uint8_t *flags, int64_t len, int64_t 
                 twin(s, s->last, s->primes - 1);
             for (y = lower; y; y &= y - 1) {
                 int t = __builtin_ctzll(y);
-                twin(s, value(v0, t), s->primes + __builtin_popcountll(x & ((1ULL << t) - 1)));
+                twin(s, value(v0, t), s->primes + popcount(x & ((1ULL << t) - 1)));
             }
-            s->primes += __builtin_popcountll(x);
+            s->primes += popcount(x);
         }
         s->last = value(v0, 63 - __builtin_clzll(x));
     }
@@ -359,4 +374,162 @@ int64_t twinsep_sieve_chunk(int64_t low, int64_t high, int64_t block,
     memcpy(out, res, sizeof res);
     free(next);
     return 0;
+}
+
+/* Philox4x64-10 (Salmon, Moraes, Dror and Shaw, "Parallel random numbers: as easy as 1, 2, 3",
+ * SC'11), as numpy's Philox bit generator runs it: before each block of 4 words the 256-bit
+ * counter is incremented, word 0 first with a carry into words 1..3, and the block is
+ * 10 rounds of the counter under a key bumped between rounds.  Generator.random maps
+ * each word w to the double (w >> 11) * 2**-53, in block order and word order within a
+ * block.  twinsep_philox_fill writes doubles first .. first + n - 1 of that stream from
+ * a state whose buffer is spent (buffer_pos 4, as in a fresh Philox(seed)); its key and
+ * counter are numpy's state["key"] and state["counter"].  Every block depends on its
+ * counter alone, so with AVX-512F/DQ (chosen at run time by CPU feature, so the build
+ * needs no -march) 16 counters run at once, 8 per vector; the scalar path takes the
+ * head and tail of the range, a group of 16 whose counter word 0 would wrap, and other
+ * CPUs.  Both paths give the same doubles.
+ */
+#define PHILOX_M0 0xD2E7470EE14C6C93ULL
+#define PHILOX_M1 0xCA5A826395121157ULL
+#define PHILOX_W0 0x9E3779B97F4A7C15ULL
+#define PHILOX_W1 0xBB67AE8584CAA73BULL
+#define PHILOX_LANES 16 /* counters per vector step: two vectors of 8 */
+
+static void advance(uint64_t *c, uint64_t k) /* the 256-bit counter c += k */
+{
+    for (int i = 0; i < 4 && k; i++) {
+        c[i] += k;
+        k = c[i] < k;
+    }
+}
+
+static double unit(uint64_t w)
+{
+    return (double)(w >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* the block of counter c, as doubles */
+static void philox_block(const uint64_t *key, const uint64_t *c, double *d)
+{
+    uint64_t x0 = c[0], x1 = c[1], x2 = c[2], x3 = c[3], k0 = key[0], k1 = key[1];
+    for (int r = 0; r < 10; r++, k0 += PHILOX_W0, k1 += PHILOX_W1) {
+        unsigned __int128 p0 = (unsigned __int128)PHILOX_M0 * x0;
+        unsigned __int128 p1 = (unsigned __int128)PHILOX_M1 * x2;
+        x2 = (uint64_t)(p0 >> 64) ^ x3 ^ k1;
+        x0 = (uint64_t)(p1 >> 64) ^ x1 ^ k0;
+        x1 = (uint64_t)p1;
+        x3 = (uint64_t)p0;
+    }
+    d[0] = unit(x0), d[1] = unit(x1), d[2] = unit(x2), d[3] = unit(x3);
+}
+
+#if defined(__x86_64__)
+#define AVX512 __attribute__((target("avx512f,avx512dq")))
+
+/* hi:lo = a * m per 64-bit lane, from four 32 x 32-bit products */
+static inline AVX512 __m512i mulhilo(__m512i a, __m512i mlo, __m512i mhi, __m512i *lo)
+{
+    const __m512i low = _mm512_set1_epi64(0xffffffff);
+    __m512i ah = _mm512_srli_epi64(a, 32);
+    __m512i ll = _mm512_mul_epu32(a, mlo), lh = _mm512_mul_epu32(a, mhi);
+    __m512i hl = _mm512_mul_epu32(ah, mlo), hh = _mm512_mul_epu32(ah, mhi);
+    __m512i t = _mm512_add_epi64(hl, _mm512_srli_epi64(ll, 32));   /* < 2**64 */
+    __m512i u = _mm512_add_epi64(lh, _mm512_and_si512(t, low));     /* < 2**64 */
+    *lo = _mm512_mask_blend_epi32(0xaaaa, ll, _mm512_slli_epi64(u, 32));
+    return _mm512_add_epi64(_mm512_add_epi64(hh, _mm512_srli_epi64(t, 32)),
+                            _mm512_srli_epi64(u, 32));
+}
+
+/* one round of 8 counters, x[w] holding word w of each */
+static inline AVX512 void round8(__m512i *x, __m512i k0, __m512i k1)
+{
+    const __m512i m0lo = _mm512_set1_epi64(PHILOX_M0 & 0xffffffff);
+    const __m512i m0hi = _mm512_set1_epi64(PHILOX_M0 >> 32);
+    const __m512i m1lo = _mm512_set1_epi64(PHILOX_M1 & 0xffffffff);
+    const __m512i m1hi = _mm512_set1_epi64(PHILOX_M1 >> 32);
+    __m512i lo0, lo1, hi0 = mulhilo(x[0], m0lo, m0hi, &lo0), hi1 = mulhilo(x[2], m1lo, m1hi, &lo1);
+    x[0] = _mm512_ternarylogic_epi64(hi1, x[1], k0, 0x96); /* a ^ b ^ c */
+    x[2] = _mm512_ternarylogic_epi64(hi0, x[3], k1, 0x96);
+    x[1] = lo1;
+    x[3] = lo0;
+}
+
+static inline AVX512 __m512d unit8(__m512i w) /* unit() per lane */
+{
+    return _mm512_mul_pd(_mm512_cvtepu64_pd(_mm512_srli_epi64(w, 11)),
+                         _mm512_set1_pd(1.0 / 9007199254740992.0));
+}
+
+/* store the 8 blocks of x, as doubles in block order, at out[0..32) */
+static inline AVX512 void store8(const __m512i *x, double *out)
+{
+    __m512d d0 = unit8(x[0]), d1 = unit8(x[1]), d2 = unit8(x[2]), d3 = unit8(x[3]);
+    /* transpose: with (c, w) the word w of lane c, a = (c,0)(c,1) and b = (c,2)(c,3) pair up */
+    __m512d a02 = _mm512_unpacklo_pd(d0, d1), a13 = _mm512_unpackhi_pd(d0, d1);
+    __m512d b02 = _mm512_unpacklo_pd(d2, d3), b13 = _mm512_unpackhi_pd(d2, d3);
+    __m512d lo02 = _mm512_shuffle_f64x2(a02, b02, 0x44);
+    __m512d lo13 = _mm512_shuffle_f64x2(a13, b13, 0x44);
+    __m512d hi02 = _mm512_shuffle_f64x2(a02, b02, 0xee);
+    __m512d hi13 = _mm512_shuffle_f64x2(a13, b13, 0xee);
+    _mm512_storeu_pd(out, _mm512_shuffle_f64x2(lo02, lo13, 0x88));
+    _mm512_storeu_pd(out + 8, _mm512_shuffle_f64x2(lo02, lo13, 0xdd));
+    _mm512_storeu_pd(out + 16, _mm512_shuffle_f64x2(hi02, hi13, 0x88));
+    _mm512_storeu_pd(out + 24, _mm512_shuffle_f64x2(hi02, hi13, 0xdd));
+}
+
+/* whole blocks from counter c on into out[0..4 * nblk), advancing c; a group of 16 whose
+ * word 0 would wrap is left to the scalar path */
+static HOT AVX512 void philox_avx512(const uint64_t *key, uint64_t *c, int64_t nblk, double *out)
+{
+    const __m512i lane = _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0);
+    for (; nblk >= PHILOX_LANES; nblk -= PHILOX_LANES, out += 4 * PHILOX_LANES) {
+        if (c[0] > UINT64_MAX - (PHILOX_LANES - 1)) {
+            for (int b = 0; b < PHILOX_LANES; b++, advance(c, 1))
+                philox_block(key, c, out + 4 * b);
+            continue;
+        }
+        __m512i x[4], y[4];
+        x[0] = _mm512_add_epi64(_mm512_set1_epi64((int64_t)c[0]), lane);
+        y[0] = _mm512_add_epi64(x[0], _mm512_set1_epi64(8));
+        for (int w = 1; w < 4; w++)
+            x[w] = y[w] = _mm512_set1_epi64((int64_t)c[w]);
+        uint64_t k0 = key[0], k1 = key[1];
+        for (int r = 0; r < 10; r++, k0 += PHILOX_W0, k1 += PHILOX_W1) {
+            __m512i v0 = _mm512_set1_epi64((int64_t)k0), v1 = _mm512_set1_epi64((int64_t)k1);
+            round8(x, v0, v1);
+            round8(y, v0, v1);
+        }
+        store8(x, out);
+        store8(y, out + 32);
+        advance(c, PHILOX_LANES);
+    }
+}
+#endif
+
+void twinsep_philox_fill(const uint64_t *key, const uint64_t *counter, int64_t first, int64_t n,
+                         double *out)
+{
+    uint64_t c[4] = {counter[0], counter[1], counter[2], counter[3]};
+    double d[4];
+    int64_t i = 0, skip = first % 4;
+    advance(c, (uint64_t)(first / 4) + 1); /* the counter of the block of draw first */
+    if (skip) {
+        philox_block(key, c, d);
+        for (; skip < 4 && i < n; skip++)
+            out[i++] = d[skip];
+        advance(c, 1);
+    }
+#if defined(__x86_64__)
+    if (n - i >= 4 * PHILOX_LANES && __builtin_cpu_supports("avx512f") &&
+        __builtin_cpu_supports("avx512dq")) {
+        int64_t nblk = (n - i) / (4 * PHILOX_LANES) * PHILOX_LANES;
+        philox_avx512(key, c, nblk, out + i);
+        i += 4 * nblk;
+    }
+#endif
+    for (; i < n; advance(c, 1)) {
+        philox_block(key, c, d);
+        for (int w = 0; w < 4 && i < n; w++)
+            out[i++] = d[w];
+    }
 }

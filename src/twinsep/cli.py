@@ -142,22 +142,20 @@ def cmd_spectrum(args):
 def cmd_s0(args):
     conv = CONVENTIONS[args.convention]
     table = ingest_counts(args.counts)
+    spectra = {}
+    if conv is S0Convention.INTERVAL_EXACT:
+        if not args.separations:
+            raise ValidationError("--separations is required for the exact convention")
+        spectra = per_checkpoint_spectra(read_separations(args.separations), table)
     rows = []
     skipped = 0
-    if conv is S0Convention.INTERVAL_EXACT:
-        if not args.spectrum:
-            raise ValidationError("--spectrum is required for the exact convention")
-        spec, _ = read_spectrum_csv(args.spectrum)
-        est = s0_from_counts(table.rows[-1], conv, spectrum=spec)
-        rows.append((table.rows[-1].n, table.rows[-1].pi1, est.value))
-    else:
-        for rec in table.rows:
-            try:
-                est = s0_from_counts(rec, conv)
-            except ValidationError:
-                skipped += 1
-                continue
-            rows.append((rec.n, rec.pi1, est.value))
+    for rec in table.rows:
+        try:
+            est = s0_from_counts(rec, conv, spectrum=spectra.get(rec.n))
+        except ValidationError:
+            skipped += 1
+            continue
+        rows.append((rec.n, rec.pi1, est.value))
     lines = format_metadata({"s0_convention": conv.value, "log_base": "natural"})
     lines.append("n,pi1,s0")
     lines.extend(f"{n},{pi1},{v!r}" for n, pi1, v in rows)
@@ -396,7 +394,7 @@ def build_parser():
     p.add_argument(
         "--convention", choices=sorted(CONVENTIONS), default=_env("CONVENTION", "raw")
     )
-    p.add_argument("--spectrum", help="spectrum CSV (required for --convention exact)")
+    p.add_argument("--separations", help="separation stream (required for --convention exact)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_s0)
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import sieve
 from .errors import ValidationError
 from .model import ModelParams
 from .spectrum import SeparationSpectrum
@@ -62,21 +63,39 @@ def sample_separations(config: SimConfig) -> np.ndarray:
     With a cutoff the pmf is renormalised over the integers 0..floor(l_cut)
     and sampled by mapping uniforms into the truncated CDF range; without
     one the draws are plain geometric.  The seed alone fixes the stream:
-    draw i comes from the i-th double of one Philox stream whatever the
+    draw i comes from the i-th double of
+    `np.random.Generator(np.random.Philox(seed)).random`, whatever the
     block size, so identical seeds give identical arrays.  The draws are
     made on the calling thread in blocks of BLOCK_DRAWS, each transformed
     in place in a cache-sized buffer and written once into the result.
+
+    The uniforms of a block are filled by `twinsep_philox_fill` of the
+    sieve's compiled kernel (`sieve._load_kernel`), from the key and
+    counter of `np.random.Philox(seed).state`; it runs 16 Philox counters
+    at once where the CPU has AVX-512.  When the kernel cannot be built,
+    numpy's `Generator.random` fills them.  Both give the same doubles,
+    so the draws do not depend on which one ran.
     """
     p = config.params
     n = config.n_events
-    rng = np.random.Generator(np.random.Philox(config.seed))
+    kernel = sieve._load_kernel()
+    if kernel is None:
+        rng = np.random.Generator(np.random.Philox(config.seed))
+
+        def fill(u, first):
+            rng.random(out=u)  # consecutive fills continue the one stream
+    else:
+        state = np.random.Philox(config.seed).state["state"]
+
+        def fill(u, first):
+            kernel.twinsep_philox_fill(state["key"], state["counter"], first, u.size, u)
     lnq = math.log(p.q)
     m = None if p.l_cut is None else math.floor(p.l_cut)
     out = np.empty(n, dtype=np.int64)
     buf = np.empty(min(BLOCK_DRAWS, n))
     for lo in range(0, n, BLOCK_DRAWS):
         u = buf[: min(BLOCK_DRAWS, n - lo)]
-        rng.random(out=u)  # consecutive fills continue the one stream
+        fill(u, lo)
         if m is not None:
             u *= -math.expm1((m + 1) * lnq)  # scale into (0, 1 - q**(m+1))
         np.negative(u, out=u)

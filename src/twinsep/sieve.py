@@ -285,7 +285,10 @@ def _open_kernel(source, directory, name):
 
 @functools.cache
 def _load_kernel():
-    """The compiled chunk function of _kernel.c, or None when it cannot be built.
+    """The compiled _kernel.c, or None when it cannot be built.
+
+    Both entry points are typed: twinsep_sieve_chunk (see _kernel_chunk)
+    and twinsep_philox_fill (see montecarlo.sample_separations).
 
     It is built on first use, never at import, into
     ${XDG_CACHE_HOME:-~/.cache}/twinsep, keyed by the source, the compiler
@@ -317,12 +320,15 @@ def _load_kernel():
     def array(dtype):
         return np.ctypeslib.ndpointer(dtype=dtype, flags="C_CONTIGUOUS")
 
-    fn = lib.twinsep_sieve_chunk
     # without argtypes ctypes passes a Python int as a C int, and low > 2**31 would wrap
-    fn.argtypes = [i64, i64, i64, array(np.int64), i64, array(np.int64), i64,
-                   array(np.uint32), array(np.int64), array(np.int64), array(np.int64)]
-    fn.restype = i64
-    return fn
+    lib.twinsep_sieve_chunk.argtypes = [i64, i64, i64, array(np.int64), i64, array(np.int64), i64,
+                                        array(np.uint32), array(np.int64), array(np.int64),
+                                        array(np.int64)]
+    lib.twinsep_sieve_chunk.restype = i64
+    lib.twinsep_philox_fill.argtypes = [array(np.uint64), array(np.uint64), i64, i64,
+                                        array(np.float64)]
+    lib.twinsep_philox_fill.restype = None
+    return lib
 
 
 def _kernel_chunk(kernel, low, high, base, grid) -> ChunkSummary:
@@ -334,7 +340,8 @@ def _kernel_chunk(kernel, low, high, base, grid) -> ChunkSummary:
     recs = np.empty((math.isqrt(high - low + 1) + 2, 2), dtype=np.int64)
     rows = np.empty((grid.size, 3), dtype=np.int64)
     out = np.empty(6, dtype=np.int64)
-    if kernel(low, high, KERNEL_BLOCK, base, base.size, grid, grid.size, seps, recs, rows, out):
+    if kernel.twinsep_sieve_chunk(low, high, KERNEL_BLOCK, base, base.size, grid, grid.size, seps,
+                                  recs, rows, out):
         raise MemoryError(f"sieve kernel could not allocate for [{low}, {high})")
     primes, twins, first_twin, first_index, last_twin, nrec = out.tolist()
     return ChunkSummary(

@@ -1,6 +1,7 @@
 import pytest
 
 import oracle
+from twinsep import sieve
 
 ORACLE_LIMIT = 100_000
 
@@ -18,3 +19,12 @@ def oracle100k():
         "seps": seps,
         "terms": terms,
     }
+
+
+@pytest.fixture(scope="session")
+def kernel():
+    """The compiled kernel library; tests that need it skip when no C compiler builds it."""
+    lib = sieve._load_kernel()
+    if lib is None:
+        pytest.skip("no C compiler builds the kernel")
+    return lib

@@ -14,7 +14,7 @@ from twinsep.ioutil import read_columns
 from twinsep.model import SolverInput, solve_approx
 from twinsep.pipeline import ingest_counts, per_checkpoint_spectra
 from twinsep.sieve import SieveConfig, geometric_checkpoints, read_separations, sieve_range
-from twinsep.spectrum import read_spectrum_csv
+from twinsep.spectrum import read_spectrum_csv, s0_from_counts
 
 
 @pytest.fixture()
@@ -158,7 +158,7 @@ class TestContract:
               "--out", "{tmp}/sp.csv"], {}, "--f"),
             (["gof", "--spectrum", "{tmp}/none.csv", "--s0", "5", "--f", "-1"], {}, "--f"),
             (["s0", "--counts", "{header_only}", "--convention", "exact",
-              "--spectrum", "{tmp}/none.csv"], {}, "header_only.csv: no data rows"),
+              "--separations", "{tmp}/none.bin"], {}, "header_only.csv: no data rows"),
             (["predict", "--counts", "{counts_n_zero}", "--out", "{tmp}/o.csv"], {},
              "counts_n_zero.csv:2:"),
             (["figures", "--counts", "{counts}", "--onsets", "{onsets_n_zero}",
@@ -198,6 +198,8 @@ class TestContract:
              {}, "interval_exact convention requires spectra"),
             (["predict", "--counts", "{counts}", "--convention", "exact", "--out", "{tmp}/o.csv"],
              {}, "--separations is required for the exact convention"),
+            (["s0", "--counts", "{counts}", "--convention", "exact"],
+             {}, "--separations is required for the exact convention"),
         ],
         ids=[
             "onsets-non-integer",
@@ -235,6 +237,7 @@ class TestContract:
             "predict-negative-pi1-adjusted",
             "figures-exact-no-separations",
             "predict-exact-no-separations",
+            "s0-exact-no-separations",
         ],
     )
     def test_exit_2(self, argv, env, needle, sieved, tmp_path, monkeypatch, capsys):
@@ -306,24 +309,32 @@ class TestSpectrumAndS0:
         counts, _, _ = sieved
         assert main(["s0", "--counts", str(counts), "--convention", "exact"]) == 2
 
-    def test_s0_exact(self, sieved, tmp_path, capsys):
+    def test_s0_exact(self, sieved, tmp_path):
         counts, seps, _ = sieved
-        spec_path = tmp_path / "spectrum.csv"
-        main(["spectrum", "--separations", str(seps), "--out", str(spec_path)])
-        capsys.readouterr()
+        s0_csv = tmp_path / "s0.csv"
         rc = main(
             [
                 "s0", "--counts", str(counts), "--convention", "exact",
-                "--spectrum", str(spec_path),
+                "--separations", str(seps), "--out", str(s0_csv),
             ]
         )
         assert rc == 0
-        body = [
-            l for l in capsys.readouterr().out.splitlines()
-            if l and not l.startswith("#")
+        table = ingest_counts(counts)
+        spectra = per_checkpoint_spectra(read_separations(seps), table)
+        # one row per checkpoint that has closed an interval, as the library computes it
+        want = [
+            (str(rec.n), str(rec.pi1),
+             repr(s0_from_counts(rec, "interval_exact", spectra[rec.n]).value))
+            for rec in table.rows
+            if spectra[rec.n].total_intervals
         ]
-        assert body[0] == "n,pi1,s0"
-        assert len(body) == 2  # single row, the final checkpoint
+        meta, got = read_columns(s0_csv, ("n", "pi1", "s0"), str)
+        assert meta["s0_convention"] == "interval_exact"
+        assert len(want) >= 3
+        assert got == want
+        fit_json = tmp_path / "fit.json"
+        assert main(["fit", "--kind", "s0lin", "--in", str(s0_csv), "--out", str(fit_json)]) == 0
+        assert json.loads(fit_json.read_text())["n_points"] == len(want)
 
 
 class TestFitCommand:

@@ -10,6 +10,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
+from twinsep import sieve
 from twinsep.errors import ValidationError
 from twinsep.model import SolverInput, solve_approx, solve_exact, solve_f0
 from twinsep.montecarlo import (
@@ -111,6 +112,45 @@ class TestSampler:
             SimConfig(params, n_events=0, seed=1)
         with pytest.raises(ValidationError):
             SimConfig(params, n_events=10, seed=-1)
+
+
+def compiled_fill(kernel, state, first, n):
+    """Doubles first .. first + n - 1 of a fresh Generator from Philox state["state"]."""
+    out = np.full(n, np.nan)
+    kernel.twinsep_philox_fill(state["key"], state["counter"], first, n, out)
+    return out
+
+
+class TestPhiloxFill:
+    @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+    def test_matches_numpy(self, kernel, seed):
+        state = np.random.Philox(seed).state["state"]
+        want = np.random.Generator(np.random.Philox(seed)).random(10**6 + 10)
+        for n in (1, 3, 4, 5, 63, 64, 65, BLOCK_DRAWS - 1, BLOCK_DRAWS + 1, 10**6 + 3):
+            for first in (0, 7):
+                got = compiled_fill(kernel, state, first, n)
+                assert np.array_equal(got, want[first : first + n]), (n, first)
+
+    def test_counter_carry(self, kernel):
+        # word 0 of the counter wraps after 40 blocks, and words 1 and 2 wrap with it; the
+        # groups of 16 blocks that straddle the wrap take the scalar path
+        bit_generator = np.random.Philox(5)
+        state = bit_generator.state
+        state["state"]["counter"] = np.array([2**64 - 40, 2**64 - 1, 2**64 - 1, 9], np.uint64)
+        bit_generator.state = state
+        want = np.random.Generator(bit_generator).random(1000)
+        for first, n in ((0, 1000), (3, 997), (130, 161), (155, 9)):
+            got = compiled_fill(kernel, state["state"], first, n)
+            assert np.array_equal(got, want[first : first + n]), (first, n)
+
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    def test_sampler_without_kernel(self, kernel, law, monkeypatch):
+        config = SimConfig(LAWS[law](), n_events=3 * BLOCK_DRAWS + 5, seed=2**63 + 1)
+        compiled = sample_separations(config)
+        monkeypatch.setattr(sieve, "_load_kernel", lambda: None)
+        fallback = sample_separations(config)
+        assert fallback.dtype == compiled.dtype == np.int64
+        assert np.array_equal(fallback, compiled)
 
 
 def dense_gof(empirical, params):

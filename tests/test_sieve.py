@@ -85,14 +85,6 @@ def assert_same_summary(got, want):
             assert typed(g) == typed(w), f.name
 
 
-@pytest.fixture(scope="module")
-def kernel():
-    fn = sieve._load_kernel()
-    if fn is None:
-        pytest.skip("no C compiler builds the sieve kernel")
-    return fn
-
-
 @st.composite
 def chunk_case(draw):
     """An odd low >= 9, a high up to 3e6 + 1, a base bound >= isqrt(high - 1), and a grid inside."""
