@@ -16,6 +16,7 @@ from .fit import FitResult, fit_exp_slope, fit_m0, fit_s0_linear, fit_s0_loglog
 from .model import (
     ModelParams,
     SolverInput,
+    cutoff_law,
     eval_pmf,
     solve_approx,
     solve_checkpoint,
@@ -73,6 +74,7 @@ __all__ = [
     "TwinsepError",
     "ValidationError",
     "accumulate",
+    "cutoff_law",
     "eval_pmf",
     "figure_pipeline",
     "fit_exp_slope",

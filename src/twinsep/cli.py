@@ -22,17 +22,10 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .fit import fit_exp_slope, fit_m0, fit_s0_linear, fit_s0_loglog
 from .ioutil import format_metadata, read_columns, write_csv
-from .model import (
-    SolverInput,
-    overshoot_bound,
-    risk_factor,
-    solve_approx,
-    solve_f0,
-)
+from .model import cutoff_law, overshoot_bound, risk_factor, solve_f0
 from .montecarlo import GENERATOR, SimConfig, gof_compare, sample_separations
 from .pipeline import (
     check_onsets,
-    cutoff_exceedances,
     figure_pipeline,
     ingest_counts,
     per_checkpoint_spectra,
@@ -93,8 +86,17 @@ def _solve_from_flags(s0, f, pi2):
     if f > 0:
         if pi2 is None:
             raise ValidationError("--pi2 is required when f > 0")
-        return solve_approx(SolverInput(s0=s0, pi2=pi2, f=f))
+        return cutoff_law(s0, pi2, f)
     return solve_f0(s0)
+
+
+def _exact_spectra(args, conv, table):
+    """Per-checkpoint spectra of --separations under the exact convention, which needs them."""
+    if conv is not S0Convention.INTERVAL_EXACT:
+        return {}
+    if not args.separations:
+        raise ValidationError("--separations is required for the exact convention")
+    return per_checkpoint_spectra(read_separations(args.separations), table)
 
 
 def cmd_sieve(args):
@@ -142,11 +144,7 @@ def cmd_spectrum(args):
 def cmd_s0(args):
     conv = CONVENTIONS[args.convention]
     table = ingest_counts(args.counts)
-    spectra = {}
-    if conv is S0Convention.INTERVAL_EXACT:
-        if not args.separations:
-            raise ValidationError("--separations is required for the exact convention")
-        spectra = per_checkpoint_spectra(read_separations(args.separations), table)
+    spectra = _exact_spectra(args, conv, table)
     rows = []
     skipped = 0
     for rec in table.rows:
@@ -207,16 +205,12 @@ def cmd_fit(args):
 def cmd_predict(args):
     conv = CONVENTIONS[args.convention]
     table = ingest_counts(args.counts)
-    spectra = {}
-    if conv is S0Convention.INTERVAL_EXACT:
-        if not args.separations:
-            raise ValidationError("--separations is required for the exact convention")
-        spectra = per_checkpoint_spectra(read_separations(args.separations), table)
+    spectra = _exact_spectra(args, conv, table)
     rows = []
     for rec in table.rows:
         try:
             s0 = s0_from_counts(rec, conv, spectrum=spectra.get(rec.n)).value
-            params = solve_approx(SolverInput(s0=s0, pi2=rec.pi2, f=args.f))
+            params = cutoff_law(s0, rec.pi2, args.f)
         except ValidationError:
             continue
         rows.append(
@@ -305,8 +299,14 @@ def cmd_report(args):
     stats, table = report.stats, table_from_report(report)
     final = table.rows[-1]
     spectra = per_checkpoint_spectra(report.separations, table)
-    # before any output, so that a table no cutoff can be solved for fails first
-    exceed = cutoff_exceedances(spectra, table, f=args.f)
+    # each row's s0 and law, before any output, so that a table no law solves for fails first
+    laws = {}
+    for rec in table.rows:
+        try:
+            s0 = s0_from_counts(rec).value
+            laws[rec.n] = s0, cutoff_law(s0, rec.pi2, args.f)
+        except ValidationError as exc:
+            raise ValidationError(f"checkpoint n={rec.n}: {exc}") from exc
     maxes = {n: spec.max_separation() for n, spec in spectra.items()}
     print(
         f"sieve to {args.limit:.3g}: {stats['wall_s']:.1f}s  pi1={final.pi1} pi2={final.pi2}  "
@@ -342,8 +342,7 @@ def cmd_report(args):
     print(f"{'n':>12} {'s0':>8} {'l_cut':>8} {'obs_max':>8} {'over':>6} {'exceed':>7} {'ks':>8}")
     decades = {10**k for k in range(3, 14)}
     for rec in table.rows:
-        s0 = s0_from_counts(rec).value
-        law = solve_approx(SolverInput(s0=s0, pi2=rec.pi2, f=args.f))
+        s0, law = laws[rec.n]
         flag = "" if maxes[rec.n] <= overshoot_bound(law) else "  > overshoot bound"
         if rec.n not in decades and not flag:
             continue
@@ -356,7 +355,7 @@ def cmd_report(args):
         over = (maxes[rec.n] - law.l_cut) / law.sbar
         print(
             f"{rec.n:>12} {s0:>8.3f} {law.l_cut:>8.2f} {maxes[rec.n]:>8} {over:>6.2f} "
-            f"{exceed[rec.n]:>7} {ks:>8}{flag}"
+            f"{spectra[rec.n].count_above(law.l_cut):>7} {ks:>8}{flag}"
         )
 
     if args.out_dir:

@@ -15,7 +15,8 @@ f = 0, h is the constant s0 and there is no cutoff (solve_f0); solve_approx
 stops at the map's starting point y = s0, and solve_exact iterates it to its
 fixed point.  h is increasing and h(s0) > s0, so the iterates climb; since
 f < pi2, c*T < ln 2 < 1 and h(y) < s0 + c*T*(y + 1/2) falls ever further
-below y, so they stop at the unique root.
+below y, so they stop at the unique root.  cutoff_law chooses which of the
+two is the law of a checkpoint: every cutoff twinsep reports is solved there.
 """
 
 from __future__ import annotations
@@ -92,8 +93,8 @@ class SolverInput:
     def __post_init__(self):
         if not 0.0 < self.s0 < math.inf:
             raise ValidationError(f"s0 must be finite and > 0, got {self.s0}")
-        if int(self.pi2) != self.pi2 or self.pi2 < 3:
-            raise ValidationError(f"pi2 must be an integer >= 3, got {self.pi2}")
+        if int(self.pi2) != self.pi2 or not 3 <= self.pi2 < 2**63:  # pi2/f needs a float pi2
+            raise ValidationError(f"pi2 must be an integer in [3, 2**63), got {self.pi2}")
         if not self.f >= 0.0:  # written so that NaN fails it
             raise ValidationError(f"f must be >= 0, got {self.f}")
         if self.f >= self.pi2:
@@ -171,11 +172,19 @@ def eval_pmf(params: ModelParams, s: int) -> float:
 
 
 def risk_factor(value) -> float:
-    """value as a risk factor for a finite cutoff, which must be > 0."""
+    """value as a risk factor for a finite cutoff, which must be > 0 and finite."""
     f = float(value)
-    if not f > 0.0:
-        raise ValidationError(f"risk factor f must be > 0 for a finite cutoff, got {f}")
+    if not 0.0 < f < math.inf:
+        raise ValidationError(f"risk factor f must be > 0 and finite, got {f}")
     return f
+
+
+def cutoff_law(s0: float, pi2: int, f: float) -> ModelParams:
+    """The law of mean separation s0 and pi2 twins at risk factor f; l_cut is its cutoff.
+
+    Every cutoff twinsep reports is solved here: today by solve_approx, not solve_exact.
+    """
+    return solve_approx(SolverInput(s0=s0, pi2=pi2, f=f))
 
 
 def solve_checkpoint(
@@ -184,12 +193,6 @@ def solve_checkpoint(
     convention: S0Convention | str = S0Convention.RAW,
     spectrum: SeparationSpectrum | None = None,
 ) -> ModelParams:
-    """Closed-form cutoff law at one checkpoint for risk factor f > 0.
-
-    solve_approx at the checkpoint's pi2 and its s0 under convention
-    (spectrum as for s0_from_counts), not solve_exact's fixed point; l_cut
-    is the expected maximal separation.
-    """
+    """cutoff_law at the checkpoint's pi2 and its s0 under convention and spectrum."""
     f = risk_factor(f)
-    s0 = s0_from_counts(record, convention, spectrum=spectrum).value
-    return solve_approx(SolverInput(s0=s0, pi2=record.pi2, f=f))
+    return cutoff_law(s0_from_counts(record, convention, spectrum=spectrum).value, record.pi2, f)

@@ -36,8 +36,8 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
-        if self.n_events < 1:
-            raise ValidationError(f"n_events must be >= 1, got {self.n_events}")
+        if not 1 <= self.n_events < 2**60:  # numpy cannot size an int64 array of 2**60 draws
+            raise ValidationError(f"n_events must be in [1, 2**60), got {self.n_events}")
         if not 0 <= self.seed < 2**64:
             raise ValidationError("seed must fit in an unsigned 64-bit integer")
 

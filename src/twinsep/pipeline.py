@@ -4,12 +4,13 @@ A CountTable is the bridge between sieved runs and externally published
 count tables: rows of (n, pi1, pi2[, pi1_adjusted]) sorted by n.  At each
 checkpoint the separation stream is read once, as the running spectrum of
 the separations closed by then; the running maximum and the count beyond
-the cutoff are reads of that spectrum.  The figure pipeline turns a table
-(plus, optionally, those spectra) into three CSV-ready datasets: slopes
-against log(pi1), the average separation against log(pi1), and the
-predicted maximal separation against log(n) alongside observed record
-onsets.  It derives each checkpoint's slope, s0 and cutoff law once, in one
-pass over the rows, then fits the m0 and linear s0 laws over what that pass
+the cutoff (SeparationSpectrum.count_above) are reads of that spectrum.
+The figure pipeline turns a table (plus, optionally, those spectra) into
+three CSV-ready datasets: slopes against log(pi1), the average separation
+against log(pi1), and the predicted maximal separation against log(n)
+alongside observed record onsets.  It derives each checkpoint's slope, s0
+and cutoff law (model.cutoff_law, as every view here) once, in one pass
+over the rows, then fits the m0 and linear s0 laws over what that pass
 found; the interval_exact convention needs the spectra.
 """
 
@@ -25,7 +26,7 @@ import numpy as np
 from .errors import ValidationError
 from .fit import FitResult, fit_exp_slope, fit_m0, fit_s0_linear
 from .ioutil import read_csv, write_csv
-from .model import DEFAULT_RISK_FACTOR, SolverInput, risk_factor, solve_approx, solve_checkpoint
+from .model import DEFAULT_RISK_FACTOR, cutoff_law, risk_factor, solve_checkpoint
 from .sieve import CountRecord, SieveReport
 from .spectrum import S0Convention, SeparationSpectrum, accumulate, merge, s0_from_counts
 
@@ -135,36 +136,27 @@ def max_separation_by_checkpoint(separations, table: CountTable) -> dict[int, in
     return {n: spec.max_separation() for n, spec in spectra.items()}
 
 
-def cutoff_exceedances(
-    spectra: dict[int, SeparationSpectrum],
-    table: CountTable,
-    f: float = DEFAULT_RISK_FACTOR,
-    convention: S0Convention | str = S0Convention.RAW,
-) -> dict[int, int]:
-    """Per checkpoint, how many separations of its spectrum exceed that checkpoint's cutoff.
-
-    The cutoff is solved from the checkpoint's counts, or under interval_exact
-    from that same spectrum.
-    """
-    f = risk_factor(f)
-    out: dict[int, int] = {}
-    for rec in table.rows:
-        try:
-            params = solve_checkpoint(rec, f, convention, spectrum=spectra[rec.n])
-        except ValidationError as exc:
-            raise ValidationError(f"checkpoint n={rec.n}: {exc}") from exc
-        out[rec.n] = sum(c for s, c in spectra[rec.n].bins.items() if s > params.l_cut)
-    return out
-
-
 def count_cutoff_exceedances(
     separations,
     table: CountTable,
     f: float = DEFAULT_RISK_FACTOR,
     convention: S0Convention | str = S0Convention.RAW,
 ) -> dict[int, int]:
-    """Per checkpoint, how many completed separations exceed that checkpoint's cutoff."""
-    return cutoff_exceedances(per_checkpoint_spectra(separations, table), table, f, convention)
+    """Per checkpoint, how many completed separations exceed that checkpoint's cutoff.
+
+    The cutoff is solved from the checkpoint's counts, or under interval_exact
+    from its spectrum.
+    """
+    spectra = per_checkpoint_spectra(separations, table)
+    f = risk_factor(f)
+    out: dict[int, int] = {}
+    for rec in table.rows:
+        try:
+            law = solve_checkpoint(rec, f, convention, spectrum=spectra[rec.n])
+        except ValidationError as exc:
+            raise ValidationError(f"checkpoint n={rec.n}: {exc}") from exc
+        out[rec.n] = spectra[rec.n].count_above(law.l_cut)
+    return out
 
 
 @dataclass
@@ -234,7 +226,7 @@ def figure_pipeline(
                 slope_by_n[rec.n] = (-fit.coefficients[1], fit.std_errors[1])
         try:
             s0 = s0_by_n[rec.n] = s0_from_counts(rec, conv, spectrum=spec).value
-            law = solve_approx(SolverInput(s0=s0, pi2=rec.pi2, f=f))
+            law = cutoff_law(s0, rec.pi2, f)
         except ValidationError:
             continue
         row = ("predicted", rec.n, math.log(rec.n), law.l_cut, law.l_ceil)

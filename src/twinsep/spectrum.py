@@ -1,9 +1,9 @@
 """Separation histograms and the average-separation estimate.
 
 Spectra are mergeable value objects holding only their bins: accumulation
-is single-writer, merging enables parallel reduction, and the totals and
-the maximum are read off the bins.  Three conventions for the average
-separation s0 are kept first-class because published count tables and
+is single-writer, merging enables parallel reduction, and the totals, the
+maximum and the count beyond a cutoff are read off the bins.  Three s0
+conventions are kept first-class because published count tables and
 interval-exact bookkeeping disagree by small offsets.
 """
 
@@ -60,6 +60,10 @@ class SeparationSpectrum:
 
     def max_separation(self) -> int | None:
         return max(self.bins) if self.bins else None
+
+    def count_above(self, x: float) -> int:
+        """How many separations exceed x."""
+        return sum(c for s, c in self.bins.items() if s > x)
 
 
 def accumulate(separations) -> SeparationSpectrum:

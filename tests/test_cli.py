@@ -7,12 +7,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from twinsep import cli
+from twinsep import cli, model
 from twinsep.cli import main
 from twinsep.ioutil import read_columns
-from twinsep.model import SolverInput, solve_approx
-from twinsep.pipeline import ingest_counts, per_checkpoint_spectra
+from twinsep.model import SolverInput, cutoff_law, solve_exact
+from twinsep.pipeline import count_cutoff_exceedances, ingest_counts, per_checkpoint_spectra
 from twinsep.sieve import SieveConfig, geometric_checkpoints, read_separations, sieve_range
 from twinsep.spectrum import read_spectrum_csv, s0_from_counts
 
@@ -200,6 +202,12 @@ class TestContract:
              {}, "--separations is required for the exact convention"),
             (["s0", "--counts", "{counts}", "--convention", "exact"],
              {}, "--separations is required for the exact convention"),
+            (["predict", "--counts", "{counts}", "--f", "inf", "--out", "{tmp}/o.csv"], {}, "--f"),
+            (["figures", "--counts", "{counts}", "--f", "inf", "--out-dir", "{tmp}/figs"], {},
+             "--f"),
+            (["report", "--limit", "1000000", "--f", "inf"], {}, "--f"),
+            (["simulate", "--s0", "5", "--n", str(2**64), "--seed", "1", "--out", "{tmp}/sp.csv"],
+             {}, "n_events must be in [1, 2**60)"),
         ],
         ids=[
             "onsets-non-integer",
@@ -238,6 +246,10 @@ class TestContract:
             "figures-exact-no-separations",
             "predict-exact-no-separations",
             "s0-exact-no-separations",
+            "predict-f-inf",
+            "figures-f-inf",
+            "report-f-inf",
+            "simulate-n-2-64",
         ],
     )
     def test_exit_2(self, argv, env, needle, sieved, tmp_path, monkeypatch, capsys):
@@ -400,7 +412,7 @@ class TestPredictCommand:
             spec = spectra[rec.n]
             if spec.total_intervals:
                 s0 = spec.total_singletons / spec.total_intervals
-                want.append((rec.n, s0, solve_approx(SolverInput(s0=s0, pi2=rec.pi2, f=1.0)).l_cut))
+                want.append((rec.n, s0, cutoff_law(s0, rec.pi2, 1.0).l_cut))
         assert len(want) > 10
         _, rows = read_columns(out, ("n", "s0", "l_cut"), float)
         assert rows == [tuple(map(float, row)) for row in want]
@@ -514,3 +526,163 @@ class TestReportCommand:
         captured = capsys.readouterr()
         assert "Traceback" not in captured.err
         assert check(captured.out)
+
+
+@pytest.fixture(scope="module")
+def run1e6(tmp_path_factory):
+    """counts.csv, seps.bin and onsets.csv of a sieve to 1e6, 20 checkpoints a decade from 1e5."""
+    out = tmp_path_factory.mktemp("run1e6")
+    paths = out / "counts.csv", out / "seps.bin", out / "onsets.csv"
+    grid = ",".join(map(str, geometric_checkpoints(10**6, start=10**5)))
+    assert main(["sieve", "--limit", "1000000", "--checkpoints", grid, "--out", str(paths[0]),
+                 "--separations", str(paths[1]), "--onsets", str(paths[2])]) == 0
+    return paths
+
+
+class TestLawSwap:
+    """A dry run of making solve_exact the law, by patching it in for solve_approx.
+
+    Only what is solved through cutoff_law follows the patch, so every cutoff
+    the commands report must then equal solve_exact's on the row's s0.
+    """
+
+    CONVENTIONS = {"raw": "raw", "paper": "paper_offset", "exact": "interval_exact"}
+
+    def reported(self, run, tmp_path, capsys):
+        """The cutoffs predict, figures, report and count_cutoff_exceedances give at f = 1."""
+        counts, seps, onsets = map(str, run)
+        out = {}
+        for conv in self.CONVENTIONS:
+            lmax, figs = tmp_path / f"lmax-{conv}.csv", tmp_path / f"figs-{conv}"
+            assert main(["predict", "--counts", counts, "--separations", seps,
+                         "--convention", conv, "--out", str(lmax)]) == 0
+            columns = ("n", "s0", "sbar", "a", "l_cut", "l_ceil")
+            out["predict", conv] = read_columns(lmax, columns, str)[1]
+            assert main(["figures", "--counts", counts, "--separations", seps, "--onsets", onsets,
+                         "--convention", conv, "--out-dir", str(figs)]) == 0
+            _, rows = read_columns(figs / "fig3.csv", ("series", "n", "value", "l_ceil"), str)
+            out["fig3", conv] = [row[1:] for row in rows if row[0] == "predicted"]
+        capsys.readouterr()
+        assert main(["report", "--limit", "1000000", "--start", "100000"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        head = next(i for i, line in enumerate(lines) if line.split()[:1] == ["n"])
+        out["report"] = [tuple(line.split()[i] for i in (0, 2, 5)) for line in lines[head + 1 :]]
+        out["exceed"] = count_cutoff_exceedances(read_separations(seps), ingest_counts(counts))
+        return out
+
+    def oracle(self, run, printed):
+        """The same from solve_exact on each row's s0, and the stream itself."""
+        table = ingest_counts(run[0])
+        seps = read_separations(run[1])
+        spectra = per_checkpoint_spectra(seps, table)
+        out, laws = {}, {}
+        for conv, name in self.CONVENTIONS.items():
+            rows = []
+            for rec in table.rows:
+                s0 = s0_from_counts(rec, name, spectra[rec.n]).value
+                rows.append((rec, s0, solve_exact(SolverInput(s0=s0, pi2=rec.pi2, f=1.0))))
+            out["predict", conv] = [
+                (str(rec.n), repr(s0), repr(law.sbar), repr(law.a), repr(law.l_cut),
+                 str(law.l_ceil))
+                for rec, s0, law in rows
+            ]
+            out["fig3", conv] = [
+                (str(rec.n), repr(law.l_cut), str(law.l_ceil)) for rec, _, law in rows
+            ]
+            laws[conv] = {rec.n: law for rec, _, law in rows}
+        # report and count_cutoff_exceedances use the raw convention
+        out["exceed"] = {
+            rec.n: int(np.count_nonzero(seps[: rec.pi2 - 2] > laws["raw"][rec.n].l_cut))
+            for rec in table.rows
+        }
+        out["report"] = [
+            (n, f"{laws['raw'][int(n)].l_cut:.2f}", str(out["exceed"][int(n)]))
+            for n, _, _ in printed
+        ]
+        return out
+
+    def test_every_cutoff_follows_cutoff_law(self, run1e6, tmp_path, capsys, monkeypatch):
+        before = self.reported(run1e6, tmp_path, capsys)
+        monkeypatch.setattr(model, "solve_approx", solve_exact)
+        after = self.reported(run1e6, tmp_path, capsys)
+        want = self.oracle(run1e6, after["report"])
+        assert {"100000", "1000000"} <= {n for n, _, _ in after["report"]}
+        for key, rows in want.items():
+            assert after[key] == rows, key
+            # the patch has teeth: every output moves, the exceedances at n = 501187
+            assert before[key] != after[key], key
+
+
+FUZZ_FLOATS = st.one_of(
+    st.sampled_from(
+        ["inf", "-inf", "nan", "5e-324", "1e-310", "2.2250738585072014e-308", "1e-300",
+         "1e308", "1.7976931348623157e308", "-1e308", "-1", "-0.0", "0", str(2**64),
+         "0.5", "1", "3.5", "8"]
+    ),
+    st.floats().map(repr),
+)
+FUZZ_INTS = st.one_of(
+    st.sampled_from(["inf", "nan", "1e4", "-1", "0", "3", str(2**64), str(10**400)]),
+    st.integers(-(2**70), 2**70).map(str),
+)
+# n above 1e4 is left out so that no example allocates much; simulate-n-2-64 covers the top
+FUZZ_N = st.one_of(st.sampled_from(["inf", "nan", "-1", "0"]), st.integers(1, 10**4).map(str))
+
+
+@st.composite
+def fuzz_argv(draw):
+    """One predict, figures, simulate or gof command line with numeric flags drawn at the edges."""
+    command = draw(st.sampled_from(["predict", "figures", "simulate", "gof"]))
+    flags = {
+        "predict": {"--f": FUZZ_FLOATS},
+        "figures": {"--f": FUZZ_FLOATS},
+        "simulate": {"--f": FUZZ_FLOATS, "--pi2": FUZZ_INTS},
+        "gof": {"--f": FUZZ_FLOATS, "--pi2": FUZZ_INTS, "--alpha": FUZZ_FLOATS},
+    }[command]
+    required = {
+        "simulate": {"--s0": FUZZ_FLOATS, "--n": FUZZ_N, "--seed": FUZZ_INTS},
+        "gof": {"--s0": FUZZ_FLOATS},
+    }.get(command, {})
+    argv = [command]
+    for flag, values in flags.items():
+        value = draw(st.one_of(st.none(), values))
+        if value is not None:
+            argv += [flag, value]
+    for flag, values in required.items():
+        argv += [flag, draw(values)]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """A sieve to 1e5 and the spectrum of its stream, the fixed inputs of the contract fuzz."""
+    out = tmp_path_factory.mktemp("fuzz")
+    counts, seps = out / "counts.csv", out / "seps.bin"
+    assert main(["sieve", "--limit", "100000", "--out", str(counts),
+                 "--separations", str(seps)]) == 0
+    assert main(["spectrum", "--separations", str(seps), "--out", str(out / "spectrum.csv")]) == 0
+    return out
+
+
+class TestContractFuzz:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=fuzz_argv())
+    @example(argv=["gof", "--f", "1", "--pi2", str(10**400), "--s0", "5"])  # pi2/f overflowed
+    def test_numeric_flags(self, argv, fuzz_files, capsys):
+        # any value of a numeric flag exits 0, 2, 3 or 4 with a message, never a traceback
+        files = {
+            "predict": ["--counts", "counts.csv", "--out", "lmax.csv"],
+            "figures": ["--counts", "counts.csv", "--out-dir", "figs"],
+            "simulate": ["--out", "synth.csv"],
+            "gof": ["--spectrum", "spectrum.csv"],
+        }[argv[0]]
+        files = [str(fuzz_files / arg) if i % 2 else arg for i, arg in enumerate(files)]
+        capsys.readouterr()
+        try:
+            rc = main([*argv, *files])
+        except SystemExit as exc:  # argparse rejects bad option values itself
+            rc = exc.code
+        err = capsys.readouterr().err
+        assert rc in (0, 2, 3, 4), (argv, err)
+        assert "Traceback" not in err, argv

@@ -12,6 +12,7 @@ from twinsep.errors import ConvergenceError, ValidationError
 from twinsep.model import (
     ModelParams,
     SolverInput,
+    cutoff_law,
     eval_pmf,
     solve_approx,
     solve_checkpoint,
@@ -112,6 +113,13 @@ class TestSolveApprox:
     def test_f_equal_pi2_rejected(self):
         with pytest.raises(ValidationError):
             SolverInput(s0=10.0, pi2=1000, f=1000.0)
+
+    @pytest.mark.parametrize("pi2", [2**63, 10**400])
+    def test_pi2_beyond_int64_rejected(self, pi2):
+        # pi2/f would raise OverflowError for a pi2 no float can hold
+        with pytest.raises(ValidationError, match=r"pi2 must be an integer in \[3, 2\*\*63\)"):
+            SolverInput(s0=10.0, pi2=pi2, f=1.0)
+        assert solve_approx(SolverInput(s0=10.0, pi2=2**63 - 1, f=1.0)).l_cut > 0
 
     @pytest.mark.parametrize("f", [1e-320, 5e-324])
     def test_subnormal_f_rejected(self, f):
@@ -248,11 +256,18 @@ class TestPredictLmax:
     def test_n100_case(self):
         rec = CountRecord(n=100, pi1=25, pi2=8)
         params = solve_checkpoint(rec, f=1.0)
-        assert params == solve_approx(SolverInput(s0=9 / 8, pi2=8, f=1.0))
-        l_cut = params.l_cut
+        assert params == cutoff_law(9 / 8, 8, 1.0)
+        l_cut = solve_approx(SolverInput(s0=9 / 8, pi2=8, f=1.0)).l_cut
         assert l_cut == pytest.approx(2.4548166450612476, abs=1e-12)
         # observed maximum separation below 100 is 2
-        assert 2 <= math.ceil(l_cut)
+        assert 2 <= math.ceil(l_cut) <= params.l_ceil
+
+    def test_cutoff_law_is_solve_approx(self):
+        # the one pin of which solver is the law every reported cutoff comes from:
+        # making solve_exact the law flips this test and no other
+        for s0, pi2, f in [(9 / 8, 8, 1.0), (10.0, 1000, 1.0), (8.0, 10**6, 3.5), (0.5, 100, 0.1)]:
+            assert cutoff_law(s0, pi2, f) == solve_approx(SolverInput(s0=s0, pi2=pi2, f=f))
+            assert cutoff_law(s0, pi2, f) != solve_exact(SolverInput(s0=s0, pi2=pi2, f=f))
 
     def test_decreasing_in_f(self):
         rec = CountRecord(n=10**6, pi1=78498, pi2=8169)

@@ -9,7 +9,6 @@ from twinsep.model import solve_checkpoint
 from twinsep.pipeline import (
     CountTable,
     count_cutoff_exceedances,
-    cutoff_exceedances,
     figure_pipeline,
     ingest_counts,
     max_separation_by_checkpoint,
@@ -239,15 +238,16 @@ class TestCheckpointViews:
             assert max(counts.values()) > 1
 
     def test_exceedances_from_spectra(self, run100k):
-        # one fold feeds both; the cutoff is solved from the counts alone
+        # each count is a read of the checkpoint's running spectrum at its own cutoff
         report, table = run100k
         spectra = per_checkpoint_spectra(report.separations, table)
         for conv in ("raw", "paper_offset"):
-            assert cutoff_exceedances(spectra, table, 1.0, conv) == count_cutoff_exceedances(
-                report.separations, table, 1.0, conv
-            ), conv
+            assert count_cutoff_exceedances(report.separations, table, 1.0, conv) == {
+                rec.n: spectra[rec.n].count_above(solve_checkpoint(rec, 1.0, conv).l_cut)
+                for rec in table.rows
+            }, conv
         # under interval_exact each cutoff is solve_approx of that spectrum's own mean
-        assert cutoff_exceedances(spectra, table, 1.0, "interval_exact") == {
+        assert count_cutoff_exceedances(report.separations, table, 1.0, "interval_exact") == {
             100: 1, 126: 1, 158: 1, 200: 2, 251: 2, 316: 0, 398: 0, 501: 1, 631: 1, 794: 1,
             1000: 2, 1259: 2, 1585: 2, 1995: 3, 2512: 3, 3162: 4, 3981: 4, 5012: 3, 6310: 0,
             7943: 0, 10000: 0, 12589: 0, 15849: 0, 19953: 0, 25119: 1, 31623: 2, 39811: 2,
@@ -256,9 +256,8 @@ class TestCheckpointViews:
 
     def test_unsolvable_checkpoint_named(self):
         table = CountTable(rows=[CountRecord(n=1000, pi1=168, pi2=35)])
-        spectra = per_checkpoint_spectra(np.zeros(33, dtype=np.uint32), table)
         with pytest.raises(ValidationError, match="checkpoint n=1000: risk factor f=1e-320"):
-            cutoff_exceedances(spectra, table, f=1e-320)
+            count_cutoff_exceedances(np.zeros(33, dtype=np.uint32), table, f=1e-320)
 
     def test_exceedances_reject_zero_risk_factor(self, run100k):
         report, table = run100k

@@ -95,6 +95,17 @@ class TestMerge:
         assert merge(merge(a, b), c) == merge(a, merge(b, c))
 
 
+class TestCountAbove:
+    @pytest.mark.parametrize(
+        "seps", [[], [3], [0, 0, 1, 1, 2, 1, 5, 5, 9, 12]], ids=["empty", "one", "gaps"]
+    )
+    @pytest.mark.parametrize("x", [-7, -0.5, 0, 0.5, 2, 3, 3.5, 4, 8.999, 9, 11.25, 12, 12.5, 1e9])
+    def test_matches_counter(self, seps, x):
+        # x < 0, on a bin, between bins (4 and 11.25 in "gaps"), non-integer and above the maximum
+        spec = SeparationSpectrum(dict(collections.Counter(seps)))
+        assert spec.count_above(x) == sum(1 for s in seps if s > x)
+
+
 class TestS0:
     def test_raw_n100(self):
         est = s0_from_counts(CountRecord(n=100, pi1=25, pi2=8), S0Convention.RAW)
