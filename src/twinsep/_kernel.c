@@ -1,5 +1,7 @@
-/* twinsep's compiled kernel, two entry points: twinsep_sieve_chunk, the fused twin sieve
- * below, and twinsep_philox_fill, the Monte Carlo sampler's uniforms (at the end).
+/* twinsep's compiled kernel.  Its entry points: twinsep_sieve_chunk, the fused twin sieve
+ * below; for the Monte Carlo sampler, twinsep_philox_fill, its scaled uniforms, and
+ * twinsep_floor_div, its draws from their logs; and twinsep_histogram, for spectra (all
+ * three at the end).
  *
  * Fused twin kernel: sieve one chunk [low, high) and summarise it.
  *
@@ -381,12 +383,14 @@ int64_t twinsep_sieve_chunk(int64_t low, int64_t high, int64_t block,
  * counter is incremented, word 0 first with a carry into words 1..3, and the block is
  * 10 rounds of the counter under a key bumped between rounds.  Generator.random maps
  * each word w to the double (w >> 11) * 2**-53, in block order and word order within a
- * block.  twinsep_philox_fill writes doubles first .. first + n - 1 of that stream from
- * a state whose buffer is spent (buffer_pos 4, as in a fresh Philox(seed)); its key and
- * counter are numpy's state["key"] and state["counter"].  Every block depends on its
- * counter alone, so with AVX-512F/DQ (chosen at run time by CPU feature, so the build
- * needs no -march) 16 counters run at once, 8 per vector; the scalar path takes the
- * head and tail of the range, a group of 16 whose counter word 0 would wrap, and other
+ * block.  twinsep_philox_fill writes f times doubles first .. first + n - 1 of that stream
+ * from a state whose buffer is spent (buffer_pos 4, as in a fresh Philox(seed)); its key
+ * and counter are numpy's state["key"] and state["counter"].  Each product is one IEEE
+ * multiply: f = 1 gives the doubles themselves, f = -1 their negations, and since rounding
+ * is symmetric in sign, f = -s gives exactly -(s * u) for each double u.  Every block
+ * depends on its counter alone, so with AVX-512F/DQ (chosen at run time by CPU feature, so
+ * the build needs no -march) 16 counters run at once, 8 per vector; the scalar path takes
+ * the head and tail of the range, a group of 16 whose counter word 0 would wrap, and other
  * CPUs.  Both paths give the same doubles.
  */
 #define PHILOX_M0 0xD2E7470EE14C6C93ULL
@@ -408,8 +412,8 @@ static double unit(uint64_t w)
     return (double)(w >> 11) * (1.0 / 9007199254740992.0);
 }
 
-/* the block of counter c, as doubles */
-static void philox_block(const uint64_t *key, const uint64_t *c, double *d)
+/* the block of counter c, as doubles times f */
+static void philox_block(const uint64_t *key, const uint64_t *c, double f, double *d)
 {
     uint64_t x0 = c[0], x1 = c[1], x2 = c[2], x3 = c[3], k0 = key[0], k1 = key[1];
     for (int r = 0; r < 10; r++, k0 += PHILOX_W0, k1 += PHILOX_W1) {
@@ -420,7 +424,7 @@ static void philox_block(const uint64_t *key, const uint64_t *c, double *d)
         x1 = (uint64_t)p1;
         x3 = (uint64_t)p0;
     }
-    d[0] = unit(x0), d[1] = unit(x1), d[2] = unit(x2), d[3] = unit(x3);
+    d[0] = f * unit(x0), d[1] = f * unit(x1), d[2] = f * unit(x2), d[3] = f * unit(x3);
 }
 
 #if defined(__x86_64__)
@@ -460,10 +464,11 @@ static inline AVX512 __m512d unit8(__m512i w) /* unit() per lane */
                          _mm512_set1_pd(1.0 / 9007199254740992.0));
 }
 
-/* store the 8 blocks of x, as doubles in block order, at out[0..32) */
-static inline AVX512 void store8(const __m512i *x, double *out)
+/* store the 8 blocks of x, as doubles times f in block order, at out[0..32) */
+static inline AVX512 void store8(const __m512i *x, __m512d f, double *out)
 {
-    __m512d d0 = unit8(x[0]), d1 = unit8(x[1]), d2 = unit8(x[2]), d3 = unit8(x[3]);
+    __m512d d0 = _mm512_mul_pd(unit8(x[0]), f), d1 = _mm512_mul_pd(unit8(x[1]), f);
+    __m512d d2 = _mm512_mul_pd(unit8(x[2]), f), d3 = _mm512_mul_pd(unit8(x[3]), f);
     /* transpose: with (c, w) the word w of lane c, a = (c,0)(c,1) and b = (c,2)(c,3) pair up */
     __m512d a02 = _mm512_unpacklo_pd(d0, d1), a13 = _mm512_unpackhi_pd(d0, d1);
     __m512d b02 = _mm512_unpacklo_pd(d2, d3), b13 = _mm512_unpackhi_pd(d2, d3);
@@ -477,15 +482,17 @@ static inline AVX512 void store8(const __m512i *x, double *out)
     _mm512_storeu_pd(out + 24, _mm512_shuffle_f64x2(hi02, hi13, 0xdd));
 }
 
-/* whole blocks from counter c on into out[0..4 * nblk), advancing c; a group of 16 whose
- * word 0 would wrap is left to the scalar path */
-static HOT AVX512 void philox_avx512(const uint64_t *key, uint64_t *c, int64_t nblk, double *out)
+/* whole blocks from counter c on, times f, into out[0..4 * nblk), advancing c; a group of 16
+ * whose word 0 would wrap is left to the scalar path */
+static HOT AVX512 void philox_avx512(const uint64_t *key, uint64_t *c, int64_t nblk, double f,
+                                     double *out)
 {
     const __m512i lane = _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0);
+    const __m512d fv = _mm512_set1_pd(f);
     for (; nblk >= PHILOX_LANES; nblk -= PHILOX_LANES, out += 4 * PHILOX_LANES) {
         if (c[0] > UINT64_MAX - (PHILOX_LANES - 1)) {
             for (int b = 0; b < PHILOX_LANES; b++, advance(c, 1))
-                philox_block(key, c, out + 4 * b);
+                philox_block(key, c, f, out + 4 * b);
             continue;
         }
         __m512i x[4], y[4];
@@ -499,22 +506,22 @@ static HOT AVX512 void philox_avx512(const uint64_t *key, uint64_t *c, int64_t n
             round8(x, v0, v1);
             round8(y, v0, v1);
         }
-        store8(x, out);
-        store8(y, out + 32);
+        store8(x, fv, out);
+        store8(y, fv, out + 32);
         advance(c, PHILOX_LANES);
     }
 }
 #endif
 
 void twinsep_philox_fill(const uint64_t *key, const uint64_t *counter, int64_t first, int64_t n,
-                         double *out)
+                         double f, double *out)
 {
     uint64_t c[4] = {counter[0], counter[1], counter[2], counter[3]};
     double d[4];
     int64_t i = 0, skip = first % 4;
     advance(c, (uint64_t)(first / 4) + 1); /* the counter of the block of draw first */
     if (skip) {
-        philox_block(key, c, d);
+        philox_block(key, c, f, d);
         for (; skip < 4 && i < n; skip++)
             out[i++] = d[skip];
         advance(c, 1);
@@ -523,13 +530,132 @@ void twinsep_philox_fill(const uint64_t *key, const uint64_t *counter, int64_t f
     if (n - i >= 4 * PHILOX_LANES && __builtin_cpu_supports("avx512f") &&
         __builtin_cpu_supports("avx512dq")) {
         int64_t nblk = (n - i) / (4 * PHILOX_LANES) * PHILOX_LANES;
-        philox_avx512(key, c, nblk, out + i);
+        philox_avx512(key, c, nblk, f, out + i);
         i += 4 * nblk;
     }
 #endif
     for (; i < n; advance(c, 1)) {
-        philox_block(key, c, d);
+        philox_block(key, c, f, d);
         for (int w = 0; w < 4 && i < n; w++)
             out[i++] = d[w];
     }
+}
+
+/* The sampler's draws from v = log1p(-s * u), u uniform in [0, 1) and s in (0, 1]:
+ * twinsep_floor_div writes out[i] = (int64_t)min(v[i] / lnq, m) for i < n, which is numpy's
+ * floor(v / lnq) capped at m.  The caller passes lnq = log(q) < 0 and m an integer >= 0, or
+ * +inf for no cap.  Then v[i] <= +0 (-0.0 included), so each quotient is +0 or positive and
+ * the truncating cast is its floor; |v[i]| <= 37.5, since -s * u >= -(1 - 2**-53), and
+ * |lnq| >= 2**-53 keep it below 3.4e17 < 2**63, in range of the cast.  The division is the
+ * one IEEE division either way: with AVX-512F/DQ (chosen at run time) 8 draws at a time,
+ * and the scalar path takes the tail and other CPUs.
+ */
+#if defined(__x86_64__)
+static HOT AVX512 int64_t floor_div_avx512(const double *v, int64_t n, double lnq, double m,
+                                           int64_t *out)
+{
+    const __m512d d = _mm512_set1_pd(lnq), cap = _mm512_set1_pd(m);
+    int64_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        __m512d x = _mm512_min_pd(_mm512_div_pd(_mm512_loadu_pd(v + i), d), cap);
+        _mm512_storeu_si512(out + i, _mm512_cvttpd_epi64(x));
+    }
+    return i;
+}
+#endif
+
+void twinsep_floor_div(const double *v, int64_t n, double lnq, double m, int64_t *out)
+{
+    int64_t i = 0;
+#if defined(__x86_64__)
+    if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq"))
+        i = floor_div_avx512(v, n, lnq, m, out);
+#endif
+    for (; i < n; i++) {
+        double x = v[i] / lnq;
+        out[i] = (int64_t)(x < m ? x : m);
+    }
+}
+
+/* Spectra: twinsep_histogram histograms a stream x[0..n) of int64 (width 8) or uint32
+ * (width 4) values.  It returns -1 when some value is negative, and otherwise top, the
+ * greatest value plus one (0 when n = 0; INT64_MAX for a value INT64_MAX).  When top <= cap it
+ * has also added the count of each value v to counts[v]; otherwise counts[0..cap) hold
+ * nothing of use.  With cap <= SUB_TOP it takes one pass: each value v is counted as
+ * v & (SUB_TOP - 1) into SUB interleaved sub-tables, element i into sub[v * SUB + i % SUB],
+ * so that a run of one value (the geometric law's s = 0) does not wait on its own last
+ * increment, and the values are ORed together; an OR below SUB_TOP shows that every value
+ * lay in [0, SUB_TOP), so the sub-tables hold the histogram.  The sub-tables are a fixed
+ * 32 KB on the stack.  A larger cap counts into counts directly, with a bounds check per
+ * value.  A value outside either pass's range stops it, and a scalar pass then finds the
+ * least and greatest value.  Each pass is inlined once per width, so its loop reads one
+ * fixed type.
+ */
+#define SUB 4
+#define SUB_TOP 1024 /* a power of two */
+#define INLINE static inline __attribute__((always_inline))
+
+INLINE uint64_t at(const void *x, int width, int64_t i) /* a negative int64 is 2**63 or more */
+{
+    return width == 8 ? (uint64_t)((const int64_t *)x)[i] : ((const uint32_t *)x)[i];
+}
+
+INLINE int64_t bin(const int64_t *sub, int64_t v) /* the count of v over the sub-tables */
+{
+    int64_t c = 0;
+    for (int k = 0; k < SUB; k++)
+        c += sub[SUB * v + k];
+    return c;
+}
+
+INLINE int64_t histogram(const void *x, int64_t n, int width, int64_t cap, int64_t *counts)
+{
+    int64_t i = 0;
+    if (cap <= SUB_TOP) {
+        int64_t sub[SUB * SUB_TOP] = {0}, top = SUB_TOP;
+        uint64_t any = 0;
+        for (; i + SUB <= n; i += SUB) { /* written out: gcc -O2 keeps a loop over k */
+            uint64_t v0 = at(x, width, i), v1 = at(x, width, i + 1);
+            uint64_t v2 = at(x, width, i + 2), v3 = at(x, width, i + 3);
+            any |= v0 | v1 | v2 | v3;
+            sub[(v0 & (SUB_TOP - 1)) * SUB]++;
+            sub[(v1 & (SUB_TOP - 1)) * SUB + 1]++;
+            sub[(v2 & (SUB_TOP - 1)) * SUB + 2]++;
+            sub[(v3 & (SUB_TOP - 1)) * SUB + 3]++;
+        }
+        for (; i < n; i++) {
+            any |= at(x, width, i);
+            sub[(at(x, width, i) & (SUB_TOP - 1)) * SUB]++;
+        }
+        if (any < SUB_TOP) {
+            while (top > 0 && !bin(sub, top - 1))
+                top--;
+            for (int64_t v = 0; top <= cap && v < top; v++)
+                counts[v] += bin(sub, v);
+            return top;
+        }
+    } else {
+        uint64_t top = 0;
+        for (; i < n; i++) {
+            uint64_t v = at(x, width, i);
+            if (v >= (uint64_t)cap)
+                break;
+            counts[v]++;
+            top = v < top ? top : v + 1;
+        }
+        if (i == n)
+            return (int64_t)top;
+    }
+    int64_t lo = INT64_MAX, hi = INT64_MIN;
+    for (i = 0; i < n; i++) {
+        int64_t v = (int64_t)at(x, width, i);
+        lo = v < lo ? v : lo;
+        hi = v > hi ? v : hi;
+    }
+    return lo < 0 ? -1 : hi < INT64_MAX ? hi + 1 : hi; /* saturated at INT64_MAX */
+}
+
+int64_t twinsep_histogram(const void *x, int64_t n, int64_t width, int64_t cap, int64_t *counts)
+{
+    return width == 8 ? histogram(x, n, 8, cap, counts) : histogram(x, n, 4, cap, counts);
 }

@@ -34,23 +34,29 @@ def read_csv(path, columns) -> tuple[dict[str, str], list[tuple[int, dict[str, s
 
     The first non-comment line is the header, and it must name every one
     of columns.  Each data row comes back as (line number, {header name:
-    cell}); blank lines and other comments are skipped.  Errors name the
-    file and line.
+    cell}); blank lines and other comments are skipped.  Errors, a file
+    that is not text among them, name the file and line.
     """
     metadata: dict[str, str] = {}
     lines: list[tuple[int, list[str]]] = []
-    with open(path, newline="") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if body.startswith(METADATA_PREFIX):
-                    key, _, value = body[len(METADATA_PREFIX):].strip().partition("=")
-                    metadata[key.strip()] = value.strip()
-                continue
-            lines.append((lineno, next(csv.reader([line]))))
+    lineno = 0
+    try:
+        with open(path, newline="") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line:
+                    continue
+                if line.startswith("#"):
+                    body = line.lstrip("#").strip()
+                    if body.startswith(METADATA_PREFIX):
+                        key, _, value = body[len(METADATA_PREFIX):].strip().partition("=")
+                        metadata[key.strip()] = value.strip()
+                    continue
+                lines.append((lineno, next(csv.reader([line]))))
+    except UnicodeDecodeError:
+        raise ValidationError(f"{path}: not a text file") from None
+    except csv.Error as exc:  # a NUL byte, before Python 3.11
+        raise ValidationError(f"{path}:{lineno}: {exc}") from None
     if not lines:
         raise ValidationError(f"{path}: no data rows")
 

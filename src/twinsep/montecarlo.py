@@ -62,49 +62,53 @@ def sample_separations(config: SimConfig) -> np.ndarray:
 
     With a cutoff the pmf is renormalised over the integers 0..floor(l_cut)
     and sampled by mapping uniforms into the truncated CDF range; without
-    one the draws are plain geometric.  The seed alone fixes the stream:
-    draw i comes from the i-th double of
+    one the draws are plain geometric: draw i is
+    min(floor(log1p(-s * u_i) / log q), m), with s = 1 - q**(m+1) and m =
+    floor(l_cut) under a cutoff, s = 1 and no cap without.  The seed alone
+    fixes the stream: u_i is the i-th double of
     `np.random.Generator(np.random.Philox(seed)).random`, whatever the
     block size, so identical seeds give identical arrays.  The draws are
     made on the calling thread in blocks of BLOCK_DRAWS, each transformed
     in place in a cache-sized buffer and written once into the result.
 
-    The uniforms of a block are filled by `twinsep_philox_fill` of the
-    sieve's compiled kernel (`sieve._load_kernel`), from the key and
-    counter of `np.random.Philox(seed).state`; it runs 16 Philox counters
-    at once where the CPU has AVX-512.  When the kernel cannot be built,
-    numpy's `Generator.random` fills them.  Both give the same doubles,
-    so the draws do not depend on which one ran.
+    With the sieve's compiled kernel (`sieve._load_kernel`), a block takes
+    three passes: `twinsep_philox_fill` writes -s * u_i, from the key and
+    counter of `np.random.Philox(seed).state` (16 Philox counters at once
+    where the CPU has AVX-512); `np.log1p` takes the one logarithm; and
+    `twinsep_floor_div` divides, floors, caps and casts.  When the kernel
+    cannot be built, numpy's `Generator.random` and ufuncs run the same
+    IEEE operations in the same order.  Both give the same draws, so they
+    do not depend on which one ran.
     """
     p = config.params
     n = config.n_events
+    lnq = math.log(p.q)
+    m = None if p.l_cut is None else math.floor(p.l_cut)
+    # -s is exact to apply in one multiply: IEEE rounding is symmetric in sign
+    neg_scale = -1.0 if m is None else math.expm1((m + 1) * lnq)  # -(1 - q**(m+1))
+    out = np.empty(n, dtype=np.int64)
+    buf = np.empty(min(BLOCK_DRAWS, n))
     kernel = sieve._load_kernel()
     if kernel is None:
         rng = np.random.Generator(np.random.Philox(config.seed))
-
-        def fill(u, first):
+        for lo in range(0, n, BLOCK_DRAWS):
+            u = buf[: min(BLOCK_DRAWS, n - lo)]
             rng.random(out=u)  # consecutive fills continue the one stream
-    else:
-        state = np.random.Philox(config.seed).state["state"]
-
-        def fill(u, first):
-            kernel.twinsep_philox_fill(state["key"], state["counter"], first, u.size, u)
-    lnq = math.log(p.q)
-    m = None if p.l_cut is None else math.floor(p.l_cut)
-    out = np.empty(n, dtype=np.int64)
-    buf = np.empty(min(BLOCK_DRAWS, n))
+            u *= neg_scale
+            np.log1p(u, out=u)
+            u /= lnq
+            np.floor(u, out=u)
+            if m is not None:
+                np.minimum(u, m, out=u)
+            np.copyto(out[lo : lo + u.size], u, casting="unsafe")
+        return out
+    state = np.random.Philox(config.seed).state["state"]
+    cap = math.inf if m is None else float(m)
     for lo in range(0, n, BLOCK_DRAWS):
         u = buf[: min(BLOCK_DRAWS, n - lo)]
-        fill(u, lo)
-        if m is not None:
-            u *= -math.expm1((m + 1) * lnq)  # scale into (0, 1 - q**(m+1))
-        np.negative(u, out=u)
+        kernel.twinsep_philox_fill(state["key"], state["counter"], lo, u.size, neg_scale, u)
         np.log1p(u, out=u)
-        u /= lnq
-        np.floor(u, out=u)
-        if m is not None:
-            np.minimum(u, m, out=u)
-        np.copyto(out[lo : lo + u.size], u, casting="unsafe")
+        kernel.twinsep_floor_div(u, u.size, lnq, cap, out[lo : lo + u.size])
     return out
 
 

@@ -287,8 +287,10 @@ def _open_kernel(source, directory, name):
 def _load_kernel():
     """The compiled _kernel.c, or None when it cannot be built.
 
-    Both entry points are typed: twinsep_sieve_chunk (see _kernel_chunk)
-    and twinsep_philox_fill (see montecarlo.sample_separations).
+    Every entry point is typed: twinsep_sieve_chunk (see _kernel_chunk),
+    twinsep_philox_fill and twinsep_floor_div (see
+    montecarlo.sample_separations), and twinsep_histogram (see
+    spectrum.accumulate).
 
     It is built on first use, never at import, into
     ${XDG_CACHE_HOME:-~/.cache}/twinsep, keyed by the source, the compiler
@@ -325,9 +327,14 @@ def _load_kernel():
                                         array(np.uint32), array(np.int64), array(np.int64),
                                         array(np.int64)]
     lib.twinsep_sieve_chunk.restype = i64
-    lib.twinsep_philox_fill.argtypes = [array(np.uint64), array(np.uint64), i64, i64,
+    f64 = ctypes.c_double
+    lib.twinsep_philox_fill.argtypes = [array(np.uint64), array(np.uint64), i64, i64, f64,
                                         array(np.float64)]
-    lib.twinsep_philox_fill.restype = None
+    lib.twinsep_floor_div.argtypes = [array(np.float64), i64, f64, f64, array(np.int64)]
+    lib.twinsep_philox_fill.restype = lib.twinsep_floor_div.restype = None
+    # the stream is int64 or uint32, by its width in bytes
+    lib.twinsep_histogram.argtypes = [ctypes.c_void_p, i64, i64, i64, array(np.int64)]
+    lib.twinsep_histogram.restype = i64
     return lib
 
 

@@ -7,12 +7,18 @@ same checks, e.g. `python tests/kernel_check.py -fsanitize=undefined
 -fno-sanitize-recover=all`.  It fails when `sieve_range` falls back to
 numpy, when the counts at 1e8 differ from the published pi and pi2 (OEIS
 A006880, A007508), when one chunk across 2**32, where a C int would
-wrap, differs from the numpy reference, or when the compiled Philox fill
-differs from numpy's `Generator(Philox).random`: over lengths that end
+wrap, differs from the numpy reference, when the compiled Philox fill
+differs from numpy's `Generator(Philox).random` (over lengths that end
 inside a group of 16 counters, from an offset inside a block, and from a
-counter whose word 0 wraps and carries into words 1..3.
+counter whose word 0 wraps and carries into words 1..3), when the
+sampler's floor division differs from numpy's floor and minimum (from
+v = -0.0 to the largest quotient in range, with and without a cap), or
+when the histogram differs from a Counter (int64 and uint32 streams, each
+pass, and the values that stop a pass).  Each call gets one element more
+than it may touch, and a store there, or a read of it, fails the check.
 """
 
+import collections
 import dataclasses
 import math
 import sys
@@ -30,9 +36,50 @@ def check_fill(lib):
         for first, n in ((0, 5000), (3, 4997), (1, 1), (6, 63), (129, 701)):
             # a buffer one double longer catches a store past out[n - 1]
             got = np.full(n + 1, np.nan)
-            lib.twinsep_philox_fill(key, ctr, first, n, got[:n])
+            lib.twinsep_philox_fill(key, ctr, first, n, 1.0, got[:n])
             assert np.array_equal(got[:n], want[first : first + n]), (counter, first, n)
             assert np.isnan(got[n]), (counter, first, n)
+
+
+def check_floor_div(lib):
+    top = 1.0 - 2.0**-53  # the largest double below 1: the largest |log1p(-u)| and q
+    lnqs = (math.log(8 / 9), math.log(0.5), math.log(top))
+    v = np.log1p(-np.random.default_rng(3).random(1000))
+    v[:4] = (-0.0, math.log1p(-top), -1e-300, math.log(8 / 9) * 7)  # the 4th is 7 * lnq exactly
+    for lnq in lnqs:
+        for m in (math.inf, 0.0, 5.0, 2.0**60):
+            want = np.minimum(np.floor(v / lnq), m).astype(np.int64)
+            for n in (1, 4, 7, 8, 9, 17, 1000):
+                # a NaN past v[n - 1] and a 0 past out[n - 1] show a read or a store past the end
+                vin = np.append(v[:n], np.nan)
+                got = np.zeros(n + 1, dtype=np.int64)
+                lib.twinsep_floor_div(vin, n, lnq, m, got)
+                assert np.array_equal(got[:n], want[:n]), (lnq, m, n)
+                assert got[n] == 0, (lnq, m, n)
+
+
+def check_histogram(lib):
+    rng = np.random.default_rng(4)
+    streams = [rng.geometric(0.1, 1000) - 1, rng.integers(0, 5000, 10000), np.array([0]),
+               np.array([1023]), np.array([1024]), np.array([1025, 1030, 0]), np.array([3, -1, 2]),
+               np.array([2**62, 5])]
+    for stream in streams:
+        counter = collections.Counter(stream.tolist())
+        want_top = -1 if min(counter) < 0 else max(counter) + 1
+        for dtype, past in ((np.int64, -1), (np.uint32, 2**32 - 1)):
+            if dtype == np.uint32 and not all(0 <= x < 2**32 for x in counter):
+                continue
+            # one more value that would change the result if it were read
+            x = np.append(stream, past).astype(dtype)
+            # caps about the one-pass bound (1024) and the stream's top, if small enough to allocate
+            for cap in {c for c in (1, 100, 1024, 1025, want_top, 2 * want_top) if 0 < c < 10**5}:
+                got = np.zeros(cap + 1, dtype=np.int64)
+                top = lib.twinsep_histogram(x.ctypes.data, stream.size, x.itemsize, cap, got)
+                assert top == want_top, (dtype, cap, top, want_top)
+                if 0 <= top <= cap:
+                    bins = {v: int(c) for v, c in enumerate(got[:cap]) if c}
+                    assert bins == counter, (dtype, cap)
+                assert got[cap] == 0, (dtype, cap)
 
 
 def main(flags):
@@ -51,7 +98,10 @@ def main(flags):
     want = sieve._sieve_chunk(low, high, 1 << 20, base, grid)
     assert got.seps.tolist() == want.seps.tolist()
     assert dataclasses.replace(got, seps=None) == dataclasses.replace(want, seps=None)
-    check_fill(sieve._load_kernel())
+    lib = sieve._load_kernel()
+    check_fill(lib)
+    check_floor_div(lib)
+    check_histogram(lib)
 
 
 if __name__ == "__main__":

@@ -129,6 +129,7 @@ BAD_FILES = {
     "s0_inf": "pi1,s0\n100,5\n1000,inf\n10000,7\n100000,8\n",
     "m_nan": "pi1,m\n100,0.2\nnan,0.1\n",
     "counts_negative_adjusted": "n,pi1,pi2,pi1_adjusted\n100,25,8,-7\n",
+    "counts_nul": "n,pi1,pi2\n100,25,8\n1000,16\x008,35\n",
 }
 
 
@@ -208,6 +209,8 @@ class TestContract:
             (["report", "--limit", "1000000", "--f", "inf"], {}, "--f"),
             (["simulate", "--s0", "5", "--n", str(2**64), "--seed", "1", "--out", "{tmp}/sp.csv"],
              {}, "n_events must be in [1, 2**60)"),
+            (["predict", "--counts", "{counts_nul}", "--out", "{tmp}/o.csv"], {},
+             "counts_nul.csv:3:"),  # "line contains NUL" before Python 3.11
         ],
         ids=[
             "onsets-non-integer",
@@ -250,6 +253,7 @@ class TestContract:
             "figures-f-inf",
             "report-f-inf",
             "simulate-n-2-64",
+            "counts-nul-byte",
         ],
     )
     def test_exit_2(self, argv, env, needle, sieved, tmp_path, monkeypatch, capsys):
@@ -270,6 +274,23 @@ class TestContract:
         assert rc == 2
         assert "Traceback" not in err
         assert needle in err.strip().splitlines()[-1]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["s0", "--counts", "{bad}"], ["gof", "--spectrum", "{bad}", "--s0", "5"],
+         ["figures", "--counts", "{counts}", "--onsets", "{bad}", "--out-dir", "{tmp}/figs"]],
+        ids=["s0", "gof", "figures-onsets"],
+    )
+    def test_binary_csv_exits_2(self, argv, sieved, tmp_path, capsys):
+        # bytes that are not text in any line: csv never sees them
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"n,pi1,pi2\n\x80\xfe\xff,1,2\n")
+        files = {"bad": bad, "counts": sieved[0], "tmp": tmp_path}
+        capsys.readouterr()
+        assert main([arg.format(**files) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.strip().splitlines()[-1] == f"error: {bad}: not a text file"
 
     def test_subnormal_f_skips_every_row(self, sieved, tmp_path, capsys):
         # with f = 1e-320, pi2/f overflows and no checkpoint has a finite cutoff
@@ -659,7 +680,7 @@ def fuzz_files(tmp_path_factory):
     out = tmp_path_factory.mktemp("fuzz")
     counts, seps = out / "counts.csv", out / "seps.bin"
     assert main(["sieve", "--limit", "100000", "--out", str(counts),
-                 "--separations", str(seps)]) == 0
+                 "--separations", str(seps), "--onsets", str(out / "onsets.csv")]) == 0
     assert main(["spectrum", "--separations", str(seps), "--out", str(out / "spectrum.csv")]) == 0
     return out
 
@@ -683,6 +704,76 @@ class TestContractFuzz:
             rc = main([*argv, *files])
         except SystemExit as exc:  # argparse rejects bad option values itself
             rc = exc.code
+        err = capsys.readouterr().err
+        assert rc in (0, 2, 3, 4), (argv, err)
+        assert "Traceback" not in err, argv
+
+
+# The commands that read files, with a {key} of FILE_INPUTS for each input and {out} for the output.
+FILE_INPUTS = {"seps": "seps.bin", "spectrum": "spectrum.csv", "counts": "counts.csv",
+               "onsets": "onsets.csv"}
+FILE_COMMANDS = [
+    "spectrum --separations {seps} --out {out}",
+    "gof --spectrum {spectrum} --s0 8",
+    "gof --spectrum {spectrum} --s0 8 --f 1 --pi2 1000",
+    "s0 --counts {counts} --out {out}",
+    "s0 --counts {counts} --convention exact --separations {seps} --out {out}",
+    "predict --counts {counts} --out {out}",
+    "predict --counts {counts} --convention exact --separations {seps} --out {out}",
+    "figures --counts {counts} --out-dir {out}",
+    "figures --counts {counts} --separations {seps} --onsets {onsets} --convention exact"
+    " --out-dir {out}",
+]
+CSV_CELLS = st.one_of(
+    st.integers(-(2**70), 2**70).map(str),
+    st.sampled_from(["", "nan", "inf", "-0", "1e3", "0x10", " 7", "n", "#", '"', "\x00"]),
+    st.text(max_size=8),
+)
+
+
+@st.composite
+def mangled(draw, original: bytes, name: str):
+    """The bytes of a valid input file, cut short, spliced, extended, or replaced outright."""
+    how = draw(st.sampled_from(["truncate", "splice", "row", "garbage", "values"]))
+    if how == "truncate":
+        return original[: draw(st.integers(0, len(original)))]
+    if how == "splice":
+        at = draw(st.integers(0, len(original)))
+        cut = draw(st.integers(0, 16))
+        return original[:at] + draw(st.binary(max_size=16)) + original[at + cut :]
+    if how == "row" and name == "counts.csv" and draw(st.booleans()):  # a later checkpoint
+        n, pi1, pi2 = (int(x) for x in original.split()[-1].split(b",")[:3])
+        grow = st.integers(0, 2**66)
+        row = f"{n + 1 + draw(grow)},{pi1 + draw(grow)},{pi2 + draw(grow)},\r\n"
+        return original + row.encode()
+    if how == "row" and name.endswith(".csv"):  # one more row of strange cells
+        cells = draw(st.lists(CSV_CELLS, min_size=1, max_size=5))
+        return original + (",".join(cells) + "\r\n").encode("utf-8", "surrogatepass")
+    if how == "values" and name.endswith(".bin"):  # a well-formed stream of any uint32 values
+        top = draw(st.sampled_from([2, 1025, 5000, 2**32 - 1]))
+        values = draw(st.lists(st.integers(0, top), max_size=3000))
+        return np.array(values, dtype="<u4").tobytes()
+    return draw(st.binary(max_size=256))
+
+
+class TestFileContentFuzz:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                     HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_mangled_inputs(self, data, fuzz_files, tmp_path_factory, capsys):
+        # any content of an input file exits 0, 2, 3 or 4 with a message, never a traceback
+        template = data.draw(st.sampled_from(FILE_COMMANDS))
+        work = tmp_path_factory.mktemp("mangled")
+        paths = {"out": str(work / "out")}
+        for key, name in FILE_INPUTS.items():
+            if f"{{{key}}}" in template:
+                original = (fuzz_files / name).read_bytes()
+                (work / name).write_bytes(data.draw(mangled(original, name), label=name))
+                paths[key] = str(work / name)
+        argv = template.format(**paths).split()
+        capsys.readouterr()
+        rc = main(argv)
         err = capsys.readouterr().err
         assert rc in (0, 2, 3, 4), (argv, err)
         assert "Traceback" not in err, argv

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import os
@@ -114,10 +115,10 @@ class TestSampler:
             SimConfig(params, n_events=10, seed=-1)
 
 
-def compiled_fill(kernel, state, first, n):
-    """Doubles first .. first + n - 1 of a fresh Generator from Philox state["state"]."""
+def compiled_fill(kernel, state, first, n, f=1.0):
+    """f times doubles first .. first + n - 1 of a fresh Generator from Philox state["state"]."""
     out = np.full(n, np.nan)
-    kernel.twinsep_philox_fill(state["key"], state["counter"], first, n, out)
+    kernel.twinsep_philox_fill(state["key"], state["counter"], first, n, f, out)
     return out
 
 
@@ -143,6 +144,15 @@ class TestPhiloxFill:
             got = compiled_fill(kernel, state["state"], first, n)
             assert np.array_equal(got, want[first : first + n]), (first, n)
 
+    @pytest.mark.parametrize("f", [-1.0, -0.3, 1.0])
+    def test_factor(self, kernel, f):
+        # the fill's factor is one IEEE multiply per double: -s * u, exactly -(s * u)
+        state = np.random.Philox(11).state["state"]
+        want = np.random.Generator(np.random.Philox(11)).random(BLOCK_DRAWS + 9)
+        for first, n in ((0, BLOCK_DRAWS + 9), (5, 200)):
+            got = compiled_fill(kernel, state, first, n, f)
+            assert np.array_equal(got, -(-f * want[first : first + n])), (first, n)
+
     @pytest.mark.parametrize("law", sorted(LAWS))
     def test_sampler_without_kernel(self, kernel, law, monkeypatch):
         config = SimConfig(LAWS[law](), n_events=3 * BLOCK_DRAWS + 5, seed=2**63 + 1)
@@ -151,6 +161,36 @@ class TestPhiloxFill:
         fallback = sample_separations(config)
         assert fallback.dtype == compiled.dtype == np.int64
         assert np.array_equal(fallback, compiled)
+
+
+class TestCompiledSampler:
+    """The kernel's fill, numpy's log1p and the kernel's floor division against numpy alone."""
+
+    @pytest.mark.parametrize("s0", [0.01, 8.0, 1e6, 1e15])
+    @pytest.mark.parametrize("cut", [None, "zero", "typical", "huge"])
+    def test_draws_match_fallback(self, kernel, s0, cut, monkeypatch):
+        law = solve_f0(s0)
+        if cut is not None:
+            l_cut = {"zero": 0.0, "typical": 3 * law.sbar, "huge": 1e300}[cut]
+            law = dataclasses.replace(law, l_cut=l_cut, f=1.0)
+        sizes = [1, 7, 8, 9, BLOCK_DRAWS - 1, BLOCK_DRAWS + 1]
+        compiled = [sample_separations(SimConfig(law, n_events=n, seed=n)) for n in sizes]
+        monkeypatch.setattr(sieve, "_load_kernel", lambda: None)
+        for n, draws in zip(sizes, compiled):
+            assert np.array_equal(draws, sample_separations(SimConfig(law, n_events=n, seed=n)))
+        assert compiled[-1].max() <= (math.inf if cut is None else math.floor(law.l_cut))
+
+    def test_floor_div_edges(self, kernel):
+        # v = -0.0 and the largest |v| and quotient in range: log1p(-(1 - 2**-53)) / log(1 - 2**-53)
+        top = 1.0 - 2.0**-53
+        v = np.array([-0.0, -1e-300, math.log1p(-top), 7 * math.log(0.5), -2.5] * 3)
+        for lnq in (math.log(0.5), math.log(top)):
+            for m in (math.inf, 0.0, 3.0):
+                got = np.empty(v.size, dtype=np.int64)
+                kernel.twinsep_floor_div(v, v.size, lnq, m, got)
+                assert np.array_equal(got, np.minimum(np.floor(v / lnq), m).astype(np.int64))
+                if m == math.inf and lnq == math.log(top):
+                    assert 3.3e17 < got[2] < 2**63 and got[0] == 0
 
 
 def dense_gof(empirical, params):

@@ -1,10 +1,12 @@
 import collections
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from twinsep import sieve
 from twinsep.errors import ValidationError
 from twinsep.sieve import CountRecord, SieveConfig, sieve_range
 from twinsep.spectrum import (
@@ -40,6 +42,21 @@ class TestAccumulate:
         with pytest.raises(ValidationError):
             accumulate([1, -2])
 
+    @pytest.mark.parametrize(
+        "stream", [[np.inf, 1.0], [1.0, np.nan], [-np.inf], [2.0**63], [1e300, 0.0]]
+    )
+    def test_rejects_non_finite_and_huge_floats(self, stream):
+        # before the cast to int64, so numpy's "invalid value encountered in cast" never fires
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=r"finite integers below 2\*\*63"):
+                accumulate(np.array(stream))
+
+    def test_accepts_floats_below_2_63(self):
+        assert accumulate(np.array([2.0**62, 0.0, 0.0])).bins == {0: 2, 2**62: 1}
+        with pytest.raises(ValidationError, match=">= 0"):
+            accumulate(np.array([-1.0, 1.0]))
+
     @given(sep_lists, sep_lists)
     def test_concat_equals_merge(self, xs, ys):
         assert accumulate(xs + ys) == merge(accumulate(xs), accumulate(ys))
@@ -73,6 +90,55 @@ class TestAccumulate:
         big = accumulate(np.array([2**64 - 1, 1, 1], dtype=np.uint64))
         assert big.bins == {1: 2, 2**64 - 1: 1}
         assert big.total_singletons == 2**64 + 1
+
+
+def kernel_streams():
+    """(name, stream) pairs for the compiled histogram, each checked against a Counter."""
+    rng = np.random.default_rng(19)
+    geometric = rng.geometric(0.1, 5000) - 1
+    wide = rng.integers(0, 3000, 5000)  # top above the kernel's one-pass bound, below the size
+    return [
+        ("int64", geometric.astype(np.int64)),
+        ("uint32", geometric.astype(np.uint32)),
+        ("int32", geometric.astype(np.int32)),  # numpy counts it
+        ("wide-int64", wide.astype(np.int64)),
+        ("wide-uint32", wide.astype(np.uint32)),
+        ("non-contiguous", geometric.astype(np.int64)[::3]),
+        ("non-contiguous-uint32", geometric.astype(np.uint32)[1::2]),
+        ("one", np.array([5], dtype=np.int64)),
+        ("one-zero", np.array([0], dtype=np.uint32)),
+        ("sparse", np.array([3, 10**12, 3], dtype=np.int64)),
+        ("sparse-uint32", np.array([2**32 - 1, 0], dtype=np.uint32)),
+        ("top-equals-size", np.array([3, 0, 1, 2], dtype=np.int64)),
+        ("top-above-size", np.array([4, 0, 1, 2], dtype=np.uint32)),
+    ]
+
+
+class TestCompiledHistogram:
+    @pytest.mark.parametrize("name,stream", kernel_streams(), ids=[n for n, _ in kernel_streams()])
+    def test_matches_counter(self, kernel, name, stream, monkeypatch):
+        counts = collections.Counter(stream.tolist())
+        compiled = accumulate(stream)
+        monkeypatch.setattr(sieve, "_load_kernel", lambda: None)
+        fallback = accumulate(stream)
+        assert compiled.bins == fallback.bins == dict(counts), name
+        assert all(type(s) is int and type(c) is int for s, c in compiled.bins.items())
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint32])
+    def test_empty(self, kernel, dtype):
+        assert accumulate(np.array([], dtype=dtype)).bins == {}
+
+    @pytest.mark.parametrize("stream", [[3, -1, 2], [-(2**63)], [5000] * 3 + [-1]])
+    def test_negative(self, kernel, stream):
+        with pytest.raises(ValidationError, match=">= 0"):
+            accumulate(np.array(stream, dtype=np.int64))
+
+    def test_slices_of_one_stream(self, kernel):
+        # per_checkpoint_spectra histograms contiguous slices of the sieve's uint32 stream
+        stream = (np.random.default_rng(7).geometric(0.08, 20000) - 1).astype(np.uint32)
+        for lo, hi in ((0, 1), (0, 17), (17, 1040), (1040, 20000)):
+            want = collections.Counter(stream[lo:hi].tolist())
+            assert accumulate(stream[lo:hi]).bins == dict(want)
 
 
 class TestMerge:
