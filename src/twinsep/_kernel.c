@@ -1,7 +1,7 @@
 /* twinsep's compiled kernel.  Its entry points: twinsep_sieve_chunk, the fused twin sieve
  * below; for the Monte Carlo sampler, twinsep_philox_fill, its scaled uniforms, and
- * twinsep_floor_div, its draws from their logs; and twinsep_histogram, for spectra (all
- * three at the end).
+ * twinsep_floor_div, its draws from their logs; and twinsep_histogram, for spectra, with
+ * the size of its table, twinsep_histogram_cap (all at the end).
  *
  * Fused twin kernel: sieve one chunk [low, high) and summarise it.
  *
@@ -579,21 +579,22 @@ void twinsep_floor_div(const double *v, int64_t n, double lnq, double m, int64_t
 
 /* Spectra: twinsep_histogram histograms a stream x[0..n) of int64 (width 8) or uint32
  * (width 4) values.  It returns -1 when some value is negative, and otherwise top, the
- * greatest value plus one (0 when n = 0; INT64_MAX for a value INT64_MAX).  When top <= cap it
- * has also added the count of each value v to counts[v]; otherwise counts[0..cap) hold
- * nothing of use.  With cap <= SUB_TOP it takes one pass: each value v is counted as
- * v & (SUB_TOP - 1) into SUB interleaved sub-tables, element i into sub[v * SUB + i % SUB],
- * so that a run of one value (the geometric law's s = 0) does not wait on its own last
- * increment, and the values are ORed together; an OR below SUB_TOP shows that every value
- * lay in [0, SUB_TOP), so the sub-tables hold the histogram.  The sub-tables are a fixed
- * 32 KB on the stack.  A larger cap counts into counts directly, with a bounds check per
- * value.  A value outside either pass's range stops it, and a scalar pass then finds the
- * least and greatest value.  Each pass is inlined once per width, so its loop reads one
- * fixed type.
+ * greatest value plus one (0 when n = 0; INT64_MAX for a value INT64_MAX).  counts holds
+ * twinsep_histogram_cap (SUB_TOP) entries; when top <= SUB_TOP it has also added the count of
+ * each value v to counts[v], and otherwise it leaves counts as they were.  It takes one
+ * pass: each value v is counted as v & (SUB_TOP - 1) into SUB interleaved sub-tables,
+ * element i into sub[v * SUB + i % SUB], so that a run of one value (the geometric law's
+ * s = 0) does not wait on its own last increment, and the values are ORed together; an OR
+ * below SUB_TOP shows that every value lay in [0, SUB_TOP), so the sub-tables hold the
+ * histogram.  The sub-tables are a fixed 32 KB on the stack.  Otherwise (a negative int64
+ * reads as 2**63 or more) a scalar pass finds the least and greatest value, and the caller
+ * counts.  The pass is inlined once per width, so its loop reads one fixed type.
  */
 #define SUB 4
 #define SUB_TOP 1024 /* a power of two */
 #define INLINE static inline __attribute__((always_inline))
+
+const int64_t twinsep_histogram_cap = SUB_TOP;
 
 INLINE uint64_t at(const void *x, int width, int64_t i) /* a negative int64 is 2**63 or more */
 {
@@ -608,43 +609,30 @@ INLINE int64_t bin(const int64_t *sub, int64_t v) /* the count of v over the sub
     return c;
 }
 
-INLINE int64_t histogram(const void *x, int64_t n, int width, int64_t cap, int64_t *counts)
+INLINE int64_t histogram(const void *x, int64_t n, int width, int64_t *counts)
 {
-    int64_t i = 0;
-    if (cap <= SUB_TOP) {
-        int64_t sub[SUB * SUB_TOP] = {0}, top = SUB_TOP;
-        uint64_t any = 0;
-        for (; i + SUB <= n; i += SUB) { /* written out: gcc -O2 keeps a loop over k */
-            uint64_t v0 = at(x, width, i), v1 = at(x, width, i + 1);
-            uint64_t v2 = at(x, width, i + 2), v3 = at(x, width, i + 3);
-            any |= v0 | v1 | v2 | v3;
-            sub[(v0 & (SUB_TOP - 1)) * SUB]++;
-            sub[(v1 & (SUB_TOP - 1)) * SUB + 1]++;
-            sub[(v2 & (SUB_TOP - 1)) * SUB + 2]++;
-            sub[(v3 & (SUB_TOP - 1)) * SUB + 3]++;
-        }
-        for (; i < n; i++) {
-            any |= at(x, width, i);
-            sub[(at(x, width, i) & (SUB_TOP - 1)) * SUB]++;
-        }
-        if (any < SUB_TOP) {
-            while (top > 0 && !bin(sub, top - 1))
-                top--;
-            for (int64_t v = 0; top <= cap && v < top; v++)
-                counts[v] += bin(sub, v);
-            return top;
-        }
-    } else {
-        uint64_t top = 0;
-        for (; i < n; i++) {
-            uint64_t v = at(x, width, i);
-            if (v >= (uint64_t)cap)
-                break;
-            counts[v]++;
-            top = v < top ? top : v + 1;
-        }
-        if (i == n)
-            return (int64_t)top;
+    int64_t sub[SUB * SUB_TOP] = {0}, i = 0;
+    uint64_t any = 0;
+    for (; i + SUB <= n; i += SUB) { /* written out: gcc -O2 keeps a loop over k */
+        uint64_t v0 = at(x, width, i), v1 = at(x, width, i + 1);
+        uint64_t v2 = at(x, width, i + 2), v3 = at(x, width, i + 3);
+        any |= v0 | v1 | v2 | v3;
+        sub[(v0 & (SUB_TOP - 1)) * SUB]++;
+        sub[(v1 & (SUB_TOP - 1)) * SUB + 1]++;
+        sub[(v2 & (SUB_TOP - 1)) * SUB + 2]++;
+        sub[(v3 & (SUB_TOP - 1)) * SUB + 3]++;
+    }
+    for (; i < n; i++) {
+        any |= at(x, width, i);
+        sub[(at(x, width, i) & (SUB_TOP - 1)) * SUB]++;
+    }
+    if (any < SUB_TOP) {
+        int64_t top = SUB_TOP;
+        while (top > 0 && !bin(sub, top - 1))
+            top--;
+        for (int64_t v = 0; v < top; v++)
+            counts[v] += bin(sub, v);
+        return top;
     }
     int64_t lo = INT64_MAX, hi = INT64_MIN;
     for (i = 0; i < n; i++) {
@@ -655,7 +643,7 @@ INLINE int64_t histogram(const void *x, int64_t n, int width, int64_t cap, int64
     return lo < 0 ? -1 : hi < INT64_MAX ? hi + 1 : hi; /* saturated at INT64_MAX */
 }
 
-int64_t twinsep_histogram(const void *x, int64_t n, int64_t width, int64_t cap, int64_t *counts)
+int64_t twinsep_histogram(const void *x, int64_t n, int64_t width, int64_t *counts)
 {
-    return width == 8 ? histogram(x, n, 8, cap, counts) : histogram(x, n, 4, cap, counts);
+    return width == 8 ? histogram(x, n, 8, counts) : histogram(x, n, 4, counts);
 }

@@ -290,7 +290,7 @@ def _load_kernel():
     Every entry point is typed: twinsep_sieve_chunk (see _kernel_chunk),
     twinsep_philox_fill and twinsep_floor_div (see
     montecarlo.sample_separations), and twinsep_histogram (see
-    spectrum.accumulate).
+    spectrum.accumulate), whose table size is read into lib.histogram_cap.
 
     It is built on first use, never at import, into
     ${XDG_CACHE_HOME:-~/.cache}/twinsep, keyed by the source, the compiler
@@ -332,9 +332,10 @@ def _load_kernel():
                                         array(np.float64)]
     lib.twinsep_floor_div.argtypes = [array(np.float64), i64, f64, f64, array(np.int64)]
     lib.twinsep_philox_fill.restype = lib.twinsep_floor_div.restype = None
-    # the stream is int64 or uint32, by its width in bytes
-    lib.twinsep_histogram.argtypes = [ctypes.c_void_p, i64, i64, i64, array(np.int64)]
+    # the stream is int64 or uint32, by its width in bytes; counts has histogram_cap entries
+    lib.twinsep_histogram.argtypes = [ctypes.c_void_p, i64, i64, array(np.int64)]
     lib.twinsep_histogram.restype = i64
+    lib.histogram_cap = i64.in_dll(lib, "twinsep_histogram_cap").value
     return lib
 
 

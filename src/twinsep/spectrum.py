@@ -21,8 +21,6 @@ from .sieve import CountRecord
 
 
 BINCOUNT_BLOCK = 1 << 16  # elements per np.bincount call on values that need a cast to intp
-# the kernel's first table: it histograms in one pass up to SUB_TOP = 1024 in _kernel.c
-KERNEL_HISTOGRAM_CAP = 1024
 
 
 class S0Convention(str, Enum):
@@ -76,17 +74,22 @@ def accumulate(separations) -> SeparationSpectrum:
     dense histogram is never larger than the input), np.unique otherwise.
     A contiguous int64 or uint32 stream (the sampler's draws, the sieve's
     separations) is counted by the sieve's compiled kernel
-    (`twinsep_histogram`), in one pass while its largest value is below
-    KERNEL_HISTOGRAM_CAP and in three otherwise; other streams, and every
-    stream when the kernel cannot be built, by np.bincount.  Float input
-    must hold finite integers below 2**63.
+    (`twinsep_histogram`) in one pass while its largest value is below the
+    kernel's fixed table (1024 entries); above that the kernel only finds
+    its range.  Every other count, and every count when the kernel cannot
+    be built, is np.bincount's.  Float input must hold finite integers
+    below 2**63.
     """
     arr = np.asarray(separations).reshape(-1)
     if arr.size == 0:
         return SeparationSpectrum()
     if not np.issubdtype(arr.dtype, np.integer):
-        # before the cast, which turns inf, nan and 2**63 into garbage with a warning
-        if not (np.all(np.isfinite(arr)) and arr.max() < 2**63):
+        # before the cast, which turns inf, nan and +-2**63 into garbage with a warning
+        if not np.all(np.isfinite(arr)):
+            raise ValidationError("separations must be finite integers below 2**63")
+        if arr.min() < 0:
+            raise ValidationError("separations must be >= 0")
+        if arr.max() >= 2**63:
             raise ValidationError("separations must be finite integers below 2**63")
         if not np.all(arr == np.floor(arr)):
             raise ValidationError("separations must be integers")
@@ -94,35 +97,34 @@ def accumulate(separations) -> SeparationSpectrum:
     kernel = None
     if arr.dtype in (np.int64, np.uint32) and arr.flags.c_contiguous:
         kernel = sieve._load_kernel()
+    cnts = None  # a dense count, indexed by value
     if kernel is not None:
-        cap = min(arr.size, KERNEL_HISTOGRAM_CAP)
-        cnts = np.zeros(cap, dtype=np.int64)
-        top = kernel.twinsep_histogram(arr.ctypes.data, arr.size, arr.itemsize, cap, cnts)
-        if cap < top <= arr.size:  # the top is known now: count into a table that holds it
-            cnts = np.zeros(top, dtype=np.int64)
-            kernel.twinsep_histogram(arr.ctypes.data, arr.size, arr.itemsize, top, cnts)
+        table = np.zeros(kernel.histogram_cap, dtype=np.int64)
+        top = kernel.twinsep_histogram(arr.ctypes.data, arr.size, arr.itemsize, table)
+        if 0 <= top <= table.size:
+            cnts = table
         negative = top < 0
     else:  # an unsigned stream cannot be negative
         negative = arr.dtype.kind != "u" and int(arr.min()) < 0
         top = int(arr.max()) + 1
     if negative:
         raise ValidationError("separations must be >= 0")
-    if top <= arr.size:
-        if kernel is None:
-            # bincount will not cast uint64 safely; every value here is below the size
-            if arr.dtype == np.uint64:
-                arr = arr.view(np.int64)
-            if arr.dtype == np.intp:
-                cnts = np.bincount(arr)
-            else:  # bincount casts to intp: a block at a time, so the cast never copies the stream
-                step = max(BINCOUNT_BLOCK, top)
-                cnts = np.zeros(top, dtype=np.intp)
-                for i in range(0, arr.size, step):
-                    cnts += np.bincount(arr[i : i + step], minlength=top)
+    if cnts is None and top <= arr.size:
+        # bincount will not cast uint64 safely; every value here is below the size
+        if arr.dtype == np.uint64:
+            arr = arr.view(np.int64)
+        if arr.dtype == np.intp:
+            cnts = np.bincount(arr)
+        else:  # bincount casts to intp: a block at a time, so the cast never copies the stream
+            step = max(BINCOUNT_BLOCK, top)
+            cnts = np.zeros(top, dtype=np.intp)
+            for i in range(0, arr.size, step):
+                cnts += np.bincount(arr[i : i + step], minlength=top)
+    if cnts is None:
+        vals, cnts = np.unique(arr, return_counts=True)
+    else:
         vals = np.flatnonzero(cnts)
         cnts = cnts[vals]
-    else:
-        vals, cnts = np.unique(arr, return_counts=True)
     return SeparationSpectrum(dict(zip(vals.tolist(), cnts.tolist())))
 
 

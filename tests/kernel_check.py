@@ -13,8 +13,8 @@ inside a group of 16 counters, from an offset inside a block, and from a
 counter whose word 0 wraps and carries into words 1..3), when the
 sampler's floor division differs from numpy's floor and minimum (from
 v = -0.0 to the largest quotient in range, with and without a cap), or
-when the histogram differs from a Counter (int64 and uint32 streams, each
-pass, and the values that stop a pass).  Each call gets one element more
+when the histogram differs from a Counter (int64 and uint32 streams, with
+values inside and outside its table, which then must stay untouched).  Each call gets one element more
 than it may touch, and a store there, or a read of it, fails the check.
 """
 
@@ -59,10 +59,11 @@ def check_floor_div(lib):
 
 
 def check_histogram(lib):
+    cap = lib.histogram_cap
     rng = np.random.default_rng(4)
     streams = [rng.geometric(0.1, 1000) - 1, rng.integers(0, 5000, 10000), np.array([0]),
-               np.array([1023]), np.array([1024]), np.array([1025, 1030, 0]), np.array([3, -1, 2]),
-               np.array([2**62, 5])]
+               np.array([cap - 1]), np.array([cap]), np.array([cap + 1, cap + 6, 0]),
+               np.array([3, -1, 2]), np.array([2**62, 5])]
     for stream in streams:
         counter = collections.Counter(stream.tolist())
         want_top = -1 if min(counter) < 0 else max(counter) + 1
@@ -71,15 +72,15 @@ def check_histogram(lib):
                 continue
             # one more value that would change the result if it were read
             x = np.append(stream, past).astype(dtype)
-            # caps about the one-pass bound (1024) and the stream's top, if small enough to allocate
-            for cap in {c for c in (1, 100, 1024, 1025, want_top, 2 * want_top) if 0 < c < 10**5}:
-                got = np.zeros(cap + 1, dtype=np.int64)
-                top = lib.twinsep_histogram(x.ctypes.data, stream.size, x.itemsize, cap, got)
-                assert top == want_top, (dtype, cap, top, want_top)
-                if 0 <= top <= cap:
-                    bins = {v: int(c) for v, c in enumerate(got[:cap]) if c}
-                    assert bins == counter, (dtype, cap)
-                assert got[cap] == 0, (dtype, cap)
+            got = np.zeros(cap + 1, dtype=np.int64)
+            top = lib.twinsep_histogram(x.ctypes.data, stream.size, x.itemsize, got)
+            assert top == want_top, (dtype, top, want_top)
+            if 0 <= top <= cap:
+                bins = {v: int(c) for v, c in enumerate(got[:cap]) if c}
+                assert bins == counter, dtype
+            else:
+                assert not got.any(), dtype  # counts untouched
+            assert got[cap] == 0, dtype
 
 
 def main(flags):

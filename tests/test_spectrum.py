@@ -52,6 +52,14 @@ class TestAccumulate:
             with pytest.raises(ValidationError, match=r"finite integers below 2\*\*63"):
                 accumulate(np.array(stream))
 
+    @pytest.mark.parametrize("stream", [[-1e300], [1.0, -(2.0**64)], [-(2.0**63)]])
+    def test_rejects_huge_negative_floats(self, stream):
+        # also before the cast: a float below -2**63 would warn there too
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=">= 0"):
+                accumulate(np.array(stream))
+
     def test_accepts_floats_below_2_63(self):
         assert accumulate(np.array([2.0**62, 0.0, 0.0])).bins == {0: 2, 2**62: 1}
         with pytest.raises(ValidationError, match=">= 0"):
@@ -96,7 +104,7 @@ def kernel_streams():
     """(name, stream) pairs for the compiled histogram, each checked against a Counter."""
     rng = np.random.default_rng(19)
     geometric = rng.geometric(0.1, 5000) - 1
-    wide = rng.integers(0, 3000, 5000)  # top above the kernel's one-pass bound, below the size
+    wide = rng.integers(0, 3000, 5000)  # top above the kernel's table, below the size
     return [
         ("int64", geometric.astype(np.int64)),
         ("uint32", geometric.astype(np.uint32)),
