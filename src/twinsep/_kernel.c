@@ -1,7 +1,7 @@
 /* twinsep's compiled kernel.  Its entry points: twinsep_sieve_chunk, the fused twin sieve
  * below; for the Monte Carlo sampler, twinsep_philox_fill, its scaled uniforms, and
- * twinsep_floor_div, its draws from their logs; and twinsep_histogram, for spectra, with
- * the size of its table, twinsep_histogram_cap (all at the end).
+ * twinsep_geometric, its draws from them in one pass; and twinsep_histogram, for spectra,
+ * with the size of its table, twinsep_histogram_cap (all at the end).
  *
  * Fused twin kernel: sieve one chunk [low, high) and summarise it.
  *
@@ -541,40 +541,168 @@ void twinsep_philox_fill(const uint64_t *key, const uint64_t *counter, int64_t f
     }
 }
 
-/* The sampler's draws from v = log1p(-s * u), u uniform in [0, 1) and s in (0, 1]:
- * twinsep_floor_div writes out[i] = (int64_t)min(v[i] / lnq, m) for i < n, which is numpy's
- * floor(v / lnq) capped at m.  The caller passes lnq = log(q) < 0 and m an integer >= 0, or
- * +inf for no cap.  Then v[i] <= +0 (-0.0 included), so each quotient is +0 or positive and
- * the truncating cast is its floor; |v[i]| <= 37.5, since -s * u >= -(1 - 2**-53), and
- * |lnq| >= 2**-53 keep it below 3.4e17 < 2**63, in range of the cast.  The division is the
- * one IEEE division either way: with AVX-512F/DQ (chosen at run time) 8 draws at a time,
- * and the scalar path takes the tail and other CPUs.
+/* The sampler's draws: twinsep_geometric writes, for i < n, out[i] = min(floor(y_i), m) with
+ * y_i = log1p(v_i) / lnq and v_i = f * u_i, u_i the double first + i of the Philox stream
+ * above.  The caller passes f = -s with s in (0, 1], lnq = log(q) < 0 and m an integer >= 0,
+ * or +inf for no cap.  The draws are fused: twinsep_philox_fill writes GEO_BATCH of the v_i
+ * at a time into a buffer on the stack, and they are transformed from there, 8 at a time
+ * with AVX-512F/DQ (chosen at run time); the scalar path takes the rest and other CPUs.
+ * Neither divides nor calls libm.
+ *
+ * Each y_i is approximated, not taken from numpy's log1p, and a certificate proves its floor:
+ * a draw is settled only when its approximation y' lies farther than T * y' (T = 2**-26) from
+ * every integer.  Every other draw is left pending: twinsep_geometric returns their number k
+ * and writes, for each, its index in out to pend_idx[0..k) and its v to pend_v[0..k), for
+ * the caller to finish with numpy's log1p, division, floor and minimum; out[] at a pending
+ * index is unspecified.  A quotient of 0 (v = -0.0) is never settled, nor is any draw once
+ * T * y' >= 1/2 (y' >= 2**25: from s0 of about 1e7 on, nearly every draw is pending), so a
+ * settled draw is in range of the cast.
+ *
+ * The approximation (in doubles), with v in (-1, 0]:
+ *   u1 = 1 + v, rounded, and c = v - (u1 - 1), exact (Sterbenz), so 1 + v = u1 + c exactly;
+ *     c = 0 unless v > -1/2, where u1 is in [1/2, 1];
+ *   u1 = 2**e * x with x in [1, 2) (its exponent and mantissa), so e is -1 or 0 wherever
+ *     c != 0, and 2**-e * c = (1 - e) * c;
+ *   j = round(15 x), 15 <= j <= 30, and r = (x + (1 - e) * c) * 15 / j - 1, |r| <= 1/30:
+ *     log1p(v) = e ln 2 + log(j / 15) + log1p(r).  GEO_C and GEO_L hold 15 / j and
+ *     log(j / 15) at slot j mod 16; at j = 15 they are exactly 1 and 0, and at j = 30
+ *     exactly 1/2 and the double LN2, so around u1 = 1 (e = 0, j = 15, or e = -1, j = 30)
+ *     e ln 2 + log(j / 15) is exactly 0 and r exactly u1 - 1 before c is added;
+ *   log1p(r) by its Taylor polynomial of degree 7, and y' = the sum times 1 / lnq.
+ * The error, relative to y = log1p(v) / lnq: the Taylor remainder is below |r|**8 / 7.7 <=
+ * 2**-42.2 absolutely, and |log1p(v)| > log(30 / 29.5) > 2**-5.9 except around u1 = 1, where
+ * |r| <= 1/60 and the remainder is below |r|**7 / 7.7 < 2**-44 relatively; so at most
+ * 2**-36.3.  Rounding the table, r, the polynomial, e ln 2 + log(j / 15) (which cancels at
+ * most 42-fold) and the two multiplies adds under 2**-45.  So |y' - y| < 2**-36.2 y (2**-41.7
+ * was the worst seen, against a long-double log1p over 3e7 draws on each path).  numpy's
+ * quotient fl(fl(log1p(v)) / lnq) is within 2**-51 y when its log1p is within 2 ulps (it was
+ * within 2**-52.8 relatively over the same draws, and gives a value the same result wherever
+ * it sits in an array).  A settled y' is thus farther than T * y' > 2**10 |y' - y_numpy| from
+ * every integer, so floor(y') is numpy's floor, and the draws are numpy's whichever path ran.
+ * A subnormal y' < 1 is no exception: numpy's quotient is then also in [0, 1).
  */
-#if defined(__x86_64__)
-static HOT AVX512 int64_t floor_div_avx512(const double *v, int64_t n, double lnq, double m,
-                                           int64_t *out)
+#define GEO_T 0x1p-26
+#define GEO_BATCH 512 /* draws per fill: 4 KB of the stack, in L1 */
+#define LN2 0.6931471805599453
+
+/* 15 / j and log(j / 15) at slot j mod 16, for j = 15 .. 30 */
+static const double GEO_C[16] = {15.0 / 16, 15.0 / 17, 15.0 / 18, 15.0 / 19, 15.0 / 20, 15.0 / 21,
+                                 15.0 / 22, 15.0 / 23, 15.0 / 24, 15.0 / 25, 15.0 / 26, 15.0 / 27,
+                                 15.0 / 28, 15.0 / 29, 0.5,       1.0};
+static const double GEO_L[16] = {
+    0.06453852113757116, 0.125163142954006,   0.1823215567939546,  0.23638877806423034,
+    0.28768207245178085, 0.3364722366212129,  0.3829922522561057,  0.42744401482693967,
+    0.47000362924573563, 0.5108256237659907,  0.550046336919272,   0.5877866649021191,
+    0.6241543090729939,  0.659245628884264,   LN2,                 0.0};
+
+static double from_bits(uint64_t b)
 {
-    const __m512d d = _mm512_set1_pd(lnq), cap = _mm512_set1_pd(m);
+    double x;
+    memcpy(&x, &b, 8);
+    return x;
+}
+
+/* the draw of v, or -1 when the certificate leaves it pending */
+static int64_t geometric1(double v, double inv_lnq, double m)
+{
+    double u1 = 1.0 + v, c = v - (u1 - 1.0);
+    uint64_t b;
+    memcpy(&b, &u1, 8); /* u1 >= 2**-53 is normal and positive */
+    double e = (double)((int64_t)(b >> 52) - 1023);
+    double x = from_bits((b & 0xfffffffffffffULL) | 0x3ff0000000000000ULL);
+    int j = (int)(x * 15.0 + 0.5) & 15;
+    double r = (x * GEO_C[j] - 1.0) + (1.0 - e) * c * GEO_C[j];
+    double p = ((((1.0 / 7 * r - 1.0 / 6) * r + 1.0 / 5) * r - 1.0 / 4) * r + 1.0 / 3) * r - 0.5;
+    double y = ((e * LN2 + GEO_L[j]) + (r + r * r * p)) * inv_lnq;
+    double tol = y * GEO_T;
+    if (!(tol < 0.5)) /* also a NaN */
+        return -1;
+    int64_t k = (int64_t)y; /* y >= 0, so its floor */
+    double frac = y - (double)k;
+    if (!((frac < 0.5 ? frac : 1.0 - frac) > tol))
+        return -1;
+    return (double)k < m ? k : (int64_t)m;
+}
+
+struct draws { /* where the draws go: out[i], or the pending list */
+    double inv_lnq, m;
+    int64_t *out, *pend_idx, npend;
+    double *pend_v;
+};
+
+static void draw(struct draws *g, int64_t i, double v) /* draw i from v */
+{
+    if ((g->out[i] = geometric1(v, g->inv_lnq, g->m)) < 0) {
+        g->pend_idx[g->npend] = i;
+        g->pend_v[g->npend++] = v;
+    }
+}
+
+#if defined(__x86_64__)
+/* draws at .. at + n - 1 from v[0..n), 8 at a time; returns how many it made (n rounded down
+ * to a multiple of 8) */
+static HOT AVX512 int64_t geometric_avx512(const double *v, int64_t n, struct draws *g,
+                                           int64_t at)
+{
+    const __m512d one = _mm512_set1_pd(1.0), inv = _mm512_set1_pd(g->inv_lnq);
+    const __m512d cap = _mm512_set1_pd(g->m), t = _mm512_set1_pd(GEO_T);
+    const __m512d c_lo = _mm512_loadu_pd(GEO_C), c_hi = _mm512_loadu_pd(GEO_C + 8);
+    const __m512d l_lo = _mm512_loadu_pd(GEO_L), l_hi = _mm512_loadu_pd(GEO_L + 8);
     int64_t i = 0;
     for (; i + 8 <= n; i += 8) {
-        __m512d x = _mm512_min_pd(_mm512_div_pd(_mm512_loadu_pd(v + i), d), cap);
-        _mm512_storeu_si512(out + i, _mm512_cvttpd_epi64(x));
+        __m512d vi = _mm512_loadu_pd(v + i);
+        __m512d u1 = _mm512_add_pd(one, vi);
+        __m512d c = _mm512_sub_pd(vi, _mm512_sub_pd(u1, one));
+        __m512d e = _mm512_getexp_pd(u1);
+        __m512d x = _mm512_getmant_pd(u1, _MM_MANT_NORM_1_2, _MM_MANT_SIGN_src);
+        /* the low 4 bits of 15 x + 2**52, rounded once, are round(15 x) mod 16 */
+        __m512i j = _mm512_castpd_si512(
+            _mm512_fmadd_pd(x, _mm512_set1_pd(15.0), _mm512_set1_pd(0x1p52)));
+        __m512d cj = _mm512_permutex2var_pd(c_lo, j, c_hi);
+        __m512d r = _mm512_fmadd_pd(_mm512_fnmadd_pd(c, e, c), cj, _mm512_fmsub_pd(x, cj, one));
+        __m512d p = _mm512_fmadd_pd(_mm512_set1_pd(1.0 / 7), r, _mm512_set1_pd(-1.0 / 6));
+        p = _mm512_fmadd_pd(p, r, _mm512_set1_pd(1.0 / 5));
+        p = _mm512_fmadd_pd(p, r, _mm512_set1_pd(-1.0 / 4));
+        p = _mm512_fmadd_pd(p, r, _mm512_set1_pd(1.0 / 3));
+        p = _mm512_fmadd_pd(p, r, _mm512_set1_pd(-0.5));
+        p = _mm512_fmadd_pd(_mm512_mul_pd(r, r), p, r);
+        __m512d lg = _mm512_fmadd_pd(e, _mm512_set1_pd(LN2), _mm512_permutex2var_pd(l_lo, j, l_hi));
+        __m512d y = _mm512_mul_pd(_mm512_add_pd(lg, p), inv);
+        /* pending: not |y - round(y)| > T * y, so a NaN is pending too */
+        __m512d near = _mm512_abs_pd(_mm512_reduce_pd(y, _MM_FROUND_TO_NEAREST_INT));
+        __mmask8 pend = _mm512_cmp_pd_mask(near, _mm512_mul_pd(y, t), _CMP_NGT_UQ);
+        /* y >= 0 and m is an integer, so truncating min(y, m) floors it and caps it */
+        _mm512_storeu_si512(g->out + at + i, _mm512_cvttpd_epi64(_mm512_min_pd(y, cap)));
+        for (; pend; pend &= pend - 1) {
+            int lane = __builtin_ctz(pend);
+            g->pend_idx[g->npend] = at + i + lane;
+            g->pend_v[g->npend++] = v[i + lane];
+        }
     }
     return i;
 }
 #endif
 
-void twinsep_floor_div(const double *v, int64_t n, double lnq, double m, int64_t *out)
+int64_t twinsep_geometric(const uint64_t *key, const uint64_t *counter, int64_t first, int64_t n,
+                          double f, double lnq, double m, int64_t *out, int64_t *pend_idx,
+                          double *pend_v)
 {
-    int64_t i = 0;
+    struct draws g = {1.0 / lnq, m, out, pend_idx, 0, pend_v};
+    double v[GEO_BATCH];
 #if defined(__x86_64__)
-    if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq"))
-        i = floor_div_avx512(v, n, lnq, m, out);
+    int vector = __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq");
 #endif
-    for (; i < n; i++) {
-        double x = v[i] / lnq;
-        out[i] = (int64_t)(x < m ? x : m);
+    for (int64_t at = 0; at < n; at += GEO_BATCH) {
+        int64_t len = n - at < GEO_BATCH ? n - at : GEO_BATCH, i = 0;
+        twinsep_philox_fill(key, counter, first + at, len, f, v);
+#if defined(__x86_64__)
+        if (vector)
+            i = geometric_avx512(v, len, &g, at);
+#endif
+        for (; i < len; i++)
+            draw(&g, at + i, v[i]);
     }
+    return g.npend;
 }
 
 /* Spectra: twinsep_histogram histograms a stream x[0..n) of int64 (width 8) or uint32

@@ -64,6 +64,21 @@ def _env(name, default):
     return os.environ.get(f"TWINSEP_{name}", default)
 
 
+def _convention_name(text):
+    """A --convention name.  argparse converts a TWINSEP_CONVENTION default with the type, but
+    does not hold it to the choices, so the type checks it."""
+    if text not in CONVENTIONS:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {text!r} (choose from {', '.join(sorted(CONVENTIONS))})"
+        )
+    return text
+
+
+def _add_convention(p):
+    p.add_argument("--convention", type=_convention_name, choices=sorted(CONVENTIONS),
+                   default=_env("CONVENTION", "raw"))
+
+
 def _parse_checkpoints(text, limit):
     geometric = text.startswith("geometric")
     try:
@@ -390,9 +405,7 @@ def build_parser():
 
     p = sub.add_parser("s0", help="average separation per checkpoint")
     p.add_argument("--counts", required=True)
-    p.add_argument(
-        "--convention", choices=sorted(CONVENTIONS), default=_env("CONVENTION", "raw")
-    )
+    _add_convention(p)
     p.add_argument("--separations", help="separation stream (required for --convention exact)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_s0)
@@ -407,9 +420,7 @@ def build_parser():
     p.add_argument("--counts", required=True)
     p.add_argument("--separations", help="separation stream (required for --convention exact)")
     p.add_argument("--f", type=risk_factor, default=_env("F", "1.0"))
-    p.add_argument(
-        "--convention", choices=sorted(CONVENTIONS), default=_env("CONVENTION", "raw")
-    )
+    _add_convention(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict)
 
@@ -435,9 +446,7 @@ def build_parser():
     p.add_argument("--separations")
     p.add_argument("--onsets")
     p.add_argument("--f", type=risk_factor, default=_env("F", "1.0"))
-    p.add_argument(
-        "--convention", choices=sorted(CONVENTIONS), default=_env("CONVENTION", "raw")
-    )
+    _add_convention(p)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_figures)
 

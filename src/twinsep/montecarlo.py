@@ -25,6 +25,9 @@ POOL_MIN_EXPECTED = 5.0
 # draws per block: 512 KB of doubles, small enough to stay in cache through the
 # ufunc sequence
 BLOCK_DRAWS = 1 << 16
+# draws per call of the kernel's twinsep_geometric: this bounds its pending buffers (16 bytes
+# a draw, almost never touched), and each call pays about 15 us of ctypes argument checks
+CALL_DRAWS = 1 << 20
 THRESHOLD_NOTE = "chi-square/KS pass thresholds are conventions of this toolkit"
 _EPS = 2.0**-53
 
@@ -68,17 +71,20 @@ def sample_separations(config: SimConfig) -> np.ndarray:
     fixes the stream: u_i is the i-th double of
     `np.random.Generator(np.random.Philox(seed)).random`, whatever the
     block size, so identical seeds give identical arrays.  The draws are
-    made on the calling thread in blocks of BLOCK_DRAWS, each transformed
-    in place in a cache-sized buffer and written once into the result.
+    made on the calling thread, block by block.
 
-    With the sieve's compiled kernel (`sieve._load_kernel`), a block takes
-    three passes: `twinsep_philox_fill` writes -s * u_i, from the key and
-    counter of `np.random.Philox(seed).state` (16 Philox counters at once
-    where the CPU has AVX-512); `np.log1p` takes the one logarithm; and
-    `twinsep_floor_div` divides, floors, caps and casts.  When the kernel
-    cannot be built, numpy's `Generator.random` and ufuncs run the same
-    IEEE operations in the same order.  Both give the same draws, so they
-    do not depend on which one ran.
+    With the sieve's compiled kernel (`sieve._load_kernel`), each call of
+    `twinsep_geometric` makes CALL_DRAWS draws in one pass, from the key
+    and counter of `np.random.Philox(seed).state`: it fills -s * u_i (16
+    Philox counters at once where the CPU has AVX-512), takes a cheap
+    logarithm, and floors each quotient that it can certify lies far
+    enough from every integer for numpy's to floor alike.  The draws it
+    cannot settle (a few in 1e7 at s0 of 5-13, a quotient of 0, and
+    nearly every draw from s0 of about 1e7 on) come back as pending
+    (index, -s * u_i) pairs, and `_finish_draws` finishes them with the
+    numpy steps that make every draw, in blocks of BLOCK_DRAWS, when the
+    kernel cannot be built.  Both give the same draws, so they do not
+    depend on which one ran.
     """
     p = config.params
     n = config.n_events
@@ -87,29 +93,40 @@ def sample_separations(config: SimConfig) -> np.ndarray:
     # -s is exact to apply in one multiply: IEEE rounding is symmetric in sign
     neg_scale = -1.0 if m is None else math.expm1((m + 1) * lnq)  # -(1 - q**(m+1))
     out = np.empty(n, dtype=np.int64)
-    buf = np.empty(min(BLOCK_DRAWS, n))
     kernel = sieve._load_kernel()
     if kernel is None:
         rng = np.random.Generator(np.random.Philox(config.seed))
+        buf = np.empty(min(BLOCK_DRAWS, n))
         for lo in range(0, n, BLOCK_DRAWS):
             u = buf[: min(BLOCK_DRAWS, n - lo)]
             rng.random(out=u)  # consecutive fills continue the one stream
             u *= neg_scale
-            np.log1p(u, out=u)
-            u /= lnq
-            np.floor(u, out=u)
-            if m is not None:
-                np.minimum(u, m, out=u)
-            np.copyto(out[lo : lo + u.size], u, casting="unsafe")
+            _finish_draws(u, lnq, m, out[lo : lo + u.size])
         return out
     state = np.random.Philox(config.seed).state["state"]
     cap = math.inf if m is None else float(m)
-    for lo in range(0, n, BLOCK_DRAWS):
-        u = buf[: min(BLOCK_DRAWS, n - lo)]
-        kernel.twinsep_philox_fill(state["key"], state["counter"], lo, u.size, neg_scale, u)
-        np.log1p(u, out=u)
-        kernel.twinsep_floor_div(u, u.size, lnq, cap, out[lo : lo + u.size])
+    # the pending draws of one call; their pages are touched only when draws pend
+    pend_idx = np.empty(min(CALL_DRAWS, n), dtype=np.int64)
+    pend_v = np.empty(pend_idx.size)
+    for lo in range(0, n, CALL_DRAWS):
+        block = out[lo : lo + CALL_DRAWS]
+        k = kernel.twinsep_geometric(state["key"], state["counter"], lo, block.size, neg_scale,
+                                     lnq, cap, block, pend_idx, pend_v)
+        if k:
+            draws = np.empty(k, dtype=np.int64)
+            _finish_draws(pend_v[:k], lnq, m, draws)
+            block[pend_idx[:k]] = draws
     return out
+
+
+def _finish_draws(v, lnq, m, out):
+    """out = min(floor(log1p(v) / lnq), m) by numpy's ufuncs, with v = -s * u overwritten."""
+    np.log1p(v, out=v)
+    v /= lnq
+    np.floor(v, out=v)
+    if m is not None:
+        np.minimum(v, m, out=v)
+    np.copyto(out, v, casting="unsafe")
 
 
 def _support_probabilities(params: ModelParams, s_max: int):

@@ -69,6 +69,7 @@ KERNEL_CC = ("cc", "-O2", "-shared", "-fPIC")  # no -march=native: the build liv
 # blocks and 11-23% longer with 128 KB blocks than with 64 KB, from 1e9 to 1e12
 KERNEL_BLOCK = 1 << 16
 MAX_LIMIT = 2**62  # keeps every int64 argument and product of the kernel in range
+MAX_PER_DECADE = 10_000  # checkpoints 0.023% apart
 
 
 @dataclass(frozen=True)
@@ -166,11 +167,15 @@ class ChunkSummary:
 
 
 def geometric_checkpoints(limit, per_decade=20, start=1000):
-    """Geometric checkpoint grid with per_decade points per decade, ending at limit."""
+    """Geometric checkpoint grid with per_decade points per decade, ending at limit.
+
+    per_decade is at most MAX_PER_DECADE: the grid is built one candidate
+    point at a time, and the bound keeps it under 2e5 points below MAX_LIMIT.
+    """
     if limit < 2:
         raise ValidationError("limit must be >= 2")
-    if per_decade < 1:
-        raise ValidationError("per_decade must be >= 1")
+    if not 1 <= per_decade <= MAX_PER_DECADE:
+        raise ValidationError(f"per_decade must be in [1, {MAX_PER_DECADE}], got {per_decade}")
     if start < 1:
         raise ValidationError(f"start must be >= 1, got {start}")
     if limit <= start:
@@ -288,7 +293,8 @@ def _load_kernel():
     """The compiled _kernel.c, or None when it cannot be built.
 
     Every entry point is typed: twinsep_sieve_chunk (see _kernel_chunk),
-    twinsep_philox_fill and twinsep_floor_div (see
+    twinsep_philox_fill (the Philox stream that twinsep_geometric draws
+    from, alone), twinsep_geometric, which returns its pending count (see
     montecarlo.sample_separations), and twinsep_histogram (see
     spectrum.accumulate), whose table size is read into lib.histogram_cap.
 
@@ -330,8 +336,10 @@ def _load_kernel():
     f64 = ctypes.c_double
     lib.twinsep_philox_fill.argtypes = [array(np.uint64), array(np.uint64), i64, i64, f64,
                                         array(np.float64)]
-    lib.twinsep_floor_div.argtypes = [array(np.float64), i64, f64, f64, array(np.int64)]
-    lib.twinsep_philox_fill.restype = lib.twinsep_floor_div.restype = None
+    lib.twinsep_philox_fill.restype = None
+    lib.twinsep_geometric.argtypes = [array(np.uint64), array(np.uint64), i64, i64, f64, f64, f64,
+                                      array(np.int64), array(np.int64), array(np.float64)]
+    lib.twinsep_geometric.restype = i64
     # the stream is int64 or uint32, by its width in bytes; counts has histogram_cap entries
     lib.twinsep_histogram.argtypes = [ctypes.c_void_p, i64, i64, array(np.int64)]
     lib.twinsep_histogram.restype = i64

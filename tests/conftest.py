@@ -1,3 +1,5 @@
+import shutil
+
 import pytest
 
 import oracle
@@ -23,8 +25,11 @@ def oracle100k():
 
 @pytest.fixture(scope="session")
 def kernel():
-    """The compiled kernel library; tests that need it skip when no C compiler builds it."""
+    """The compiled kernel library.  Tests that need it skip when there is no C compiler, and
+    fail when there is one and the kernel does not build, so a build error is not a skip."""
     lib = sieve._load_kernel()
     if lib is None:
+        if shutil.which(sieve.KERNEL_CC[0]):
+            pytest.fail(f"{sieve.KERNEL_CC[0]} is on PATH but the kernel did not build or load")
         pytest.skip("no C compiler builds the kernel")
     return lib

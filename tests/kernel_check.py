@@ -11,11 +11,14 @@ wrap, differs from the numpy reference, when the compiled Philox fill
 differs from numpy's `Generator(Philox).random` (over lengths that end
 inside a group of 16 counters, from an offset inside a block, and from a
 counter whose word 0 wraps and carries into words 1..3), when the
-sampler's floor division differs from numpy's floor and minimum (from
-v = -0.0 to the largest quotient in range, with and without a cap), or
-when the histogram differs from a Counter (int64 and uint32 streams, with
-values inside and outside its table, which then must stay untouched).  Each call gets one element more
-than it may touch, and a store there, or a read of it, fails the check.
+sampler's draws, with the pending ones finished by numpy, differ from
+numpy's log1p, floor and minimum (with and without a cap, and at a q
+that puts a quotient within ulps of an integer, which must pend, and at
+q = 1 - 2**-53, where every draw must pend), or when the histogram
+differs from a Counter (int64 and uint32 streams, with values inside and
+outside its table, which then must stay untouched).  Each call gets one
+element more than it may touch, and a store there, or a read of it,
+fails the check.
 """
 
 import collections
@@ -41,21 +44,32 @@ def check_fill(lib):
             assert np.isnan(got[n]), (counter, first, n)
 
 
-def check_floor_div(lib):
-    top = 1.0 - 2.0**-53  # the largest double below 1: the largest |log1p(-u)| and q
-    lnqs = (math.log(8 / 9), math.log(0.5), math.log(top))
-    v = np.log1p(-np.random.default_rng(3).random(1000))
-    v[:4] = (-0.0, math.log1p(-top), -1e-300, math.log(8 / 9) * 7)  # the 4th is 7 * lnq exactly
-    for lnq in lnqs:
-        for m in (math.inf, 0.0, 5.0, 2.0**60):
-            want = np.minimum(np.floor(v / lnq), m).astype(np.int64)
-            for n in (1, 4, 7, 8, 9, 17, 1000):
-                # a NaN past v[n - 1] and a 0 past out[n - 1] show a read or a store past the end
-                vin = np.append(v[:n], np.nan)
-                got = np.zeros(n + 1, dtype=np.int64)
-                lib.twinsep_floor_div(vin, n, lnq, m, got)
-                assert np.array_equal(got[:n], want[:n]), (lnq, m, n)
-                assert got[n] == 0, (lnq, m, n)
+def check_geometric(lib):
+    key = np.random.Philox(7).state["state"]["key"]
+    ctr = np.zeros(4, dtype=np.uint64)
+    u = np.random.Generator(np.random.Philox(counter=ctr, key=key)).random(5000)
+    top = 1.0 - 2.0**-53  # the largest double below 1: q = top gives the largest quotients
+    # (f, log q, cap, which draws must pend): draw 10's quotient is within ulps of 7 at the third
+    cases = ((-1.0, math.log(0.5), math.inf, ()), (-0.7, math.log(8 / 9), 5.0, ()),
+             (-1.0, math.log1p(-u[10]) / 7, math.inf, (10,)), (-1.0, math.log(top), 0.0, ()),
+             (-1.0, math.log(top), math.inf, range(u.size)))
+    for f, lnq, m, pending in cases:
+        for first, n in ((0, 5000), (3, 4997), (1, 1), (6, 63), (129, 701)):
+            v = f * u[first : first + n]
+            want = np.minimum(np.floor(np.log1p(v) / lnq), m).astype(np.int64)
+            # each buffer one element longer: a store past n - 1 changes its sentinel
+            out = np.full(n + 1, -7, dtype=np.int64)
+            pend_idx = np.full(n + 1, -7, dtype=np.int64)
+            pend_v = np.full(n + 1, np.nan)
+            k = lib.twinsep_geometric(key, ctr, first, n, f, lnq, m, out, pend_idx, pend_v)
+            case = (f, lnq, m, first, n, k)
+            assert out[n] == pend_idx[n] == -7 and np.isnan(pend_v[n]), case
+            assert 0 <= k <= n and np.all(np.diff(pend_idx[:k]) > 0), case
+            assert np.array_equal(pend_v[:k], v[pend_idx[:k]]), case
+            must = [i - first for i in pending if first <= i < first + n]
+            assert np.isin(must, pend_idx[:k]).all(), case
+            out[pend_idx[:k]] = np.minimum(np.floor(np.log1p(pend_v[:k]) / lnq), m)
+            assert np.array_equal(out[:n], want), case
 
 
 def check_histogram(lib):
@@ -101,7 +115,7 @@ def main(flags):
     assert dataclasses.replace(got, seps=None) == dataclasses.replace(want, seps=None)
     lib = sieve._load_kernel()
     check_fill(lib)
-    check_floor_div(lib)
+    check_geometric(lib)
     check_histogram(lib)
 
 

@@ -709,6 +709,63 @@ class TestContractFuzz:
         assert "Traceback" not in err, argv
 
 
+# Text that an environment variable can hold: no NUL, no lone surrogate.
+ENV_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+                   max_size=12)
+ENV_VALUES = {
+    "F": FUZZ_FLOATS,
+    "ALPHA": FUZZ_FLOATS,
+    "CONVENTION": st.one_of(st.sampled_from([*sorted(cli.CONVENTIONS), "", "RAW", "bogus"]),
+                            ENV_TEXT),
+    "CHECKPOINTS": st.one_of(
+        st.sampled_from(["geometric", "geometric:", ",", "1,,2"]),
+        FUZZ_INTS,
+        FUZZ_INTS.map("geometric:{}".format),
+        st.lists(FUZZ_INTS, max_size=4).map(",".join),
+        ENV_TEXT,
+    ),
+    "SEGMENT_SIZE": FUZZ_INTS,
+}
+# A command line for each command that reads one of the variables, with {dir} for the fixed
+# inputs and {out} for a fresh output directory.
+ENV_COMMANDS = [
+    "sieve --limit 100000 --out {out}/counts.csv --separations {out}/seps.bin",
+    "s0 --counts {dir}/counts.csv --separations {dir}/seps.bin --out {out}/s0.csv",
+    "predict --counts {dir}/counts.csv --separations {dir}/seps.bin --out {out}/lmax.csv",
+    "figures --counts {dir}/counts.csv --separations {dir}/seps.bin --onsets {dir}/onsets.csv"
+    " --out-dir {out}",
+    "simulate --s0 8 --pi2 1000 --n 1000 --seed 1 --out {out}/synth.csv",
+    "gof --spectrum {dir}/spectrum.csv --s0 8 --pi2 1000",
+    "report --limit 100000 --start 10000 --per-decade 5",
+]
+
+
+class TestEnvironmentFuzz:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                     HealthCheck.too_slow])
+    @given(template=st.sampled_from(ENV_COMMANDS),
+           env=st.fixed_dictionaries({}, optional=ENV_VALUES))
+    # a grid of 1e11 points a decade took minutes, and one of 1e400 overflowed a float
+    @example(template=ENV_COMMANDS[0], env={"CHECKPOINTS": "geometric:100000000000"})
+    @example(template=ENV_COMMANDS[0], env={"CHECKPOINTS": f"geometric:{10**400}"})
+    @example(template=ENV_COMMANDS[1], env={"CONVENTION": ""})  # not held to the choices
+    def test_env_values(self, template, env, fuzz_files, tmp_path_factory, monkeypatch, capsys):
+        # any value of a TWINSEP_* default exits 0, 2, 3 or 4 with a message, never a traceback
+        argv = template.format(dir=fuzz_files, out=tmp_path_factory.mktemp("env")).split()
+        capsys.readouterr()
+        with monkeypatch.context() as patch:
+            for name, value in env.items():
+                patch.setenv(f"TWINSEP_{name}", value)
+            try:
+                rc = main(argv)
+            except SystemExit as exc:  # argparse rejects a bad default itself
+                rc = exc.code
+        err = capsys.readouterr().err
+        assert rc in (0, 2, 3, 4), (argv, env, err)
+        assert "Traceback" not in err, (argv, env)
+
+
 # The commands that read files, with a {key} of FILE_INPUTS for each input and {out} for the output.
 FILE_INPUTS = {"seps": "seps.bin", "spectrum": "spectrum.csv", "counts": "counts.csv",
                "onsets": "onsets.csv"}

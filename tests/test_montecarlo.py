@@ -10,15 +10,19 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from twinsep import sieve
 from twinsep.errors import ValidationError
-from twinsep.model import SolverInput, solve_approx, solve_exact, solve_f0
+from twinsep.model import ModelParams, SolverInput, solve_approx, solve_exact, solve_f0
 from twinsep.montecarlo import (
     BLOCK_DRAWS,
+    CALL_DRAWS,
     GofReport,
     SimConfig,
     _chi2_isf,
+    _finish_draws,
     gof_compare,
     sample_separations,
 )
@@ -60,7 +64,9 @@ class TestSampler:
 
     @pytest.mark.parametrize("law", sorted(LAWS))
     @pytest.mark.parametrize(
-        "n", [1, 3, 4, 5, BLOCK_DRAWS - 1, BLOCK_DRAWS, BLOCK_DRAWS + 1, 2 * BLOCK_DRAWS * 3 + 3]
+        "n",
+        [1, 3, 4, 5, BLOCK_DRAWS - 1, BLOCK_DRAWS, BLOCK_DRAWS + 1, 2 * BLOCK_DRAWS * 3 + 3,
+         CALL_DRAWS + 3],
     )
     def test_blocks_keep_the_stream(self, law, n):
         config = SimConfig(LAWS[law](), n_events=n, seed=2**64 - 1 - n)
@@ -163,34 +169,119 @@ class TestPhiloxFill:
         assert np.array_equal(fallback, compiled)
 
 
+def law_with_cut(s0, cut):
+    """solve_f0(s0), or that law under a cutoff of 0, 3 * sbar or 1e300."""
+    law = solve_f0(s0)
+    if cut is None:
+        return law
+    l_cut = {"zero": 0.0, "typical": 3 * law.sbar, "huge": 1e300}[cut]
+    return dataclasses.replace(law, l_cut=l_cut, f=1.0)
+
+
+def fallback_draws(config, monkeypatch):
+    """The draws of config on numpy alone, as when no compiler builds the kernel."""
+    with monkeypatch.context() as patch:
+        patch.setattr(sieve, "_load_kernel", lambda: None)
+        return sample_separations(config)
+
+
+PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+
+
+def philox_counter(key, words):
+    """The counter whose Philox4x64-10 block under key is words: the rounds run backwards."""
+    mask = 2**64 - 1
+    inv0, inv1 = (pow(m, -1, 2**64) for m in PHILOX_M)
+    x0, x1, x2, x3 = (int(w) for w in words)
+    for r in reversed(range(10)):
+        k0, k1 = ((int(k) + r * w) & mask for k, w in zip(key, PHILOX_W))
+        # a round maps (x0, x1, x2, x3) to (hi(M1 x2) ^ x1 ^ k0, lo(M1 x2), hi(M0 x0) ^ x3 ^ k1,
+        # lo(M0 x0)), and M0, M1 are odd
+        y0, y2 = x3 * inv0 & mask, x1 * inv1 & mask
+        y1, y3 = x0 ^ (PHILOX_M[1] * y2 >> 64) ^ k0, x2 ^ (PHILOX_M[0] * y0 >> 64) ^ k1
+        x0, x1, x2, x3 = y0, y1, y2, y3
+    return x0 | x1 << 64 | x2 << 128 | x3 << 192
+
+
+def state_counter(counter):
+    """A 256-bit counter as Philox's state["counter"], four little-endian words."""
+    return np.array([counter >> 64 * w & (2**64 - 1) for w in range(4)], dtype=np.uint64)
+
+
+def compiled_draws(kernel, key, counter, first, n, f, lnq, m):
+    """twinsep_geometric's draws with the pending ones finished by numpy, and their indices."""
+    out = np.empty(n, dtype=np.int64)
+    pend_idx = np.empty(n, dtype=np.int64)
+    pend_v = np.empty(n)
+    k = kernel.twinsep_geometric(key, counter, first, n, f, lnq, m, out, pend_idx, pend_v)
+    fixed = np.empty(k, dtype=np.int64)
+    _finish_draws(pend_v[:k], lnq, None if m == math.inf else m, fixed)
+    out[pend_idx[:k]] = fixed
+    return out, pend_idx[:k]
+
+
 class TestCompiledSampler:
-    """The kernel's fill, numpy's log1p and the kernel's floor division against numpy alone."""
+    """twinsep_geometric, with its pending draws finished by numpy, against numpy alone."""
 
     @pytest.mark.parametrize("s0", [0.01, 8.0, 1e6, 1e15])
     @pytest.mark.parametrize("cut", [None, "zero", "typical", "huge"])
     def test_draws_match_fallback(self, kernel, s0, cut, monkeypatch):
-        law = solve_f0(s0)
-        if cut is not None:
-            l_cut = {"zero": 0.0, "typical": 3 * law.sbar, "huge": 1e300}[cut]
-            law = dataclasses.replace(law, l_cut=l_cut, f=1.0)
+        law = law_with_cut(s0, cut)
         sizes = [1, 7, 8, 9, BLOCK_DRAWS - 1, BLOCK_DRAWS + 1]
         compiled = [sample_separations(SimConfig(law, n_events=n, seed=n)) for n in sizes]
-        monkeypatch.setattr(sieve, "_load_kernel", lambda: None)
         for n, draws in zip(sizes, compiled):
-            assert np.array_equal(draws, sample_separations(SimConfig(law, n_events=n, seed=n)))
+            assert np.array_equal(draws, fallback_draws(SimConfig(law, n_events=n, seed=n),
+                                                        monkeypatch))
         assert compiled[-1].max() <= (math.inf if cut is None else math.floor(law.l_cut))
 
-    def test_floor_div_edges(self, kernel):
-        # v = -0.0 and the largest |v| and quotient in range: log1p(-(1 - 2**-53)) / log(1 - 2**-53)
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(log10_s0=st.floats(-2.0, 15.0), cut=st.sampled_from([None, "zero", "typical", "huge"]),
+           n=st.integers(1, 3 * BLOCK_DRAWS + 5), seed=st.integers(0, 2**64 - 1))
+    def test_draws_match_fallback_fuzz(self, kernel, log10_s0, cut, n, seed, monkeypatch):
+        config = SimConfig(law_with_cut(10.0**log10_s0, cut), n_events=n, seed=seed)
+        assert np.array_equal(sample_separations(config), fallback_draws(config, monkeypatch))
+
+    def test_quotients_near_integers(self, kernel, monkeypatch):
+        # q = exp(log1p(v_i) / k) puts draw i's quotient log1p(v_i) / log q within ulps of k,
+        # where the certificate must leave it to numpy, or settle it on the right side
+        u = np.random.Generator(np.random.Philox(17)).random(64)
+        for i, v in enumerate(-u):
+            for k in range(1, 21):
+                q = math.exp(math.log1p(v) / k)
+                if not 0.0 < q < 1.0:
+                    continue
+                law = ModelParams(a=1.0 - q, sbar=-1.0 / math.log(q), q=q, l_cut=None, f=0.0)
+                config = SimConfig(law, n_events=64, seed=17)
+                draws = sample_separations(config)
+                assert np.array_equal(draws, fallback_draws(config, monkeypatch)), (i, k)
+                assert k - 1 <= draws[i] <= k, (i, k)
+
+    def test_transform_edges(self, kernel):
+        # v = -0.0 (a quotient of 0), -1e-300, the largest |v|, 1 - 2**-53, and 2**-7 - 1, whose
+        # quotient at q = 1/2 is 7: no seed draws them, so a counter is made whose Philox block
+        # holds them, in the head, a vector group or the tail of a call
         top = 1.0 - 2.0**-53
-        v = np.array([-0.0, -1e-300, math.log1p(-top), 7 * math.log(0.5), -2.5] * 3)
-        for lnq in (math.log(0.5), math.log(top)):
-            for m in (math.inf, 0.0, 3.0):
-                got = np.empty(v.size, dtype=np.int64)
-                kernel.twinsep_floor_div(v, v.size, lnq, m, got)
-                assert np.array_equal(got, np.minimum(np.floor(v / lnq), m).astype(np.int64))
-                if m == math.inf and lnq == math.log(top):
-                    assert 3.3e17 < got[2] < 2**63 and got[0] == 0
+        key = np.random.Philox(3).state["state"]["key"]
+        for f, us in ((-1.0, [0.0, top, 127 / 128, 0.5]), (-2e-300, [0.5, 0.0, 0.5, 0.5])):
+            words = [int(u * 2**53) << 11 for u in us]
+            for block, first, n in ((5, 0, 128), (16, 0, 70), (9, 37, 200)):
+                counter = state_counter(philox_counter(key, words) - block - 1)
+                stream = np.random.Generator(np.random.Philox(counter=counter, key=key))
+                u = stream.random(first + n)[first:]
+                assert u[4 * block - first + 3] == us[3]
+                v = f * u
+                for lnq in (math.log(0.5), math.log(top)):
+                    for m in (math.inf, 0.0, 3.0):
+                        got, pending = compiled_draws(kernel, key, counter, first, n, f, lnq, m)
+                        want = np.minimum(np.floor(np.log1p(v) / lnq), m).astype(np.int64)
+                        assert np.array_equal(got, want), (f, block, lnq, m)
+                        if us[0] == 0.0 and first <= 4 * block:
+                            assert 4 * block - first in pending  # v = -0.0
+                        if lnq == math.log(top) and m == math.inf and f == -1.0:
+                            # the largest quotient in range, log1p(-top) / log(top)
+                            assert 3.3e17 < got[4 * block - first + 1] < 2**63
 
 
 def dense_gof(empirical, params):
