@@ -541,8 +541,8 @@ void twinsep_philox_fill(const uint64_t *key, const uint64_t *counter, int64_t f
     }
 }
 
-/* The sampler's draws: twinsep_geometric writes, for i < n, out[i] = min(floor(y_i), m) with
- * y_i = log1p(v_i) / lnq and v_i = f * u_i, u_i the double first + i of the Philox stream
+/* The sampler's draws: twinsep_geometric writes, for first <= i < n, out[i] = min(floor(y_i),
+ * m) with y_i = log1p(v_i) / lnq and v_i = f * u_i, u_i the double i of the Philox stream
  * above.  The caller passes f = -s with s in (0, 1], lnq = log(q) < 0 and m an integer >= 0,
  * or +inf for no cap.  The draws are fused: twinsep_philox_fill writes GEO_BATCH of the v_i
  * at a time into a buffer on the stack, and they are transformed from there, 8 at a time
@@ -551,12 +551,13 @@ void twinsep_philox_fill(const uint64_t *key, const uint64_t *counter, int64_t f
  *
  * Each y_i is approximated, not taken from numpy's log1p, and a certificate proves its floor:
  * a draw is settled only when its approximation y' lies farther than T * y' (T = 2**-26) from
- * every integer.  Every other draw is left pending: twinsep_geometric returns their number k
- * and writes, for each, its index in out to pend_idx[0..k) and its v to pend_v[0..k), for
- * the caller to finish with numpy's log1p, division, floor and minimum; out[] at a pending
- * index is unspecified.  A quotient of 0 (v = -0.0) is never settled, nor is any draw once
- * T * y' >= 1/2 (y' >= 2**25: from s0 of about 1e7 on, nearly every draw is pending), so a
- * settled draw is in range of the cast.
+ * every integer.  Every other draw is left pending, in a list of room cap >= 1: its index i
+ * goes to pend_idx[0..k), its v to pend_v[0..k) and k to *npend, for the caller to finish
+ * with numpy's log1p, division, floor and minimum (out[i] is unspecified).  It returns d,
+ * where draws first .. d - 1 are made: n, or the first draw that pends when the list is full,
+ * for the caller to resume from.  A quotient of 0 (v = -0.0) is never settled, nor is any draw
+ * once T * y' >= 1/2 (y' >= 2**25: from s0 of about 1e7 on, nearly every draw is pending),
+ * so a settled draw is in range of the cast.
  *
  * The approximation (in doubles), with v in (-1, 0]:
  *   u1 = 1 + v, rounded, and c = v - (u1 - 1), exact (Sterbenz), so 1 + v = u1 + c exactly;
@@ -624,23 +625,24 @@ static int64_t geometric1(double v, double inv_lnq, double m)
     return (double)k < m ? k : (int64_t)m;
 }
 
-struct draws { /* where the draws go: out[i], or the pending list */
+struct draws { /* where the draws go: out[i], or the pending list of room cap */
     double inv_lnq, m;
-    int64_t *out, *pend_idx, npend;
+    int64_t *out, *pend_idx, npend, cap;
     double *pend_v;
 };
 
-static void draw(struct draws *g, int64_t i, double v) /* draw i from v */
+static int defer(struct draws *g, int64_t i, double v) /* list draw i as pending; 0 when full */
 {
-    if ((g->out[i] = geometric1(v, g->inv_lnq, g->m)) < 0) {
-        g->pend_idx[g->npend] = i;
-        g->pend_v[g->npend++] = v;
-    }
+    if (g->npend == g->cap)
+        return 0;
+    g->pend_idx[g->npend] = i;
+    g->pend_v[g->npend++] = v;
+    return 1;
 }
 
 #if defined(__x86_64__)
-/* draws at .. at + n - 1 from v[0..n), 8 at a time; returns how many it made (n rounded down
- * to a multiple of 8) */
+/* draws at .. at + n - 1 from v[0..n), 8 at a time; returns how many it made: n rounded down
+ * to a multiple of 8, or fewer, up to the first draw that pends when the list is full */
 static HOT AVX512 int64_t geometric_avx512(const double *v, int64_t n, struct draws *g,
                                            int64_t at)
 {
@@ -675,8 +677,8 @@ static HOT AVX512 int64_t geometric_avx512(const double *v, int64_t n, struct dr
         _mm512_storeu_si512(g->out + at + i, _mm512_cvttpd_epi64(_mm512_min_pd(y, cap)));
         for (; pend; pend &= pend - 1) {
             int lane = __builtin_ctz(pend);
-            g->pend_idx[g->npend] = at + i + lane;
-            g->pend_v[g->npend++] = v[i + lane];
+            if (!defer(g, at + i + lane, v[i + lane]))
+                return i + lane;
         }
     }
     return i;
@@ -685,24 +687,30 @@ static HOT AVX512 int64_t geometric_avx512(const double *v, int64_t n, struct dr
 
 int64_t twinsep_geometric(const uint64_t *key, const uint64_t *counter, int64_t first, int64_t n,
                           double f, double lnq, double m, int64_t *out, int64_t *pend_idx,
-                          double *pend_v)
+                          double *pend_v, int64_t cap, int64_t *npend)
 {
-    struct draws g = {1.0 / lnq, m, out, pend_idx, 0, pend_v};
+    struct draws g = {1.0 / lnq, m, out, pend_idx, 0, cap, pend_v};
     double v[GEO_BATCH];
 #if defined(__x86_64__)
     int vector = __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq");
 #endif
-    for (int64_t at = 0; at < n; at += GEO_BATCH) {
+    int64_t at = first;
+    while (at < n) {
         int64_t len = n - at < GEO_BATCH ? n - at : GEO_BATCH, i = 0;
-        twinsep_philox_fill(key, counter, first + at, len, f, v);
+        twinsep_philox_fill(key, counter, at, len, f, v);
 #if defined(__x86_64__)
         if (vector)
             i = geometric_avx512(v, len, &g, at);
 #endif
         for (; i < len; i++)
-            draw(&g, at + i, v[i]);
+            if ((out[at + i] = geometric1(v[i], g.inv_lnq, m)) < 0 && !defer(&g, at + i, v[i]))
+                break;
+        at += i;
+        if (i < len) /* draw at pends, and the list is full */
+            break;
     }
-    return g.npend;
+    *npend = g.npend;
+    return at;
 }
 
 /* Spectra: twinsep_histogram histograms a stream x[0..n) of int64 (width 8) or uint32

@@ -4,7 +4,7 @@ Pipelines the sieve -> spectrum -> fit -> predict -> simulate flow and
 emits plot-ready datasets; `report` runs the whole analysis in one process
 and prints the fitted laws.  Configuration precedence is flags, then
 TWINSEP_* environment variables, then defaults.  Exit codes: 0 success,
-2 validation, 3 numerical, 4 I/O.
+2 validation, 3 numerical, 4 I/O (including no `cc` to build the kernel).
 """
 
 from __future__ import annotations
@@ -325,7 +325,7 @@ def cmd_report(args):
     maxes = {n: spec.max_separation() for n, spec in spectra.items()}
     print(
         f"sieve to {args.limit:.3g}: {stats['wall_s']:.1f}s  pi1={final.pi1} pi2={final.pi2}  "
-        f"({stats['kernel']} kernel, {stats['workers']} workers, {stats['chunks']} chunks, "
+        f"({stats['workers']} workers, {stats['chunks']} chunks, "
         f"{stats['segments_per_s']:.0f} segments/s)"
     )
     print(f"separations: {report.separations.size}, max {maxes[final.n]}")

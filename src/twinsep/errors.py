@@ -19,3 +19,7 @@ class NumericalError(TwinsepError, RuntimeError):
 
 class ConvergenceError(NumericalError):
     """A fixed-point iteration did not settle within its cap or the float range."""
+
+
+class KernelError(TwinsepError, OSError):
+    """The compiled kernel cannot be built or loaded: no `cc` on PATH, or a failed build."""

@@ -22,12 +22,9 @@ from .spectrum import SeparationSpectrum
 GENERATOR = "philox4x64"  # counter-based; the seed fully determines the stream
 DEFAULT_ALPHA = 0.01
 POOL_MIN_EXPECTED = 5.0
-# draws per block: 512 KB of doubles, small enough to stay in cache through the
-# ufunc sequence
-BLOCK_DRAWS = 1 << 16
-# draws per call of the kernel's twinsep_geometric: this bounds its pending buffers (16 bytes
-# a draw, almost never touched), and each call pays about 15 us of ctypes argument checks
-CALL_DRAWS = 1 << 20
+# room for pending draws (16 bytes each) per twinsep_geometric call, which returns early when
+# it fills: from s0 of about 1e7 on nearly every draw pends, and a call costs about 10 us
+PENDING_DRAWS = 512
 THRESHOLD_NOTE = "chi-square/KS pass thresholds are conventions of this toolkit"
 _EPS = 2.0**-53
 
@@ -70,21 +67,19 @@ def sample_separations(config: SimConfig) -> np.ndarray:
     floor(l_cut) under a cutoff, s = 1 and no cap without.  The seed alone
     fixes the stream: u_i is the i-th double of
     `np.random.Generator(np.random.Philox(seed)).random`, whatever the
-    block size, so identical seeds give identical arrays.  The draws are
-    made on the calling thread, block by block.
+    call size, so identical seeds give identical arrays.  The draws are
+    made on the calling thread.
 
-    With the sieve's compiled kernel (`sieve._load_kernel`), each call of
-    `twinsep_geometric` makes CALL_DRAWS draws in one pass, from the key
-    and counter of `np.random.Philox(seed).state`: it fills -s * u_i (16
-    Philox counters at once where the CPU has AVX-512), takes a cheap
-    logarithm, and floors each quotient that it can certify lies far
-    enough from every integer for numpy's to floor alike.  The draws it
-    cannot settle (a few in 1e7 at s0 of 5-13, a quotient of 0, and
-    nearly every draw from s0 of about 1e7 on) come back as pending
-    (index, -s * u_i) pairs, and `_finish_draws` finishes them with the
-    numpy steps that make every draw, in blocks of BLOCK_DRAWS, when the
-    kernel cannot be built.  Both give the same draws, so they do not
-    depend on which one ran.
+    The sieve's compiled kernel (`sieve._load_kernel`) makes them in
+    `twinsep_geometric` calls, from the key and counter of
+    `np.random.Philox(seed).state`: each fills -s * u_i (16 Philox counters
+    at once where the CPU has AVX-512), takes a cheap logarithm, and
+    floors each quotient that it can certify lies far enough from every
+    integer for numpy's to floor alike.  The draws it cannot settle (a few
+    in 1e7 at s0 of 5-13, a quotient of 0, and nearly every draw from s0
+    of about 1e7 on) come back as pending (index, -s * u_i) pairs, at most
+    PENDING_DRAWS a call, for `_finish_draws` to finish with numpy's log1p,
+    division, floor and minimum.  Raises KernelError without the kernel.
     """
     p = config.params
     n = config.n_events
@@ -92,30 +87,25 @@ def sample_separations(config: SimConfig) -> np.ndarray:
     m = None if p.l_cut is None else math.floor(p.l_cut)
     # -s is exact to apply in one multiply: IEEE rounding is symmetric in sign
     neg_scale = -1.0 if m is None else math.expm1((m + 1) * lnq)  # -(1 - q**(m+1))
-    out = np.empty(n, dtype=np.int64)
     kernel = sieve._load_kernel()
-    if kernel is None:
-        rng = np.random.Generator(np.random.Philox(config.seed))
-        buf = np.empty(min(BLOCK_DRAWS, n))
-        for lo in range(0, n, BLOCK_DRAWS):
-            u = buf[: min(BLOCK_DRAWS, n - lo)]
-            rng.random(out=u)  # consecutive fills continue the one stream
-            u *= neg_scale
-            _finish_draws(u, lnq, m, out[lo : lo + u.size])
-        return out
     state = np.random.Philox(config.seed).state["state"]
     cap = math.inf if m is None else float(m)
-    # the pending draws of one call; their pages are touched only when draws pend
-    pend_idx = np.empty(min(CALL_DRAWS, n), dtype=np.int64)
-    pend_v = np.empty(pend_idx.size)
-    for lo in range(0, n, CALL_DRAWS):
-        block = out[lo : lo + CALL_DRAWS]
-        k = kernel.twinsep_geometric(state["key"], state["counter"], lo, block.size, neg_scale,
-                                     lnq, cap, block, pend_idx, pend_v)
+    out = np.empty(n, dtype=np.int64)
+    pend_idx = np.empty(PENDING_DRAWS, dtype=np.int64)
+    pend_v = np.empty(PENDING_DRAWS)
+    npend = np.empty(1, dtype=np.int64)
+    key, counter, at_out, at_idx, at_v, at_npend = (
+        a.ctypes.data for a in (state["key"], state["counter"], out, pend_idx, pend_v, npend)
+    )
+    lo = 0
+    while lo < n:
+        lo = kernel.twinsep_geometric(key, counter, lo, n, neg_scale, lnq, cap, at_out, at_idx,
+                                      at_v, PENDING_DRAWS, at_npend)
+        k = int(npend[0])
         if k:
             draws = np.empty(k, dtype=np.int64)
             _finish_draws(pend_v[:k], lnq, m, draws)
-            block[pend_idx[:k]] = draws
+            out[pend_idx[:k]] = draws
     return out
 
 

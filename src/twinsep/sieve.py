@@ -12,26 +12,22 @@ splits the rest, [FIRST_SEGMENT, limit], into chunks of CHUNK_SPAN
 integers; it depends on the limit alone.  Every chunk starts on an odd
 multiple of 3, so no twin spans two chunks.  Each chunk is sieved on
 its own into a `ChunkSummary`: local counts, first and last twin, local
-separations, records and checkpoint rows.  Two kernels produce the same
-summary:
+separations, records and checkpoint rows.
 
-- `_kernel.c`, compiled on first use into a per-user cache and called
-  through ctypes (`_load_kernel`, `_kernel_chunk`), sieves a mod-30 wheel
-  (one byte per 30 integers) in 64 KB blocks, with base primes in three
-  tiers: 7..97 are presieved by ANDing fixed-period patterns a 64-bit word
-  at a time, primes below one block cross it in stride-p loops, and
-  primes above one block wait in per-block buckets (a bucket sieve) until
-  the block they hit.  It emits the summary fields in one fused scan that
-  finds twins a 64-bit word at a time;
-- `_sieve_chunk`, in numpy, runs the one odd-only marking loop
-  `_segment_primes(low, high, base)` (which also sieves the base primes)
-  segment by segment.  It is the reference, and the fallback when no C
-  compiler can build the kernel.
+The chunks are sieved by `_kernel.c`, compiled on first use into a
+per-user cache and called through ctypes (`_load_kernel`, `_kernel_chunk`).
+It sieves a mod-30 wheel (one byte per 30 integers) in 64 KB blocks, with
+base primes in three tiers: 7..97 are presieved by ANDing fixed-period
+patterns a 64-bit word at a time, primes below one block cross it in
+stride-p loops, and primes above one block wait in per-block buckets (a
+bucket sieve) until the block they hit.  It emits the summary fields in
+one fused scan that finds twins a 64-bit word at a time.  Without a C
+compiler that builds it, `_load_kernel` raises `KernelError`.  Only the
+base primes are sieved in numpy, by `_segment_primes(low, high, base)`.
 
 `sieve_range` maps the chunks in-process or on a thread pool, and folds
 the summaries in order, carrying four values from one chunk to the next,
-so the result is exact and identical for either kernel, any segment size
-and CPU count.
+so the result is exact and identical for any CPU count.
 """
 
 from __future__ import annotations
@@ -41,6 +37,7 @@ import functools
 import itertools
 import math
 import os
+import pathlib
 import platform
 import resource
 import shutil
@@ -50,9 +47,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import KernelError, ValidationError
 
-DEFAULT_SEGMENT_FLAGS = 1 << 20  # odd-number flags per segment (spans twice as many integers)
+# shapes nothing; it, SieveConfig.segment_size, `--segment-size` and counts.csv's
+# `segment_size=` line stay only until the benchmark that reads them is refreshed
+DEFAULT_SEGMENT_FLAGS = 1 << 20
 
 # The bound stamped on a new record separation is the lower member of the
 # twin that closes the record interval.
@@ -74,10 +73,10 @@ MAX_PER_DECADE = 10_000  # checkpoints 0.023% apart
 
 @dataclass(frozen=True)
 class SieveConfig:
-    """Run parameters: inclusive bound, segment width in flags, checkpoint grid."""
+    """Run parameters: inclusive bound, checkpoint grid, and a segment width in flags."""
 
     limit: int
-    segment_size: int = DEFAULT_SEGMENT_FLAGS
+    segment_size: int = DEFAULT_SEGMENT_FLAGS  # validated, then unused: see DEFAULT_SEGMENT_FLAGS
     checkpoint_grid: tuple[int, ...] = ()
 
     def __post_init__(self):
@@ -132,10 +131,9 @@ class SieveReport:
     neighbouring twins (anomalous pair (3 5) discarded first), and
     max_separation_onsets lists each new running-maximum separation with
     the bound at which it first occurred.  stats describes the run itself
-    (kernel "c" or "numpy", workers, chunks, segments or kernel blocks,
-    wall_s, segments_per_s, peak_rss_mb); it
-    never enters metadata, so the files written from a report do not
-    depend on the machine.
+    (workers, chunks, segments as kernel blocks, wall_s, segments_per_s,
+    peak_rss_mb); it never enters metadata, so the files written from a
+    report do not depend on the machine.
     """
 
     counts: list[CountRecord]
@@ -233,41 +231,6 @@ def _chunk_plan(limit):
     ]
 
 
-def _sieve_chunk(low, high, segment_size, base, grid) -> ChunkSummary:
-    """Sieve [low, high) segment by segment; grid is the checkpoints inside it."""
-    span = 2 * segment_size
-    count = last = 0  # 0: no prime yet (every chunk prime is >= 11)
-    lowers, index, pi1 = [], [], []
-    for seg in range(low, high, span):
-        top = min(seg + span, high)
-        vals = _segment_primes(seg, top, base)
-        upper = np.flatnonzero(np.diff(vals, prepend=last) == 2)
-        lowers.append(vals[upper] - 2)
-        index.append(count - 1 + upper)
-        inside = grid[bisect.bisect_left(grid, seg) : bisect.bisect_left(grid, top)]
-        pi1 += (count + np.searchsorted(vals, inside, side="right")).tolist()
-        last = int(vals[-1]) if vals.size else last
-        count += vals.size
-
-    lowers, index = np.concatenate(lowers), np.concatenate(index)
-    seps = np.diff(index) - 2
-    prior = np.maximum.accumulate(np.concatenate(([-1], seps)))[:-1]
-    hits = np.flatnonzero(seps > prior)
-    twins_below = np.searchsorted(lowers, np.asarray(grid, dtype=np.int64) - 2, side="right")
-    return ChunkSummary(
-        primes=count,
-        twins=lowers.size,
-        first_twin=(int(lowers[0]), int(index[0])) if lowers.size else None,
-        last_twin=int(index[-1]) if index.size else None,
-        seps=seps.astype(np.uint32),
-        records=tuple(zip(seps[hits].tolist(), lowers[1:][hits].tolist())),
-        checkpoints=tuple(
-            (n, p, k, int(index[k - 1]) if k else None)
-            for n, p, k in zip(grid, pi1, twins_below.tolist())
-        ),
-    )
-
-
 def _open_kernel(source, directory, name):
     """Load directory/name, first building it under a temporary name so concurrent builds are safe."""
     import ctypes
@@ -285,17 +248,21 @@ def _open_kernel(source, directory, name):
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
+        # retire older builds (a process that has one loaded keeps its mapping), never a *.tmp
+        for stale in pathlib.Path(directory).glob("chunk-*.so"):
+            if stale.name != name:
+                stale.unlink(missing_ok=True)  # another process may remove it first
     return ctypes.CDLL(path)
 
 
 @functools.cache
 def _load_kernel():
-    """The compiled _kernel.c, or None when it cannot be built.
+    """The compiled _kernel.c; KernelError, one line naming the compiler, when it cannot load.
 
     Every entry point is typed: twinsep_sieve_chunk (see _kernel_chunk),
     twinsep_philox_fill (the Philox stream that twinsep_geometric draws
-    from, alone), twinsep_geometric, which returns its pending count (see
-    montecarlo.sample_separations), and twinsep_histogram (see
+    from, alone), twinsep_geometric, which returns the draw it stopped at
+    (see montecarlo.sample_separations), and twinsep_histogram (see
     spectrum.accumulate), whose table size is read into lib.histogram_cap.
 
     It is built on first use, never at import, into
@@ -307,8 +274,9 @@ def _load_kernel():
     import hashlib
     import subprocess
 
-    if shutil.which(KERNEL_CC[0]) is None:
-        return None
+    cc = KERNEL_CC[0]
+    if shutil.which(cc) is None:
+        raise KernelError(f"no `{cc}` on PATH: twinsep needs it to build its compiled kernel")
     with open(KERNEL_SOURCE, "rb") as fh:
         source = fh.read()
     key = hashlib.sha256(repr((source, KERNEL_CC, platform.machine())).encode()).hexdigest()
@@ -321,8 +289,12 @@ def _load_kernel():
         except OSError:
             with tempfile.TemporaryDirectory() as tmp:
                 lib = _open_kernel(source, tmp, name)
-    except (OSError, subprocess.SubprocessError):
-        return None
+    except subprocess.CalledProcessError as exc:
+        lines = exc.stderr.decode(errors="replace").strip().splitlines()
+        why = lines[-1].strip() if lines else f"exit status {exc.returncode}"
+        raise KernelError(f"`{cc}` could not build twinsep's compiled kernel: {why}") from None
+    except OSError as exc:
+        raise KernelError(f"could not build or load twinsep's kernel with `{cc}`: {exc}") from None
     i64 = ctypes.c_int64
 
     def array(dtype):
@@ -337,8 +309,8 @@ def _load_kernel():
     lib.twinsep_philox_fill.argtypes = [array(np.uint64), array(np.uint64), i64, i64, f64,
                                         array(np.float64)]
     lib.twinsep_philox_fill.restype = None
-    lib.twinsep_geometric.argtypes = [array(np.uint64), array(np.uint64), i64, i64, f64, f64, f64,
-                                      array(np.int64), array(np.int64), array(np.float64)]
+    ptr = ctypes.c_void_p  # addresses: ndpointer checks cost 3 us an array, per PENDING_DRAWS draws
+    lib.twinsep_geometric.argtypes = [ptr, ptr, i64, i64, f64, f64, f64, ptr, ptr, ptr, i64, ptr]
     lib.twinsep_geometric.restype = i64
     # the stream is int64 or uint32, by its width in bytes; counts has histogram_cap entries
     lib.twinsep_histogram.argtypes = [ctypes.c_void_p, i64, i64, array(np.int64)]
@@ -348,7 +320,7 @@ def _load_kernel():
 
 
 def _kernel_chunk(kernel, low, high, base, grid) -> ChunkSummary:
-    """_sieve_chunk's summary of [low, high), from one call of the compiled kernel."""
+    """The summary of the chunk [low, high), from one call of the compiled kernel."""
     grid = np.asarray(grid, dtype=np.int64)
     # Bounds: every own twin has its lower member = 5 (mod 6); k records are
     # distinct separations, so k(k-1)/2 <= their sum <= primes <= (high-low+1)/2.
@@ -423,31 +395,23 @@ def sieve_range(config: SieveConfig) -> SieveReport:
     their twins (3 5) and (5 7) form a literal prelude: (3 5) is counted in
     pi2 but opens no interval, so the stream starts after (5 7).  The rest,
     from FIRST_SEGMENT on, is split into chunks of CHUNK_SPAN integers that
-    are sieved independently and folded in order, so the result is
-    identical for either kernel, any segment size and any number of CPUs.
-    A plan of more than one chunk runs on a thread pool with one worker
-    per CPU in the affinity mask (at most one per chunk); otherwise it
-    runs in-process.  When the compiled kernel loads, segment_size is
-    unused and stats["segments"] counts the kernel's blocks of
-    KERNEL_BLOCK wheel bytes.
+    are sieved independently by the compiled kernel (KernelError when it
+    cannot be built) and folded in order, so the result is identical for
+    any number of CPUs.  A plan of more than one chunk runs on a thread
+    pool with one worker per CPU in the affinity mask (at most one per
+    chunk); otherwise it runs in-process.  segment_size is unused, and
+    stats["segments"] counts the kernel's blocks of KERNEL_BLOCK bytes.
     """
     t0 = time.perf_counter()
+    chunk = functools.partial(_kernel_chunk, _load_kernel())  # first: a missing kernel fails fast
     limit = config.limit
     cps = config.checkpoint_grid or (limit,)
     base = _odd_base_primes(math.isqrt(limit))
     plan = _chunk_plan(limit)
     lows, highs = [low for low, _ in plan], [high for _, high in plan]
     grids = [cps[bisect.bisect_left(cps, low) : bisect.bisect_left(cps, high)] for low, high in plan]
-    kernel = _load_kernel()
-    if kernel is not None:
-        chunk = functools.partial(_kernel_chunk, kernel)
-        # wheel byte 0 of a chunk starts at low - low % 30
-        segments = sum(len(range(low - low % 30, high, 30 * KERNEL_BLOCK)) for low, high in plan)
-    else:
-        def chunk(low, high, base, grid):
-            return _sieve_chunk(low, high, config.segment_size, base, grid)
-
-        segments = sum(len(range(low, high, 2 * config.segment_size)) for low, high in plan)
+    # wheel byte 0 of a chunk starts at low - low % 30
+    segments = sum(len(range(low - low % 30, high, 30 * KERNEL_BLOCK)) for low, high in plan)
     jobs = (chunk, lows, highs, itertools.repeat(base), grids)
     workers = max(1, min(len(plan), len(os.sched_getaffinity(0))))
     if workers == 1:
@@ -471,7 +435,6 @@ def sieve_range(config: SieveConfig) -> SieveReport:
         max_separation_onsets=onsets,
         metadata=meta,
         stats={
-            "kernel": "numpy" if kernel is None else "c",
             "workers": workers,
             "chunks": len(plan),
             "segments": segments,

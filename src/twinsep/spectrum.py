@@ -70,15 +70,15 @@ class SeparationSpectrum:
 def accumulate(separations) -> SeparationSpectrum:
     """Histogram a separation sequence.
 
-    A dense count when the largest separation is below the length (so the
-    dense histogram is never larger than the input), np.unique otherwise.
-    A contiguous int64 or uint32 stream (the sampler's draws, the sieve's
-    separations) is counted by the sieve's compiled kernel
-    (`twinsep_histogram`) in one pass while its largest value is below the
-    kernel's fixed table (1024 entries); above that the kernel only finds
-    its range.  Every other count, and every count when the kernel cannot
-    be built, is np.bincount's.  Float input must hold finite integers
-    below 2**63.
+    The sieve's compiled kernel (`twinsep_histogram`) counts the stream in
+    one pass while its largest value is below the kernel's fixed table
+    (1024 entries); above that the kernel only finds its range, and the
+    stream is counted by np.bincount when its largest value is below its
+    length (so the dense histogram is never larger than the input), by
+    np.unique otherwise.  The kernel reads int64, uint64 and uint32
+    streams as they are and every other integer type cast to int64.
+    Float input must hold finite integers below 2**63.  Raises KernelError
+    when the kernel cannot be built.
     """
     arr = np.asarray(separations).reshape(-1)
     if arr.size == 0:
@@ -93,23 +93,17 @@ def accumulate(separations) -> SeparationSpectrum:
             raise ValidationError("separations must be finite integers below 2**63")
         if not np.all(arr == np.floor(arr)):
             raise ValidationError("separations must be integers")
+    if arr.dtype not in (np.int64, np.uint64, np.uint32):
         arr = arr.astype(np.int64)
-    kernel = None
-    if arr.dtype in (np.int64, np.uint32) and arr.flags.c_contiguous:
-        kernel = sieve._load_kernel()
-    cnts = None  # a dense count, indexed by value
-    if kernel is not None:
-        table = np.zeros(kernel.histogram_cap, dtype=np.int64)
-        top = kernel.twinsep_histogram(arr.ctypes.data, arr.size, arr.itemsize, table)
-        if 0 <= top <= table.size:
-            cnts = table
-        negative = top < 0
-    else:  # an unsigned stream cannot be negative
-        negative = arr.dtype.kind != "u" and int(arr.min()) < 0
-        top = int(arr.max()) + 1
-    if negative:
+    arr = np.ascontiguousarray(arr)
+    kernel = sieve._load_kernel()
+    table = np.zeros(kernel.histogram_cap, dtype=np.int64)
+    # the kernel reads a uint64 value of 2**63 or more as a negative int64
+    top = kernel.twinsep_histogram(arr.ctypes.data, arr.size, arr.itemsize, table)
+    if top < 0 and arr.dtype != np.uint64:
         raise ValidationError("separations must be >= 0")
-    if cnts is None and top <= arr.size:
+    cnts = table if 0 <= top <= table.size else None  # a dense count, indexed by value
+    if cnts is None and 0 <= top <= arr.size:
         # bincount will not cast uint64 safely; every value here is below the size
         if arr.dtype == np.uint64:
             arr = arr.view(np.int64)

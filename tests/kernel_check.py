@@ -4,17 +4,19 @@
 
 The flags are appended to `sieve.KERNEL_CC`, so a sanitizer build runs the
 same checks, e.g. `python tests/kernel_check.py -fsanitize=undefined
--fno-sanitize-recover=all`.  It fails when `sieve_range` falls back to
-numpy, when the counts at 1e8 differ from the published pi and pi2 (OEIS
+-fno-sanitize-recover=all`.  It fails when the kernel does not build,
+when the counts at 1e8 differ from the published pi and pi2 (OEIS
 A006880, A007508), when one chunk across 2**32, where a C int would
-wrap, differs from the numpy reference, when the compiled Philox fill
-differs from numpy's `Generator(Philox).random` (over lengths that end
-inside a group of 16 counters, from an offset inside a block, and from a
-counter whose word 0 wraps and carries into words 1..3), when the
-sampler's draws, with the pending ones finished by numpy, differ from
-numpy's log1p, floor and minimum (with and without a cap, and at a q
-that puts a quotient within ulps of an integer, which must pend, and at
-q = 1 - 2**-53, where every draw must pend), or when the histogram
+wrap, differs from the numpy reference in `reference.py`, when the
+compiled Philox fill differs from numpy's `Generator(Philox).random`
+(over lengths that end inside a group of 16 counters, from an offset
+inside a block, and from a counter whose word 0 wraps and carries into
+words 1..3), when the sampler's draws, with the pending ones finished by
+numpy, differ from numpy's log1p, floor and minimum (with and without a
+cap, and at a q that puts a quotient within ulps of an integer, which
+must pend, and at q = 1 - 2**-53, where every draw must pend; with room
+for every pending draw and for 1, 8 or 9, where a call must stop when
+its list is full and the next resume there), or when the histogram
 differs from a Counter (int64 and uint32 streams, with values inside and
 outside its table, which then must stay untouched).  Each call gets one
 element more than it may touch, and a store there, or a read of it,
@@ -28,7 +30,8 @@ import sys
 
 import numpy as np
 
-from twinsep import sieve
+import reference
+from twinsep import montecarlo, sieve
 
 
 def check_fill(lib):
@@ -44,6 +47,35 @@ def check_fill(lib):
             assert np.isnan(got[n]), (counter, first, n)
 
 
+def geometric(lib, key, ctr, first, n, f, lnq, m, cap):
+    """twinsep_geometric's draws first .. first + n - 1, in calls whose pending list holds cap
+    draws, each call's pending draws finished by numpy's ufuncs as they come; and per call,
+    (draws made, the pending draws' indices in the range, their v)."""
+    # each buffer one element longer, and out also from 0: a store outside changes a sentinel
+    out = np.full(first + n + 1, -7, dtype=np.int64)
+    pend_idx = np.full(cap + 1, -7, dtype=np.int64)
+    pend_v = np.full(cap + 1, np.nan)
+    npend = np.full(1, -7, dtype=np.int64)
+    at = [a.ctypes.data for a in (key, ctr, out, pend_idx, pend_v, npend)]
+    calls, lo, end = [], first, first + n
+    while lo < end:
+        stop = lib.twinsep_geometric(at[0], at[1], lo, end, f, lnq, m, at[2], at[3], at[4], cap,
+                                     at[5])
+        k = int(npend[0])
+        case = (f, lnq, m, first, n, cap, lo, stop, k)
+        assert pend_idx[cap] == -7 and np.isnan(pend_v[cap]), case
+        # it stops early only at a draw that pends when the list is full
+        assert lo < stop <= end and 0 <= k <= min(cap, stop - lo), case
+        assert stop == end or k == cap, case
+        assert np.all(np.diff(pend_idx[:k]) > 0), case
+        assert k == 0 or lo <= pend_idx[0] and pend_idx[k - 1] < stop, case
+        out[pend_idx[:k]] = np.minimum(np.floor(np.log1p(pend_v[:k]) / lnq), m)
+        calls.append((stop - lo, pend_idx[:k] - first, pend_v[:k].copy()))
+        lo = stop
+    assert np.all(out[:first] == -7) and out[end] == -7, (f, lnq, m, first, n, cap)
+    return out[first:end], calls
+
+
 def check_geometric(lib):
     key = np.random.Philox(7).state["state"]["key"]
     ctr = np.zeros(4, dtype=np.uint64)
@@ -57,19 +89,22 @@ def check_geometric(lib):
         for first, n in ((0, 5000), (3, 4997), (1, 1), (6, 63), (129, 701)):
             v = f * u[first : first + n]
             want = np.minimum(np.floor(np.log1p(v) / lnq), m).astype(np.int64)
-            # each buffer one element longer: a store past n - 1 changes its sentinel
-            out = np.full(n + 1, -7, dtype=np.int64)
-            pend_idx = np.full(n + 1, -7, dtype=np.int64)
-            pend_v = np.full(n + 1, np.nan)
-            k = lib.twinsep_geometric(key, ctr, first, n, f, lnq, m, out, pend_idx, pend_v)
-            case = (f, lnq, m, first, n, k)
-            assert out[n] == pend_idx[n] == -7 and np.isnan(pend_v[n]), case
-            assert 0 <= k <= n and np.all(np.diff(pend_idx[:k]) > 0), case
-            assert np.array_equal(pend_v[:k], v[pend_idx[:k]]), case
-            must = [i - first for i in pending if first <= i < first + n]
-            assert np.isin(must, pend_idx[:k]).all(), case
-            out[pend_idx[:k]] = np.minimum(np.floor(np.log1p(pend_v[:k]) / lnq), m)
-            assert np.array_equal(out[:n], want), case
+            for cap in (n, 1, 8, 9):  # room for every draw, or for fewer
+                got, calls = geometric(lib, key, ctr, first, n, f, lnq, m, cap)
+                case = (f, lnq, m, first, n, cap)
+                assert np.array_equal(got, want), case
+                idx = np.concatenate([i for _, i, _ in calls])
+                assert np.array_equal(np.concatenate([w for _, _, w in calls]), v[idx]), case
+                must = [i - first for i in pending if first <= i < first + n]
+                assert np.isin(must, idx).all(), case
+    # at q = top every draw pends: exactly a full list takes one call, and one draw more a second
+    cap = montecarlo.PENDING_DRAWS
+    for n in (cap, cap + 1):
+        got, calls = geometric(lib, key, ctr, 0, n, -1.0, math.log(top), math.inf, cap)
+        assert [(done, i.tolist()) for done, i, _ in calls] == [
+            (cap, list(range(cap))), *([(1, [cap])] if n > cap else [])
+        ], n
+        assert np.array_equal(got, np.floor(np.log1p(-u[:n]) / math.log(top)).astype(np.int64)), n
 
 
 def check_histogram(lib):
@@ -101,7 +136,6 @@ def main(flags):
     sieve.KERNEL_CC += tuple(flags)
     rep = sieve.sieve_range(sieve.SieveConfig(limit=200_000_000, checkpoint_grid=(10**8, 2 * 10**8)))
     print(rep.stats)
-    assert rep.stats["kernel"] == "c", rep.stats["kernel"]
     row = rep.counts[0]
     assert (row.n, row.pi1, row.pi2) == (10**8, 5761455, 440312), row
 
@@ -110,7 +144,7 @@ def main(flags):
     grid = (low, 2**32 - 1, 2**32 + 15, high - 1)
     base = sieve._odd_base_primes(math.isqrt(high))
     got = sieve._kernel_chunk(sieve._load_kernel(), low, high, base, grid)
-    want = sieve._sieve_chunk(low, high, 1 << 20, base, grid)
+    want = reference.sieve_chunk(low, high, 1 << 20, base, grid)
     assert got.seps.tolist() == want.seps.tolist()
     assert dataclasses.replace(got, seps=None) == dataclasses.replace(want, seps=None)
     lib = sieve._load_kernel()

@@ -1,6 +1,8 @@
+import functools
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from twinsep import cli, model
+from twinsep import cli, model, sieve
 from twinsep.cli import main
 from twinsep.ioutil import read_columns
 from twinsep.model import SolverInput, cutoff_law, solve_exact
@@ -107,7 +109,7 @@ class TestSieveCommand:
         stats = json.loads((out / "stats.json").read_text())
         assert set(stats) == {
             "limit", "segment_size", "python", "numpy",
-            "kernel", "workers", "chunks", "segments", "wall_s", "segments_per_s", "peak_rss_mb",
+            "workers", "chunks", "segments", "wall_s", "segments_per_s", "peak_rss_mb",
         }
         assert (stats["limit"], stats["workers"], stats["chunks"]) == (50000, 1, 1)
         # the manifest is the only file that describes the run; the data files are unchanged
@@ -320,6 +322,33 @@ class TestContract:
         assert rc == 4
         assert "Traceback" not in err
         assert err.strip().splitlines() == ["error: out of memory: Unable to allocate 147. GiB"]
+
+    @pytest.mark.parametrize("command,code", [("sieve", 4), ("spectrum", 4), ("simulate", 4),
+                                              ("report", 4), ("s0", 0), ("predict", 0)])
+    def test_without_compiler(self, command, code, sieved, tmp_path, monkeypatch, capsys):
+        # a command that needs the kernel exits 4 with one line naming cc; s0 and predict
+        # never load it
+        counts, seps, _ = sieved
+        argv = {
+            "sieve": ["--limit", "1000", "--out", str(tmp_path / "c.csv"),
+                      "--separations", str(tmp_path / "s.bin")],
+            "spectrum": ["--separations", str(seps), "--out", str(tmp_path / "spec.csv")],
+            "simulate": ["--s0", "8", "--n", "100", "--seed", "1", "--out", str(tmp_path / "x.csv")],
+            "report": ["--limit", "100000"],
+            "s0": ["--counts", str(counts), "--out", str(tmp_path / "s0.csv")],
+            "predict": ["--counts", str(counts), "--out", str(tmp_path / "lmax.csv")],
+        }[command]
+        monkeypatch.setattr(shutil, "which", lambda name: None)
+        # a loader whose cache does not hold the kernel already built
+        monkeypatch.setattr(sieve, "_load_kernel", functools.cache(sieve._load_kernel.__wrapped__))
+        capsys.readouterr()
+        assert main([command, *argv]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code:
+            assert err.splitlines() == [
+                "i/o error: no `cc` on PATH: twinsep needs it to build its compiled kernel"
+            ]
 
 
 class TestSpectrumAndS0:

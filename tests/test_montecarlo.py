@@ -10,15 +10,15 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twinsep import sieve
+import reference
+from reference import BLOCK_DRAWS
 from twinsep.errors import ValidationError
 from twinsep.model import ModelParams, SolverInput, solve_approx, solve_exact, solve_f0
 from twinsep.montecarlo import (
-    BLOCK_DRAWS,
-    CALL_DRAWS,
+    PENDING_DRAWS,
     GofReport,
     SimConfig,
     _chi2_isf,
@@ -66,7 +66,7 @@ class TestSampler:
     @pytest.mark.parametrize(
         "n",
         [1, 3, 4, 5, BLOCK_DRAWS - 1, BLOCK_DRAWS, BLOCK_DRAWS + 1, 2 * BLOCK_DRAWS * 3 + 3,
-         CALL_DRAWS + 3],
+         (1 << 20) + 3],
     )
     def test_blocks_keep_the_stream(self, law, n):
         config = SimConfig(LAWS[law](), n_events=n, seed=2**64 - 1 - n)
@@ -160,13 +160,13 @@ class TestPhiloxFill:
             assert np.array_equal(got, -(-f * want[first : first + n])), (first, n)
 
     @pytest.mark.parametrize("law", sorted(LAWS))
-    def test_sampler_without_kernel(self, kernel, law, monkeypatch):
+    def test_sampler_without_kernel(self, kernel, law):
+        # the kernel's draws against the numpy reference's, made without it
         config = SimConfig(LAWS[law](), n_events=3 * BLOCK_DRAWS + 5, seed=2**63 + 1)
         compiled = sample_separations(config)
-        monkeypatch.setattr(sieve, "_load_kernel", lambda: None)
-        fallback = sample_separations(config)
-        assert fallback.dtype == compiled.dtype == np.int64
-        assert np.array_equal(fallback, compiled)
+        numpy_only = reference.sample_separations(config)
+        assert numpy_only.dtype == compiled.dtype == np.int64
+        assert np.array_equal(numpy_only, compiled)
 
 
 def law_with_cut(s0, cut):
@@ -176,13 +176,6 @@ def law_with_cut(s0, cut):
         return law
     l_cut = {"zero": 0.0, "typical": 3 * law.sbar, "huge": 1e300}[cut]
     return dataclasses.replace(law, l_cut=l_cut, f=1.0)
-
-
-def fallback_draws(config, monkeypatch):
-    """The draws of config on numpy alone, as when no compiler builds the kernel."""
-    with monkeypatch.context() as patch:
-        patch.setattr(sieve, "_load_kernel", lambda: None)
-        return sample_separations(config)
 
 
 PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
@@ -210,40 +203,47 @@ def state_counter(counter):
 
 
 def compiled_draws(kernel, key, counter, first, n, f, lnq, m):
-    """twinsep_geometric's draws with the pending ones finished by numpy, and their indices."""
-    out = np.empty(n, dtype=np.int64)
+    """twinsep_geometric's draws first .. first + n - 1, with the pending ones finished by numpy,
+    and the pending ones' indices in that range."""
+    out = np.empty(first + n, dtype=np.int64)
     pend_idx = np.empty(n, dtype=np.int64)
     pend_v = np.empty(n)
-    k = kernel.twinsep_geometric(key, counter, first, n, f, lnq, m, out, pend_idx, pend_v)
+    npend = np.empty(1, dtype=np.int64)
+    at = [a.ctypes.data for a in (key, counter, out, pend_idx, pend_v, npend)]
+    stop = kernel.twinsep_geometric(at[0], at[1], first, first + n, f, lnq, m, at[2], at[3], at[4],
+                                    n, at[5])
+    assert stop == first + n  # room for every draw
+    k = int(npend[0])
     fixed = np.empty(k, dtype=np.int64)
     _finish_draws(pend_v[:k], lnq, None if m == math.inf else m, fixed)
     out[pend_idx[:k]] = fixed
-    return out, pend_idx[:k]
+    return out[first:], pend_idx[:k] - first
 
 
 class TestCompiledSampler:
-    """twinsep_geometric, with its pending draws finished by numpy, against numpy alone."""
+    """twinsep_geometric, with its pending draws finished by numpy, against the numpy reference."""
 
     @pytest.mark.parametrize("s0", [0.01, 8.0, 1e6, 1e15])
     @pytest.mark.parametrize("cut", [None, "zero", "typical", "huge"])
-    def test_draws_match_fallback(self, kernel, s0, cut, monkeypatch):
+    def test_draws_match_fallback(self, kernel, s0, cut):
         law = law_with_cut(s0, cut)
-        sizes = [1, 7, 8, 9, BLOCK_DRAWS - 1, BLOCK_DRAWS + 1]
+        # at s0 = 1e15 every draw pends: PENDING_DRAWS of them fill one call, and one more
+        # needs a second call
+        sizes = [1, 7, 8, 9, PENDING_DRAWS, PENDING_DRAWS + 1, BLOCK_DRAWS - 1, BLOCK_DRAWS + 1]
         compiled = [sample_separations(SimConfig(law, n_events=n, seed=n)) for n in sizes]
         for n, draws in zip(sizes, compiled):
-            assert np.array_equal(draws, fallback_draws(SimConfig(law, n_events=n, seed=n),
-                                                        monkeypatch))
+            assert np.array_equal(draws, reference.sample_separations(SimConfig(law, n_events=n,
+                                                                                seed=n)))
         assert compiled[-1].max() <= (math.inf if cut is None else math.floor(law.l_cut))
 
-    @settings(max_examples=100, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(max_examples=100, deadline=None)
     @given(log10_s0=st.floats(-2.0, 15.0), cut=st.sampled_from([None, "zero", "typical", "huge"]),
            n=st.integers(1, 3 * BLOCK_DRAWS + 5), seed=st.integers(0, 2**64 - 1))
-    def test_draws_match_fallback_fuzz(self, kernel, log10_s0, cut, n, seed, monkeypatch):
+    def test_draws_match_fallback_fuzz(self, kernel, log10_s0, cut, n, seed):
         config = SimConfig(law_with_cut(10.0**log10_s0, cut), n_events=n, seed=seed)
-        assert np.array_equal(sample_separations(config), fallback_draws(config, monkeypatch))
+        assert np.array_equal(sample_separations(config), reference.sample_separations(config))
 
-    def test_quotients_near_integers(self, kernel, monkeypatch):
+    def test_quotients_near_integers(self, kernel):
         # q = exp(log1p(v_i) / k) puts draw i's quotient log1p(v_i) / log q within ulps of k,
         # where the certificate must leave it to numpy, or settle it on the right side
         u = np.random.Generator(np.random.Philox(17)).random(64)
@@ -255,7 +255,7 @@ class TestCompiledSampler:
                 law = ModelParams(a=1.0 - q, sbar=-1.0 / math.log(q), q=q, l_cut=None, f=0.0)
                 config = SimConfig(law, n_events=64, seed=17)
                 draws = sample_separations(config)
-                assert np.array_equal(draws, fallback_draws(config, monkeypatch)), (i, k)
+                assert np.array_equal(draws, reference.sample_separations(config)), (i, k)
                 assert k - 1 <= draws[i] <= k, (i, k)
 
     def test_transform_edges(self, kernel):

@@ -12,8 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
+import reference
 from twinsep import sieve
-from twinsep.errors import ValidationError
+from twinsep.errors import KernelError, ValidationError
 from twinsep.sieve import (
     ChunkSummary,
     CountRecord,
@@ -57,6 +58,12 @@ def snapshot(rep):
         [[(type(v), v) for v in onset] for onset in rep.max_separation_onsets],
         rep.metadata,
     )
+
+
+def assert_matches_reference(rep, config):
+    """rep, from the kernel, equals the numpy reference's fold of config's chunks."""
+    counts, separations, onsets = reference.sieve_range(config)
+    assert snapshot(rep) == snapshot(sieve.SieveReport(counts, separations, onsets, rep.metadata))
 
 
 def oracle_onsets(seps, terms):
@@ -217,17 +224,12 @@ class TestSeparations:
 
 class TestDeterminism:
     @pytest.mark.parametrize("segment_size", [1024, 4096, 65536, 1 << 20])
-    def test_segment_size_invariance(self, segment_size, oracle100k, monkeypatch):
-        # the compiled kernel ignores segment_size: the numpy fallback's segment loop uses it
-        monkeypatch.setattr(sieve, "_load_kernel", lambda: None)
-        ref = run(oracle100k["limit"])
-        assert ref.stats["kernel"] == "numpy"
-        rep = run(oracle100k["limit"], segment_size=segment_size)
-        assert [dataclasses.astuple(r) for r in rep.counts] == [
-            dataclasses.astuple(r) for r in ref.counts
-        ]
-        assert np.array_equal(rep.separations, ref.separations)
-        assert rep.max_separation_onsets == ref.max_separation_onsets
+    def test_segment_size_invariance(self, segment_size, oracle100k):
+        # the compiled kernel ignores segment_size: the numpy reference's segment loop uses it
+        config = SieveConfig(limit=oracle100k["limit"], segment_size=segment_size)
+        rep = sieve_range(config)
+        assert snapshot(rep) == snapshot(run(oracle100k["limit"]))
+        assert_matches_reference(rep, config)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -293,19 +295,17 @@ class TestChunks:
         self.check_against_one_chunk(limit, grid, span, segment_size, oracle100k)
 
     def test_thread_pool(self, monkeypatch):
-        # the compiled kernel, then numpy, each on a thread pool of two workers
+        # the compiled kernel on a thread pool of two workers, against one chunk in-process and
+        # against the numpy reference over the same five chunks
         grid = geometric_checkpoints(300_000, per_decade=5, start=100)
-        ref = run(300_000, segment_size=1024, grid=grid)
+        config = SieveConfig(limit=300_000, segment_size=1024, checkpoint_grid=grid)
+        ref = sieve_range(config)
         monkeypatch.setattr(sieve, "CHUNK_SPAN", 30 << 11)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        compiled = run(300_000, segment_size=1024, grid=grid)
-        assert compiled.stats["kernel"] == ("c" if sieve._load_kernel() else "numpy")
-        monkeypatch.setattr(sieve, "_load_kernel", lambda: None)
-        fallback = run(300_000, segment_size=1024, grid=grid)
-        assert fallback.stats["kernel"] == "numpy"
-        for rep in (compiled, fallback):
-            assert (rep.stats["workers"], rep.stats["chunks"]) == (2, 5)
-            assert snapshot(rep) == snapshot(ref)
+        rep = sieve_range(config)
+        assert (rep.stats["workers"], rep.stats["chunks"]) == (2, 5)
+        assert snapshot(rep) == snapshot(ref)
+        assert_matches_reference(rep, config)
 
     def test_script_without_main_guard(self, tmp_path):
         # workers started by spawn would re-run this script on import and break the pool
@@ -313,32 +313,32 @@ class TestChunks:
         script.write_text(
             "import dataclasses, os\n"
             "from twinsep import sieve\n"
-            "sieve._load_kernel = lambda: None\n"
             "sieve.CHUNK_SPAN = 30 << 11\n"
             "os.sched_getaffinity = lambda pid: {0, 1}\n"
             "rep = sieve.sieve_range(sieve.SieveConfig(limit=300_000))\n"
-            "print(rep.stats['kernel'], rep.stats['workers'], *dataclasses.astuple(rep.counts[-1]))\n"
+            "print(rep.stats['workers'], *dataclasses.astuple(rep.counts[-1]))\n"
         )
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         proc = subprocess.run(
             [sys.executable, str(script)], env=env, capture_output=True, text=True, timeout=120
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["numpy", "2", "300000", "25997", "2994", "25973"]
+        assert proc.stdout.split() == ["2", "300000", "25997", "2994", "25973"]
+        counts, _, _ = reference.sieve_range(SieveConfig(limit=300_000))
+        assert proc.stdout.split()[1:] == [str(v) for v in dataclasses.astuple(counts[-1])]
 
-    def test_stats(self, monkeypatch):
-        rep = run(100_000, segment_size=1024)
+    def test_stats(self):
+        config = SieveConfig(limit=100_000, segment_size=1024)
+        rep = sieve_range(config)
         assert set(rep.stats) == {
-            "kernel", "workers", "chunks", "segments", "wall_s", "segments_per_s", "peak_rss_mb"
+            "workers", "chunks", "segments", "wall_s", "segments_per_s", "peak_rss_mb"
         }
-        # 3334 wheel bytes: one 64 KB kernel block, or 49 numpy segments of 1024 odd flags
-        blocks = 1 if rep.stats["kernel"] == "c" else 49
-        assert (rep.stats["workers"], rep.stats["chunks"], rep.stats["segments"]) == (1, 1, blocks)
+        # 3334 wheel bytes: one 64 KB kernel block, whatever the segment size
+        assert (rep.stats["workers"], rep.stats["chunks"], rep.stats["segments"]) == (1, 1, 1)
         assert rep.stats["peak_rss_mb"] > 0
         assert not set(rep.stats) & set(rep.metadata)
-        monkeypatch.setattr(sieve, "_load_kernel", lambda: None)
-        rep = run(100_000, segment_size=1024)
-        assert (rep.stats["kernel"], rep.stats["segments"]) == ("numpy", 49)
+        # the numpy reference walks 49 segments of 1024 odd flags to the same report
+        assert_matches_reference(rep, config)
 
     def test_import_leaves_process_pool_unloaded(self, tmp_path):
         # and builds no kernel: that waits for the first sieve
@@ -386,7 +386,7 @@ class TestKernel:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sieve, "KERNEL_BLOCK", block)
             got = sieve._kernel_chunk(kernel, low, high, base, grid)
-        assert_same_summary(got, sieve._sieve_chunk(low, high, segment_size, base, grid))
+        assert_same_summary(got, reference.sieve_chunk(low, high, segment_size, base, grid))
 
     @pytest.mark.parametrize("block", [8, 64])
     @pytest.mark.parametrize("low", [9, 29, 31, 37, 89, 97, 101])
@@ -400,7 +400,7 @@ class TestKernel:
             mp.setattr(sieve, "KERNEL_BLOCK", block)
             for high in sorted(highs):
                 got = sieve._kernel_chunk(kernel, low, high, base, (high - 1,))
-                assert_same_summary(got, sieve._sieve_chunk(low, high, 1024, base, (high - 1,)))
+                assert_same_summary(got, reference.sieve_chunk(low, high, 1024, base, (high - 1,)))
 
     @pytest.mark.parametrize("block", [8, 64])
     def test_bucketed_primes_near_2_32(self, kernel, block):
@@ -413,7 +413,7 @@ class TestKernel:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sieve, "KERNEL_BLOCK", block)
             got = sieve._kernel_chunk(kernel, low, high, base, grid)
-        assert_same_summary(got, sieve._sieve_chunk(low, high, 1 << 20, base, grid))
+        assert_same_summary(got, reference.sieve_chunk(low, high, 1 << 20, base, grid))
 
     def test_bucketed_prime_skips_blocks(self, kernel):
         # 64-byte blocks over 2**22 integers: 2185 blocks, and the base primes, up to 3767,
@@ -426,7 +426,7 @@ class TestKernel:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sieve, "KERNEL_BLOCK", 64)
             got = sieve._kernel_chunk(kernel, low, high, base, grid)
-        assert_same_summary(got, sieve._sieve_chunk(low, high, 1 << 20, base, grid))
+        assert_same_summary(got, reference.sieve_chunk(low, high, 1 << 20, base, grid))
 
     def test_chunk_above_2_32(self, kernel):
         # low and every prime index arithmetic pass 2**32: a C int would wrap
@@ -435,13 +435,14 @@ class TestKernel:
         base = sieve._odd_base_primes(math.isqrt(high))
         grid = (low, 2**32 - 1, 2**32 + 15, high - 1)
         got = sieve._kernel_chunk(kernel, low, high, base, grid)
-        assert_same_summary(got, sieve._sieve_chunk(low, high, 1 << 20, base, grid))
+        assert_same_summary(got, reference.sieve_chunk(low, high, 1 << 20, base, grid))
         n, below, _, _ = got.checkpoints[1]
         assert n == 2**32 - 1 and got.twins > 0 and got.primes > below  # primes above 2**32
 
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
     def test_compiler_means_compiled_kernel(self):
-        assert run(10**6).stats["kernel"] == "c"
+        rep = run(10**6)
+        assert rep.stats["segments"] == 1 and rep.counts[-1].pi1 == PUBLISHED_PI[5]
 
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
     def test_cache(self, tmp_path, monkeypatch):
@@ -463,15 +464,33 @@ class TestKernel:
         assert sieve._load_kernel.__wrapped__() is not None
         assert list(tmp_path.iterdir()) == [blocker]
 
-    def test_failed_build_gives_none(self, tmp_path, monkeypatch):
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+    def test_stale_builds_removed(self, tmp_path, monkeypatch):
+        # installing a new build removes older chunk-*.so builds, never an in-flight *.tmp
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        cache = tmp_path / "twinsep"
+        cache.mkdir()
+        in_flight = cache / "chunk-1.soab12cd.tmp"
+        for path in (cache / "chunk-0.so", in_flight):
+            path.write_bytes(b"")
+        sieve._load_kernel.__wrapped__()
+        built = [p.name for p in cache.iterdir() if p != in_flight]
+        assert in_flight.exists() and len(built) == 1
+        assert built[0].startswith("chunk-") and built[0].endswith(".so") and built[0] != "chunk-0.so"
+
+    def test_failed_build_raises(self, tmp_path, monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         monkeypatch.setattr(sieve, "KERNEL_CC", (*sieve.KERNEL_CC, "-no-such-option"))
-        assert sieve._load_kernel.__wrapped__() is None
+        with pytest.raises(KernelError, match="`cc` could not build") as info:
+            sieve._load_kernel.__wrapped__()
+        assert "no-such-option" in str(info.value) and "\n" not in str(info.value)
+        assert isinstance(info.value, OSError)
         assert list((tmp_path / "twinsep").glob("*")) == []
 
-    def test_no_compiler_gives_none(self, monkeypatch):
+    def test_no_compiler_raises(self, monkeypatch):
         monkeypatch.setattr(shutil, "which", lambda name: None)
-        assert sieve._load_kernel.__wrapped__() is None
+        with pytest.raises(KernelError, match="no `cc` on PATH"):
+            sieve._load_kernel.__wrapped__()
 
 
 class TestConfigValidation:
