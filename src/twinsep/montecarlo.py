@@ -9,6 +9,7 @@ plus a KS distance) are reporting conventions of this toolkit.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -22,9 +23,13 @@ from .spectrum import SeparationSpectrum
 GENERATOR = "philox4x64"  # counter-based; the seed fully determines the stream
 DEFAULT_ALPHA = 0.01
 POOL_MIN_EXPECTED = 5.0
-# room for pending draws (16 bytes each) per twinsep_geometric call, which returns early when
-# it fills: from s0 of about 1e7 on nearly every draw pends, and a call costs about 10 us
-PENDING_DRAWS = 512
+# draws per block a worker claims: about 0.2 ms of kernel time (2**15 to 2**17 ran alike)
+BLOCK_DRAWS = 1 << 16
+# room for pending draws per worker, which twinsep_geometric fills across calls and blocks:
+# from s0 of about 1e7 on nearly every draw pends, and each full list is finished in one
+# _finish_draws call (16 bytes a draw, 128 KB a worker; at s0 = 1e15 a 1024-draw list made
+# two workers slower than one, as each finish holds the GIL)
+PENDING_DRAWS = 8192
 THRESHOLD_NOTE = "chi-square/KS pass thresholds are conventions of this toolkit"
 _EPS = 2.0**-53
 
@@ -67,19 +72,25 @@ def sample_separations(config: SimConfig) -> np.ndarray:
     floor(l_cut) under a cutoff, s = 1 and no cap without.  The seed alone
     fixes the stream: u_i is the i-th double of
     `np.random.Generator(np.random.Philox(seed)).random`, whatever the
-    call size, so identical seeds give identical arrays.  The draws are
-    made on the calling thread.
+    call size, so identical seeds give identical arrays.
 
-    The sieve's compiled kernel (`sieve._load_kernel`) makes them in
+    Philox is counter-based, so any draw can be made from its index alone.
+    [0, n) is cut into blocks of BLOCK_DRAWS draws, which the calling thread
+    and one thread per further CPU in the affinity mask claim in turn
+    (`sieve._on_workers`; one worker per two blocks at most, so a call of
+    fewer than four blocks runs on the calling thread alone).  Each block is
+    drawn by the sieve's compiled kernel (`sieve._load_kernel`) in
     `twinsep_geometric` calls, from the key and counter of
     `np.random.Philox(seed).state`: each fills -s * u_i (16 Philox counters
     at once where the CPU has AVX-512), takes a cheap logarithm, and
     floors each quotient that it can certify lies far enough from every
     integer for numpy's to floor alike.  The draws it cannot settle (a few
     in 1e7 at s0 of 5-13, a quotient of 0, and nearly every draw from s0
-    of about 1e7 on) come back as pending (index, -s * u_i) pairs, at most
-    PENDING_DRAWS a call, for `_finish_draws` to finish with numpy's log1p,
-    division, floor and minimum.  Raises KernelError without the kernel.
+    of about 1e7 on) come back as pending (index, -s * u_i) pairs into the
+    worker's own list of PENDING_DRAWS, and each full list (and the last)
+    is finished by `_finish_draws` with numpy's log1p, division, floor and
+    minimum.  Every draw is the same whichever worker made it, so the array
+    does not depend on the CPU count.  Raises KernelError without the kernel.
     """
     p = config.params
     n = config.n_events
@@ -91,52 +102,42 @@ def sample_separations(config: SimConfig) -> np.ndarray:
     state = np.random.Philox(config.seed).state["state"]
     cap = math.inf if m is None else float(m)
     out = np.empty(n, dtype=np.int64)
-    pend_idx = np.empty(PENDING_DRAWS, dtype=np.int64)
-    pend_v = np.empty(PENDING_DRAWS)
-    npend = np.empty(1, dtype=np.int64)
-    key, counter, at_out, at_idx, at_v, at_npend = (
-        a.ctypes.data for a in (state["key"], state["counter"], out, pend_idx, pend_v, npend)
-    )
-    lo = 0
-    while lo < n:
-        lo = kernel.twinsep_geometric(key, counter, lo, n, neg_scale, lnq, cap, at_out, at_idx,
-                                      at_v, PENDING_DRAWS, at_npend)
-        k = int(npend[0])
+    key, counter, at_out = (a.ctypes.data for a in (state["key"], state["counter"], out))
+    starts = range(0, n, BLOCK_DRAWS)
+    workers = sieve._worker_count(len(starts) // 2)
+    # allocated here, not in the workers: a thread that allocates gets its own malloc arena
+    lists = [(np.empty(PENDING_DRAWS, dtype=np.int64), np.empty(PENDING_DRAWS),
+              np.empty(1, dtype=np.int64)) for _ in range(workers)]
+
+    def draw(blocks):
+        pend_idx, pend_v, npend = lists.pop()
+        at_idx, at_v, at_npend = pend_idx.ctypes.data, pend_v.ctypes.data, npend.ctypes.data
+        k = 0  # pending draws listed so far
+        for lo in blocks:
+            hi = min(lo + BLOCK_DRAWS, n)
+            while lo < hi:  # a call stops early only when the list is full
+                lo = kernel.twinsep_geometric(key, counter, lo, hi, neg_scale, lnq, cap, at_out,
+                                              at_idx + 8 * k, at_v + 8 * k, PENDING_DRAWS - k,
+                                              at_npend)
+                k += int(npend[0])
+                if k == PENDING_DRAWS:
+                    out[pend_idx] = _finish_draws(pend_v, lnq, m)
+                    k = 0
         if k:
-            draws = np.empty(k, dtype=np.int64)
-            _finish_draws(pend_v[:k], lnq, m, draws)
-            out[pend_idx[:k]] = draws
+            out[pend_idx[:k]] = _finish_draws(pend_v[:k], lnq, m)
+
+    sieve._on_workers(draw, iter(starts), workers)
     return out
 
 
-def _finish_draws(v, lnq, m, out):
-    """out = min(floor(log1p(v) / lnq), m) by numpy's ufuncs, with v = -s * u overwritten."""
+def _finish_draws(v, lnq, m):
+    """min(floor(log1p(v) / lnq), m) by numpy's ufuncs, in v = -s * u, for an int64 array to take."""
     np.log1p(v, out=v)
     v /= lnq
     np.floor(v, out=v)
     if m is not None:
         np.minimum(v, m, out=v)
-    np.copyto(out, v, casting="unsafe")
-
-
-def _support_probabilities(params: ModelParams, s_max: int):
-    """Renormalised pmf over 0..min(s_max, top) plus the tail mass beyond s_max.
-
-    top bounds the support: floor(l_cut) with a cutoff, otherwise the s
-    past which q**s < 2**-1200, far below the smallest subnormal, so the
-    pmf is exactly 0.0 on every s above it.
-    """
-    q = params.q
-    top = math.ceil(1200 / -math.log2(q)) if params.l_cut is None else math.floor(params.l_cut)
-    s = np.arange(min(s_max, top) + 1)
-    probs = (1.0 - q) * q**s
-    if params.l_cut is None:
-        tail = q ** (s_max + 1)
-    else:
-        norm = -math.expm1((top + 1) * math.log(q))  # 1 - q**(top+1)
-        probs /= norm
-        tail = max(0.0, (q ** (s_max + 1) - q ** (top + 1)) / norm) if s_max < top else 0.0
-    return probs, tail
+    return v
 
 
 def gof_compare(
@@ -148,6 +149,16 @@ def gof_compare(
     so the chi-square approximation stays valid; dof is the pooled bin
     count minus one.  Pass means the chi-square statistic stays below the
     critical value at the given alpha.
+
+    The model's support is 0..top: floor(l_cut) with a cutoff, otherwise
+    the s past which q**s < 2**-1200, where the pmf is exactly 0.0.  The
+    walk visits the occupied bins one by one and each run of empty bins
+    between them at once (`_Pools.empty_run`), so its memory grows with the
+    number of bins, and its time with the bins and the pools that span
+    several empty bins, but neither with the largest separation.  The
+    results equal a walk over every bin up to the largest separation (the
+    test suite's `dense_gof`): dof and the verdict exactly, chi2 and ks to
+    rounding.
     """
     total = empirical.total_intervals
     if total < 50:
@@ -155,47 +166,53 @@ def gof_compare(
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
 
-    s_max = empirical.max_separation() or 0
-    probs, tail = _support_probabilities(params, s_max)
-    # Above the support an empty bin has o = 0 and e = 0.0, which adds exactly
-    # nothing to the pooling walk or the KS maximum: keep only occupied ones.
-    stray = [c for s, c in sorted(empirical.bins.items()) if s >= probs.size]
-    observed = np.array([empirical.bins.get(s, 0) for s in range(probs.size)] + stray + [0.0])
-    probs = np.append(probs, np.zeros(len(stray)))
-    expected = np.append(total * probs, total * tail)
+    q = params.q
+    cut = params.l_cut is not None
+    top = math.floor(params.l_cut) if cut else math.ceil(1200 / -math.log2(q))
+    norm = -math.expm1((top + 1) * math.log(q)) if cut else 1.0  # 1 - q**(top+1)
+    keys = sorted(empirical.bins)
+    s_max = keys[-1]
+    if not cut:
+        tail = q ** (s_max + 1)  # the model's mass beyond s_max
+    else:
+        tail = max(0.0, (q ** (s_max + 1) - q ** (top + 1)) / norm) if s_max < top else 0.0
+    last = min(s_max, top)  # bins above it have no model mass
+    n_in = bisect.bisect_right(keys, last)
+    s_in = np.array(keys[:n_in], dtype=np.int64)
+    probs = (1.0 - q) * q**s_in
+    if cut:
+        probs /= norm
+    counts = np.array([empirical.bins[s] for s in keys], dtype=np.float64)
 
-    # pool from the tail until every pooled bin has enough expected mass
-    pooled: list[tuple[float, float]] = []
-    acc_o = acc_e = 0.0
-    for o, e in zip(observed[::-1], expected[::-1]):
-        acc_o += o
-        acc_e += e
-        if acc_e >= POOL_MIN_EXPECTED:
-            pooled.append((acc_o, acc_e))
-            acc_o = acc_e = 0.0
-    if acc_o or acc_e:
-        if pooled:
-            last_o, last_e = pooled[-1]
-            pooled[-1] = (last_o + acc_o, last_e + acc_e)
-        else:
-            pooled.append((acc_o, acc_e))
-    pooled.reverse()
-    if len(pooled) < 2:
-        raise ValidationError("insufficient data: fewer than 2 bins after pooling")
-
-    chi2 = 0.0
-    for o, e in pooled:
-        if e <= 0.0:
-            if o > 0:
-                chi2 = math.inf
-            continue
-        chi2 += (o - e) ** 2 / e
-    dof = len(pooled) - 1
+    # pool from the tail down: the mass beyond s_max, the bins above the support (which
+    # expect nothing), then the support, one occupied bin or one run of empty bins at a time
+    pools = _Pools(q, total / norm, float(counts[n_in:].sum()), total * tail)
+    upper = last
+    for s, o, e in zip(keys[:n_in][::-1], counts[:n_in][::-1].tolist(),
+                       (total * probs[::-1]).tolist()):
+        if s < upper:
+            pools.empty_run(s + 1, upper)
+        pools.acc_o += o
+        pools.acc_e += e
+        if pools.acc_e >= POOL_MIN_EXPECTED:
+            pools.close()
+        upper = s - 1
+    if upper >= 0:
+        pools.empty_run(0, upper)
+    chi2, dof = pools.finish()
     crit = _chi2_isf(dof, alpha)
 
-    cum_model = np.cumsum(probs)
-    cum_emp = np.cumsum(observed[:-1]) / total
-    ks = float(np.max(np.abs(cum_emp - cum_model)))
+    # KS, at each bin the walk visits: the empirical CDF is flat over a run of empty bins and
+    # the model's rises, so their gap is largest at one end of the run; above the support the
+    # model's stays at its value at `last`
+    edges = np.concatenate(([-1], s_in, [last + 1]))
+    runs = np.flatnonzero(np.diff(edges) > 1)
+    cum = np.cumsum(counts) / total
+    flat = np.concatenate(([0.0], cum))[runs]
+    at = np.concatenate((s_in, edges[runs] + 1, edges[runs + 1] - 1,
+                         np.full(counts.size - n_in, last)))
+    emp = np.concatenate((cum[:n_in], flat, flat, cum[n_in:]))
+    ks = float(np.max(np.abs(emp + np.expm1((at + 1) * math.log(q)) / norm)))
 
     return GofReport(
         chi2=float(chi2),
@@ -205,6 +222,89 @@ def gof_compare(
         alpha=alpha,
         chi2_critical=crit,
     )
+
+
+class _Pools:
+    """gof_compare's pooling, from the tail down, in running sums.
+
+    (acc_o, acc_e) is the open pool, which closes once it expects
+    POOL_MIN_EXPECTED.  The pool closed last stays apart from chi2: what is
+    left open at the bottom joins it.  A run of empty bins a..b expects
+    scale * (q**a - q**(b+1)), so the bins each pool of the run takes are
+    found by a logarithm; once one bin alone expects POOL_MIN_EXPECTED,
+    every bin below it does too, and is a pool of its own.
+    """
+
+    def __init__(self, q, scale, acc_o, acc_e):
+        self.q, self.lnq, self.scale = q, math.log(q), scale
+        self.acc_o, self.acc_e = acc_o, acc_e
+        self.chi2, self.count, self.low = 0.0, 0, None
+        if acc_e >= POOL_MIN_EXPECTED:
+            self.close()
+
+    def close(self):
+        if self.low is not None:
+            o, e = self.low
+            self.chi2 += (o - e) ** 2 / e
+        self.low = (self.acc_o, self.acc_e)
+        self.count += 1
+        self.acc_o = self.acc_e = 0.0
+
+    def _mass(self, a, b):
+        """What the bins a..b expect."""
+        return self.scale * self.q**a * -math.expm1((b - a + 1) * self.lnq)
+
+    def empty_run(self, a, b):
+        """The empty bins b, b - 1, ..., a."""
+        while b >= a:
+            if self.acc_o == self.acc_e == 0.0 and self._mass(b, b) >= POOL_MIN_EXPECTED:
+                # b .. a are a pool each, and (0 - e)**2 / e = e
+                self.acc_e = self._mass(b, b)
+                self.close()
+                if b > a + 1:  # b - 1 .. a + 1 at once: the pool closed last stays a's
+                    self.acc_e = self._mass(a + 1, b - 1)
+                    self.close()
+                    self.count += b - a - 2
+                if b > a:
+                    self.acc_e = self._mass(a, a)
+                    self.close()
+                return
+            k = self._width(b)
+            if k > b - a + 1:
+                self.acc_e += self._mass(a, b)
+                return
+            self.acc_e += self._mass(b - k + 1, b)
+            self.close()
+            b -= k
+
+    def _width(self, b):
+        """The fewest bins b, b - 1, ... that fill the open pool."""
+        need = POOL_MIN_EXPECTED - self.acc_e
+        x = self.scale * self.q ** (b + 1)  # k bins expect x * (q**-k - 1)
+        if x > 0.0 and need / x < math.inf:
+            w = math.log1p(need / x) / -self.lnq
+        else:  # q**(b + 1) is negligible
+            w = b + 1 - math.log(need / self.scale) / self.lnq
+        k = max(1, min(math.ceil(min(w, 2.0**62)), b + 2))  # b + 2: past bin 0
+        # the logarithm can be a bin off: settle k by the sum the pool takes
+        if k > 1 and self.acc_e + self._mass(b - k + 2, b) >= POOL_MIN_EXPECTED:
+            k -= 1
+        elif self.acc_e + self._mass(b - k + 1, b) < POOL_MIN_EXPECTED:
+            k += 1
+        return k
+
+    def finish(self):
+        """(chi2, dof) once the bottom bin is in: what is left open joins the pool closed last."""
+        if self.acc_o or self.acc_e:
+            if self.low is None:
+                self.close()
+            else:
+                o, e = self.low
+                self.low = (o + self.acc_o, e + self.acc_e)
+        if self.count < 2:
+            raise ValidationError("insufficient data: fewer than 2 bins after pooling")
+        o, e = self.low
+        return self.chi2 + (o - e) ** 2 / e, self.count - 1
 
 
 def _log_gamma_tails(a: float, y: float) -> tuple[float, float, float]:

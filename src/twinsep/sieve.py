@@ -25,16 +25,18 @@ one fused scan that finds twins a 64-bit word at a time.  Without a C
 compiler that builds it, `_load_kernel` raises `KernelError`.  Only the
 base primes are sieved in numpy, by `_segment_primes(low, high, base)`.
 
-`sieve_range` maps the chunks in-process or on a thread pool, and folds
-the summaries in order, carrying four values from one chunk to the next,
-so the result is exact and identical for any CPU count.
+`sieve_range` sieves the chunks on `_on_workers` (the calling thread, plus
+one kept helper thread per further CPU), and folds the summaries in order,
+carrying four values from one chunk to the next, so the result is exact
+and identical for any CPU count.  The Monte Carlo sampler and the
+histogram split their streams over the same workers.
 """
 
 from __future__ import annotations
 
+import _thread
 import bisect
 import functools
-import itertools
 import math
 import os
 import pathlib
@@ -309,14 +311,134 @@ def _load_kernel():
     lib.twinsep_philox_fill.argtypes = [array(np.uint64), array(np.uint64), i64, i64, f64,
                                         array(np.float64)]
     lib.twinsep_philox_fill.restype = None
-    ptr = ctypes.c_void_p  # addresses: ndpointer checks cost 3 us an array, per PENDING_DRAWS draws
+    ptr = ctypes.c_void_p  # addresses: an ndpointer check costs 3-5 us a call
     lib.twinsep_geometric.argtypes = [ptr, ptr, i64, i64, f64, f64, f64, ptr, ptr, ptr, i64, ptr]
     lib.twinsep_geometric.restype = i64
-    # the stream is int64 or uint32, by its width in bytes; counts has histogram_cap entries
-    lib.twinsep_histogram.argtypes = [ctypes.c_void_p, i64, i64, array(np.int64)]
+    # the stream is int64 or uint32, by its width in bytes; counts has histogram_cap int64s
+    lib.twinsep_histogram.argtypes = [ptr, i64, i64, ptr]
     lib.twinsep_histogram.restype = i64
     lib.histogram_cap = i64.in_dll(lib, "twinsep_histogram_cap").value
     return lib
+
+
+def _worker_count(jobs: int) -> int:
+    """Workers for `jobs` independent jobs: one per CPU in the affinity mask, at most one a job."""
+    return max(1, min(jobs, len(os.sched_getaffinity(0))))
+
+
+@functools.cache
+def _getcpu():
+    """libc's sched_getcpu: the CPU the calling thread runs on."""
+    import ctypes
+
+    getcpu = ctypes.CDLL(None).sched_getcpu
+    getcpu.argtypes, getcpu.restype = [], ctypes.c_int
+    return getcpu
+
+
+class _Call:
+    """One call's work for one helper, which starts it only if the caller has not given up on it."""
+
+    def __init__(self, work):
+        self.work, self.result, self.error = work, None, None
+        self.started, self.done = _thread.allocate_lock(), _thread.allocate_lock()
+        self.done.acquire()
+
+
+class _Helper:
+    """A thread that runs the calls it is handed on the CPUs it was given, until the process ends."""
+
+    def __init__(self, cpus):
+        self.call = None
+        self.wake = _thread.allocate_lock()
+        self.wake.acquire()
+        _thread.start_new_thread(self._serve, (cpus,))
+
+    def hand(self, call):
+        self.call = call
+        if self.wake.locked():  # otherwise a wake-up it has not taken yet stands
+            self.wake.release()
+
+    def _serve(self, cpus):
+        try:
+            os.sched_setaffinity(0, cpus)  # this thread only
+        except OSError:  # none of them online: run anywhere
+            pass
+        while True:
+            self.wake.acquire()
+            call = self.call
+            if call is None or not call.started.acquire(blocking=False):
+                continue  # its caller finished without it
+            try:
+                call.result = call.work()
+            except BaseException as exc:  # raised again by the caller
+                call.error = exc
+            call.done.release()
+
+
+# (pid, affinity mask) -> (a lock held while the helpers work, the helpers); a forked child
+# has another pid, so it never waits on threads it did not inherit
+_helpers: dict = {}
+
+
+def _on_workers(work, jobs, workers: int) -> list:
+    """[work(jobs) on each worker that ran]: the calling thread and up to workers - 1 helpers.
+
+    The workers claim their jobs from the one iterator `jobs` (next() on a builtin iterator
+    runs under the GIL, so each job goes to one worker), and the kernel releases the GIL
+    while it runs.  So any worker may take any job, and the caller alone runs them all
+    (work(jobs) inline, with no thread) for one worker, or while another thread of the
+    process has the helpers.  Once the caller's work(jobs) returns, no job is left, and a
+    helper that has not started yet (its CPU busy with another task) is given up on rather
+    than waited for; one that has started is waited for.  A worker that raises drops the
+    jobs left, so the others stop at their next claim, and its exception is raised here
+    once all have stopped.
+
+    The helpers are threads of this process, started on first use (never at import) and
+    kept: starting and placing a thread for each call took 0.15-0.2 ms against 0.03-0.04 ms
+    to wake a kept one, and a Monte Carlo replicate makes two calls of 0.4-2 ms.  Each is
+    pinned to the CPUs of the affinity mask other than the one its first caller ran on: a
+    new thread starts on its parent's CPU, and where the scheduler does not balance load (a
+    cpuset with sched_load_balance off) it would stay there, sharing it with the caller.
+    """
+
+    def run():
+        try:
+            return work(jobs)
+        except BaseException:
+            for _ in jobs:  # drop the jobs left
+                pass
+            raise
+
+    if workers == 1:
+        return [work(jobs)]
+    mask = os.sched_getaffinity(0)
+    busy, pool = _helpers.setdefault((os.getpid(), frozenset(mask)), (_thread.allocate_lock(), []))
+    if not busy.acquire(blocking=False):
+        return [work(jobs)]
+    try:
+        while len(pool) < workers - 1:
+            pool.append(_Helper(mask - {_getcpu()()}))
+        calls = [_Call(run) for _ in range(workers - 1)]
+        for helper, call in zip(pool, calls):
+            helper.hand(call)
+        results, errors = [], []
+        try:
+            results.append(run())
+        finally:
+            for helper, call in zip(pool, calls):
+                helper.call = None
+                if not call.started.acquire(blocking=False):  # it has started: wait for it
+                    call.done.acquire()
+                    results.append(call.result)
+                    errors.append(call.error)
+                call.work = call.result = call.error = None  # keep nothing of this call
+        for exc in errors:
+            if exc is not None:
+                raise exc
+        return results
+    finally:
+        busy.release()
 
 
 def _kernel_chunk(kernel, low, high, base, grid) -> ChunkSummary:
@@ -397,9 +519,9 @@ def sieve_range(config: SieveConfig) -> SieveReport:
     from FIRST_SEGMENT on, is split into chunks of CHUNK_SPAN integers that
     are sieved independently by the compiled kernel (KernelError when it
     cannot be built) and folded in order, so the result is identical for
-    any number of CPUs.  A plan of more than one chunk runs on a thread
-    pool with one worker per CPU in the affinity mask (at most one per
-    chunk); otherwise it runs in-process.  segment_size is unused, and
+    any number of CPUs.  The chunks are claimed in order by one worker per
+    CPU in the affinity mask, at most one per chunk (`_on_workers`); one
+    worker runs in-process.  segment_size is unused, and
     stats["segments"] counts the kernel's blocks of KERNEL_BLOCK bytes.
     """
     t0 = time.perf_counter()
@@ -412,15 +534,15 @@ def sieve_range(config: SieveConfig) -> SieveReport:
     grids = [cps[bisect.bisect_left(cps, low) : bisect.bisect_left(cps, high)] for low, high in plan]
     # wheel byte 0 of a chunk starts at low - low % 30
     segments = sum(len(range(low - low % 30, high, 30 * KERNEL_BLOCK)) for low, high in plan)
-    jobs = (chunk, lows, highs, itertools.repeat(base), grids)
-    workers = max(1, min(len(plan), len(os.sched_getaffinity(0))))
-    if workers == 1:
-        counts, separations, onsets = _fold(map(*jobs), cps, limit)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
+    summaries: list = [None] * len(plan)
 
-        with ThreadPoolExecutor(workers) as pool:
-            counts, separations, onsets = _fold(pool.map(*jobs), cps, limit)
+    def sieve_chunks(jobs):
+        for i in jobs:
+            summaries[i] = chunk(lows[i], highs[i], base, grids[i])
+
+    workers = _worker_count(len(plan))
+    _on_workers(sieve_chunks, iter(range(len(plan))), workers)
+    counts, separations, onsets = _fold(summaries, cps, limit)
 
     wall = time.perf_counter() - t0
     peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss

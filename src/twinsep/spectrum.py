@@ -21,6 +21,7 @@ from .sieve import CountRecord
 
 
 BINCOUNT_BLOCK = 1 << 16  # elements per np.bincount call on values that need a cast to intp
+BLOCK_VALUES = 1 << 16  # values per block a worker of the compiled histogram claims
 
 
 class S0Convention(str, Enum):
@@ -75,10 +76,15 @@ def accumulate(separations) -> SeparationSpectrum:
     (1024 entries); above that the kernel only finds its range, and the
     stream is counted by np.bincount when its largest value is below its
     length (so the dense histogram is never larger than the input), by
-    np.unique otherwise.  The kernel reads int64, uint64 and uint32
-    streams as they are and every other integer type cast to int64.
-    Float input must hold finite integers below 2**63.  Raises KernelError
-    when the kernel cannot be built.
+    np.unique otherwise.  A stream of four blocks of BLOCK_VALUES or more
+    is first counted on the calling thread and one thread per further CPU
+    in the affinity mask (`_count_in_blocks`); if any block holds a value
+    outside the table, the stream goes through the one-pass path above on
+    the calling thread, so the errors and the other paths do not change.
+    The kernel reads int64, uint64 and uint32 streams as they are and
+    every other integer type cast to int64.  Float input must hold finite
+    integers below 2**63.  Raises KernelError when the kernel cannot be
+    built.
     """
     arr = np.asarray(separations).reshape(-1)
     if arr.size == 0:
@@ -97,12 +103,15 @@ def accumulate(separations) -> SeparationSpectrum:
         arr = arr.astype(np.int64)
     arr = np.ascontiguousarray(arr)
     kernel = sieve._load_kernel()
-    table = np.zeros(kernel.histogram_cap, dtype=np.int64)
-    # the kernel reads a uint64 value of 2**63 or more as a negative int64
-    top = kernel.twinsep_histogram(arr.ctypes.data, arr.size, arr.itemsize, table)
-    if top < 0 and arr.dtype != np.uint64:
-        raise ValidationError("separations must be >= 0")
-    cnts = table if 0 <= top <= table.size else None  # a dense count, indexed by value
+    cnts = _count_in_blocks(kernel, arr)  # a dense count, indexed by value, or None
+    if cnts is None:
+        table = np.zeros(kernel.histogram_cap, dtype=np.int64)
+        # the kernel reads a uint64 value of 2**63 or more as a negative int64
+        top = kernel.twinsep_histogram(arr.ctypes.data, arr.size, arr.itemsize,
+                                       table.ctypes.data)
+        if top < 0 and arr.dtype != np.uint64:
+            raise ValidationError("separations must be >= 0")
+        cnts = table if 0 <= top <= table.size else None
     if cnts is None and 0 <= top <= arr.size:
         # bincount will not cast uint64 safely; every value here is below the size
         if arr.dtype == np.uint64:
@@ -120,6 +129,39 @@ def accumulate(separations) -> SeparationSpectrum:
         vals = np.flatnonzero(cnts)
         cnts = cnts[vals]
     return SeparationSpectrum(dict(zip(vals.tolist(), cnts.tolist())))
+
+
+def _count_in_blocks(kernel, arr):
+    """The kernel's table for arr, counted on several workers; None for one worker, or when a
+    block holds a value outside the table, so that the caller counts the stream alone.
+
+    The workers claim blocks of BLOCK_VALUES values (`sieve._on_workers`, one worker per two
+    blocks at most), each adds its blocks into a table of its own, and the tables are summed,
+    so the count does not depend on the CPU count.
+    """
+    starts = range(0, arr.size, BLOCK_VALUES)
+    workers = sieve._worker_count(len(starts) // 2)
+    if workers == 1:
+        return None
+    cap, width, base = kernel.histogram_cap, arr.itemsize, arr.ctypes.data
+    tables = [np.zeros(cap, dtype=np.int64) for _ in range(workers)]
+
+    def count(blocks):
+        table = tables.pop()
+        at_table = table.ctypes.data
+        for lo in blocks:
+            top = kernel.twinsep_histogram(base + lo * width, min(BLOCK_VALUES, arr.size - lo),
+                                           width, at_table)
+            if not 0 <= top <= cap:
+                for _ in blocks:  # drop the blocks left: every worker stops
+                    pass
+                return None
+        return table
+
+    counted = sieve._on_workers(count, iter(starts), workers)
+    if any(table is None for table in counted):
+        return None
+    return sum(counted[1:], counted[0])
 
 
 def merge(a: SeparationSpectrum, b: SeparationSpectrum) -> SeparationSpectrum:

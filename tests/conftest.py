@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 import oracle
@@ -26,3 +28,25 @@ def kernel():
     """The compiled kernel library.  Every test that needs it fails, never skips, when it cannot
     be built: the package has no other path."""
     return sieve._load_kernel()
+
+
+@pytest.fixture
+def on_cpus(monkeypatch):
+    """on_cpus(k, f, *args): f(*args) under an affinity mask of k CPUs, whatever the host has,
+    and the largest worker count it ran on; the workers share no state, so no output may
+    depend on k."""
+
+    def run(k, f, *args):
+        counts = [1]
+
+        def on_workers(work, jobs, workers):
+            counts.append(workers)
+            return real(work, jobs, workers)
+
+        real = sieve._on_workers
+        with monkeypatch.context() as mp:
+            mp.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
+            mp.setattr(sieve, "_on_workers", on_workers)
+            return f(*args), max(counts)
+
+    return run

@@ -99,6 +99,7 @@ def check_geometric(lib):
                 assert np.isin(must, idx).all(), case
     # at q = top every draw pends: exactly a full list takes one call, and one draw more a second
     cap = montecarlo.PENDING_DRAWS
+    u = np.random.Generator(np.random.Philox(counter=ctr, key=key)).random(cap + 1)
     for n in (cap, cap + 1):
         got, calls = geometric(lib, key, ctr, 0, n, -1.0, math.log(top), math.inf, cap)
         assert [(done, i.tolist()) for done, i, _ in calls] == [
@@ -122,7 +123,7 @@ def check_histogram(lib):
             # one more value that would change the result if it were read
             x = np.append(stream, past).astype(dtype)
             got = np.zeros(cap + 1, dtype=np.int64)
-            top = lib.twinsep_histogram(x.ctypes.data, stream.size, x.itemsize, got)
+            top = lib.twinsep_histogram(x.ctypes.data, stream.size, x.itemsize, got.ctypes.data)
             assert top == want_top, (dtype, top, want_top)
             if 0 <= top <= cap:
                 bins = {v: int(c) for v, c in enumerate(got[:cap]) if c}

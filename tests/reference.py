@@ -80,5 +80,5 @@ def sample_separations(config: montecarlo.SimConfig) -> np.ndarray:
         u = buf[: min(BLOCK_DRAWS, n - lo)]
         rng.random(out=u)  # consecutive fills continue the one stream
         u *= neg_scale
-        montecarlo._finish_draws(u, lnq, m, out[lo : lo + u.size])
+        out[lo : lo + u.size] = montecarlo._finish_draws(u, lnq, m)
     return out

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import reference
 from reference import BLOCK_DRAWS
+from twinsep import montecarlo
 from twinsep.errors import ValidationError
 from twinsep.model import ModelParams, SolverInput, solve_approx, solve_exact, solve_f0
 from twinsep.montecarlo import (
@@ -28,6 +29,11 @@ from twinsep.montecarlo import (
 )
 from twinsep.spectrum import SeparationSpectrum, accumulate
 
+# sha256 of the little-endian draws of LAWS[law] at n = 100000 and seed 42, as perfbench pins
+PINNED = {
+    "f0": "240a8c6dc55b3312b38e9456cb6a450f6b2490c20ce5bf27ae9264d81ebd5551",
+    "f1": "058ebb98c7308feb6e30cca67ea0205c3b8b49a1e2336f5471ba06f5f8f83e88",
+}
 LAWS = {
     "f0": lambda: solve_f0(8.0),
     "f1": lambda: solve_exact(SolverInput(s0=8.0, pi2=10**6, f=1.0)),
@@ -51,13 +57,7 @@ def one_shot_draws(config):
 
 
 class TestSampler:
-    @pytest.mark.parametrize(
-        "law,digest",
-        [
-            ("f0", "240a8c6dc55b3312b38e9456cb6a450f6b2490c20ce5bf27ae9264d81ebd5551"),
-            ("f1", "058ebb98c7308feb6e30cca67ea0205c3b8b49a1e2336f5471ba06f5f8f83e88"),
-        ],
-    )
+    @pytest.mark.parametrize("law,digest", sorted(PINNED.items()))
     def test_pinned_stream(self, law, digest):
         draws = sample_separations(SimConfig(LAWS[law](), n_events=100_000, seed=42))
         assert hashlib.sha256(draws.astype("<i8").tobytes()).hexdigest() == digest
@@ -119,6 +119,57 @@ class TestSampler:
             SimConfig(params, n_events=0, seed=1)
         with pytest.raises(ValidationError):
             SimConfig(params, n_events=10, seed=-1)
+
+
+def digest(draws):
+    return hashlib.sha256(draws.astype("<i8").tobytes()).hexdigest()
+
+
+class TestWorkerCount:
+    """The draws are the same on 1, 2 or 3 CPUs: blocks are claimed by any worker, and each
+    worker finishes its own pending draws."""
+
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    def test_block_edges(self, on_cpus, law):
+        b = montecarlo.BLOCK_DRAWS
+        for n in (b - 1, b, b + 1, 2 * b + 3, 4 * b + 3):
+            config = SimConfig(LAWS[law](), n_events=n, seed=n)
+            want, _ = on_cpus(1, sample_separations, config)
+            for k in (2, 3):
+                got, workers = on_cpus(k, sample_separations, config)
+                assert np.array_equal(got, want), (n, k)
+                assert workers == max(1, min(k, -(-n // b) // 2)), (n, k)  # 2 blocks a worker
+
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    def test_pinned_stream_in_small_blocks(self, on_cpus, monkeypatch, law):
+        # 100 blocks, so every worker count runs
+        monkeypatch.setattr(montecarlo, "BLOCK_DRAWS", 1000)
+        for k in (1, 2, 3):
+            draws, workers = on_cpus(k, sample_separations,
+                                     SimConfig(LAWS[law](), n_events=100_000, seed=42))
+            assert (digest(draws), workers) == (PINNED[law], k)
+
+    def test_pending_lists_fill_inside_blocks(self, on_cpus, monkeypatch):
+        # at s0 = 1e15 every draw pends: lists of 300 fill inside blocks of 1000 and carry
+        # what is left of them into the next block a worker claims
+        monkeypatch.setattr(montecarlo, "BLOCK_DRAWS", 1000)
+        monkeypatch.setattr(montecarlo, "PENDING_DRAWS", 300)
+        for cut in (None, "typical"):
+            config = SimConfig(law_with_cut(1e15, cut), n_events=20_000 + 7, seed=5)
+            want = reference.sample_separations(config)
+            for k in (1, 2, 3):
+                got, workers = on_cpus(k, sample_separations, config)
+                assert np.array_equal(got, want), (cut, k)
+                assert workers == k
+
+    def test_full_size_pending_lists(self, on_cpus):
+        # the same with the module's own blocks and lists: 32 full lists over 4 blocks
+        config = SimConfig(solve_f0(1e15), n_events=4 * montecarlo.BLOCK_DRAWS + 3, seed=6)
+        want = reference.sample_separations(config)
+        for k in (1, 2, 3):
+            got, workers = on_cpus(k, sample_separations, config)
+            assert np.array_equal(got, want), k
+            assert workers == min(k, 2)
 
 
 def compiled_fill(kernel, state, first, n, f=1.0):
@@ -214,9 +265,7 @@ def compiled_draws(kernel, key, counter, first, n, f, lnq, m):
                                     n, at[5])
     assert stop == first + n  # room for every draw
     k = int(npend[0])
-    fixed = np.empty(k, dtype=np.int64)
-    _finish_draws(pend_v[:k], lnq, None if m == math.inf else m, fixed)
-    out[pend_idx[:k]] = fixed
+    out[pend_idx[:k]] = _finish_draws(pend_v[:k], lnq, None if m == math.inf else m)
     return out[first:], pend_idx[:k] - first
 
 
@@ -324,6 +373,21 @@ def dense_gof(empirical, params):
     return float(chi2), len(pooled) - 1, min(1.0, ks)
 
 
+def assert_matches_dense(spec, params):
+    """gof_compare against dense_gof: dof and the verdict exactly, chi2 and ks to rounding (the
+    walk sums runs of bins in closed form, and from the tail down)."""
+    chi2, dof, ks = dense_gof(spec, params)
+    if dof < 1:
+        with pytest.raises(ValidationError, match="fewer than 2 bins"):
+            gof_compare(spec, params)
+        return
+    report = gof_compare(spec, params)
+    assert report.dof == dof
+    assert report.passed == (chi2 < report.chi2_critical)
+    assert math.isclose(report.chi2, chi2, rel_tol=1e-12)
+    assert math.isclose(report.ks_distance, ks, rel_tol=1e-12)
+
+
 class TestGof:
     @pytest.mark.parametrize(
         "params,bins",
@@ -345,8 +409,50 @@ class TestGof:
             spec = accumulate(sample_separations(SimConfig(params, n_events=20_000, seed=3)))
         else:
             spec = SeparationSpectrum(bins)
-        report = gof_compare(spec, params)
-        assert (report.chi2, report.dof, report.ks_distance) == dense_gof(spec, params)
+        assert_matches_dense(spec, params)
+
+    @pytest.mark.parametrize(
+        "s0,cut,bins",
+        [
+            # bins 3..9 are empty but each expects 5 or more: a pool apiece, in closed form
+            (4.0, None, {0: 2000, 1: 1600, 2: 1300, 10: 400, 11: 300, 40: 2}),
+            (4.0, "typical", {0: 2000, 1: 1600, 2: 1300, 10: 400, 11: 300}),
+            # q near 1: pools of many empty bins each, found by a logarithm
+            (1000.0, None, {5: 20, 700: 15, 2500: 10, 6000: 5, 9000: 2}),
+            (1000.0, "typical", {0: 30, 1500: 20, 2999: 5}),
+            (1000.0, "typical", {0: 30, 1500: 20, 2999: 5, 3001: 1, 10**5: 2}),
+        ],
+    )
+    def test_empty_runs_match_dense_walk(self, s0, cut, bins):
+        assert_matches_dense(SeparationSpectrum(bins), law_with_cut(s0, cut))
+
+    @settings(max_examples=60, deadline=None)
+    @given(log10_s0=st.floats(-1.0, 3.5), cut=st.sampled_from([None, "typical"]),
+           bins=st.dictionaries(st.integers(0, 30_000), st.integers(0, 400), min_size=1,
+                                max_size=40),
+           base=st.integers(0, 2000))
+    def test_sparse_spectra_match_dense_walk(self, log10_s0, cut, bins, base):
+        spec = SeparationSpectrum({**bins, 0: base + 50})
+        assert_matches_dense(spec, law_with_cut(10.0**log10_s0, cut))
+
+    def test_memory_bounded_by_bins(self, tmp_path):
+        # at s0 = 1e15 the largest draw of 1e4 is near 1e16: a walk over every bin would need
+        # petabytes, and this one runs in a 1 GB address space
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        code = (
+            "import resource, sys\n"
+            "from twinsep.cli import main\n"
+            "assert main(['simulate', '--s0', '1e15', '--n', '10000', '--seed', '42',"
+            " '--out', 'synth.csv']) == 0\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "sys.exit(main(['gof', '--spectrum', 'synth.csv', '--s0', '1e15']))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        line = next(ln for ln in proc.stdout.splitlines() if ln.startswith("chi2="))
+        fields = dict(tok.split("=", 1) for tok in line.split())
+        assert int(fields["dof"]) >= 100 and fields["pass"] == "True", proc.stdout
 
     def test_far_stray_bin_is_cheap(self):
         spec = SeparationSpectrum({0: 500, 1: 250, 2: 125, 3: 60, 10**7: 1})

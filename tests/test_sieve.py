@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -341,15 +342,69 @@ class TestChunks:
         assert_matches_reference(rep, config)
 
     def test_import_leaves_process_pool_unloaded(self, tmp_path):
-        # and builds no kernel: that waits for the first sieve
-        code = "import sys, twinsep; print('concurrent.futures' in sys.modules)"
+        # and builds no kernel (that waits for the first sieve) and starts no thread (the
+        # helpers wait for the first call that splits its work)
+        code = ("import _thread, sys, twinsep, twinsep.cli\n"
+                "print('concurrent.futures' in sys.modules, _thread._count(), twinsep.sieve._helpers)")
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), XDG_CACHE_HOME=str(tmp_path))
         proc = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "False 0 {}"
         assert list(tmp_path.iterdir()) == []
+
+
+class TestWorkers:
+    """sieve._on_workers: the calling thread and the process's kept helpers."""
+
+    def test_every_job_once(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        for workers in (1, 2, 3):
+            done = sieve._on_workers(list, iter(range(1000)), workers)
+            assert 1 <= len(done) <= workers  # a helper that had not started is not waited for
+            assert sorted(sum(done, [])) == list(range(1000))
+
+    def test_a_worker_raises(self, monkeypatch):
+        # whichever worker meets the bad job, its exception reaches the caller, the jobs left
+        # are dropped, and the helpers serve the next call
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        jobs = iter(range(1000))
+        seen = []
+
+        def work(jobs):
+            for j in jobs:
+                if j == 50:
+                    raise ZeroDivisionError(j)
+                seen.append(j)
+                time.sleep(1e-4)
+
+        with pytest.raises(ZeroDivisionError):
+            sieve._on_workers(work, jobs, 2)
+        assert len(seen) < 60 and next(jobs, None) is None
+        assert sieve._on_workers(lambda jobs: 7, iter(()), 2) in ([7], [7, 7])
+
+    def test_forked_child_starts_its_own_helpers(self, tmp_path):
+        # the child inherits the parent's helpers as objects, without their threads
+        script = tmp_path / "script.py"
+        script.write_text(
+            "import os\n"
+            "from twinsep import model, montecarlo\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "config = montecarlo.SimConfig(model.solve_f0(8.0),\n"
+            "                              n_events=4 * montecarlo.BLOCK_DRAWS + 3, seed=7)\n"
+            "parent = montecarlo.sample_separations(config)\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    os._exit(0 if (montecarlo.sample_separations(config) == parent).all() else 1)\n"
+            "print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, str(script)], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0"
 
 
 def wheel_examples(test):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from twinsep import spectrum
 from twinsep.errors import ValidationError
 from twinsep.sieve import CountRecord, SieveConfig, sieve_range
 from twinsep.spectrum import (
@@ -145,6 +146,58 @@ class TestCompiledHistogram:
         for lo, hi in ((0, 1), (0, 17), (17, 1040), (1040, 20000)):
             want = collections.Counter(stream[lo:hi].tolist())
             assert accumulate(stream[lo:hi]).bins == dict(want)
+
+
+class TestWorkerCount:
+    """The spectrum is the same on 1, 2 or 3 CPUs: each worker counts the blocks it claims into
+    a table of its own, and a block outside the table sends the stream to one worker."""
+
+    SIZE = 20_000 + 3
+    POSITIONS = (0, 9_500, SIZE - 1)  # in the first, a middle and the last block
+
+    @staticmethod
+    def stream(dtype):
+        return (np.random.default_rng(23).geometric(0.1, TestWorkerCount.SIZE) - 1).astype(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint32])
+    def test_blocks_sum_to_the_count(self, kernel, on_cpus, monkeypatch, dtype):
+        monkeypatch.setattr(spectrum, "BLOCK_VALUES", 1000)
+        arr = self.stream(dtype)
+        want = dict(collections.Counter(arr.tolist()))
+        for k in (1, 2, 3):
+            spec, workers = on_cpus(k, accumulate, arr)
+            assert (spec.bins, workers) == (want, k)
+
+    def test_full_size_blocks(self, kernel, on_cpus):
+        arr = (np.random.default_rng(29).geometric(0.1, 4 * spectrum.BLOCK_VALUES + 3) - 1)
+        want = dict(collections.Counter(arr.tolist()))
+        for k in (1, 2, 3):
+            spec, workers = on_cpus(k, accumulate, arr)
+            assert (spec.bins, workers) == (want, min(k, 2))
+
+    def test_negative_in_one_block(self, kernel, on_cpus, monkeypatch):
+        monkeypatch.setattr(spectrum, "BLOCK_VALUES", 1000)
+        for at in self.POSITIONS:
+            arr = self.stream(np.int64)
+            arr[at] = -1
+            for k in (1, 2, 3):
+                with pytest.raises(ValidationError, match=">= 0"):
+                    on_cpus(k, accumulate, arr)
+
+    @pytest.mark.parametrize("dtype,wide", [(np.int64, 1024), (np.int64, 10**12),
+                                            (np.uint32, 5000), (np.uint64, 2**64 - 1)])
+    def test_value_outside_the_table_in_one_block(self, kernel, on_cpus, monkeypatch, dtype,
+                                                  wide):
+        # the kernel's table ends at histogram_cap = 1024; a uint64 of 2**63 or more reads to
+        # the kernel as negative, and goes to np.unique
+        monkeypatch.setattr(spectrum, "BLOCK_VALUES", 1000)
+        for at in self.POSITIONS:
+            arr = self.stream(dtype)
+            arr[at] = wide
+            want = dict(collections.Counter(arr.tolist()))
+            for k in (1, 2, 3):
+                spec, _ = on_cpus(k, accumulate, arr)
+                assert spec.bins == want, (at, k)
 
 
 class TestMerge:
