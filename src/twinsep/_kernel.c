@@ -26,13 +26,22 @@
  *             own bucket and files every entry again in the bucket of its
  *             next hit, or drops it past the chunk.  A bucket is a chain of
  *             pages drawn from one pool, and a drained page is reused.
- * A scan over each finished block, one 64-bit word (240 integers) at a
- * time, counts primes with popcount and finds twins alone: lower members
- * sit at bits 2, 4, 7 of a byte (11, 17, 29 mod 30), so the word's own
- * twins are x & x >> 1 & TWIN_LOWER, and one more spans the previous
- * word when its bit 63 and this word's bit 0 are both primes.  Only a word
- * that reaches a checkpoint walks every prime.  The scan emits the fields
- * of a ChunkSummary directly, so the caller allocates only the outputs:
+ * A scan over each finished block counts primes with popcount and finds
+ * twins alone: lower members sit at bits 2, 4, 7 of a byte (11, 17, 29 mod
+ * 30), so a word's own twins are x & x >> 1 & TWIN_LOWER, and one more
+ * spans the previous word when its bit 63 and this word's bit 0 are both
+ * primes.  With AVX-512F and VPOPCNTDQ (chosen at run time, so the build
+ * needs no -march) it takes 8 words (1920 integers) at a time, one a lane:
+ * a prefix sum over the lanes gives each word its first prime index and
+ * its first slot in a buffer, each lane's slots hold its twins in bit
+ * order, and the lanes' slots follow one another, so the buffer holds the
+ * group's twins in ascending order for one scalar pass to turn into
+ * separations and records.  The scalar scan, one 64-bit word (240
+ * integers) at a time, takes the tail of a block under 8 words, every
+ * group that reaches a checkpoint, and other CPUs; there only a word that
+ * reaches a checkpoint walks every prime.  Both find the same twins in the
+ * same order.  The scan emits the fields of a ChunkSummary directly, so
+ * the caller allocates only the outputs:
  *   seps[t - 1]     separation closed by the chunk's t-th own twin (t >= 1);
  *   recs[2r], [2r+1] r-th running-maximum record: (separation, lower member);
  *   rows[3g..3g+2]  at grid[g]: primes <= n, twins with upper member <= n,
@@ -224,7 +233,9 @@ static inline int popcount(uint64_t x) /* SWAR */
     return (int)(x * 0x0101010101010101ULL >> 56);
 }
 
-static void twin(struct scan *s, int64_t lower, int64_t index)
+#define INLINE static inline __attribute__((always_inline))
+
+INLINE void twin(struct scan *s, int64_t lower, int64_t index)
 {
     if (s->twins) {
         int64_t sep = index - s->tw_last - 2;
@@ -255,38 +266,121 @@ static void row(struct scan *s)
     r[2] = s->tw_last;
 }
 
-/* scan a finished block of len bytes whose byte 0 starts at the integer v */
-static HOT void scan(struct scan *s, const uint8_t *flags, int64_t len, int64_t v)
+/* scan the word x of a finished block, whose bit 0 is the integer v0 + 1 */
+INLINE void scan_word(struct scan *s, uint64_t x, int64_t v0)
 {
-    for (int64_t i = 0; i < len; i += 8) {
-        uint64_t x, y;
-        memcpy(&x, flags + i, 8);
-        if (!x)
+    if (!x)
+        return;
+    uint64_t y, lower = x & x >> 1 & TWIN_LOWER;
+    if (s->g < s->ngrid && s->grid[s->g] < v0 + 240) {
+        uint64_t upper = lower << 1 | (s->last == v0 - 1);
+        for (y = x; y; y &= y - 1) {
+            int t = __builtin_ctzll(y);
+            int64_t u = value(v0, t);
+            while (s->g < s->ngrid && s->grid[s->g] < u)
+                row(s);
+            if (upper >> t & 1)
+                twin(s, u - 2, s->primes - 1);
+            s->primes++;
+        }
+    } else {
+        if (x & 1 && s->last == v0 - 1) /* the twin (v0 - 1, v0 + 1) spans two words */
+            twin(s, s->last, s->primes - 1);
+        for (y = lower; y; y &= y - 1) {
+            int t = __builtin_ctzll(y);
+            twin(s, value(v0, t), s->primes + popcount(x & ((1ULL << t) - 1)));
+        }
+        s->primes += popcount(x);
+    }
+    s->last = value(v0, 63 - __builtin_clzll(x));
+}
+
+#if defined(__x86_64__)
+#define AVX512_SCAN __attribute__((target("avx512f,avx512vpopcntdq")))
+#define GROUP 64 /* bytes (8 words, 1920 integers) per vector step */
+
+static inline AVX512_SCAN __m512i prefix8(__m512i a) /* the inclusive prefix sum of the lanes */
+{
+    const __m512i zero = _mm512_setzero_si512();
+    a = _mm512_add_epi64(a, _mm512_alignr_epi64(a, zero, 7)); /* lane j += lane j - 1 */
+    a = _mm512_add_epi64(a, _mm512_alignr_epi64(a, zero, 6));
+    return _mm512_add_epi64(a, _mm512_alignr_epi64(a, zero, 4));
+}
+
+/* scan whole groups of flags[i..len) while none reaches a checkpoint; returns the byte where it
+ * stopped: at such a group, or at the tail of fewer than GROUP bytes */
+static HOT AVX512_SCAN int64_t scan_avx512(struct scan *all, const uint8_t *flags, int64_t len,
+                                           int64_t v, int64_t i)
+{
+    const __m512i one = _mm512_set1_epi64(1), low32 = _mm512_set1_epi64(0xffffffff);
+    const __m512i lower_bits = _mm512_set1_epi64((int64_t)TWIN_LOWER), res = _mm512_loadu_si512(R);
+    const __m512i tens = _mm512_set_epi64(210, 180, 150, 120, 90, 60, 30, 0); /* 30 (u >> 3) */
+    const __m512i lane = _mm512_set_epi64(1680, 1440, 1200, 960, 720, 480, 240, 0);
+    struct scan s = *all; /* a copy, so the scan state stays in registers */
+    int64_t index[8 * 24], lower[8 * 24]; /* a word has at most 23 own twins and 1 spanning */
+    for (; i + GROUP <= len; i += GROUP) {
+        __m512i x = _mm512_loadu_si512(flags + i);
+        __mmask8 nz = _mm512_test_epi64_mask(x, x);
+        if (!nz)
             continue;
         int64_t v0 = v + 30 * i;
-        uint64_t lower = x & x >> 1 & TWIN_LOWER;
-        if (s->g < s->ngrid && s->grid[s->g] < v0 + 240) {
-            uint64_t upper = lower << 1 | (s->last == v0 - 1);
-            for (y = x; y; y &= y - 1) {
-                int t = __builtin_ctzll(y);
-                int64_t u = value(v0, t);
-                while (s->g < s->ngrid && s->grid[s->g] < u)
-                    row(s);
-                if (upper >> t & 1)
-                    twin(s, u - 2, s->primes - 1);
-                s->primes++;
-            }
-        } else {
-            if (x & 1 && s->last == v0 - 1) /* the twin (v0 - 1, v0 + 1) spans two words */
-                twin(s, s->last, s->primes - 1);
-            for (y = lower; y; y &= y - 1) {
-                int t = __builtin_ctzll(y);
-                twin(s, value(v0, t), s->primes + popcount(x & ((1ULL << t) - 1)));
-            }
-            s->primes += popcount(x);
+        if (s.g < s.ngrid && s.grid[s.g] < v0 + 30 * GROUP)
+            break;
+        /* twins by their upper member's bit u; bit 0 of word j pairs with bit 63 of word j - 1 */
+        __m512i spans = _mm512_set1_epi64(s.last == v0 - 1 ? INT64_MIN : 0); /* bit 63 before */
+        __m512i prev = _mm512_alignr_epi64(x, spans, 7);                        /* word j - 1 */
+        __m512i own = _mm512_ternarylogic_epi64(x, _mm512_srli_epi64(x, 1), lower_bits, 0x80);
+        __m512i up = _mm512_or_si512(_mm512_slli_epi64(own, 1),
+                                     _mm512_and_si512(x, _mm512_srli_epi64(prev, 63)));
+        /* per word: primes in the low half, twins in the high half; summed over the words before */
+        __m512i n = _mm512_add_epi64(_mm512_popcnt_epi64(x),
+                                     _mm512_slli_epi64(_mm512_popcnt_epi64(up), 32));
+        __m512i sum = prefix8(n), before = _mm512_sub_epi64(sum, n);
+        __m512i first = _mm512_add_epi64(_mm512_set1_epi64(s.primes - 1),
+                                         _mm512_and_si512(before, low32));
+        __m512i at = _mm512_srli_epi64(before, 32);
+        __m512i base = _mm512_add_epi64(_mm512_set1_epi64(v0 - 2), lane);
+        /* each lane's twins in bit order into its own slots, so index[] and lower[] are in order:
+         * the lower member's index is first + the primes below u, its value that of bit u - 2 */
+        for (__mmask8 k; (k = _mm512_test_epi64_mask(up, up));) {
+            __m512i below = _mm512_andnot_si512(up, _mm512_sub_epi64(up, one)); /* the bits < u */
+            __m512i u = _mm512_popcnt_epi64(below);
+            __m512i idx = _mm512_add_epi64(first, _mm512_popcnt_epi64(_mm512_and_si512(x, below)));
+            __m512i val = _mm512_add_epi64(_mm512_permutexvar_epi64(u, res),
+                                           _mm512_permutexvar_epi64(_mm512_srli_epi64(u, 3), tens));
+            _mm512_mask_i64scatter_epi64(index, k, at, idx, 8);
+            _mm512_mask_i64scatter_epi64(lower, k, at, _mm512_add_epi64(base, val), 8);
+            at = _mm512_mask_add_epi64(at, k, at, one);
+            up = _mm512_and_si512(up, _mm512_sub_epi64(up, one));
         }
-        s->last = value(v0, 63 - __builtin_clzll(x));
+        uint64_t total = (uint64_t)_mm_extract_epi64(_mm512_extracti32x4_epi32(sum, 3), 1);
+        for (int64_t t = 0; t < (int64_t)(total >> 32); t++)
+            twin(&s, lower[t], index[t]);
+        s.primes += (int64_t)(total & 0xffffffff);
+        int j = 31 - __builtin_clz(nz);
+        s.last = value(v0 + 240 * j, 63 - __builtin_clzll(word(flags + i + 8 * j)));
     }
+    *all = s;
+    return i;
+}
+#endif
+
+/* scan a finished block of len bytes whose byte 0 starts at the integer v, vector groups first
+ * when the CPU has them */
+static HOT void scan(struct scan *s, const uint8_t *flags, int64_t len, int64_t v, int vector)
+{
+    for (int64_t i = 0, end; i < len; i = end) {
+        end = len;
+#if defined(__x86_64__)
+        if (vector) {
+            i = scan_avx512(s, flags, len, v, i);
+            end = len - i < GROUP ? len : i + GROUP; /* one group by words, or the tail */
+        }
+#endif
+        for (int64_t j = i; j < end; j += 8)
+            scan_word(s, word(flags + j), v + 30 * j);
+    }
+    (void)vector;
 }
 
 int64_t twinsep_sieve_chunk(int64_t low, int64_t high, int64_t block,
@@ -351,6 +445,10 @@ int64_t twinsep_sieve_chunk(int64_t low, int64_t high, int64_t block,
     }
 
     struct scan s = {0, 0, 0, -1, -1, 0, -1, 0, 0, ngrid, grid, seps, recs, rows};
+    int vector = 0;
+#if defined(__x86_64__)
+    vector = __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512vpopcntdq");
+#endif
     for (int64_t b0 = 0; b0 < nbytes; b0 += block) {
         int64_t len = nbytes - b0 < block ? nbytes - b0 : block;
         presieve(flags, len, pat, at, lim);
@@ -368,7 +466,7 @@ int64_t twinsep_sieve_chunk(int64_t low, int64_t high, int64_t block,
         cross(flags, b0, len, next, mask, base + k0, nmid);
         if (nlarge)
             drain(&bk, flags, b0, nbytes);
-        scan(&s, flags, len, w0 + 30 * b0);
+        scan(&s, flags, len, w0 + 30 * b0, vector);
     }
     while (s.g < ngrid)
         row(&s);
@@ -722,13 +820,14 @@ int64_t twinsep_geometric(const uint64_t *key, const uint64_t *counter, int64_t 
  * element i into sub[v * SUB + i % SUB], so that a run of one value (the geometric law's
  * s = 0) does not wait on its own last increment, and the values are ORed together; an OR
  * below SUB_TOP shows that every value lay in [0, SUB_TOP), so the sub-tables hold the
- * histogram.  The sub-tables are a fixed 32 KB on the stack.  Otherwise (a negative int64
- * reads as 2**63 or more) a scalar pass finds the least and greatest value, and the caller
- * counts.  The pass is inlined once per width, so its loop reads one fixed type.
+ * histogram, and every value lies below the power of two above the OR's top bit, so only
+ * the bins below it are read.  The sub-tables are a fixed 32 KB on the stack.  Otherwise (a
+ * negative int64 reads as 2**63 or more) a scalar pass finds the least and greatest value,
+ * and the caller counts.  The pass is inlined once per width, so its loop reads one fixed
+ * type.
  */
 #define SUB 4
 #define SUB_TOP 1024 /* a power of two */
-#define INLINE static inline __attribute__((always_inline))
 
 const int64_t twinsep_histogram_cap = SUB_TOP;
 
@@ -763,7 +862,7 @@ INLINE int64_t histogram(const void *x, int64_t n, int width, int64_t *counts)
         sub[(at(x, width, i) & (SUB_TOP - 1)) * SUB]++;
     }
     if (any < SUB_TOP) {
-        int64_t top = SUB_TOP;
+        int64_t top = (int64_t)2 << (63 - __builtin_clzll(any | 1)); /* above every value */
         while (top > 0 && !bin(sub, top - 1))
             top--;
         for (int64_t v = 0; v < top; v++)

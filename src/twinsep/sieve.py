@@ -21,9 +21,11 @@ base primes in three tiers: 7..97 are presieved by ANDing fixed-period
 patterns a 64-bit word at a time, primes below one block cross it in
 stride-p loops, and primes above one block wait in per-block buckets (a
 bucket sieve) until the block they hit.  It emits the summary fields in
-one fused scan that finds twins a 64-bit word at a time.  Without a C
-compiler that builds it, `_load_kernel` raises `KernelError`.  Only the
-base primes are sieved in numpy, by `_segment_primes(low, high, base)`.
+one fused scan that finds twins eight 64-bit words at a time on a CPU with
+AVX-512 VPOPCNTDQ, and one word at a time on other CPUs, at the tail of a
+block and wherever a checkpoint falls.  Without a C compiler that builds
+it, `_load_kernel` raises `KernelError`.  Only the base primes are sieved
+in numpy, by `_segment_primes(low, high, base)`.
 
 `sieve_range` sieves the chunks on `_on_workers` (the calling thread, plus
 one kept helper thread per further CPU), and folds the summaries in order,

@@ -9,6 +9,7 @@ interval-exact bookkeeping disagree by small offsets.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -55,10 +56,11 @@ class SeparationSpectrum:
     total_singletons: int = field(init=False)
 
     def __post_init__(self):
-        if any(s < 0 or c < 0 for s, c in self.bins.items()):
+        bins = self.bins
+        if bins and (min(bins) < 0 or min(bins.values()) < 0):
             raise ValidationError("bins must have non-negative keys and counts")
-        self.total_intervals = sum(self.bins.values())
-        self.total_singletons = sum(s * c for s, c in self.bins.items())
+        self.total_intervals = sum(bins.values())
+        self.total_singletons = sum(map(operator.mul, bins, bins.values()))
 
     def max_separation(self) -> int | None:
         return max(self.bins) if self.bins else None
@@ -135,30 +137,42 @@ def _count_in_blocks(kernel, arr):
     """The kernel's table for arr, counted on several workers; None for one worker, or when a
     block holds a value outside the table, so that the caller counts the stream alone.
 
-    The workers claim blocks of BLOCK_VALUES values (`sieve._on_workers`, one worker per two
-    blocks at most), each adds its blocks into a table of its own, and the tables are summed,
-    so the count does not depend on the CPU count.
+    The workers claim blocks of BLOCK_VALUES values (one worker per two blocks at most), as
+    `_count_pieces` counts them.
     """
     starts = range(0, arr.size, BLOCK_VALUES)
     workers = sieve._worker_count(len(starts) // 2)
     if workers == 1:
         return None
-    cap, width, base = kernel.histogram_cap, arr.itemsize, arr.ctypes.data
-    tables = [np.zeros(cap, dtype=np.int64) for _ in range(workers)]
+    pieces = [(0, lo, min(lo + BLOCK_VALUES, arr.size)) for lo in starts]
+    table = _count_pieces(kernel, arr, pieces, 1, workers)
+    return None if table is None else table[0]
 
-    def count(blocks):
+
+def _count_pieces(kernel, arr, pieces, rows, workers):
+    """A rows x kernel.histogram_cap table: row r counts the values arr[lo:hi] of each piece
+    (r, lo, hi), or None when a piece holds a value outside the table.
+
+    arr is a contiguous int64, uint64 or uint32 stream.  The workers (`sieve._on_workers`)
+    claim the pieces in turn, each adds its pieces into a table of its own, and the tables
+    are summed, so the count does not depend on the CPU count.
+    """
+    cap, width, at_arr = kernel.histogram_cap, arr.itemsize, arr.ctypes.data
+    tables = [np.zeros((rows, cap), dtype=np.int64) for _ in range(workers)]
+
+    def count(jobs):
         table = tables.pop()
-        at_table = table.ctypes.data
-        for lo in blocks:
-            top = kernel.twinsep_histogram(base + lo * width, min(BLOCK_VALUES, arr.size - lo),
-                                           width, at_table)
+        at_table, stride = table.ctypes.data, table.strides[0]
+        for r, lo, hi in jobs:
+            top = kernel.twinsep_histogram(at_arr + lo * width, hi - lo, width,
+                                           at_table + r * stride)
             if not 0 <= top <= cap:
-                for _ in blocks:  # drop the blocks left: every worker stops
+                for _ in jobs:  # drop the pieces left: every worker stops
                     pass
                 return None
         return table
 
-    counted = sieve._on_workers(count, iter(starts), workers)
+    counted = sieve._on_workers(count, iter(pieces), workers)
     if any(table is None for table in counted):
         return None
     return sum(counted[1:], counted[0])

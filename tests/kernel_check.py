@@ -8,19 +8,22 @@ same checks, e.g. `python tests/kernel_check.py -fsanitize=undefined
 when the counts at 1e8 differ from the published pi and pi2 (OEIS
 A006880, A007508), when one chunk across 2**32, where a C int would
 wrap, differs from the numpy reference in `reference.py`, when the
-compiled Philox fill differs from numpy's `Generator(Philox).random`
-(over lengths that end inside a group of 16 counters, from an offset
-inside a block, and from a counter whose word 0 wraps and carries into
-words 1..3), when the sampler's draws, with the pending ones finished by
-numpy, differ from numpy's log1p, floor and minimum (with and without a
-cap, and at a q that puts a quotient within ulps of an integer, which
-must pend, and at q = 1 - 2**-53, where every draw must pend; with room
-for every pending draw and for 1, 8 or 9, where a call must stop when
-its list is full and the next resume there), or when the histogram
-differs from a Counter (int64 and uint32 streams, with values inside and
-outside its table, which then must stay untouched).  Each call gets one
-element more than it may touch, and a store there, or a read of it,
-fails the check.
+scan by groups of 8 words (a chunk with no checkpoints, on a CPU with
+AVX-512 VPOPCNTDQ) or by words (a checkpoint every 1000 integers) differs
+from the reference (in blocks of 64 bytes and of the kernel's own size,
+ending in a short group and a tail), when the compiled Philox fill
+differs from numpy's `Generator(Philox).random` (over lengths that end
+inside a group of 16 counters, from an offset inside a block, and from a
+counter whose word 0 wraps and carries into words 1..3), when the
+sampler's draws, with the pending ones finished by numpy, differ from
+numpy's log1p, floor and minimum (with and without a cap, and at a q that
+puts a quotient within ulps of an integer, which must pend, and at
+q = 1 - 2**-53, where every draw must pend; with room for every pending
+draw and for 1, 8 or 9, where a call must stop when its list is full and
+the next resume there), or when the histogram differs from a Counter
+(int64 and uint32 streams, with values inside and outside its table,
+which then must stay untouched).  Each call gets one element more than it
+may touch, and a store there, or a read of it, fails the check.
 """
 
 import collections
@@ -133,6 +136,22 @@ def check_histogram(lib):
             assert got[cap] == 0, dtype
 
 
+def check_scan(lib):
+    kernel_block = sieve.KERNEL_BLOCK
+    for low, high in ((9, 30 * (2 * kernel_block + 100) + 1),
+                      (2**32 - 2**20 + 1, 2**32 + 2**20 + 1)):
+        base = sieve._odd_base_primes(math.isqrt(high))
+        for grid in ((), tuple(range(low, high, 1000))):
+            want = reference.sieve_chunk(low, high, 1 << 20, base, grid)
+            for block in (64, kernel_block):
+                sieve.KERNEL_BLOCK = block
+                got = sieve._kernel_chunk(lib, low, high, base, grid)
+                case = (low, high, len(grid), block)
+                assert got.seps.tolist() == want.seps.tolist(), case
+                assert dataclasses.replace(got, seps=want.seps) == want, case
+    sieve.KERNEL_BLOCK = kernel_block
+
+
 def main(flags):
     sieve.KERNEL_CC += tuple(flags)
     rep = sieve.sieve_range(sieve.SieveConfig(limit=200_000_000, checkpoint_grid=(10**8, 2 * 10**8)))
@@ -149,6 +168,7 @@ def main(flags):
     assert got.seps.tolist() == want.seps.tolist()
     assert dataclasses.replace(got, seps=None) == dataclasses.replace(want, seps=None)
     lib = sieve._load_kernel()
+    check_scan(lib)
     check_fill(lib)
     check_geometric(lib)
     check_histogram(lib)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from twinsep import pipeline
 from twinsep.errors import ValidationError
 from twinsep.fit import fit_exp_slope, fit_m0, fit_s0_linear
 from twinsep.model import solve_checkpoint
@@ -17,7 +18,7 @@ from twinsep.pipeline import (
     write_counts,
 )
 from twinsep.sieve import CountRecord, SieveConfig, geometric_checkpoints, sieve_range
-from twinsep.spectrum import S0Convention, SeparationSpectrum, accumulate, s0_from_counts
+from twinsep.spectrum import S0Convention, SeparationSpectrum, accumulate, merge, s0_from_counts
 
 
 @pytest.fixture(scope="module")
@@ -236,6 +237,38 @@ class TestCheckpointViews:
                 k = max(0, rec.pi2 - 2)
                 assert counts[rec.n] == int(np.count_nonzero(seps[:k] > l_cut)), (f, rec.n)
             assert max(counts.values()) > 1
+
+    @pytest.mark.parametrize("dtype", [np.uint32, np.int64, np.uint64, np.int32])
+    @pytest.mark.parametrize("wide", [None, 0, -3])  # a value >= 1024 in slice 0, or a late one
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_running_tables_match_merged_slices(self, run100k, on_cpus, monkeypatch, dtype,
+                                                wide, cpus):
+        # pieces of 100 values and batches of 4 checkpoints, so that several workers claim
+        # pieces and the running row carries from batch to batch; a value outside the
+        # compiled table, or an int32 stream, takes the accumulate + merge loop instead
+        report, table = run100k
+        seps = report.separations.astype(dtype)
+        if wide is not None:
+            seps[max(0, table.rows[wide].pi2 - 3)] = 5000
+        monkeypatch.setattr(pipeline, "BLOCK_VALUES", 100)
+        monkeypatch.setattr(pipeline, "ROWS_AT_ONCE", 4)
+        got, workers = on_cpus(cpus, per_checkpoint_spectra, seps, table)
+        want, spec, done = {}, SeparationSpectrum(), 0
+        for rec in table.rows:
+            k = max(0, rec.pi2 - 2)
+            spec = want[rec.n] = merge(spec, accumulate(seps[done:k]))
+            done = k
+        assert got == want and list(got) == list(want)
+        assert all(type(s) is type(c) is int for v in got.values() for s, c in v.bins.items())
+        assert (workers > 1) == (cpus > 1 and dtype != np.int32)
+
+    def test_running_tables_reject_a_negative_value(self, run100k):
+        report, table = run100k
+        for at in (0, report.separations.size - 1):
+            seps = report.separations.astype(np.int64)
+            seps[at] = -1
+            with pytest.raises(ValidationError, match="must be >= 0"):
+                per_checkpoint_spectra(seps, table)
 
     def test_exceedances_from_spectra(self, run100k):
         # each count is a read of the checkpoint's running spectrum at its own cutoff

@@ -407,6 +407,13 @@ class TestWorkers:
         assert proc.stdout.strip() == "0"
 
 
+def twin_at_29_mod_30(start):
+    """The least p >= start with p = 29 (mod 30) and p, p + 2 both prime."""
+    base = sieve._odd_base_primes(math.isqrt(start + 10**4))
+    primes = set(sieve._segment_primes(start | 1, start + 10**4, base).tolist())
+    return min(p for p in primes if p % 30 == 29 and p + 2 in primes)
+
+
 def wheel_examples(test):
     """Chunks that start or end at the edges of the kernel's wheel bytes and words.
 
@@ -493,6 +500,37 @@ class TestKernel:
         assert_same_summary(got, reference.sieve_chunk(low, high, 1 << 20, base, grid))
         n, below, _, _ = got.checkpoints[1]
         assert n == 2**32 - 1 and got.twins > 0 and got.primes > below  # primes above 2**32
+
+    @pytest.mark.parametrize("block", [64, sieve.KERNEL_BLOCK])
+    @pytest.mark.parametrize("case", ["block edge", "group edge", "inside a group",
+                                      "short last block", "above 2**32"])
+    def test_vector_scan_matches_word_scan(self, kernel, case, block):
+        # The scan takes 8 words (1920 integers) at a time on a CPU with AVX-512 VPOPCNTDQ, and
+        # any group that reaches a checkpoint word by word: a chunk with no grid and the same
+        # chunk with a checkpoint every 1000 integers must agree, and match the reference.  A
+        # twin p, p + 2 with p = 29 (mod 30) spans two words when the chunk's wheel starts at
+        # low - 1 = p + 1 - span, span a multiple of 240: 30 * block (a block edge for the
+        # kernel's own block), 5 * 1920 (lane 7 to lane 0 of the next group), or 720 (lane 2
+        # to lane 3).
+        span = {"block edge": 30 * sieve.KERNEL_BLOCK, "group edge": 5 * 1920,
+                "inside a group": 720}.get(case)
+        if span is not None:
+            p = twin_at_29_mod_30(span + 10**5)
+            low, high = p + 2 - span, p + 10**5
+        elif case == "short last block":  # 100 bytes past the last whole block: a group, a tail
+            low, high = 31, 30 * (2 * sieve.KERNEL_BLOCK + 100) + 1
+        else:
+            low = 2**32 - 2**20 + 1
+            high = low + 2**21
+        base = sieve._odd_base_primes(math.isqrt(high))
+        dense = tuple(range(low, high, 1000))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sieve, "KERNEL_BLOCK", block)
+            vector = sieve._kernel_chunk(kernel, low, high, base, ())
+            by_words = sieve._kernel_chunk(kernel, low, high, base, dense)
+        assert_same_summary(vector, reference.sieve_chunk(low, high, 1 << 20, base, ()))
+        assert_same_summary(by_words, reference.sieve_chunk(low, high, 1 << 20, base, dense))
+        assert vector.records and vector.twins > 100
 
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
     def test_compiler_means_compiled_kernel(self):
