@@ -80,11 +80,13 @@ def _add_convention(p):
 
 
 def _parse_checkpoints(text, limit):
-    geometric = text.startswith("geometric")
+    """A --checkpoints spec: `geometric` or `geometric:N` (N a decade, 20 by default), or
+    the checkpoints n1,n2,... themselves."""
+    name, colon, arg = text.partition(":")
+    geometric = name == "geometric"
     try:
         if geometric:
-            _, _, arg = text.partition(":")
-            per_decade = int(arg) if arg else 20
+            per_decade = int(arg) if colon else 20
         else:
             grid = tuple(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError as exc:
@@ -138,10 +140,10 @@ def cmd_sieve(args):
         with open(args.stats, "w") as fh:
             json.dump(manifest, fh, indent=2)
             fh.write("\n")
-    rec = report.counts[-1]
+    rec = report.counts[-1]  # the last checkpoint, which may lie below the limit
     print(
-        f"sieved to {args.limit}: pi1={rec.pi1} pi2={rec.pi2} "
-        f"separations={report.separations.size} checkpoints={len(report.counts)}"
+        f"sieved to {args.limit}: separations={report.separations.size} "
+        f"checkpoints={len(report.counts)}, last at n={rec.n}: pi1={rec.pi1} pi2={rec.pi2}"
     )
     return EXIT_OK
 

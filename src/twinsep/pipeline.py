@@ -3,8 +3,9 @@
 A CountTable is the bridge between sieved runs and externally published
 count tables: rows of (n, pi1, pi2[, pi1_adjusted]) sorted by n.  At each
 checkpoint the separation stream is read once, as the running spectrum of
-the separations closed by then; the running maximum and the count beyond
-the cutoff (SeparationSpectrum.count_above) are reads of that spectrum.
+the separations closed by then (spectrum._running_spectra, the one
+counting path); the running maximum and the count beyond the cutoff
+(SeparationSpectrum.count_above) are reads of that spectrum.
 The figure pipeline turns a table (plus, optionally, those spectra) into
 three CSV-ready datasets: slopes against log(pi1), the average separation
 against log(pi1), and the predicted maximal separation against log(n)
@@ -23,24 +24,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import sieve, spectrum
+from . import spectrum
 from .errors import ValidationError
 from .fit import FitResult, fit_exp_slope, fit_m0, fit_s0_linear
 from .ioutil import read_csv, write_csv
 from .model import DEFAULT_RISK_FACTOR, cutoff_law, risk_factor, solve_checkpoint
 from .sieve import CountRecord, SieveReport
-from .spectrum import (
-    BLOCK_VALUES,
-    S0Convention,
-    SeparationSpectrum,
-    accumulate,
-    merge,
-    s0_from_counts,
-)
-
-# checkpoints counted at once by _running_tables: a worker's table is then at most
-# 256 x 1024 int64s (2 MB)
-ROWS_AT_ONCE = 256
+from .spectrum import S0Convention, SeparationSpectrum, s0_from_counts
 
 FIG1_COLUMNS = ["n", "pi1", "log_pi1", "inv_s0", "slope_m", "slope_se", "m0_curve"]
 FIG2_COLUMNS = ["n", "pi1", "log_pi1", "s0", "s0_fit"]
@@ -107,8 +97,8 @@ def write_counts(path, table: CountTable) -> None:
 
 
 def _closed_intervals(size, table: CountTable):
-    """Yield (record, start, stop) per checkpoint: the separations [start, stop) of a stream
-    of size values closed since the previous one.
+    """Yield (record, k) per checkpoint: the first k separations of a stream of size values
+    have closed by then.
 
     By the time pi2 twins have appeared, exactly k = pi2 - 2 separation
     intervals have closed (the pair (3 5) is discarded and the last
@@ -125,71 +115,21 @@ def _closed_intervals(size, table: CountTable):
             )
         if k < done:
             raise ValidationError(f"pi2 decreases at checkpoint n={rec.n}")
-        yield rec, done, k
+        yield rec, k
         done = k
 
 
 def per_checkpoint_spectra(separations, table: CountTable) -> dict[int, SeparationSpectrum]:
     """Spectrum of the separations completed by each checkpoint.
 
-    Each slice between checkpoints is counted once, and every other
-    per-checkpoint view is read from these spectra.  An int64, uint64 or
-    uint32 stream whose values fit the compiled histogram's table is
-    counted by `_running_tables`; any other stream, or a table it cannot
-    use, goes slice by slice through `accumulate`, each merged into the
-    running spectrum, so the errors and the other paths are those of
-    `accumulate`.
+    The stream is counted once, slice by slice between checkpoints, in the
+    one running fold of `spectrum._running_spectra`, and every other
+    per-checkpoint view is read from these spectra.
     """
     arr = np.asarray(separations)
-    spectra = _running_tables(arr, table)
-    if spectra is None:
-        spectra, spec = {}, SeparationSpectrum()
-        for rec, start, stop in _closed_intervals(arr.size, table):
-            spec = spectra[rec.n] = merge(spec, accumulate(arr[start:stop]))
-    return spectra
-
-
-def _running_tables(arr, table: CountTable):
-    """per_checkpoint_spectra from the compiled histogram, or None when it cannot count arr.
-
-    The slices are cut into pieces of spectrum.BLOCK_VALUES values, which the workers claim
-    (one worker per two pieces at most) and count into one table row per checkpoint
-    (`spectrum._count_pieces`), so row r counts slice r whatever the CPU count.  One
-    running table adds the rows in order, and each checkpoint's bins are the previous
-    checkpoint's with those its slice changed read from the running table (so they keep
-    the insertion order of the merge loop).  At most ROWS_AT_ONCE checkpoints are counted
-    at a time, so the tables stay small on a dense grid.  None when arr is not a
-    one-dimensional int64, uint64 or uint32 stream, when a checkpoint does not fit it (the
-    caller raises the error), when a piece holds a value outside the table (the caller
-    counts it), or when no checkpoint closes a separation (the caller needs no kernel).
-    """
-    if arr.ndim != 1 or arr.dtype not in (np.int64, np.uint64, np.uint32):
-        return None
-    try:
-        bounds = [(rec.n, lo, hi) for rec, lo, hi in _closed_intervals(arr.size, table)]
-    except ValidationError:
-        return None  # the caller raises it, or the error of a slice before it
-    if not bounds or bounds[-1][2] == 0:
-        return None  # nothing to count, and no kernel needed to count it
-    arr = np.ascontiguousarray(arr)
-    kernel = sieve._load_kernel()
-    spectra, bins, running = {}, {}, np.zeros(kernel.histogram_cap, dtype=np.int64)
-    for b in range(0, len(bounds), ROWS_AT_ONCE):
-        batch = bounds[b : b + ROWS_AT_ONCE]
-        pieces = [(r, lo, min(lo + BLOCK_VALUES, stop))
-                  for r, (_, start, stop) in enumerate(batch)
-                  for lo in range(start, stop, BLOCK_VALUES)]
-        part_rows = spectrum._count_pieces(kernel, arr, pieces, len(batch),
-                                           sieve._worker_count(len(pieces) // 2))
-        if part_rows is None:
-            return None
-        for (n, _, _), part in zip(batch, part_rows):
-            vals = part.nonzero()[0]  # the bins this slice changed
-            running[vals] += part[vals]
-            bins = dict(bins)
-            bins.update(zip(vals.tolist(), running[vals].tolist()))
-            spectra[n] = SeparationSpectrum(bins)
-    return spectra
+    closed = list(_closed_intervals(arr.size, table))
+    spectra = spectrum._running_spectra(arr, [k for _, k in closed])
+    return {rec.n: spec for (rec, _), spec in zip(closed, spectra)}
 
 
 def max_separation_by_checkpoint(separations, table: CountTable) -> dict[int, int | None]:

@@ -67,6 +67,9 @@ CHUNK_SPAN = 30 << 22  # integers per chunk, about 2**27; a multiple of 6 (see _
 
 KERNEL_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
 KERNEL_CC = ("cc", "-O2", "-shared", "-fPIC")  # no -march=native: the build lives in a shared cache
+# a build of another source stays in the cache this long after it was built, so that trees
+# with different sources, run in turn, do not rebuild each other's kernels on every run
+_KERNEL_KEEP_S = 7 * 24 * 3600
 # wheel bytes (30 integers each) per block of the compiled kernel, a power of two from 8
 # to 2**28; one chunk of about 2**27 integers on one CPU took 5-12% longer with 32 KB
 # blocks and 11-23% longer with 128 KB blocks than with 64 KB, from 1e9 to 1e12
@@ -252,10 +255,15 @@ def _open_kernel(source, directory, name):
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-        # retire older builds (a process that has one loaded keeps its mapping), never a *.tmp
+        # retire builds older than _KERNEL_KEEP_S (a process that has one loaded keeps its
+        # mapping), never a *.tmp
+        retire = time.time() - _KERNEL_KEEP_S
         for stale in pathlib.Path(directory).glob("chunk-*.so"):
-            if stale.name != name:
-                stale.unlink(missing_ok=True)  # another process may remove it first
+            try:
+                if stale.name != name and stale.stat().st_mtime < retire:
+                    stale.unlink()
+            except FileNotFoundError:  # another process removed it first
+                pass
     return ctypes.CDLL(path)
 
 
@@ -267,7 +275,7 @@ def _load_kernel():
     twinsep_philox_fill (the Philox stream that twinsep_geometric draws
     from, alone), twinsep_geometric, which returns the draw it stopped at
     (see montecarlo.sample_separations), and twinsep_histogram (see
-    spectrum.accumulate), whose table size is read into lib.histogram_cap.
+    spectrum._count_pieces), whose table size is read into lib.histogram_cap.
 
     It is built on first use, never at import, into
     ${XDG_CACHE_HOME:-~/.cache}/twinsep, keyed by the source, the compiler

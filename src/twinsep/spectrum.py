@@ -1,10 +1,13 @@
 """Separation histograms and the average-separation estimate.
 
-Spectra are mergeable value objects holding only their bins: accumulation
-is single-writer, merging enables parallel reduction, and the totals, the
-maximum and the count beyond a cutoff are read off the bins.  Three s0
-conventions are kept first-class because published count tables and
-interval-exact bookkeeping disagree by small offsets.
+Spectra are mergeable value objects holding only their bins, and the
+totals, the maximum and the count beyond a cutoff are read off the bins.
+Every spectrum is counted on one path, `_running_spectra`, a running fold
+over the slices of a stream between stops: `accumulate` is the fold with
+one stop, and `pipeline.per_checkpoint_spectra` the fold with one stop
+per checkpoint.  Three s0 conventions are kept first-class because
+published count tables and interval-exact bookkeeping disagree by small
+offsets.
 """
 
 from __future__ import annotations
@@ -22,7 +25,10 @@ from .sieve import CountRecord
 
 
 BINCOUNT_BLOCK = 1 << 16  # elements per np.bincount call on values that need a cast to intp
-BLOCK_VALUES = 1 << 16  # values per block a worker of the compiled histogram claims
+BLOCK_VALUES = 1 << 16  # values per piece a worker of the compiled histogram claims
+# slices counted at once by _running_spectra: a worker's table is then at most 256 x 1024
+# int64s (2 MB)
+ROWS_AT_ONCE = 256
 
 
 class S0Convention(str, Enum):
@@ -71,28 +77,59 @@ class SeparationSpectrum:
 
 
 def accumulate(separations) -> SeparationSpectrum:
-    """Histogram a separation sequence.
+    """Histogram a separation sequence: `_running_spectra` with one stop, the stream's end.
 
-    The sieve's compiled kernel (`twinsep_histogram`) counts the stream in
-    one pass while its largest value is below the kernel's fixed table
-    (1024 entries); above that the kernel only finds its range, and the
-    stream is counted by np.bincount when its largest value is below its
-    length (so the dense histogram is never larger than the input), by
-    np.unique otherwise.  A stream of four blocks of BLOCK_VALUES or more
-    is first counted on the calling thread and one thread per further CPU
-    in the affinity mask (`_count_in_blocks`); if any block holds a value
-    outside the table, the stream goes through the one-pass path above on
-    the calling thread, so the errors and the other paths do not change.
-    The kernel reads int64, uint64 and uint32 streams as they are and
-    every other integer type cast to int64.  Float input must hold finite
-    integers below 2**63.  Raises KernelError when the kernel cannot be
-    built.
+    The stream may be any integer type (int64, uint64 and uint32 are counted as they are,
+    every other type cast to int64), or floats that hold finite integers below 2**63.
+    Raises KernelError when the compiled kernel cannot be built, unless the stream is empty.
     """
-    arr = np.asarray(separations).reshape(-1)
-    if arr.size == 0:
-        return SeparationSpectrum()
+    arr = np.asarray(separations)
+    return _running_spectra(arr, [arr.size])[0]
+
+
+def _running_spectra(arr, stops) -> list[SeparationSpectrum]:
+    """[the spectrum of arr[:stop] for each stop], stops non-decreasing and at most arr.size.
+
+    The one counting path.  The slices between stops are cut into pieces of BLOCK_VALUES
+    values, and `_count_pieces` counts them into one row of the compiled histogram's table
+    per slice, at most ROWS_AT_ONCE slices at a time.  Each spectrum's bins are a copy of
+    the previous one's with the slice's nonzero bins added in ascending order, so a bin keeps
+    the place where it first appeared.  A batch that holds a value outside the table is
+    counted slice by slice instead (`_count_slice`).  The kernel is not loaded when nothing
+    is counted.
+    """
+    end = stops[-1] if stops else 0
+    if end == 0:
+        return [SeparationSpectrum() for _ in stops]
+    arr = _checked_stream(arr.reshape(-1)[:end])
+    kernel = sieve._load_kernel()
+    bounds = list(zip([0, *stops], stops))
+    spectra, bins = [], {}
+    for b in range(0, len(bounds), ROWS_AT_ONCE):
+        batch = bounds[b : b + ROWS_AT_ONCE]
+        pieces = [(r, lo, min(lo + BLOCK_VALUES, stop))
+                  for r, (start, stop) in enumerate(batch)
+                  for lo in range(start, stop, BLOCK_VALUES)]
+        rows = _count_pieces(kernel, arr, pieces, len(batch),
+                             sieve._worker_count(len(pieces) // 2))
+        for r, (start, stop) in enumerate(batch):
+            if rows is None:
+                vals, cnts = _count_slice(arr[start:stop])
+            else:
+                vals = np.flatnonzero(rows[r])
+                cnts = rows[r][vals]
+            bins = dict(bins)
+            for s, c in zip(vals.tolist(), cnts.tolist()):
+                bins[s] = bins.get(s, 0) + c
+            spectra.append(SeparationSpectrum(bins))
+    return spectra
+
+
+def _checked_stream(arr):
+    """arr as a contiguous int64, uint64 or uint32 array; ValidationError for floats that are
+    not finite integers in [0, 2**63), checked before the cast, which turns inf, nan and
+    +-2**63 into garbage with a warning."""
     if not np.issubdtype(arr.dtype, np.integer):
-        # before the cast, which turns inf, nan and +-2**63 into garbage with a warning
         if not np.all(np.isfinite(arr)):
             raise ValidationError("separations must be finite integers below 2**63")
         if arr.min() < 0:
@@ -103,50 +140,30 @@ def accumulate(separations) -> SeparationSpectrum:
             raise ValidationError("separations must be integers")
     if arr.dtype not in (np.int64, np.uint64, np.uint32):
         arr = arr.astype(np.int64)
-    arr = np.ascontiguousarray(arr)
-    kernel = sieve._load_kernel()
-    cnts = _count_in_blocks(kernel, arr)  # a dense count, indexed by value, or None
-    if cnts is None:
-        table = np.zeros(kernel.histogram_cap, dtype=np.int64)
-        # the kernel reads a uint64 value of 2**63 or more as a negative int64
-        top = kernel.twinsep_histogram(arr.ctypes.data, arr.size, arr.itemsize,
-                                       table.ctypes.data)
-        if top < 0 and arr.dtype != np.uint64:
-            raise ValidationError("separations must be >= 0")
-        cnts = table if 0 <= top <= table.size else None
-    if cnts is None and 0 <= top <= arr.size:
-        # bincount will not cast uint64 safely; every value here is below the size
-        if arr.dtype == np.uint64:
-            arr = arr.view(np.int64)
-        if arr.dtype == np.intp:
-            cnts = np.bincount(arr)
-        else:  # bincount casts to intp: a block at a time, so the cast never copies the stream
-            step = max(BINCOUNT_BLOCK, top)
-            cnts = np.zeros(top, dtype=np.intp)
-            for i in range(0, arr.size, step):
-                cnts += np.bincount(arr[i : i + step], minlength=top)
-    if cnts is None:
-        vals, cnts = np.unique(arr, return_counts=True)
-    else:
-        vals = np.flatnonzero(cnts)
-        cnts = cnts[vals]
-    return SeparationSpectrum(dict(zip(vals.tolist(), cnts.tolist())))
+    return np.ascontiguousarray(arr)
 
 
-def _count_in_blocks(kernel, arr):
-    """The kernel's table for arr, counted on several workers; None for one worker, or when a
-    block holds a value outside the table, so that the caller counts the stream alone.
-
-    The workers claim blocks of BLOCK_VALUES values (one worker per two blocks at most), as
-    `_count_pieces` counts them.
-    """
-    starts = range(0, arr.size, BLOCK_VALUES)
-    workers = sieve._worker_count(len(starts) // 2)
-    if workers == 1:
-        return None
-    pieces = [(0, lo, min(lo + BLOCK_VALUES, arr.size)) for lo in starts]
-    table = _count_pieces(kernel, arr, pieces, 1, workers)
-    return None if table is None else table[0]
+def _count_slice(arr):
+    """(values, counts) of a slice that the compiled table may not hold, in ascending order:
+    by np.bincount when its largest value is below its length (so the dense count is never
+    larger than the slice), by np.unique otherwise."""
+    if arr.size == 0:
+        return np.array([], dtype=np.int64), np.array([], dtype=np.int64)
+    if arr.dtype == np.int64 and arr.min() < 0:
+        raise ValidationError("separations must be >= 0")
+    top = int(arr.max()) + 1
+    if top > arr.size:
+        return np.unique(arr, return_counts=True)
+    # bincount will not cast uint64 safely; every value here is below the size
+    if arr.dtype == np.uint64:
+        arr = arr.view(np.int64)
+    # bincount casts to intp: a block at a time, so the cast never copies the slice
+    step = arr.size if arr.dtype == np.intp else max(BINCOUNT_BLOCK, top)
+    cnts = np.zeros(top, dtype=np.intp)
+    for i in range(0, arr.size, step):
+        cnts += np.bincount(arr[i : i + step], minlength=top)
+    vals = np.flatnonzero(cnts)
+    return vals, cnts[vals]
 
 
 def _count_pieces(kernel, arr, pieces, rows, workers):

@@ -94,6 +94,19 @@ class TestSieveCommand:
         assert rc == 0
         assert [r.n for r in ingest_counts(counts).rows] == [100, 500, 1000]
 
+    def test_summary_names_the_last_checkpoint(self, tmp_path, capsys):
+        # the counts printed are those of the last checkpoint, not of the limit
+        out = tmp_path / "c.csv"
+        argv = ["sieve", "--limit", "100000", "--checkpoints", "1000,,2000", "--out", str(out),
+                "--separations", str(tmp_path / "s.bin")]
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (
+            "sieved to 100000: separations=1222 checkpoints=2, last at n=2000: pi1=303 pi2=61\n"
+        )
+        assert [(r.n, r.pi1, r.pi2) for r in ingest_counts(out).rows] == [(1000, 168, 35),
+                                                                          (2000, 303, 61)]
+
     def test_stats_manifest(self, sieved, tmp_path):
         counts, seps, onsets = sieved
         out = tmp_path / "run"
@@ -147,6 +160,10 @@ class TestContract:
               "--out-dir", "{tmp}/figs"], {}, "separation"),
             (["sieve", "--limit", "1000", "--checkpoints", "geometric:x",
               "--out", "{tmp}/c.csv", "--separations", "{tmp}/s.bin"], {}, "geometric:x"),
+            (["sieve", "--limit", "1000", "--checkpoints", "geometric5",
+              "--out", "{tmp}/c.csv", "--separations", "{tmp}/s.bin"], {}, "geometric5"),
+            (["sieve", "--limit", "1000", "--out", "{tmp}/c.csv", "--separations", "{tmp}/s.bin"],
+             {"TWINSEP_CHECKPOINTS": "geometricfoo"}, "geometricfoo"),
             (["predict", "--counts", "{counts}", "--out", "{tmp}/o.csv"],
              {"TWINSEP_F": "abc"}, "--f"),
             (["gof", "--spectrum", "{tmp}/none.csv", "--s0", "5.0"],
@@ -218,6 +235,8 @@ class TestContract:
             "onsets-non-integer",
             "onsets-no-separation-column",
             "checkpoints-geometric-x",
+            "checkpoints-geometric5",
+            "env-checkpoints-geometricfoo",
             "env-f",
             "env-alpha",
             "env-segment-size",

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from twinsep import pipeline
+from twinsep import spectrum
 from twinsep.errors import ValidationError
 from twinsep.fit import fit_exp_slope, fit_m0, fit_s0_linear
 from twinsep.model import solve_checkpoint
@@ -244,14 +244,15 @@ class TestCheckpointViews:
     def test_running_tables_match_merged_slices(self, run100k, on_cpus, monkeypatch, dtype,
                                                 wide, cpus):
         # pieces of 100 values and batches of 4 checkpoints, so that several workers claim
-        # pieces and the running row carries from batch to batch; a value outside the
-        # compiled table, or an int32 stream, takes the accumulate + merge loop instead
+        # pieces and the running spectrum carries from batch to batch; a batch with a value
+        # outside the compiled table is counted slice by slice, and an int32 stream is cast
+        # to int64 and counted like the others
         report, table = run100k
         seps = report.separations.astype(dtype)
         if wide is not None:
             seps[max(0, table.rows[wide].pi2 - 3)] = 5000
-        monkeypatch.setattr(pipeline, "BLOCK_VALUES", 100)
-        monkeypatch.setattr(pipeline, "ROWS_AT_ONCE", 4)
+        monkeypatch.setattr(spectrum, "BLOCK_VALUES", 100)
+        monkeypatch.setattr(spectrum, "ROWS_AT_ONCE", 4)
         got, workers = on_cpus(cpus, per_checkpoint_spectra, seps, table)
         want, spec, done = {}, SeparationSpectrum(), 0
         for rec in table.rows:
@@ -260,7 +261,7 @@ class TestCheckpointViews:
             done = k
         assert got == want and list(got) == list(want)
         assert all(type(s) is type(c) is int for v in got.values() for s, c in v.bins.items())
-        assert (workers > 1) == (cpus > 1 and dtype != np.int32)
+        assert (workers > 1) == (cpus > 1)
 
     def test_running_tables_reject_a_negative_value(self, run100k):
         report, table = run100k

@@ -559,17 +559,22 @@ class TestKernel:
 
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
     def test_stale_builds_removed(self, tmp_path, monkeypatch):
-        # installing a new build removes older chunk-*.so builds, never an in-flight *.tmp
+        # installing a new build removes chunk-*.so builds older than _KERNEL_KEEP_S, never a
+        # younger one (another source tree's) or an in-flight *.tmp
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         cache = tmp_path / "twinsep"
         cache.mkdir()
-        in_flight = cache / "chunk-1.soab12cd.tmp"
-        for path in (cache / "chunk-0.so", in_flight):
+        old, fresh = cache / "chunk-0.so", cache / "chunk-1.so"
+        in_flight = cache / "chunk-2.soab12cd.tmp"
+        for path in (old, fresh, in_flight):
             path.write_bytes(b"")
+        then = time.time() - sieve._KERNEL_KEEP_S - 60
+        os.utime(old, (then, then))
         sieve._load_kernel.__wrapped__()
-        built = [p.name for p in cache.iterdir() if p != in_flight]
-        assert in_flight.exists() and len(built) == 1
-        assert built[0].startswith("chunk-") and built[0].endswith(".so") and built[0] != "chunk-0.so"
+        assert in_flight.exists() and fresh.exists() and not old.exists()
+        built = [p.name for p in cache.iterdir() if p not in (in_flight, fresh)]
+        assert len(built) == 1
+        assert built[0].startswith("chunk-") and built[0].endswith(".so")
 
     def test_failed_build_raises(self, tmp_path, monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))

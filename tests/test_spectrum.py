@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from twinsep import spectrum
@@ -150,7 +150,8 @@ class TestCompiledHistogram:
 
 class TestWorkerCount:
     """The spectrum is the same on 1, 2 or 3 CPUs: each worker counts the blocks it claims into
-    a table of its own, and a block outside the table sends the stream to one worker."""
+    a table of its own, and a block outside the table sends the stream to np.bincount or
+    np.unique on the calling thread."""
 
     SIZE = 20_000 + 3
     POSITIONS = (0, 9_500, SIZE - 1)  # in the first, a middle and the last block
@@ -198,6 +199,48 @@ class TestWorkerCount:
             for k in (1, 2, 3):
                 spec, _ = on_cpus(k, accumulate, arr)
                 assert spec.bins == want, (at, k)
+
+
+@st.composite
+def running_streams(draw):
+    """(dtype, values, stops): a stream of at most 40 values with stops into it (repeated and
+    zero stops allowed), some values outside the compiled table and, in a signed stream,
+    maybe one negative."""
+    dtype = draw(st.sampled_from([np.int64, np.uint64, np.uint32, np.int32]))
+    values = draw(st.lists(st.integers(0, 30), min_size=1, max_size=40))
+    wide = {np.int64: 10**12, np.uint64: 2**63 + 5, np.uint32: 5000, np.int32: 1024}[dtype]
+    for at in draw(st.lists(st.integers(0, len(values) - 1), max_size=2)):
+        values[at] = draw(st.sampled_from([1024, wide]))
+    if dtype in (np.int64, np.int32) and draw(st.booleans()):
+        values[draw(st.integers(0, len(values) - 1))] = -1
+    stops = sorted(draw(st.lists(st.integers(0, len(values)), min_size=1, max_size=12)))
+    return dtype, values, stops
+
+
+class TestRunningSpectra:
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(running_streams(), st.sampled_from([1, 2, 3]))
+    def test_matches_prefix_counters(self, kernel, on_cpus, monkeypatch, case, cpus):
+        # pieces of 3 values and batches of 4 slices, so that a value outside the table falls
+        # in an early or a late batch, and the running spectrum carries across batches
+        monkeypatch.setattr(spectrum, "BLOCK_VALUES", 3)
+        monkeypatch.setattr(spectrum, "ROWS_AT_ONCE", 4)
+        dtype, values, stops = case
+        arr = np.array(values, dtype=dtype)
+        if -1 in values[: stops[-1]]:
+            with pytest.raises(ValidationError, match="separations must be >= 0"):
+                on_cpus(cpus, spectrum._running_spectra, arr, stops)
+            return
+        got, _ = on_cpus(cpus, spectrum._running_spectra, arr, stops)
+        assert len(got) == len(stops)
+        order = []  # a bin keeps the place where it first appeared, each slice in ascending order
+        for spec, start, stop in zip(got, [0, *stops], stops):
+            order += sorted(set(values[start:stop]) - set(order))
+            assert spec.bins == collections.Counter(values[:stop])
+            assert list(spec.bins) == [s for s in order if s in spec.bins]
+            assert all(type(s) is type(c) is int for s, c in spec.bins.items())
+        assert len({id(spec.bins) for spec in got}) == len(got)  # no two share their bins
 
 
 class TestMerge:
