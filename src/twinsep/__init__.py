@@ -47,7 +47,6 @@ from .spectrum import (
     S0Estimate,
     SeparationSpectrum,
     accumulate,
-    merge,
     read_spectrum_csv,
     s0_from_counts,
     write_spectrum_csv,
@@ -84,7 +83,6 @@ __all__ = [
     "geometric_checkpoints",
     "gof_compare",
     "ingest_counts",
-    "merge",
     "per_checkpoint_spectra",
     "read_separations",
     "read_spectrum_csv",

@@ -28,15 +28,14 @@ it, `_load_kernel` raises `KernelError`.  Only the base primes are sieved
 in numpy, by `_segment_primes(low, high, base)`.
 
 `sieve_range` sieves the chunks on `_on_workers` (the calling thread, plus
-one kept helper thread per further CPU), and folds the summaries in order,
-carrying four values from one chunk to the next, so the result is exact
-and identical for any CPU count.  The Monte Carlo sampler and the
-histogram split their streams over the same workers.
+the kept threads of one ThreadPoolExecutor, one per further CPU), and
+folds the summaries in order, carrying four values from one chunk to the
+next, so the result is exact and identical for any CPU count.  The Monte
+Carlo sampler and the histogram split their streams over the same workers.
 """
 
 from __future__ import annotations
 
-import _thread
 import bisect
 import functools
 import math
@@ -346,48 +345,16 @@ def _getcpu():
     return getcpu
 
 
-class _Call:
-    """One call's work for one helper, which starts it only if the caller has not given up on it."""
-
-    def __init__(self, work):
-        self.work, self.result, self.error = work, None, None
-        self.started, self.done = _thread.allocate_lock(), _thread.allocate_lock()
-        self.done.acquire()
-
-
-class _Helper:
-    """A thread that runs the calls it is handed on the CPUs it was given, until the process ends."""
-
-    def __init__(self, cpus):
-        self.call = None
-        self.wake = _thread.allocate_lock()
-        self.wake.acquire()
-        _thread.start_new_thread(self._serve, (cpus,))
-
-    def hand(self, call):
-        self.call = call
-        if self.wake.locked():  # otherwise a wake-up it has not taken yet stands
-            self.wake.release()
-
-    def _serve(self, cpus):
-        try:
-            os.sched_setaffinity(0, cpus)  # this thread only
-        except OSError:  # none of them online: run anywhere
-            pass
-        while True:
-            self.wake.acquire()
-            call = self.call
-            if call is None or not call.started.acquire(blocking=False):
-                continue  # its caller finished without it
-            try:
-                call.result = call.work()
-            except BaseException as exc:  # raised again by the caller
-                call.error = exc
-            call.done.release()
+def _pin(cpus):
+    """Pin the calling thread to cpus, or leave it where it is when none of them is online."""
+    try:
+        os.sched_setaffinity(0, cpus)  # this thread only
+    except OSError:
+        pass
 
 
-# (pid, affinity mask) -> (a lock held while the helpers work, the helpers); a forked child
-# has another pid, so it never waits on threads it did not inherit
+# (pid, affinity mask) -> the kept ThreadPoolExecutor of helpers; a forked child has another
+# pid, so it never waits on threads it did not inherit
 _helpers: dict = {}
 
 
@@ -397,19 +364,23 @@ def _on_workers(work, jobs, workers: int) -> list:
     The workers claim their jobs from the one iterator `jobs` (next() on a builtin iterator
     runs under the GIL, so each job goes to one worker), and the kernel releases the GIL
     while it runs.  So any worker may take any job, and the caller alone runs them all
-    (work(jobs) inline, with no thread) for one worker, or while another thread of the
-    process has the helpers.  Once the caller's work(jobs) returns, no job is left, and a
-    helper that has not started yet (its CPU busy with another task) is given up on rather
-    than waited for; one that has started is waited for.  A worker that raises drops the
-    jobs left, so the others stop at their next claim, and its exception is raised here
-    once all have stopped.
+    (work(jobs) inline, with no thread) for one worker.  Otherwise workers - 1 copies of
+    work(jobs) are submitted to the helpers and one runs on the calling thread.  Once the
+    caller's copy returns, no job is left, and a copy that no helper has started yet (the
+    helpers busy with another caller's work, or their CPU with another task) is cancelled
+    rather than waited for; one that has started is waited for.  So a second thread calling
+    in never waits for a helper queued behind the first one's work.  A worker that raises
+    drops the jobs left, so the others stop at their next claim, and the first exception is
+    raised here once all have stopped.
 
-    The helpers are threads of this process, started on first use (never at import) and
-    kept: starting and placing a thread for each call took 0.15-0.2 ms against 0.03-0.04 ms
-    to wake a kept one, and a Monte Carlo replicate makes two calls of 0.4-2 ms.  Each is
-    pinned to the CPUs of the affinity mask other than the one its first caller ran on: a
-    new thread starts on its parent's CPU, and where the scheduler does not balance load (a
-    cpuset with sched_load_balance off) it would stay there, sharing it with the caller.
+    The helpers are the threads of one ThreadPoolExecutor per affinity mask, made on first
+    use (never at import: `concurrent.futures` is imported here, once a process, for about
+    6 ms and 0.4 MB) and kept: starting and placing a thread for each call took 0.15-0.2 ms
+    against 0.03-0.04 ms to wake a kept one, and a Monte Carlo replicate makes two calls of
+    0.4-2 ms.  Each is pinned to the CPUs of the mask other than the one the executor's first
+    caller ran on: a new thread starts on its parent's CPU, and where the scheduler does not
+    balance load (a cpuset with sched_load_balance off) it would stay there, sharing it with
+    the caller.
     """
 
     def run():
@@ -422,33 +393,19 @@ def _on_workers(work, jobs, workers: int) -> list:
 
     if workers == 1:
         return [work(jobs)]
+    from concurrent.futures import ThreadPoolExecutor, wait
+
     mask = os.sched_getaffinity(0)
-    busy, pool = _helpers.setdefault((os.getpid(), frozenset(mask)), (_thread.allocate_lock(), []))
-    if not busy.acquire(blocking=False):
-        return [work(jobs)]
+    key = (os.getpid(), frozenset(mask))
+    pool = _helpers.get(key) or _helpers.setdefault(
+        key, ThreadPoolExecutor(len(mask) - 1, initializer=_pin, initargs=(mask - {_getcpu()()},)))
+    futures = [pool.submit(run) for _ in range(workers - 1)]
     try:
-        while len(pool) < workers - 1:
-            pool.append(_Helper(mask - {_getcpu()()}))
-        calls = [_Call(run) for _ in range(workers - 1)]
-        for helper, call in zip(pool, calls):
-            helper.hand(call)
-        results, errors = [], []
-        try:
-            results.append(run())
-        finally:
-            for helper, call in zip(pool, calls):
-                helper.call = None
-                if not call.started.acquire(blocking=False):  # it has started: wait for it
-                    call.done.acquire()
-                    results.append(call.result)
-                    errors.append(call.error)
-                call.work = call.result = call.error = None  # keep nothing of this call
-        for exc in errors:
-            if exc is not None:
-                raise exc
-        return results
+        results = [run()]
     finally:
-        busy.release()
+        started = [f for f in futures if not f.cancel()]
+        wait(started)
+    return results + [f.result() for f in started]
 
 
 def _kernel_chunk(kernel, low, high, base, grid) -> ChunkSummary:

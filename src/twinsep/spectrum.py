@@ -1,6 +1,6 @@
 """Separation histograms and the average-separation estimate.
 
-Spectra are mergeable value objects holding only their bins, and the
+Spectra are value objects holding only their bins, and the
 totals, the maximum and the count beyond a cutoff are read off the bins.
 Every spectrum is counted on one path, `_running_spectra`, a running fold
 over the slices of a stream between stops: `accumulate` is the fold with
@@ -80,7 +80,8 @@ def accumulate(separations) -> SeparationSpectrum:
     """Histogram a separation sequence: `_running_spectra` with one stop, the stream's end.
 
     The stream may be any integer type (int64, uint64 and uint32 are counted as they are,
-    every other type cast to int64), or floats that hold finite integers below 2**63.
+    every other type cast to int64), or real floats that hold finite integers below 2**63;
+    any other dtype (bool, complex, str, object, datetime, timedelta) is a ValidationError.
     Raises KernelError when the compiled kernel cannot be built, unless the stream is empty.
     """
     arr = np.asarray(separations)
@@ -126,15 +127,19 @@ def _running_spectra(arr, stops) -> list[SeparationSpectrum]:
 
 
 def _checked_stream(arr):
-    """arr as a contiguous int64, uint64 or uint32 array; ValidationError for floats that are
-    not finite integers in [0, 2**63), checked before the cast, which turns inf, nan and
-    +-2**63 into garbage with a warning."""
-    if not np.issubdtype(arr.dtype, np.integer):
+    """arr as a contiguous int64, uint64 or uint32 array; ValidationError for a dtype that is
+    neither integer nor real floating point, and for floats that are not finite integers in
+    [0, 2**63), checked before the cast, which turns inf, nan and +-2**63 into garbage with a
+    warning."""
+    if arr.dtype.kind not in "iuf":  # bool, complex, str, object, datetime and timedelta
+        raise ValidationError(f"separations must be integers or real floats, got {arr.dtype}")
+    if arr.dtype.kind == "f":
         if not np.all(np.isfinite(arr)):
             raise ValidationError("separations must be finite integers below 2**63")
         if arr.min() < 0:
             raise ValidationError("separations must be >= 0")
-        if arr.max() >= 2**63:
+        # a float64 bound: a Python 2**63 would be cast to float16, which overflows with a warning
+        if arr.max() >= np.float64(2**63):
             raise ValidationError("separations must be finite integers below 2**63")
         if not np.all(arr == np.floor(arr)):
             raise ValidationError("separations must be integers")
@@ -193,14 +198,6 @@ def _count_pieces(kernel, arr, pieces, rows, workers):
     if any(table is None for table in counted):
         return None
     return sum(counted[1:], counted[0])
-
-
-def merge(a: SeparationSpectrum, b: SeparationSpectrum) -> SeparationSpectrum:
-    """Binwise sum; associative and commutative."""
-    bins = dict(a.bins)
-    for s, c in b.bins.items():
-        bins[s] = bins.get(s, 0) + c
-    return SeparationSpectrum(bins)
 
 
 def s0_from_counts(

@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from twinsep.pipeline import (
     write_counts,
 )
 from twinsep.sieve import CountRecord, SieveConfig, geometric_checkpoints, sieve_range
-from twinsep.spectrum import S0Convention, SeparationSpectrum, accumulate, merge, s0_from_counts
+from twinsep.spectrum import S0Convention, SeparationSpectrum, accumulate, s0_from_counts
 
 
 @pytest.fixture(scope="module")
@@ -254,10 +255,11 @@ class TestCheckpointViews:
         monkeypatch.setattr(spectrum, "BLOCK_VALUES", 100)
         monkeypatch.setattr(spectrum, "ROWS_AT_ONCE", 4)
         got, workers = on_cpus(cpus, per_checkpoint_spectra, seps, table)
-        want, spec, done = {}, SeparationSpectrum(), 0
+        want, counts, done = {}, collections.Counter(), 0
         for rec in table.rows:
             k = max(0, rec.pi2 - 2)
-            spec = want[rec.n] = merge(spec, accumulate(seps[done:k]))
+            counts.update(seps[done:k].tolist())
+            want[rec.n] = SeparationSpectrum(dict(counts))
             done = k
         assert got == want and list(got) == list(want)
         assert all(type(s) is type(c) is int for v in got.values() for s, c in v.bins.items())

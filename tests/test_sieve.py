@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -14,8 +15,9 @@ from hypothesis import strategies as st
 
 import oracle
 import reference
-from twinsep import sieve
+from twinsep import montecarlo, sieve
 from twinsep.errors import KernelError, ValidationError
+from twinsep.model import solve_f0
 from twinsep.sieve import (
     ChunkSummary,
     CountRecord,
@@ -25,6 +27,7 @@ from twinsep.sieve import (
     sieve_range,
     write_separations,
 )
+from twinsep.spectrum import accumulate
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -383,6 +386,62 @@ class TestWorkers:
             sieve._on_workers(work, jobs, 2)
         assert len(seen) < 60 and next(jobs, None) is None
         assert sieve._on_workers(lambda jobs: 7, iter(()), 2) in ([7], [7, 7])
+
+    def test_a_queued_helper_is_given_up_on(self, monkeypatch):
+        # thread A holds both workers of a two-CPU mask, so the main thread's helper copy
+        # queues behind A's; the main thread runs every job itself and does not wait for it
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        release, holding = threading.Event(), threading.Semaphore(0)
+
+        def hold(jobs):
+            holding.release()
+            release.wait(timeout=10)
+            return list(jobs)
+
+        a = threading.Thread(target=sieve._on_workers, args=(hold, iter(range(10)), 2))
+        a.start()
+        try:
+            assert holding.acquire(timeout=30) and holding.acquire(timeout=30)
+            t0 = time.perf_counter()
+            done = sieve._on_workers(list, iter(range(1000)), 2)
+            assert time.perf_counter() - t0 < 5
+            assert done == [list(range(1000))]
+        finally:
+            release.set()
+            a.join(timeout=30)
+        assert not a.is_alive()
+
+    def test_callers_on_four_threads(self, on_cpus, monkeypatch):
+        # four threads sample and histogram at once, sharing the helpers, and each gets what
+        # it gets alone on one CPU
+        configs = [montecarlo.SimConfig(solve_f0(8.0), n_events=1 << 18, seed=seed)
+                   for seed in range(4)]
+
+        def alone(config):
+            draws = montecarlo.sample_separations(config)
+            return draws, accumulate(draws)
+
+        want = [on_cpus(1, alone, config)[0] for config in configs]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        got, start = [None] * 4, threading.Barrier(4)
+
+        def caller(i):
+            start.wait(timeout=30)
+            got[i] = alone(configs[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for (draws, spec), (want_draws, want_spec) in zip(got, want):
+            assert np.array_equal(draws, want_draws) and spec == want_spec
 
     def test_forked_child_starts_its_own_helpers(self, tmp_path):
         # the child inherits the parent's helpers as objects, without their threads

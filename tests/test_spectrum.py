@@ -14,7 +14,6 @@ from twinsep.spectrum import (
     S0Estimate,
     SeparationSpectrum,
     accumulate,
-    merge,
     read_spectrum_csv,
     s0_from_counts,
     write_spectrum_csv,
@@ -65,9 +64,32 @@ class TestAccumulate:
         with pytest.raises(ValidationError, match=">= 0"):
             accumulate(np.array([-1.0, 1.0]))
 
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.longdouble])
+    def test_accepts_narrow_and_wide_floats(self, dtype):
+        # the 2**63 bound is compared in float64 or wider, never cast to float16 with a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert accumulate(np.array([3.0, 0.0, 3.0], dtype=dtype)).bins == {0: 1, 3: 2}
+            with pytest.raises(ValidationError, match=">= 0"):
+                accumulate(np.array([-1.0, 1.0], dtype=dtype))
+
+    @pytest.mark.parametrize(
+        "stream",
+        [np.array([True, False]), np.array(["1", "2"]), np.array([1 + 0j, 2 + 0j]),
+         np.array([1, 2], dtype=object), np.array([1, 2], dtype="m8[s]")],
+        ids=["bool", "str", "complex", "object", "timedelta"],
+    )
+    def test_rejects_other_dtypes(self, stream):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="integers or real floats"):
+                accumulate(stream)
+
     @given(sep_lists, sep_lists)
     def test_concat_equals_merge(self, xs, ys):
-        assert accumulate(xs + ys) == merge(accumulate(xs), accumulate(ys))
+        # the spectrum of xs + ys is the binwise sum of the two spectra
+        summed = collections.Counter(accumulate(xs).bins) + collections.Counter(accumulate(ys).bins)
+        assert accumulate(xs + ys).bins == dict(summed)
 
     @pytest.mark.parametrize("dtype", [np.int64, np.uint32, np.uint64, np.float64])
     @pytest.mark.parametrize(
@@ -241,26 +263,6 @@ class TestRunningSpectra:
             assert list(spec.bins) == [s for s in order if s in spec.bins]
             assert all(type(s) is type(c) is int for s, c in spec.bins.items())
         assert len({id(spec.bins) for spec in got}) == len(got)  # no two share their bins
-
-
-class TestMerge:
-    def test_binwise_sum(self):
-        a = accumulate([0])
-        b = accumulate([0, 0, 3])
-        assert merge(a, b).bins == {0: 3, 3: 1}
-
-    def test_identity(self):
-        x = accumulate([1, 2, 2])
-        assert merge(x, SeparationSpectrum()) == x
-
-    @given(sep_lists, sep_lists)
-    def test_commutative(self, xs, ys):
-        assert merge(accumulate(xs), accumulate(ys)) == merge(accumulate(ys), accumulate(xs))
-
-    @given(sep_lists, sep_lists, sep_lists)
-    def test_associative(self, xs, ys, zs):
-        a, b, c = accumulate(xs), accumulate(ys), accumulate(zs)
-        assert merge(merge(a, b), c) == merge(a, merge(b, c))
 
 
 class TestCountAbove:
