@@ -1,7 +1,8 @@
 /* twinsep's compiled kernel.  Its entry points: twinsep_sieve_chunk, the fused twin sieve
  * below; for the Monte Carlo sampler, twinsep_philox_fill, its scaled uniforms, and
- * twinsep_geometric, its draws from them in one pass; and twinsep_histogram, for spectra,
- * with the size of its table, twinsep_histogram_cap (all at the end).
+ * twinsep_geometric, its draws from them in one pass, each draw it cannot certify left in its
+ * own output slot for numpy to finish; and twinsep_histogram, for spectra, with the size of
+ * its table, twinsep_histogram_cap (all at the end).
  *
  * Fused twin kernel: sieve one chunk [low, high) and summarise it.
  *
@@ -649,13 +650,12 @@ void twinsep_philox_fill(const uint64_t *key, const uint64_t *counter, int64_t f
  *
  * Each y_i is approximated, not taken from numpy's log1p, and a certificate proves its floor:
  * a draw is settled only when its approximation y' lies farther than T * y' (T = 2**-26) from
- * every integer.  Every other draw is left pending, in a list of room cap >= 1: its index i
- * goes to pend_idx[0..k), its v to pend_v[0..k) and k to *npend, for the caller to finish
- * with numpy's log1p, division, floor and minimum (out[i] is unspecified).  It returns d,
- * where draws first .. d - 1 are made: n, or the first draw that pends when the list is full,
- * for the caller to resume from.  A quotient of 0 (v = -0.0) is never settled, nor is any draw
- * once T * y' >= 1/2 (y' >= 2**25: from s0 of about 1e7 on, nearly every draw is pending),
- * so a settled draw is in range of the cast.
+ * every integer.  Every other draw is left pending: out[i] holds the bits of its v_i, for the
+ * caller to finish with numpy's log1p, division, floor and minimum.  v_i <= -0.0 has its sign
+ * bit set, so a pending slot reads as a negative int64, and a settled one holds a draw >= 0.
+ * It returns the number of pending draws.  A quotient of 0 (v = -0.0) is never settled, nor
+ * is any draw once T * y' >= 1/2 (y' >= 2**25: from s0 of about 1e7 on, nearly every draw is
+ * pending), so a settled draw is in range of the cast.
  *
  * The approximation (in doubles), with v in (-1, 0]:
  *   u1 = 1 + v, rounded, and c = v - (u1 - 1), exact (Sterbenz), so 1 + v = u1 + c exactly;
@@ -723,33 +723,18 @@ static int64_t geometric1(double v, double inv_lnq, double m)
     return (double)k < m ? k : (int64_t)m;
 }
 
-struct draws { /* where the draws go: out[i], or the pending list of room cap */
-    double inv_lnq, m;
-    int64_t *out, *pend_idx, npend, cap;
-    double *pend_v;
-};
-
-static int defer(struct draws *g, int64_t i, double v) /* list draw i as pending; 0 when full */
-{
-    if (g->npend == g->cap)
-        return 0;
-    g->pend_idx[g->npend] = i;
-    g->pend_v[g->npend++] = v;
-    return 1;
-}
-
 #if defined(__x86_64__)
-/* draws at .. at + n - 1 from v[0..n), 8 at a time; returns how many it made: n rounded down
- * to a multiple of 8, or fewer, up to the first draw that pends when the list is full */
-static HOT AVX512 int64_t geometric_avx512(const double *v, int64_t n, struct draws *g,
-                                           int64_t at)
+/* draws 0 .. n - 1 from v[0..n) into out, 8 at a time, up to n rounded down to a multiple of
+ * 8; returns how many of them it left pending */
+static HOT AVX512 int64_t geometric_avx512(const double *v, int64_t n, double inv_lnq, double m,
+                                           int64_t *out)
 {
-    const __m512d one = _mm512_set1_pd(1.0), inv = _mm512_set1_pd(g->inv_lnq);
-    const __m512d cap = _mm512_set1_pd(g->m), t = _mm512_set1_pd(GEO_T);
+    const __m512d one = _mm512_set1_pd(1.0), inv = _mm512_set1_pd(inv_lnq);
+    const __m512d cap = _mm512_set1_pd(m), t = _mm512_set1_pd(GEO_T);
     const __m512d c_lo = _mm512_loadu_pd(GEO_C), c_hi = _mm512_loadu_pd(GEO_C + 8);
     const __m512d l_lo = _mm512_loadu_pd(GEO_L), l_hi = _mm512_loadu_pd(GEO_L + 8);
-    int64_t i = 0;
-    for (; i + 8 <= n; i += 8) {
+    int64_t npend = 0;
+    for (int64_t i = 0; i + 8 <= n; i += 8) {
         __m512d vi = _mm512_loadu_pd(v + i);
         __m512d u1 = _mm512_add_pd(one, vi);
         __m512d c = _mm512_sub_pd(vi, _mm512_sub_pd(u1, one));
@@ -772,43 +757,38 @@ static HOT AVX512 int64_t geometric_avx512(const double *v, int64_t n, struct dr
         __m512d near = _mm512_abs_pd(_mm512_reduce_pd(y, _MM_FROUND_TO_NEAREST_INT));
         __mmask8 pend = _mm512_cmp_pd_mask(near, _mm512_mul_pd(y, t), _CMP_NGT_UQ);
         /* y >= 0 and m is an integer, so truncating min(y, m) floors it and caps it */
-        _mm512_storeu_si512(g->out + at + i, _mm512_cvttpd_epi64(_mm512_min_pd(y, cap)));
-        for (; pend; pend &= pend - 1) {
-            int lane = __builtin_ctz(pend);
-            if (!defer(g, at + i + lane, v[i + lane]))
-                return i + lane;
-        }
+        _mm512_storeu_si512(out + i, _mm512_cvttpd_epi64(_mm512_min_pd(y, cap)));
+        _mm512_mask_storeu_epi64(out + i, pend, _mm512_castpd_si512(vi));
+        npend += __builtin_popcount(pend);
     }
-    return i;
+    return npend;
 }
 #endif
 
 int64_t twinsep_geometric(const uint64_t *key, const uint64_t *counter, int64_t first, int64_t n,
-                          double f, double lnq, double m, int64_t *out, int64_t *pend_idx,
-                          double *pend_v, int64_t cap, int64_t *npend)
+                          double f, double lnq, double m, int64_t *out)
 {
-    struct draws g = {1.0 / lnq, m, out, pend_idx, 0, cap, pend_v};
-    double v[GEO_BATCH];
+    double inv_lnq = 1.0 / lnq, v[GEO_BATCH];
 #if defined(__x86_64__)
     int vector = __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq");
 #endif
-    int64_t at = first;
-    while (at < n) {
+    int64_t npend = 0;
+    for (int64_t at = first; at < n; at += GEO_BATCH) {
         int64_t len = n - at < GEO_BATCH ? n - at : GEO_BATCH, i = 0;
         twinsep_philox_fill(key, counter, at, len, f, v);
 #if defined(__x86_64__)
-        if (vector)
-            i = geometric_avx512(v, len, &g, at);
+        if (vector) {
+            npend += geometric_avx512(v, len, inv_lnq, m, out + at);
+            i = len - len % 8;
+        }
 #endif
         for (; i < len; i++)
-            if ((out[at + i] = geometric1(v[i], g.inv_lnq, m)) < 0 && !defer(&g, at + i, v[i]))
-                break;
-        at += i;
-        if (i < len) /* draw at pends, and the list is full */
-            break;
+            if ((out[at + i] = geometric1(v[i], inv_lnq, m)) < 0) {
+                memcpy(out + at + i, v + i, 8);
+                npend++;
+            }
     }
-    *npend = g.npend;
-    return at;
+    return npend;
 }
 
 /* Spectra: twinsep_histogram histograms a stream x[0..n) of int64 (width 8) or uint32

@@ -61,11 +61,6 @@ class ModelParams:
             raise ValidationError(f"l_cut must be finite and >= 0, got {self.l_cut}")
 
     @property
-    def m(self) -> float:
-        """Decay slope of log-frequency per unit separation."""
-        return 1.0 / self.sbar
-
-    @property
     def l_ceil(self) -> int | None:
         """Integer cutoff for uses that need a whole separation count."""
         return None if self.l_cut is None else math.ceil(self.l_cut)

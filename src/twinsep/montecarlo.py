@@ -25,11 +25,6 @@ DEFAULT_ALPHA = 0.01
 POOL_MIN_EXPECTED = 5.0
 # draws per block a worker claims: about 0.2 ms of kernel time (2**15 to 2**17 ran alike)
 BLOCK_DRAWS = 1 << 16
-# room for pending draws per worker, which twinsep_geometric fills across calls and blocks:
-# from s0 of about 1e7 on nearly every draw pends, and each full list is finished in one
-# _finish_draws call (16 bytes a draw, 128 KB a worker; at s0 = 1e15 a 1024-draw list made
-# two workers slower than one, as each finish holds the GIL)
-PENDING_DRAWS = 8192
 THRESHOLD_NOTE = "chi-square/KS pass thresholds are conventions of this toolkit"
 _EPS = 2.0**-53
 
@@ -79,18 +74,19 @@ def sample_separations(config: SimConfig) -> np.ndarray:
     and one thread per further CPU in the affinity mask claim in turn
     (`sieve._on_workers`; one worker per two blocks at most, so a call of
     fewer than four blocks runs on the calling thread alone).  Each block is
-    drawn by the sieve's compiled kernel (`sieve._load_kernel`) in
-    `twinsep_geometric` calls, from the key and counter of
-    `np.random.Philox(seed).state`: each fills -s * u_i (16 Philox counters
+    drawn by the sieve's compiled kernel (`sieve._load_kernel`) in one
+    `twinsep_geometric` call, from the key and counter of
+    `np.random.Philox(seed).state`: it fills -s * u_i (16 Philox counters
     at once where the CPU has AVX-512), takes a cheap logarithm, and
     floors each quotient that it can certify lies far enough from every
-    integer for numpy's to floor alike.  The draws it cannot settle (a few
-    in 1e7 at s0 of 5-13, a quotient of 0, and nearly every draw from s0
-    of about 1e7 on) come back as pending (index, -s * u_i) pairs into the
-    worker's own list of PENDING_DRAWS, and each full list (and the last)
-    is finished by `_finish_draws` with numpy's log1p, division, floor and
-    minimum.  Every draw is the same whichever worker made it, so the array
-    does not depend on the CPU count.  Raises KernelError without the kernel.
+    integer for numpy's to floor alike.  A draw it cannot settle (a few in
+    1e7 at s0 of 5-13, a quotient of 0, and nearly every draw from s0 of
+    about 1e7 on) keeps the bits of its -s * u_i <= -0.0 in its own slot,
+    which then reads as a negative int64; the call returns how many it
+    left, and when there are any, the block's negative slots are finished
+    by `_finish_draws` with numpy's log1p, division, floor and minimum.
+    Every draw is the same whichever worker made it, so the array does not
+    depend on the CPU count.  Raises KernelError without the kernel.
     """
     p = config.params
     n = config.n_events
@@ -105,26 +101,14 @@ def sample_separations(config: SimConfig) -> np.ndarray:
     key, counter, at_out = (a.ctypes.data for a in (state["key"], state["counter"], out))
     starts = range(0, n, BLOCK_DRAWS)
     workers = sieve._worker_count(len(starts) // 2)
-    # allocated here, not in the workers: a thread that allocates gets its own malloc arena
-    lists = [(np.empty(PENDING_DRAWS, dtype=np.int64), np.empty(PENDING_DRAWS),
-              np.empty(1, dtype=np.int64)) for _ in range(workers)]
 
     def draw(blocks):
-        pend_idx, pend_v, npend = lists.pop()
-        at_idx, at_v, at_npend = pend_idx.ctypes.data, pend_v.ctypes.data, npend.ctypes.data
-        k = 0  # pending draws listed so far
         for lo in blocks:
             hi = min(lo + BLOCK_DRAWS, n)
-            while lo < hi:  # a call stops early only when the list is full
-                lo = kernel.twinsep_geometric(key, counter, lo, hi, neg_scale, lnq, cap, at_out,
-                                              at_idx + 8 * k, at_v + 8 * k, PENDING_DRAWS - k,
-                                              at_npend)
-                k += int(npend[0])
-                if k == PENDING_DRAWS:
-                    out[pend_idx] = _finish_draws(pend_v, lnq, m)
-                    k = 0
-        if k:
-            out[pend_idx[:k]] = _finish_draws(pend_v[:k], lnq, m)
+            if kernel.twinsep_geometric(key, counter, lo, hi, neg_scale, lnq, cap, at_out):
+                block = out[lo:hi]
+                pending = block < 0
+                block[pending] = _finish_draws(block[pending].view(np.float64), lnq, m)
 
     sieve._on_workers(draw, iter(starts), workers)
     return out

@@ -272,8 +272,8 @@ def _load_kernel():
 
     Every entry point is typed: twinsep_sieve_chunk (see _kernel_chunk),
     twinsep_philox_fill (the Philox stream that twinsep_geometric draws
-    from, alone), twinsep_geometric, which returns the draw it stopped at
-    (see montecarlo.sample_separations), and twinsep_histogram (see
+    from, alone), twinsep_geometric, which returns how many draws it left
+    pending (see montecarlo.sample_separations), and twinsep_histogram (see
     spectrum._count_pieces), whose table size is read into lib.histogram_cap.
 
     It is built on first use, never at import, into
@@ -321,7 +321,7 @@ def _load_kernel():
                                         array(np.float64)]
     lib.twinsep_philox_fill.restype = None
     ptr = ctypes.c_void_p  # addresses: an ndpointer check costs 3-5 us a call
-    lib.twinsep_geometric.argtypes = [ptr, ptr, i64, i64, f64, f64, f64, ptr, ptr, ptr, i64, ptr]
+    lib.twinsep_geometric.argtypes = [ptr, ptr, i64, i64, f64, f64, f64, ptr]
     lib.twinsep_geometric.restype = i64
     # the stream is int64 or uint32, by its width in bytes; counts has histogram_cap int64s
     lib.twinsep_histogram.argtypes = [ptr, i64, i64, ptr]

@@ -15,15 +15,15 @@ ending in a short group and a tail), when the compiled Philox fill
 differs from numpy's `Generator(Philox).random` (over lengths that end
 inside a group of 16 counters, from an offset inside a block, and from a
 counter whose word 0 wraps and carries into words 1..3), when the
-sampler's draws, with the pending ones finished by numpy, differ from
-numpy's log1p, floor and minimum (with and without a cap, and at a q that
-puts a quotient within ulps of an integer, which must pend, and at
-q = 1 - 2**-53, where every draw must pend; with room for every pending
-draw and for 1, 8 or 9, where a call must stop when its list is full and
-the next resume there), or when the histogram differs from a Counter
+sampler's draws differ from numpy's log1p, floor and minimum (with and
+without a cap, and at a q that puts a quotient within ulps of an integer,
+which must pend, and at q = 1 - 2**-53, where every draw must pend; a
+pending draw must hold the bits of its v in its own slot, and the call
+must return how many pend), or when the histogram differs from a Counter
 (int64 and uint32 streams, with values inside and outside its table,
 which then must stay untouched).  Each call gets one element more than it
-may touch, and a store there, or a read of it, fails the check.
+may touch (the sampler's out one on each side), and a store there, or a
+read of it, fails the check.
 """
 
 import collections
@@ -34,7 +34,7 @@ import sys
 import numpy as np
 
 import reference
-from twinsep import montecarlo, sieve
+from twinsep import sieve
 
 
 def check_fill(lib):
@@ -50,65 +50,44 @@ def check_fill(lib):
             assert np.isnan(got[n]), (counter, first, n)
 
 
-def geometric(lib, key, ctr, first, n, f, lnq, m, cap):
-    """twinsep_geometric's draws first .. first + n - 1, in calls whose pending list holds cap
-    draws, each call's pending draws finished by numpy's ufuncs as they come; and per call,
-    (draws made, the pending draws' indices in the range, their v)."""
-    # each buffer one element longer, and out also from 0: a store outside changes a sentinel
-    out = np.full(first + n + 1, -7, dtype=np.int64)
-    pend_idx = np.full(cap + 1, -7, dtype=np.int64)
-    pend_v = np.full(cap + 1, np.nan)
-    npend = np.full(1, -7, dtype=np.int64)
-    at = [a.ctypes.data for a in (key, ctr, out, pend_idx, pend_v, npend)]
-    calls, lo, end = [], first, first + n
-    while lo < end:
-        stop = lib.twinsep_geometric(at[0], at[1], lo, end, f, lnq, m, at[2], at[3], at[4], cap,
-                                     at[5])
-        k = int(npend[0])
-        case = (f, lnq, m, first, n, cap, lo, stop, k)
-        assert pend_idx[cap] == -7 and np.isnan(pend_v[cap]), case
-        # it stops early only at a draw that pends when the list is full
-        assert lo < stop <= end and 0 <= k <= min(cap, stop - lo), case
-        assert stop == end or k == cap, case
-        assert np.all(np.diff(pend_idx[:k]) > 0), case
-        assert k == 0 or lo <= pend_idx[0] and pend_idx[k - 1] < stop, case
-        out[pend_idx[:k]] = np.minimum(np.floor(np.log1p(pend_v[:k]) / lnq), m)
-        calls.append((stop - lo, pend_idx[:k] - first, pend_v[:k].copy()))
-        lo = stop
-    assert np.all(out[:first] == -7) and out[end] == -7, (f, lnq, m, first, n, cap)
-    return out[first:end], calls
+def geometric(lib, key, ctr, first, n, f, lnq, m):
+    """twinsep_geometric's slots first .. first + n - 1 from one call, a draw or a pending v's
+    bits each; and which of them pend, the negative ones."""
+    # out has one element more on each side of [first, first + n): a store there changes a sentinel
+    buf = np.full(first + n + 2, -7, dtype=np.int64)
+    end = first + n
+    npend = lib.twinsep_geometric(key.ctypes.data, ctr.ctypes.data, first, end, f, lnq, m,
+                                  buf[1:].ctypes.data)
+    case = (f, lnq, m, first, n)
+    assert np.all(buf[: first + 1] == -7) and buf[end + 1] == -7, case
+    got = buf[first + 1 : end + 1]
+    pending = got < 0
+    assert npend == np.count_nonzero(pending), case
+    return got, pending
 
 
 def check_geometric(lib):
     key = np.random.Philox(7).state["state"]["key"]
     ctr = np.zeros(4, dtype=np.uint64)
-    u = np.random.Generator(np.random.Philox(counter=ctr, key=key)).random(5000)
+    u = np.random.Generator(np.random.Philox(counter=ctr, key=key)).random(8193)
     top = 1.0 - 2.0**-53  # the largest double below 1: q = top gives the largest quotients
-    # (f, log q, cap, which draws must pend): draw 10's quotient is within ulps of 7 at the third
-    cases = ((-1.0, math.log(0.5), math.inf, ()), (-0.7, math.log(8 / 9), 5.0, ()),
-             (-1.0, math.log1p(-u[10]) / 7, math.inf, (10,)), (-1.0, math.log(top), 0.0, ()),
-             (-1.0, math.log(top), math.inf, range(u.size)))
-    for f, lnq, m, pending in cases:
-        for first, n in ((0, 5000), (3, 4997), (1, 1), (6, 63), (129, 701)):
+    ranges = ((0, 5000), (3, 4997), (1, 1), (6, 63), (129, 701))
+    # (f, log q, cap, which draws must pend, ranges): draw 10's quotient is within ulps of 7 at
+    # the third; at q = top every draw pends, also over 8192 and 8193 draws
+    cases = ((-1.0, math.log(0.5), math.inf, (), ranges),
+             (-0.7, math.log(8 / 9), 5.0, (), ranges),
+             (-1.0, math.log1p(-u[10]) / 7, math.inf, (10,), ranges),
+             (-1.0, math.log(top), 0.0, (), ranges),
+             (-1.0, math.log(top), math.inf, range(u.size), ranges + ((0, 8192), (0, 8193))))
+    for f, lnq, m, must, ranges in cases:
+        for first, n in ranges:
             v = f * u[first : first + n]
             want = np.minimum(np.floor(np.log1p(v) / lnq), m).astype(np.int64)
-            for cap in (n, 1, 8, 9):  # room for every draw, or for fewer
-                got, calls = geometric(lib, key, ctr, first, n, f, lnq, m, cap)
-                case = (f, lnq, m, first, n, cap)
-                assert np.array_equal(got, want), case
-                idx = np.concatenate([i for _, i, _ in calls])
-                assert np.array_equal(np.concatenate([w for _, _, w in calls]), v[idx]), case
-                must = [i - first for i in pending if first <= i < first + n]
-                assert np.isin(must, idx).all(), case
-    # at q = top every draw pends: exactly a full list takes one call, and one draw more a second
-    cap = montecarlo.PENDING_DRAWS
-    u = np.random.Generator(np.random.Philox(counter=ctr, key=key)).random(cap + 1)
-    for n in (cap, cap + 1):
-        got, calls = geometric(lib, key, ctr, 0, n, -1.0, math.log(top), math.inf, cap)
-        assert [(done, i.tolist()) for done, i, _ in calls] == [
-            (cap, list(range(cap))), *([(1, [cap])] if n > cap else [])
-        ], n
-        assert np.array_equal(got, np.floor(np.log1p(-u[:n]) / math.log(top)).astype(np.int64)), n
+            got, pending = geometric(lib, key, ctr, first, n, f, lnq, m)
+            case = (f, lnq, m, first, n)
+            assert np.array_equal(got[pending], v[pending].view(np.int64)), case
+            assert np.array_equal(got[~pending], want[~pending]), case
+            assert pending[[i - first for i in must if first <= i < first + n]].all(), case
 
 
 def check_histogram(lib):

@@ -19,7 +19,6 @@ from twinsep import montecarlo
 from twinsep.errors import ValidationError
 from twinsep.model import ModelParams, SolverInput, solve_approx, solve_exact, solve_f0
 from twinsep.montecarlo import (
-    PENDING_DRAWS,
     GofReport,
     SimConfig,
     _chi2_isf,
@@ -127,7 +126,7 @@ def digest(draws):
 
 class TestWorkerCount:
     """The draws are the same on 1, 2 or 3 CPUs: blocks are claimed by any worker, and each
-    worker finishes its own pending draws."""
+    worker finishes the pending draws of its own blocks."""
 
     @pytest.mark.parametrize("law", sorted(LAWS))
     def test_block_edges(self, on_cpus, law):
@@ -149,11 +148,9 @@ class TestWorkerCount:
                                      SimConfig(LAWS[law](), n_events=100_000, seed=42))
             assert (digest(draws), workers) == (PINNED[law], k)
 
-    def test_pending_lists_fill_inside_blocks(self, on_cpus, monkeypatch):
-        # at s0 = 1e15 every draw pends: lists of 300 fill inside blocks of 1000 and carry
-        # what is left of them into the next block a worker claims
+    def test_every_draw_pends_in_small_blocks(self, on_cpus, monkeypatch):
+        # at s0 = 1e15 every draw pends: each block of 1000 is finished by numpy whole
         monkeypatch.setattr(montecarlo, "BLOCK_DRAWS", 1000)
-        monkeypatch.setattr(montecarlo, "PENDING_DRAWS", 300)
         for cut in (None, "typical"):
             config = SimConfig(law_with_cut(1e15, cut), n_events=20_000 + 7, seed=5)
             want = reference.sample_separations(config)
@@ -162,8 +159,8 @@ class TestWorkerCount:
                 assert np.array_equal(got, want), (cut, k)
                 assert workers == k
 
-    def test_full_size_pending_lists(self, on_cpus):
-        # the same with the module's own blocks and lists: 32 full lists over 4 blocks
+    def test_every_draw_pends_in_full_size_blocks(self, on_cpus):
+        # the same with the module's own blocks: 4 of them, and 3 draws in a fifth
         config = SimConfig(solve_f0(1e15), n_events=4 * montecarlo.BLOCK_DRAWS + 3, seed=6)
         want = reference.sample_separations(config)
         for k in (1, 2, 3):
@@ -254,19 +251,16 @@ def state_counter(counter):
 
 
 def compiled_draws(kernel, key, counter, first, n, f, lnq, m):
-    """twinsep_geometric's draws first .. first + n - 1, with the pending ones finished by numpy,
-    and the pending ones' indices in that range."""
+    """twinsep_geometric's draws first .. first + n - 1 from one call, with the pending ones
+    finished by numpy, and the call's own slots, where each pending draw is negative."""
     out = np.empty(first + n, dtype=np.int64)
-    pend_idx = np.empty(n, dtype=np.int64)
-    pend_v = np.empty(n)
-    npend = np.empty(1, dtype=np.int64)
-    at = [a.ctypes.data for a in (key, counter, out, pend_idx, pend_v, npend)]
-    stop = kernel.twinsep_geometric(at[0], at[1], first, first + n, f, lnq, m, at[2], at[3], at[4],
-                                    n, at[5])
-    assert stop == first + n  # room for every draw
-    k = int(npend[0])
-    out[pend_idx[:k]] = _finish_draws(pend_v[:k], lnq, None if m == math.inf else m)
-    return out[first:], pend_idx[:k] - first
+    at = [a.ctypes.data for a in (key, counter, out)]
+    npend = kernel.twinsep_geometric(at[0], at[1], first, first + n, f, lnq, m, at[2])
+    draws, raw = out[first:], out[first:].copy()
+    pending = raw < 0
+    assert npend == np.count_nonzero(pending)
+    draws[pending] = _finish_draws(raw[pending].view(np.float64), lnq, None if m == math.inf else m)
+    return draws, raw
 
 
 class TestCompiledSampler:
@@ -276,9 +270,8 @@ class TestCompiledSampler:
     @pytest.mark.parametrize("cut", [None, "zero", "typical", "huge"])
     def test_draws_match_fallback(self, kernel, s0, cut):
         law = law_with_cut(s0, cut)
-        # at s0 = 1e15 every draw pends: PENDING_DRAWS of them fill one call, and one more
-        # needs a second call
-        sizes = [1, 7, 8, 9, PENDING_DRAWS, PENDING_DRAWS + 1, BLOCK_DRAWS - 1, BLOCK_DRAWS + 1]
+        # the kernel fills 512 draws at a time: 511, 512 and 513 end inside, at and past one
+        sizes = [1, 7, 8, 9, 511, 512, 513, BLOCK_DRAWS - 1, BLOCK_DRAWS + 1]
         compiled = [sample_separations(SimConfig(law, n_events=n, seed=n)) for n in sizes]
         for n, draws in zip(sizes, compiled):
             assert np.array_equal(draws, reference.sample_separations(SimConfig(law, n_events=n,
@@ -323,14 +316,32 @@ class TestCompiledSampler:
                 v = f * u
                 for lnq in (math.log(0.5), math.log(top)):
                     for m in (math.inf, 0.0, 3.0):
-                        got, pending = compiled_draws(kernel, key, counter, first, n, f, lnq, m)
+                        got, raw = compiled_draws(kernel, key, counter, first, n, f, lnq, m)
                         want = np.minimum(np.floor(np.log1p(v) / lnq), m).astype(np.int64)
                         assert np.array_equal(got, want), (f, block, lnq, m)
                         if us[0] == 0.0 and first <= 4 * block:
-                            assert 4 * block - first in pending  # v = -0.0
+                            # v = -0.0 pends, and its bits are INT64_MIN
+                            assert raw[4 * block - first] == np.iinfo(np.int64).min
                         if lnq == math.log(top) and m == math.inf and f == -1.0:
                             # the largest quotient in range, log1p(-top) / log(top)
                             assert 3.3e17 < got[4 * block - first + 1] < 2**63
+
+    def test_pending_and_settled_draws_mix(self, kernel):
+        # at s0 = 1e7 about 3 draws in 10 pend: one call over the second block leaves each in
+        # its own slot, as the bits of its v, and settles the others as numpy does
+        law = solve_f0(1e7)
+        want = reference.sample_separations(SimConfig(law, n_events=2 * BLOCK_DRAWS, seed=9))
+        u = np.random.Generator(np.random.Philox(9)).random(2 * BLOCK_DRAWS)
+        v, want = -u[BLOCK_DRAWS:], want[BLOCK_DRAWS:]
+        state = np.random.Philox(9).state["state"]
+        got, raw = compiled_draws(kernel, state["key"], state["counter"], BLOCK_DRAWS,
+                                  BLOCK_DRAWS, -1.0, math.log(law.q), math.inf)
+        pending = raw < 0
+        assert 0.1 < pending.mean() < 0.5
+        assert np.array_equal(raw[pending], v[pending].view(np.int64))
+        assert np.array_equal(raw[~pending], want[~pending])
+        assert pending[want >= 2**25].all()  # T * y >= 1/2: no certificate can settle these
+        assert np.array_equal(got, want)
 
 
 def dense_gof(empirical, params):
