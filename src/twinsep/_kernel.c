@@ -792,19 +792,17 @@ int64_t twinsep_geometric(const uint64_t *key, const uint64_t *counter, int64_t 
 }
 
 /* Spectra: twinsep_histogram histograms a stream x[0..n) of int64 (width 8) or uint32
- * (width 4) values.  It returns -1 when some value is negative, and otherwise top, the
- * greatest value plus one (0 when n = 0; INT64_MAX for a value INT64_MAX).  counts holds
- * twinsep_histogram_cap (SUB_TOP) entries; when top <= SUB_TOP it has also added the count of
- * each value v to counts[v], and otherwise it leaves counts as they were.  It takes one
- * pass: each value v is counted as v & (SUB_TOP - 1) into SUB interleaved sub-tables,
- * element i into sub[v * SUB + i % SUB], so that a run of one value (the geometric law's
- * s = 0) does not wait on its own last increment, and the values are ORed together; an OR
- * below SUB_TOP shows that every value lay in [0, SUB_TOP), so the sub-tables hold the
+ * (width 4) values into counts, which holds twinsep_histogram_cap (SUB_TOP) entries.  When
+ * every value lies in [0, SUB_TOP), it adds the count of each value v to counts[v] and
+ * returns top, the greatest value plus one (0 when n = 0).  Otherwise it returns -1, leaves
+ * counts as they were, and the caller counts.  It takes one pass: each value v is counted as
+ * v & (SUB_TOP - 1) into SUB interleaved sub-tables, element i into sub[v * SUB + i % SUB],
+ * so that a run of one value (the geometric law's s = 0) does not wait on its own last
+ * increment, and the values are ORed together; an OR below SUB_TOP shows that every value
+ * lay in [0, SUB_TOP) (a negative int64 reads as 2**63 or more), so the sub-tables hold the
  * histogram, and every value lies below the power of two above the OR's top bit, so only
- * the bins below it are read.  The sub-tables are a fixed 32 KB on the stack.  Otherwise (a
- * negative int64 reads as 2**63 or more) a scalar pass finds the least and greatest value,
- * and the caller counts.  The pass is inlined once per width, so its loop reads one fixed
- * type.
+ * the bins below it are read.  The sub-tables are a fixed 32 KB on the stack.  The pass is
+ * inlined once per width, so its loop reads one fixed type.
  */
 #define SUB 4
 #define SUB_TOP 1024 /* a power of two */
@@ -841,21 +839,14 @@ INLINE int64_t histogram(const void *x, int64_t n, int width, int64_t *counts)
         any |= at(x, width, i);
         sub[(at(x, width, i) & (SUB_TOP - 1)) * SUB]++;
     }
-    if (any < SUB_TOP) {
-        int64_t top = (int64_t)2 << (63 - __builtin_clzll(any | 1)); /* above every value */
-        while (top > 0 && !bin(sub, top - 1))
-            top--;
-        for (int64_t v = 0; v < top; v++)
-            counts[v] += bin(sub, v);
-        return top;
-    }
-    int64_t lo = INT64_MAX, hi = INT64_MIN;
-    for (i = 0; i < n; i++) {
-        int64_t v = (int64_t)at(x, width, i);
-        lo = v < lo ? v : lo;
-        hi = v > hi ? v : hi;
-    }
-    return lo < 0 ? -1 : hi < INT64_MAX ? hi + 1 : hi; /* saturated at INT64_MAX */
+    if (any >= SUB_TOP)
+        return -1;
+    int64_t top = (int64_t)2 << (63 - __builtin_clzll(any | 1)); /* above every value */
+    while (top > 0 && !bin(sub, top - 1))
+        top--;
+    for (int64_t v = 0; v < top; v++)
+        counts[v] += bin(sub, v);
+    return top;
 }
 
 int64_t twinsep_histogram(const void *x, int64_t n, int64_t width, int64_t *counts)

@@ -118,13 +118,10 @@ def _exact_spectra(args, conv, table):
 
 def cmd_sieve(args):
     grid = _parse_checkpoints(args.checkpoints, args.limit)
-    config = SieveConfig(
-        limit=args.limit, segment_size=args.segment_size, checkpoint_grid=grid
-    )
-    report = sieve_range(config)
+    report = sieve_range(SieveConfig(limit=args.limit, checkpoint_grid=grid))
     table = table_from_report(report)
     table.metadata["generator"] = "twinsep-sieve"
-    table.metadata["segment_size"] = str(args.segment_size)
+    table.metadata["segment_size"] = str(DEFAULT_SEGMENT_FLAGS)  # see DEFAULT_SEGMENT_FLAGS
     write_counts(args.out, table)
     write_separations(args.separations, report.separations)
     if args.onsets:
@@ -132,7 +129,6 @@ def cmd_sieve(args):
     if args.stats:
         manifest = {
             "limit": args.limit,
-            "segment_size": args.segment_size,
             "python": platform.python_version(),
             "numpy": np.__version__,
             **report.stats,
@@ -390,9 +386,6 @@ def build_parser():
 
     p = sub.add_parser("sieve", help="sieve primes/twins and stream separations")
     p.add_argument("--limit", type=int, required=True)
-    p.add_argument(
-        "--segment-size", type=int, default=_env("SEGMENT_SIZE", DEFAULT_SEGMENT_FLAGS)
-    )
     p.add_argument("--checkpoints", default=_env("CHECKPOINTS", "geometric:20"))
     p.add_argument("--out", required=True, help="counts CSV")
     p.add_argument("--separations", required=True, help="binary separation stream")

@@ -47,13 +47,15 @@ import shutil
 import tempfile
 import time
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import KernelError, ValidationError
 
-# shapes nothing; it, SieveConfig.segment_size, `--segment-size` and counts.csv's
-# `segment_size=` line stay only until the benchmark that reads them is refreshed
+# not a run parameter: the kernel sieves blocks of KERNEL_BLOCK bytes.  This constant,
+# SieveConfig.segment_size and counts.csv's `segment_size=` line stay only because the
+# benchmark reads them, and go when it is re-pinned
 DEFAULT_SEGMENT_FLAGS = 1 << 20
 
 # The bound stamped on a new record separation is the lower member of the
@@ -79,19 +81,17 @@ MAX_PER_DECADE = 10_000  # checkpoints 0.023% apart
 
 @dataclass(frozen=True)
 class SieveConfig:
-    """Run parameters: inclusive bound, checkpoint grid, and a segment width in flags."""
+    """Run parameters: inclusive bound and checkpoint grid."""
 
     limit: int
-    segment_size: int = DEFAULT_SEGMENT_FLAGS  # validated, then unused: see DEFAULT_SEGMENT_FLAGS
     checkpoint_grid: tuple[int, ...] = ()
+    segment_size: ClassVar[int] = DEFAULT_SEGMENT_FLAGS  # a constant: see DEFAULT_SEGMENT_FLAGS
 
     def __post_init__(self):
         if self.limit < 2:
             raise ValidationError(f"limit must be >= 2, got {self.limit}")
         if self.limit > MAX_LIMIT:
             raise ValidationError(f"limit must be <= 2**62, got {self.limit}")
-        if self.segment_size < 1024:
-            raise ValidationError(f"segment_size must be >= 1024, got {self.segment_size}")
         grid = tuple(int(n) for n in self.checkpoint_grid)
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValidationError("checkpoint_grid must be strictly increasing")
@@ -274,7 +274,8 @@ def _load_kernel():
     twinsep_philox_fill (the Philox stream that twinsep_geometric draws
     from, alone), twinsep_geometric, which returns how many draws it left
     pending (see montecarlo.sample_separations), and twinsep_histogram (see
-    spectrum._count_pieces), whose table size is read into lib.histogram_cap.
+    spectrum._count_pieces), which returns -1 for a stream with a value
+    outside its table; the table's size is read into lib.histogram_cap.
 
     It is built on first use, never at import, into
     ${XDG_CACHE_HOME:-~/.cache}/twinsep, keyed by the source, the compiler
@@ -488,8 +489,8 @@ def sieve_range(config: SieveConfig) -> SieveReport:
     cannot be built) and folded in order, so the result is identical for
     any number of CPUs.  The chunks are claimed in order by one worker per
     CPU in the affinity mask, at most one per chunk (`_on_workers`); one
-    worker runs in-process.  segment_size is unused, and
-    stats["segments"] counts the kernel's blocks of KERNEL_BLOCK bytes.
+    worker runs in-process.  stats["segments"] counts the kernel's blocks
+    of KERNEL_BLOCK bytes.
     """
     t0 = time.perf_counter()
     chunk = functools.partial(_kernel_chunk, _load_kernel())  # first: a missing kernel fails fast

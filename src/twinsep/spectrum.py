@@ -119,9 +119,13 @@ def _running_spectra(arr, stops) -> list[SeparationSpectrum]:
             else:
                 vals = np.flatnonzero(rows[r])
                 cnts = rows[r][vals]
-            bins = dict(bins)
-            for s, c in zip(vals.tolist(), cnts.tolist()):
-                bins[s] = bins.get(s, 0) + c
+            pairs = zip(vals.tolist(), cnts.tolist())
+            if bins:
+                bins = dict(bins)
+                for s, c in pairs:
+                    bins[s] = bins.get(s, 0) + c
+            else:  # the first slice with a value: its bins alone, in one call
+                bins = dict(pairs)
             spectra.append(SeparationSpectrum(bins))
     return spectra
 
@@ -188,7 +192,7 @@ def _count_pieces(kernel, arr, pieces, rows, workers):
         for r, lo, hi in jobs:
             top = kernel.twinsep_histogram(at_arr + lo * width, hi - lo, width,
                                            at_table + r * stride)
-            if not 0 <= top <= cap:
+            if top < 0:
                 for _ in jobs:  # drop the pieces left: every worker stops
                     pass
                 return None

@@ -20,10 +20,11 @@ without a cap, and at a q that puts a quotient within ulps of an integer,
 which must pend, and at q = 1 - 2**-53, where every draw must pend; a
 pending draw must hold the bits of its v in its own slot, and the call
 must return how many pend), or when the histogram differs from a Counter
-(int64 and uint32 streams, with values inside and outside its table,
-which then must stay untouched).  Each call gets one element more than it
-may touch (the sampler's out one on each side), and a store there, or a
-read of it, fails the check.
+(int64 and uint32 streams, with values inside its table; for a stream
+with a value outside it, the call must return -1 and leave the counts
+untouched).  Each call gets one element more than it may touch (the
+sampler's out one on each side), and a store there, or a read of it,
+fails the check.
 """
 
 import collections
@@ -98,7 +99,8 @@ def check_histogram(lib):
                np.array([3, -1, 2]), np.array([2**62, 5])]
     for stream in streams:
         counter = collections.Counter(stream.tolist())
-        want_top = -1 if min(counter) < 0 else max(counter) + 1
+        # -1 for a value outside the table [0, cap), whatever it is
+        want_top = max(counter) + 1 if 0 <= min(counter) and max(counter) < cap else -1
         for dtype, past in ((np.int64, -1), (np.uint32, 2**32 - 1)):
             if dtype == np.uint32 and not all(0 <= x < 2**32 for x in counter):
                 continue
@@ -107,7 +109,7 @@ def check_histogram(lib):
             got = np.zeros(cap + 1, dtype=np.int64)
             top = lib.twinsep_histogram(x.ctypes.data, stream.size, x.itemsize, got.ctypes.data)
             assert top == want_top, (dtype, top, want_top)
-            if 0 <= top <= cap:
+            if top >= 0:
                 bins = {v: int(c) for v, c in enumerate(got[:cap]) if c}
                 assert bins == counter, dtype
             else:

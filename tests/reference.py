@@ -53,13 +53,14 @@ def sieve_chunk(low, high, segment_size, base, grid) -> sieve.ChunkSummary:
     )
 
 
-def sieve_range(config: sieve.SieveConfig):
+def sieve_range(config: sieve.SieveConfig, segment_size=1 << 20):
     """(counts, separations, onsets) of sieve.sieve_range(config), from sieve_chunk's summaries
-    of the same chunk plan at config.segment_size, folded in-process by sieve._fold."""
+    of the same chunk plan in segments of segment_size odd numbers, folded in-process by
+    sieve._fold."""
     cps = config.checkpoint_grid or (config.limit,)
     base = sieve._odd_base_primes(math.isqrt(config.limit))
     summaries = (
-        sieve_chunk(low, high, config.segment_size, base,
+        sieve_chunk(low, high, segment_size, base,
                     cps[bisect.bisect_left(cps, low) : bisect.bisect_left(cps, high)])
         for low, high in sieve._chunk_plan(config.limit)
     )

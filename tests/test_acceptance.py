@@ -69,9 +69,7 @@ def announce(capsys, number, name, ok, detail):
 def bigrun():
     grid = geometric_checkpoints(BIG_LIMIT, per_decade=20, start=10**5)
     t0 = time.monotonic()
-    report = sieve_range(
-        SieveConfig(limit=BIG_LIMIT, segment_size=1 << 22, checkpoint_grid=grid)
-    )
+    report = sieve_range(SieveConfig(limit=BIG_LIMIT, checkpoint_grid=grid))
     sieve_seconds = time.monotonic() - t0
     table = table_from_report(report)
     spectra = per_checkpoint_spectra(report.separations, table)

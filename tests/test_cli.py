@@ -56,22 +56,24 @@ class TestSieveCommand:
         data_start = next(i for i, l in enumerate(lines) if not l.startswith("#"))
         assert lines[data_start] == "n,pi1,pi2,pi1_adjusted"
         assert any("onset_n" in l for l in lines[:data_start])
+        # a fixed line, pinned by the benchmark; no run parameter sets it
+        assert [l for l in lines if "segment_size" in l] == ["# metadata: segment_size=1048576"]
 
-    def test_deterministic_bytes(self, sieved, tmp_path):
-        counts, seps, _ = sieved
-        counts2 = tmp_path / "c2.csv"
-        seps2 = tmp_path / "s2.bin"
+    def test_deterministic_bytes(self, sieved, tmp_path, monkeypatch):
+        # and TWINSEP_SEGMENT_SIZE, no longer read, changes neither exit code nor bytes
+        monkeypatch.setenv("TWINSEP_SEGMENT_SIZE", "abc")
+        out = tmp_path / "again"
+        out.mkdir()
         rc = main(
             [
                 "sieve", "--limit", "50000", "--checkpoints", "geometric:10",
-                "--segment-size", "2048",
-                "--out", str(counts2), "--separations", str(seps2),
+                "--out", str(out / "counts.csv"), "--separations", str(out / "seps.bin"),
+                "--onsets", str(out / "onsets.csv"),
             ]
         )
         assert rc == 0
-        # metadata records the segment size; the data must be identical
-        assert ingest_counts(counts2).rows == ingest_counts(counts).rows
-        assert seps2.read_bytes() == seps.read_bytes()
+        for path in sieved:
+            assert (out / path.name).read_bytes() == path.read_bytes(), path.name
 
     def test_validation_exit_code(self, tmp_path):
         rc = main(
@@ -121,7 +123,7 @@ class TestSieveCommand:
         assert rc == 0
         stats = json.loads((out / "stats.json").read_text())
         assert set(stats) == {
-            "limit", "segment_size", "python", "numpy",
+            "limit", "python", "numpy",
             "workers", "chunks", "segments", "wall_s", "segments_per_s", "peak_rss_mb",
         }
         assert (stats["limit"], stats["workers"], stats["chunks"]) == (50000, 1, 1)
@@ -168,8 +170,8 @@ class TestContract:
              {"TWINSEP_F": "abc"}, "--f"),
             (["gof", "--spectrum", "{tmp}/none.csv", "--s0", "5.0"],
              {"TWINSEP_ALPHA": "abc"}, "--alpha"),
-            (["sieve", "--limit", "1000", "--out", "{tmp}/c.csv", "--separations", "{tmp}/s.bin"],
-             {"TWINSEP_SEGMENT_SIZE": "abc"}, "--segment-size"),
+            (["sieve", "--limit", "1000", "--segment-size", "2048", "--out", "{tmp}/c.csv",
+              "--separations", "{tmp}/s.bin"], {}, "unrecognized arguments: --segment-size"),
             (["predict", "--counts", "{counts}", "--f", "0", "--out", "{tmp}/o.csv"], {}, "--f"),
             (["predict", "--counts", "{counts}", "--f", "-1", "--out", "{tmp}/o.csv"], {}, "--f"),
             (["figures", "--counts", "{counts}", "--f", "0", "--out-dir", "{tmp}/figs"], {},
@@ -239,7 +241,7 @@ class TestContract:
             "env-checkpoints-geometricfoo",
             "env-f",
             "env-alpha",
-            "env-segment-size",
+            "sieve-segment-size-removed",
             "predict-f-0",
             "predict-f-negative",
             "figures-f-0",
@@ -772,7 +774,6 @@ ENV_VALUES = {
         st.lists(FUZZ_INTS, max_size=4).map(",".join),
         ENV_TEXT,
     ),
-    "SEGMENT_SIZE": FUZZ_INTS,
 }
 # A command line for each command that reads one of the variables, with {dir} for the fixed
 # inputs and {out} for a fresh output directory.

@@ -41,16 +41,16 @@ PUBLISHED_PI2 = (2, 8, 35, 205, 1224, 8169, 58980, 440312)
 CHUNK_SPANS = (6, 12, 66, 1002, 30 << 9)
 
 
-def run(limit, segment_size=1 << 20, grid=()):
-    return sieve_range(SieveConfig(limit=limit, segment_size=segment_size, checkpoint_grid=grid))
+def run(limit, grid=()):
+    return sieve_range(SieveConfig(limit=limit, checkpoint_grid=grid))
 
 
-def run_chunked(limit, span, segment_size=1 << 20, grid=()):
+def run_chunked(limit, span, grid=()):
     """sieve_range in-process, with chunks of span integers."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sieve, "CHUNK_SPAN", span)
         mp.setattr(os, "sched_getaffinity", lambda pid: {0})
-        return run(limit, segment_size, grid)
+        return run(limit, grid)
 
 
 def snapshot(rep):
@@ -64,9 +64,10 @@ def snapshot(rep):
     )
 
 
-def assert_matches_reference(rep, config):
-    """rep, from the kernel, equals the numpy reference's fold of config's chunks."""
-    counts, separations, onsets = reference.sieve_range(config)
+def assert_matches_reference(rep, config, segment_size):
+    """rep, from the kernel, equals the numpy reference's fold of config's chunks, each sieved
+    in segments of segment_size odd numbers."""
+    counts, separations, onsets = reference.sieve_range(config, segment_size)
     assert snapshot(rep) == snapshot(sieve.SieveReport(counts, separations, onsets, rep.metadata))
 
 
@@ -164,7 +165,7 @@ class TestCounts:
         # every small limit covers the 2-3-5-7 prelude and the first segments
         primes, twins = oracle100k["primes"], oracle100k["twins"]
         for limit in (*range(2, 400), 1000, 4999, 100_000):
-            rec = run(limit, segment_size=1024).counts[-1]
+            rec = run(limit).counts[-1]
             if not any(3 < t and t + 2 <= limit for t in twins):
                 assert rec.pi1_adjusted is None, limit
                 continue
@@ -229,22 +230,17 @@ class TestSeparations:
 class TestDeterminism:
     @pytest.mark.parametrize("segment_size", [1024, 4096, 65536, 1 << 20])
     def test_segment_size_invariance(self, segment_size, oracle100k):
-        # the compiled kernel ignores segment_size: the numpy reference's segment loop uses it
-        config = SieveConfig(limit=oracle100k["limit"], segment_size=segment_size)
-        rep = sieve_range(config)
-        assert snapshot(rep) == snapshot(run(oracle100k["limit"]))
-        assert_matches_reference(rep, config)
+        # the kernel's one report equals the numpy reference's at every segment size
+        config = SieveConfig(limit=oracle100k["limit"])
+        assert_matches_reference(sieve_range(config), config, segment_size)
 
     @settings(max_examples=30, deadline=None)
-    @given(
-        limit_grid=limit_and_grid(),
-        segment_size=st.sampled_from([1024, 2048, 30000, 1 << 20]),
-    )
-    def test_exactness_random_limits(self, limit_grid, segment_size, oracle100k):
+    @given(limit_grid=limit_and_grid())
+    def test_exactness_random_limits(self, limit_grid, oracle100k):
         # the grid usually ends below limit, so the stream outruns the last checkpoint
         limit, grid = limit_grid
         primes, twins = oracle100k["primes"], oracle100k["twins"]
-        rep = run(limit, segment_size=segment_size, grid=grid)
+        rep = run(limit, grid=grid)
         assert [r.n for r in rep.counts] == list(grid or (limit,))
         for rec in rep.counts:
             assert (rec.pi1, rec.pi2) == oracle.counts_at(primes, twins, rec.n), rec.n
@@ -256,9 +252,9 @@ class TestDeterminism:
 class TestChunks:
     """A run is a plan of chunks folded in order: the plan must not show in the output."""
 
-    def check_against_one_chunk(self, limit, grid, span, segment_size, oracle100k):
-        rep = run_chunked(limit, span, segment_size, grid)
-        assert snapshot(rep) == snapshot(run(limit, segment_size, grid))
+    def check_against_one_chunk(self, limit, grid, span, oracle100k):
+        rep = run_chunked(limit, span, grid)
+        assert snapshot(rep) == snapshot(run(limit, grid))
         primes, twins = oracle100k["primes"], oracle100k["twins"]
         for rec in rep.counts:
             assert (rec.pi1, rec.pi2) == oracle.counts_at(primes, twins, rec.n), rec.n
@@ -267,8 +263,7 @@ class TestChunks:
         assert rep.separations.tolist() == seps
         assert rep.max_separation_onsets == oracle_onsets(seps, terms)
 
-    @pytest.mark.parametrize("segment_size", [1024, 1 << 20])
-    def test_boundary_cases(self, segment_size, oracle100k):
+    def test_boundary_cases(self, oracle100k):
         # with 30-integer chunks from 9: the first two primes of [69, 99) are the twin
         # (71 73), [669, 699) holds primes but no twin and the checkpoint 680, and
         # [1329, 1359) holds no prime and the checkpoint 1340
@@ -279,7 +274,7 @@ class TestChunks:
         assert any(669 <= p < 699 for p in primes)
         assert not any(669 <= t < 697 for t in twins)
         assert not any(1329 <= p < 1359 for p in primes)
-        self.check_against_one_chunk(limit, grid, span, segment_size, oracle100k)
+        self.check_against_one_chunk(limit, grid, span, oracle100k)
 
     @settings(max_examples=50, deadline=None)
     @given(limit=st.integers(min_value=sieve.FIRST_SEGMENT, max_value=10**11))
@@ -292,24 +287,24 @@ class TestChunks:
         assert plan[-1][1] == limit + 1
 
     @settings(max_examples=40, deadline=None)
-    @given(case=chunked_case(), segment_size=st.sampled_from([1024, 2048, 1 << 20]))
-    @example(case=(400, (3, 9, 10, 11, 13, 200, 397), 6), segment_size=1024)  # chunks without primes
-    def test_chunk_span_invariance(self, case, segment_size, oracle100k):
+    @given(case=chunked_case())
+    @example(case=(400, (3, 9, 10, 11, 13, 200, 397), 6))  # chunks without primes
+    def test_chunk_span_invariance(self, case, oracle100k):
         limit, grid, span = case
-        self.check_against_one_chunk(limit, grid, span, segment_size, oracle100k)
+        self.check_against_one_chunk(limit, grid, span, oracle100k)
 
     def test_thread_pool(self, monkeypatch):
         # the compiled kernel on a thread pool of two workers, against one chunk in-process and
         # against the numpy reference over the same five chunks
         grid = geometric_checkpoints(300_000, per_decade=5, start=100)
-        config = SieveConfig(limit=300_000, segment_size=1024, checkpoint_grid=grid)
+        config = SieveConfig(limit=300_000, checkpoint_grid=grid)
         ref = sieve_range(config)
         monkeypatch.setattr(sieve, "CHUNK_SPAN", 30 << 11)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         rep = sieve_range(config)
         assert (rep.stats["workers"], rep.stats["chunks"]) == (2, 5)
         assert snapshot(rep) == snapshot(ref)
-        assert_matches_reference(rep, config)
+        assert_matches_reference(rep, config, 1024)
 
     def test_script_without_main_guard(self, tmp_path):
         # workers started by spawn would re-run this script on import and break the pool
@@ -332,17 +327,17 @@ class TestChunks:
         assert proc.stdout.split()[1:] == [str(v) for v in dataclasses.astuple(counts[-1])]
 
     def test_stats(self):
-        config = SieveConfig(limit=100_000, segment_size=1024)
+        config = SieveConfig(limit=100_000)
         rep = sieve_range(config)
         assert set(rep.stats) == {
             "workers", "chunks", "segments", "wall_s", "segments_per_s", "peak_rss_mb"
         }
-        # 3334 wheel bytes: one 64 KB kernel block, whatever the segment size
+        # 3334 wheel bytes: one 64 KB kernel block
         assert (rep.stats["workers"], rep.stats["chunks"], rep.stats["segments"]) == (1, 1, 1)
         assert rep.stats["peak_rss_mb"] > 0
         assert not set(rep.stats) & set(rep.metadata)
         # the numpy reference walks 49 segments of 1024 odd flags to the same report
-        assert_matches_reference(rep, config)
+        assert_matches_reference(rep, config, 1024)
 
     def test_import_leaves_process_pool_unloaded(self, tmp_path):
         # and builds no kernel (that waits for the first sieve) and starts no thread (the
@@ -661,9 +656,12 @@ class TestConfigValidation:
         with pytest.raises(ValidationError, match=r"2\*\*62"):
             SieveConfig(limit=2**62 + 1)
 
-    def test_segment_too_small(self):
-        with pytest.raises(ValidationError):
-            SieveConfig(limit=100, segment_size=512)
+    def test_segment_size_is_not_a_parameter(self):
+        # the kernel sieves fixed blocks; the constant stays readable for the benchmark
+        assert [f.name for f in dataclasses.fields(SieveConfig)] == ["limit", "checkpoint_grid"]
+        assert SieveConfig(limit=100).segment_size == sieve.DEFAULT_SEGMENT_FLAGS == 1 << 20
+        with pytest.raises(TypeError):
+            SieveConfig(limit=100, segment_size=1 << 20)
 
     def test_grid_not_increasing(self):
         with pytest.raises(ValidationError):
