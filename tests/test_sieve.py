@@ -263,7 +263,8 @@ class TestChunks:
         assert rep.separations.tolist() == seps
         assert rep.max_separation_onsets == oracle_onsets(seps, terms)
 
-    def test_boundary_cases(self, oracle100k):
+    @pytest.mark.parametrize("segment_size", [1024, 1 << 20])
+    def test_boundary_cases(self, segment_size, oracle100k, monkeypatch):
         # with 30-integer chunks from 9: the first two primes of [69, 99) are the twin
         # (71 73), [669, 699) holds primes but no twin and the checkpoint 680, and
         # [1329, 1359) holds no prime and the checkpoint 1340
@@ -275,6 +276,10 @@ class TestChunks:
         assert not any(669 <= t < 697 for t in twins)
         assert not any(1329 <= p < 1359 for p in primes)
         self.check_against_one_chunk(limit, grid, span, oracle100k)
+        # the numpy reference folds the same chunks, each sieved in segments of segment_size
+        rep = run_chunked(limit, span, grid)
+        monkeypatch.setattr(sieve, "CHUNK_SPAN", span)
+        assert_matches_reference(rep, SieveConfig(limit=limit, checkpoint_grid=grid), segment_size)
 
     @settings(max_examples=50, deadline=None)
     @given(limit=st.integers(min_value=sieve.FIRST_SEGMENT, max_value=10**11))
