@@ -2,9 +2,10 @@
 
 Pipelines the sieve -> spectrum -> fit -> predict -> simulate flow and
 emits plot-ready datasets; `report` runs the whole analysis in one process
-and prints the fitted laws.  Configuration precedence is flags, then
-TWINSEP_* environment variables, then defaults.  Exit codes: 0 success,
-2 validation, 3 numerical, 4 I/O (including no `cc` to build the kernel).
+and prints the fitted laws.  A command reads its command line and the
+files that it names, and nothing else: each value comes from a flag or its
+default.  Exit codes: 0 success, 2 validation, 3 numerical, 4 I/O
+(including no `cc` to build the kernel).
 """
 
 from __future__ import annotations
@@ -60,23 +61,8 @@ CONVENTIONS = {
 }
 
 
-def _env(name, default):
-    return os.environ.get(f"TWINSEP_{name}", default)
-
-
-def _convention_name(text):
-    """A --convention name.  argparse converts a TWINSEP_CONVENTION default with the type, but
-    does not hold it to the choices, so the type checks it."""
-    if text not in CONVENTIONS:
-        raise argparse.ArgumentTypeError(
-            f"invalid choice: {text!r} (choose from {', '.join(sorted(CONVENTIONS))})"
-        )
-    return text
-
-
 def _add_convention(p):
-    p.add_argument("--convention", type=_convention_name, choices=sorted(CONVENTIONS),
-                   default=_env("CONVENTION", "raw"))
+    p.add_argument("--convention", choices=sorted(CONVENTIONS), default="raw")
 
 
 def _parse_checkpoints(text, limit):
@@ -386,7 +372,7 @@ def build_parser():
 
     p = sub.add_parser("sieve", help="sieve primes/twins and stream separations")
     p.add_argument("--limit", type=int, required=True)
-    p.add_argument("--checkpoints", default=_env("CHECKPOINTS", "geometric:20"))
+    p.add_argument("--checkpoints", default="geometric:20")
     p.add_argument("--out", required=True, help="counts CSV")
     p.add_argument("--separations", required=True, help="binary separation stream")
     p.add_argument("--onsets", help="optional CSV of record-separation onsets")
@@ -414,7 +400,7 @@ def build_parser():
     p = sub.add_parser("predict", help="maximal-separation cutoff per checkpoint")
     p.add_argument("--counts", required=True)
     p.add_argument("--separations", help="separation stream (required for --convention exact)")
-    p.add_argument("--f", type=risk_factor, default=_env("F", "1.0"))
+    p.add_argument("--f", type=risk_factor, default=1.0)
     _add_convention(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict)
@@ -422,7 +408,7 @@ def build_parser():
     p = sub.add_parser("simulate", help="sample synthetic separations")
     p.add_argument("--s0", type=float, required=True)
     p.add_argument("--pi2", type=int)
-    p.add_argument("--f", type=risk_factor_or_zero, default=_env("F", "0.0"))
+    p.add_argument("--f", type=risk_factor_or_zero, default=0.0)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
@@ -431,16 +417,16 @@ def build_parser():
     p = sub.add_parser("gof", help="goodness of fit of a spectrum against the model")
     p.add_argument("--spectrum", required=True)
     p.add_argument("--s0", type=float, required=True)
-    p.add_argument("--f", type=risk_factor_or_zero, default=_env("F", "0.0"))
+    p.add_argument("--f", type=risk_factor_or_zero, default=0.0)
     p.add_argument("--pi2", type=int)
-    p.add_argument("--alpha", type=float, default=_env("ALPHA", "0.01"))
+    p.add_argument("--alpha", type=float, default=0.01)
     p.set_defaults(func=cmd_gof)
 
     p = sub.add_parser("figures", help="emit the three plot datasets")
     p.add_argument("--counts", required=True)
     p.add_argument("--separations")
     p.add_argument("--onsets")
-    p.add_argument("--f", type=risk_factor, default=_env("F", "1.0"))
+    p.add_argument("--f", type=risk_factor, default=1.0)
     _add_convention(p)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_figures)
@@ -449,7 +435,7 @@ def build_parser():
     p.add_argument("--limit", type=int, required=True)
     p.add_argument("--start", type=int, default=100000, help="first checkpoint")
     p.add_argument("--per-decade", type=int, default=20)
-    p.add_argument("--f", type=risk_factor, default=_env("F", "1.0"))
+    p.add_argument("--f", type=risk_factor, default=1.0)
     p.add_argument("--out-dir", help="also write the three figure datasets here")
     p.set_defaults(func=cmd_report)
 

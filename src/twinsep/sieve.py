@@ -535,15 +535,41 @@ def sieve_range(config: SieveConfig) -> SieveReport:
     )
 
 
+def _checked_stream(arr):
+    """arr as a contiguous int64, uint64 or uint32 array: the one rule for what a separation
+    stream may hold, for `write_separations` and `spectrum.accumulate`.  ValidationError for a
+    dtype that is neither integer nor real floating point, and for floats that are not finite
+    integers in [0, 2**63), checked before the cast, which turns inf, nan and +-2**63 into
+    garbage with a warning."""
+    if arr.dtype.kind not in "iuf":  # bool, complex, str, object, datetime and timedelta
+        raise ValidationError(f"separations must be integers or real floats, got {arr.dtype}")
+    if arr.dtype.kind == "f" and arr.size:
+        if not np.all(np.isfinite(arr)):
+            raise ValidationError("separations must be finite integers below 2**63")
+        if arr.min() < 0:
+            raise ValidationError("separations must be >= 0")
+        # a float64 bound: a Python 2**63 would be cast to float16, which overflows with a warning
+        if arr.max() >= np.float64(2**63):
+            raise ValidationError("separations must be finite integers below 2**63")
+        if not np.all(arr == np.floor(arr)):
+            raise ValidationError("separations must be integers")
+    if arr.dtype not in (np.int64, np.uint64, np.uint32):
+        arr = arr.astype(np.int64)
+    return np.ascontiguousarray(arr)
+
+
 def write_separations(path, separations) -> None:
     """Write a separation stream as little-endian unsigned 32-bit values.
 
     A `<u4` stream, as the sieve makes it, is written as it is, without a
-    range check or a copy.
+    check or a copy.  Any other stream must hold what `_checked_stream`
+    accepts, and values that fit in unsigned 32 bits.
     """
     arr = np.asarray(separations)
-    if arr.dtype != np.dtype("<u4") and arr.size and (int(arr.min()) < 0 or int(arr.max()) >= 2**32):
-        raise ValidationError("separation values do not fit in unsigned 32-bit")
+    if arr.dtype != np.dtype("<u4"):
+        arr = _checked_stream(arr)
+        if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= 2**32):
+            raise ValidationError("separation values do not fit in unsigned 32-bit")
     arr.astype("<u4", copy=False).tofile(path)
 
 

@@ -53,6 +53,7 @@ class S0Estimate:
 class SeparationSpectrum:
     """Histogram of separations: bins maps separation -> occurrence count.
 
+    A bin with a count of 0 is dropped: an empty bin is not a separation.
     The totals are read off the bins once, as Python ints: the number of
     intervals and the number of singletons inside them.
     """
@@ -63,8 +64,12 @@ class SeparationSpectrum:
 
     def __post_init__(self):
         bins = self.bins
-        if bins and (min(bins) < 0 or min(bins.values()) < 0):
-            raise ValidationError("bins must have non-negative keys and counts")
+        if bins:
+            least = min(bins.values())
+            if min(bins) < 0 or least < 0:
+                raise ValidationError("bins must have non-negative keys and counts")
+            if least == 0:
+                self.bins = bins = {s: c for s, c in bins.items() if c}
         self.total_intervals = sum(bins.values())
         self.total_singletons = sum(map(operator.mul, bins, bins.values()))
 
@@ -102,7 +107,7 @@ def _running_spectra(arr, stops) -> list[SeparationSpectrum]:
     end = stops[-1] if stops else 0
     if end == 0:
         return [SeparationSpectrum() for _ in stops]
-    arr = _checked_stream(arr.reshape(-1)[:end])
+    arr = sieve._checked_stream(arr.reshape(-1)[:end])
     kernel = sieve._load_kernel()
     bounds = list(zip([0, *stops], stops))
     spectra, bins = [], {}
@@ -128,28 +133,6 @@ def _running_spectra(arr, stops) -> list[SeparationSpectrum]:
                 bins = dict(pairs)
             spectra.append(SeparationSpectrum(bins))
     return spectra
-
-
-def _checked_stream(arr):
-    """arr as a contiguous int64, uint64 or uint32 array; ValidationError for a dtype that is
-    neither integer nor real floating point, and for floats that are not finite integers in
-    [0, 2**63), checked before the cast, which turns inf, nan and +-2**63 into garbage with a
-    warning."""
-    if arr.dtype.kind not in "iuf":  # bool, complex, str, object, datetime and timedelta
-        raise ValidationError(f"separations must be integers or real floats, got {arr.dtype}")
-    if arr.dtype.kind == "f":
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("separations must be finite integers below 2**63")
-        if arr.min() < 0:
-            raise ValidationError("separations must be >= 0")
-        # a float64 bound: a Python 2**63 would be cast to float16, which overflows with a warning
-        if arr.max() >= np.float64(2**63):
-            raise ValidationError("separations must be finite integers below 2**63")
-        if not np.all(arr == np.floor(arr)):
-            raise ValidationError("separations must be integers")
-    if arr.dtype not in (np.int64, np.uint64, np.uint32):
-        arr = arr.astype(np.int64)
-    return np.ascontiguousarray(arr)
 
 
 def _count_slice(arr):

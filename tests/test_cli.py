@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -154,83 +155,77 @@ class TestContract:
     """Bad input exits 2 with a one-line error naming the problem, never a traceback."""
 
     @pytest.mark.parametrize(
-        "argv, env, needle",
+        "argv, needle",
         [
             (["figures", "--counts", "{counts}", "--onsets", "{non_integer}",
-              "--out-dir", "{tmp}/figs"], {}, ":3:"),
+              "--out-dir", "{tmp}/figs"], ":3:"),
             (["figures", "--counts", "{counts}", "--onsets", "{no_separation_column}",
-              "--out-dir", "{tmp}/figs"], {}, "separation"),
+              "--out-dir", "{tmp}/figs"], "separation"),
             (["sieve", "--limit", "1000", "--checkpoints", "geometric:x",
-              "--out", "{tmp}/c.csv", "--separations", "{tmp}/s.bin"], {}, "geometric:x"),
+              "--out", "{tmp}/c.csv", "--separations", "{tmp}/s.bin"], "geometric:x"),
             (["sieve", "--limit", "1000", "--checkpoints", "geometric5",
-              "--out", "{tmp}/c.csv", "--separations", "{tmp}/s.bin"], {}, "geometric5"),
-            (["sieve", "--limit", "1000", "--out", "{tmp}/c.csv", "--separations", "{tmp}/s.bin"],
-             {"TWINSEP_CHECKPOINTS": "geometricfoo"}, "geometricfoo"),
-            (["predict", "--counts", "{counts}", "--out", "{tmp}/o.csv"],
-             {"TWINSEP_F": "abc"}, "--f"),
-            (["gof", "--spectrum", "{tmp}/none.csv", "--s0", "5.0"],
-             {"TWINSEP_ALPHA": "abc"}, "--alpha"),
+              "--out", "{tmp}/c.csv", "--separations", "{tmp}/s.bin"], "geometric5"),
+            (["predict", "--counts", "{counts}", "--f", "abc", "--out", "{tmp}/o.csv"], "--f"),
+            (["gof", "--spectrum", "{tmp}/none.csv", "--s0", "5.0", "--alpha", "abc"], "--alpha"),
+            (["s0", "--counts", "{counts}", "--convention", ""], "--convention"),
             (["sieve", "--limit", "1000", "--segment-size", "2048", "--out", "{tmp}/c.csv",
-              "--separations", "{tmp}/s.bin"], {}, "unrecognized arguments: --segment-size"),
-            (["predict", "--counts", "{counts}", "--f", "0", "--out", "{tmp}/o.csv"], {}, "--f"),
-            (["predict", "--counts", "{counts}", "--f", "-1", "--out", "{tmp}/o.csv"], {}, "--f"),
-            (["figures", "--counts", "{counts}", "--f", "0", "--out-dir", "{tmp}/figs"], {},
-             "--f"),
-            (["spectrum", "--separations", "{truncated}", "--out", "{tmp}/sp.csv"], {},
-             "4-byte"),
+              "--separations", "{tmp}/s.bin"], "unrecognized arguments: --segment-size"),
+            (["predict", "--counts", "{counts}", "--f", "0", "--out", "{tmp}/o.csv"], "--f"),
+            (["predict", "--counts", "{counts}", "--f", "-1", "--out", "{tmp}/o.csv"], "--f"),
+            (["figures", "--counts", "{counts}", "--f", "0", "--out-dir", "{tmp}/figs"], "--f"),
+            (["spectrum", "--separations", "{truncated}", "--out", "{tmp}/sp.csv"], "4-byte"),
             (["simulate", "--s0", "5", "--n", "1000", "--seed", "1", "--f", "-1",
-              "--out", "{tmp}/sp.csv"], {}, "--f"),
-            (["gof", "--spectrum", "{tmp}/none.csv", "--s0", "5", "--f", "-1"], {}, "--f"),
+              "--out", "{tmp}/sp.csv"], "--f"),
+            (["gof", "--spectrum", "{tmp}/none.csv", "--s0", "5", "--f", "-1"], "--f"),
             (["s0", "--counts", "{header_only}", "--convention", "exact",
-              "--separations", "{tmp}/none.bin"], {}, "header_only.csv: no data rows"),
-            (["predict", "--counts", "{counts_n_zero}", "--out", "{tmp}/o.csv"], {},
+              "--separations", "{tmp}/none.bin"], "header_only.csv: no data rows"),
+            (["predict", "--counts", "{counts_n_zero}", "--out", "{tmp}/o.csv"],
              "counts_n_zero.csv:2:"),
             (["figures", "--counts", "{counts}", "--onsets", "{onsets_n_zero}",
-              "--out-dir", "{tmp}/figs"], {}, "onsets_n_zero.csv"),
-            (["report", "--limit", "1000000", "--f", "0"], {}, "--f"),
-            (["report", "--limit", "1000", "--start", "0"], {}, "start"),
-            (["report", "--limit", "1000", "--start", "1"], {}, "checkpoint n=1:"),
+              "--out-dir", "{tmp}/figs"], "onsets_n_zero.csv"),
+            (["report", "--limit", "1000000", "--f", "0"], "--f"),
+            (["report", "--limit", "1000", "--start", "0"], "start"),
+            (["report", "--limit", "1000", "--start", "1"], "checkpoint n=1:"),
             (["sieve", "--limit", "99999999999999999999999", "--out", "{tmp}/c.csv",
-              "--separations", "{tmp}/s.bin"], {}, "2**62"),
-            (["gof", "--spectrum", "{spectrum_negative_count}", "--s0", "5"], {},
+              "--separations", "{tmp}/s.bin"], "2**62"),
+            (["gof", "--spectrum", "{spectrum_negative_count}", "--s0", "5"],
              "spectrum_negative_count.csv:3:"),
             (["fit", "--kind", "slope", "--in", "{spectrum_negative_s}", "--out", "{tmp}/f.json"],
-             {}, "spectrum_negative_s.csv:2:"),
-            (["simulate", "--s0", "inf", "--n", "10", "--seed", "1", "--out", "{tmp}/sp.csv"], {},
+             "spectrum_negative_s.csv:2:"),
+            (["simulate", "--s0", "inf", "--n", "10", "--seed", "1", "--out", "{tmp}/sp.csv"],
              "s0 must be finite"),
-            (["gof", "--spectrum", "{spectrum_ok}", "--s0", "inf"], {}, "s0 must be finite"),
-            (["report", "--limit", "100000", "--f", "1e-320"], {},
+            (["gof", "--spectrum", "{spectrum_ok}", "--s0", "inf"], "s0 must be finite"),
+            (["report", "--limit", "100000", "--f", "1e-320"],
              "checkpoint n=100000: risk factor f=1e-320 too small"),
             (["simulate", "--s0", "5", "--pi2", "100", "--f", "1e-320", "--n", "10", "--seed", "1",
-              "--out", "{tmp}/sp.csv"], {}, "cutoff is infinite"),
+              "--out", "{tmp}/sp.csv"], "cutoff is infinite"),
             (["gof", "--spectrum", "{spectrum_ok}", "--s0", "5", "--pi2", "100", "--f", "1e-320"],
-             {}, "cutoff is infinite"),
-            (["fit", "--kind", "s0lin", "--in", "{s0_inf}", "--out", "{tmp}/f.json"], {},
+             "cutoff is infinite"),
+            (["fit", "--kind", "s0lin", "--in", "{s0_inf}", "--out", "{tmp}/f.json"],
              "s0_inf.csv: point 1: pi1 and s0 must be finite"),
-            (["fit", "--kind", "s0loglog", "--in", "{s0_inf}", "--out", "{tmp}/f.json"], {},
+            (["fit", "--kind", "s0loglog", "--in", "{s0_inf}", "--out", "{tmp}/f.json"],
              "s0_inf.csv: point 1: pi1 and s0 must be finite"),
-            (["fit", "--kind", "m0", "--in", "{m_nan}", "--out", "{tmp}/f.json"], {},
+            (["fit", "--kind", "m0", "--in", "{m_nan}", "--out", "{tmp}/f.json"],
              "m_nan.csv: point 1: pi1 and m must be finite"),
-            (["gof", "--spectrum", "{spectrum_s_huge}", "--s0", "5"], {}, "spectrum_s_huge.csv:4:"),
-            (["fit", "--kind", "slope", "--in", "{spectrum_s_huge}", "--out", "{tmp}/f.json"], {},
+            (["gof", "--spectrum", "{spectrum_s_huge}", "--s0", "5"], "spectrum_s_huge.csv:4:"),
+            (["fit", "--kind", "slope", "--in", "{spectrum_s_huge}", "--out", "{tmp}/f.json"],
              "spectrum_s_huge.csv:4:"),
-            (["gof", "--spectrum", "{spectrum_count_2_63}", "--s0", "5"], {},
+            (["gof", "--spectrum", "{spectrum_count_2_63}", "--s0", "5"],
              "spectrum_count_2_63.csv:3:"),
-            (["predict", "--counts", "{counts_negative_adjusted}", "--out", "{tmp}/o.csv"], {},
+            (["predict", "--counts", "{counts_negative_adjusted}", "--out", "{tmp}/o.csv"],
              "counts_negative_adjusted.csv:2: pi1_adjusted"),
             (["figures", "--counts", "{counts}", "--convention", "exact", "--out-dir", "{tmp}/figs"],
-             {}, "interval_exact convention requires spectra"),
+             "interval_exact convention requires spectra"),
             (["predict", "--counts", "{counts}", "--convention", "exact", "--out", "{tmp}/o.csv"],
-             {}, "--separations is required for the exact convention"),
+             "--separations is required for the exact convention"),
             (["s0", "--counts", "{counts}", "--convention", "exact"],
-             {}, "--separations is required for the exact convention"),
-            (["predict", "--counts", "{counts}", "--f", "inf", "--out", "{tmp}/o.csv"], {}, "--f"),
-            (["figures", "--counts", "{counts}", "--f", "inf", "--out-dir", "{tmp}/figs"], {},
-             "--f"),
-            (["report", "--limit", "1000000", "--f", "inf"], {}, "--f"),
+             "--separations is required for the exact convention"),
+            (["predict", "--counts", "{counts}", "--f", "inf", "--out", "{tmp}/o.csv"], "--f"),
+            (["figures", "--counts", "{counts}", "--f", "inf", "--out-dir", "{tmp}/figs"], "--f"),
+            (["report", "--limit", "1000000", "--f", "inf"], "--f"),
             (["simulate", "--s0", "5", "--n", str(2**64), "--seed", "1", "--out", "{tmp}/sp.csv"],
-             {}, "n_events must be in [1, 2**60)"),
-            (["predict", "--counts", "{counts_nul}", "--out", "{tmp}/o.csv"], {},
+             "n_events must be in [1, 2**60)"),
+            (["predict", "--counts", "{counts_nul}", "--out", "{tmp}/o.csv"],
              "counts_nul.csv:3:"),  # "line contains NUL" before Python 3.11
         ],
         ids=[
@@ -238,9 +233,9 @@ class TestContract:
             "onsets-no-separation-column",
             "checkpoints-geometric-x",
             "checkpoints-geometric5",
-            "env-checkpoints-geometricfoo",
-            "env-f",
-            "env-alpha",
+            "predict-f-abc",
+            "gof-alpha-abc",
+            "s0-convention-empty",
             "sieve-segment-size-removed",
             "predict-f-0",
             "predict-f-negative",
@@ -279,15 +274,13 @@ class TestContract:
             "counts-nul-byte",
         ],
     )
-    def test_exit_2(self, argv, env, needle, sieved, tmp_path, monkeypatch, capsys):
+    def test_exit_2(self, argv, needle, sieved, tmp_path, capsys):
         counts, seps, _ = sieved
         files = {"counts": counts, "tmp": tmp_path, "truncated": tmp_path / "trunc.bin"}
         files["truncated"].write_bytes(seps.read_bytes()[:-2])
         for name, text in BAD_FILES.items():
             files[name] = tmp_path / f"{name}.csv"
             files[name].write_text(text)
-        for key, value in env.items():
-            monkeypatch.setenv(key, value)
         capsys.readouterr()
         try:
             rc = main([arg.format(**files) for arg in argv])
@@ -461,12 +454,11 @@ class TestPredictCommand:
         assert int(last[0]) == 50000
         assert float(last[5]) > 0
 
-    def test_env_default_overridden_by_flag(self, sieved, tmp_path, monkeypatch):
+    def test_flag_sets_the_risk_factor(self, sieved, tmp_path):
         counts, _, _ = sieved
-        monkeypatch.setenv("TWINSEP_F", "2.0")
         out = tmp_path / "lmax.csv"
         assert main(["predict", "--counts", str(counts), "--out", str(out)]) == 0
-        assert "risk_factor=2.0" in out.read_text()
+        assert "risk_factor=1.0" in out.read_text()
         out2 = tmp_path / "lmax2.csv"
         assert main(["predict", "--counts", str(counts), "--f", "0.5", "--out", str(out2)]) == 0
         assert "risk_factor=0.5" in out2.read_text()
@@ -700,17 +692,32 @@ FUZZ_INTS = st.one_of(
 FUZZ_N = st.one_of(st.sampled_from(["inf", "nan", "-1", "0"]), st.integers(1, 10**4).map(str))
 
 
+# Text that a command-line argument can hold: no NUL, no lone surrogate.
+FUZZ_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+                    max_size=12)
+FUZZ_CHECKPOINTS = st.one_of(
+    st.sampled_from(["geometric", "geometric:", ",", "1,,2"]),
+    FUZZ_INTS,
+    FUZZ_INTS.map("geometric:{}".format),
+    st.lists(FUZZ_INTS, max_size=4).map(",".join),
+    FUZZ_TEXT,
+)
+
+
 @st.composite
 def fuzz_argv(draw):
-    """One predict, figures, simulate or gof command line with numeric flags drawn at the edges."""
-    command = draw(st.sampled_from(["predict", "figures", "simulate", "gof"]))
+    """One sieve, predict, figures, simulate or gof command line with numeric flags and
+    checkpoint specs drawn at the edges."""
+    command = draw(st.sampled_from(["sieve", "predict", "figures", "simulate", "gof"]))
     flags = {
+        "sieve": {"--checkpoints": FUZZ_CHECKPOINTS},
         "predict": {"--f": FUZZ_FLOATS},
         "figures": {"--f": FUZZ_FLOATS},
         "simulate": {"--f": FUZZ_FLOATS, "--pi2": FUZZ_INTS},
         "gof": {"--f": FUZZ_FLOATS, "--pi2": FUZZ_INTS, "--alpha": FUZZ_FLOATS},
     }[command]
     required = {
+        "sieve": {"--limit": st.just("100000")},
         "simulate": {"--s0": FUZZ_FLOATS, "--n": FUZZ_N, "--seed": FUZZ_INTS},
         "gof": {"--s0": FUZZ_FLOATS},
     }.get(command, {})
@@ -740,9 +747,14 @@ class TestContractFuzz:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(argv=fuzz_argv())
     @example(argv=["gof", "--f", "1", "--pi2", str(10**400), "--s0", "5"])  # pi2/f overflowed
+    # a grid of 1e11 points a decade took minutes, and one of 1e400 overflowed a float
+    @example(argv=["sieve", "--checkpoints", "geometric:100000000000", "--limit", "100000"])
+    @example(argv=["sieve", "--checkpoints", f"geometric:{10**400}", "--limit", "100000"])
     def test_numeric_flags(self, argv, fuzz_files, capsys):
-        # any value of a numeric flag exits 0, 2, 3 or 4 with a message, never a traceback
+        # any value of a numeric flag or a checkpoint spec exits 0, 2, 3 or 4 with a message,
+        # never a traceback
         files = {
+            "sieve": ["--out", "fuzz-counts.csv", "--separations", "fuzz-seps.bin"],
             "predict": ["--counts", "counts.csv", "--out", "lmax.csv"],
             "figures": ["--counts", "counts.csv", "--out-dir", "figs"],
             "simulate": ["--out", "synth.csv"],
@@ -759,60 +771,46 @@ class TestContractFuzz:
         assert "Traceback" not in err, argv
 
 
-# Text that an environment variable can hold: no NUL, no lone surrogate.
-ENV_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
-                   max_size=12)
-ENV_VALUES = {
-    "F": FUZZ_FLOATS,
-    "ALPHA": FUZZ_FLOATS,
-    "CONVENTION": st.one_of(st.sampled_from([*sorted(cli.CONVENTIONS), "", "RAW", "bogus"]),
-                            ENV_TEXT),
-    "CHECKPOINTS": st.one_of(
-        st.sampled_from(["geometric", "geometric:", ",", "1,,2"]),
-        FUZZ_INTS,
-        FUZZ_INTS.map("geometric:{}".format),
-        st.lists(FUZZ_INTS, max_size=4).map(",".join),
-        ENV_TEXT,
-    ),
+# The commands that once read a TWINSEP_* default, with {dir} for the fixed inputs and {out} for
+# the output directory.
+ENV_COMMANDS = {
+    "sieve": "sieve --limit 100000 --out {out}/counts.csv --separations {out}/seps.bin",
+    "s0": "s0 --counts {dir}/counts.csv --separations {dir}/seps.bin --out {out}/s0.csv",
+    "predict": "predict --counts {dir}/counts.csv --separations {dir}/seps.bin"
+               " --out {out}/lmax.csv",
+    "figures": "figures --counts {dir}/counts.csv --separations {dir}/seps.bin"
+               " --onsets {dir}/onsets.csv --out-dir {out}",
+    "simulate": "simulate --s0 8 --pi2 1000 --n 1000 --seed 1 --out {out}/synth.csv",
+    "gof": "gof --spectrum {dir}/spectrum.csv --s0 8 --pi2 1000",
+    "report": "report --limit 100000 --start 10000 --per-decade 5",
 }
-# A command line for each command that reads one of the variables, with {dir} for the fixed
-# inputs and {out} for a fresh output directory.
-ENV_COMMANDS = [
-    "sieve --limit 100000 --out {out}/counts.csv --separations {out}/seps.bin",
-    "s0 --counts {dir}/counts.csv --separations {dir}/seps.bin --out {out}/s0.csv",
-    "predict --counts {dir}/counts.csv --separations {dir}/seps.bin --out {out}/lmax.csv",
-    "figures --counts {dir}/counts.csv --separations {dir}/seps.bin --onsets {dir}/onsets.csv"
-    " --out-dir {out}",
-    "simulate --s0 8 --pi2 1000 --n 1000 --seed 1 --out {out}/synth.csv",
-    "gof --spectrum {dir}/spectrum.csv --s0 8 --pi2 1000",
-    "report --limit 100000 --start 10000 --per-decade 5",
-]
+# each would change some output if it were read
+ENV_SET = {"TWINSEP_F": "2", "TWINSEP_CONVENTION": "exact", "TWINSEP_CHECKPOINTS": "geometric:3",
+           "TWINSEP_ALPHA": "0.5"}
 
 
-class TestEnvironmentFuzz:
-    @settings(max_examples=150, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture,
-                                     HealthCheck.too_slow])
-    @given(template=st.sampled_from(ENV_COMMANDS),
-           env=st.fixed_dictionaries({}, optional=ENV_VALUES))
-    # a grid of 1e11 points a decade took minutes, and one of 1e400 overflowed a float
-    @example(template=ENV_COMMANDS[0], env={"CHECKPOINTS": "geometric:100000000000"})
-    @example(template=ENV_COMMANDS[0], env={"CHECKPOINTS": f"geometric:{10**400}"})
-    @example(template=ENV_COMMANDS[1], env={"CONVENTION": ""})  # not held to the choices
-    def test_env_values(self, template, env, fuzz_files, tmp_path_factory, monkeypatch, capsys):
-        # any value of a TWINSEP_* default exits 0, 2, 3 or 4 with a message, never a traceback
-        argv = template.format(dir=fuzz_files, out=tmp_path_factory.mktemp("env")).split()
-        capsys.readouterr()
+class TestEnvironment:
+    @pytest.mark.parametrize("command", ENV_COMMANDS)
+    def test_outputs_ignore_environment(self, command, fuzz_files, tmp_path, monkeypatch,
+                                        capsys):
+        # a command reads its command line and the files it names: the variables that once
+        # set defaults change neither the exit code, nor stdout, nor a byte of any output
+        def run(side):
+            # each run writes to ./out in a directory of its own, so stdout names the same paths
+            (tmp_path / side / "out").mkdir(parents=True)
+            monkeypatch.chdir(tmp_path / side)
+            capsys.readouterr()
+            rc = main(ENV_COMMANDS[command].format(dir=fuzz_files, out="out").split())
+            # report prints its wall times
+            stdout = re.sub(r"[\d.]+s\b|\d+ segments/s", "<time>", capsys.readouterr().out)
+            return rc, stdout, {p.name: p.read_bytes() for p in sorted(Path("out").iterdir())}
+
+        clean = run("clean")
         with monkeypatch.context() as patch:
-            for name, value in env.items():
-                patch.setenv(f"TWINSEP_{name}", value)
-            try:
-                rc = main(argv)
-            except SystemExit as exc:  # argparse rejects a bad default itself
-                rc = exc.code
-        err = capsys.readouterr().err
-        assert rc in (0, 2, 3, 4), (argv, env, err)
-        assert "Traceback" not in err, (argv, env)
+            for name, value in ENV_SET.items():
+                patch.setenv(name, value)
+            assert run("env") == clean
+        assert clean[0] == 0
 
 
 # The commands that read files, with a {key} of FILE_INPUTS for each input and {out} for the output.

@@ -437,6 +437,13 @@ class TestGof:
     def test_empty_runs_match_dense_walk(self, s0, cut, bins):
         assert_matches_dense(SeparationSpectrum(bins), law_with_cut(s0, cut))
 
+    @pytest.mark.parametrize("s0", [30.0, 20.0])
+    def test_empty_bin_changes_nothing(self, s0):
+        # the walk ends at the largest separation, and an empty bin far out is not one
+        spec = accumulate(np.random.default_rng(1).geometric(1 / 9, 2000) - 1)
+        stretched = SeparationSpectrum({**spec.bins, 500: 0})
+        assert gof_compare(stretched, solve_f0(s0)) == gof_compare(spec, solve_f0(s0))
+
     @settings(max_examples=60, deadline=None)
     @given(log10_s0=st.floats(-1.0, 3.5), cut=st.sampled_from([None, "typical"]),
            bins=st.dictionaries(st.integers(0, 30_000), st.integers(0, 400), min_size=1,

@@ -718,6 +718,18 @@ class TestSerialization:
         write_separations(path, np.array(values, dtype=dtype))
         assert path.read_bytes() == b"".join(v.to_bytes(4, "little") for v in values)
 
+    @pytest.mark.parametrize("bad", [np.array([1.5]), np.array([True]), np.array([np.nan, 1.0])],
+                             ids=["fraction", "bool", "nan"])
+    def test_rejects_what_accumulate_rejects(self, tmp_path, bad):
+        # one rule for both: a fraction, a bool and a nan are not separations, and none may be
+        # cast into the file
+        path = tmp_path / "seps.bin"
+        with pytest.raises(ValidationError, match="separations must be"):
+            write_separations(path, bad)
+        with pytest.raises(ValidationError, match="separations must be"):
+            accumulate(bad)
+        assert not path.exists()
+
     def test_partial_record_rejected(self, tmp_path):
         path = tmp_path / "seps.bin"
         write_separations(path, run(10_000).separations)

@@ -265,6 +265,21 @@ class TestRunningSpectra:
         assert len({id(spec.bins) for spec in got}) == len(got)  # no two share their bins
 
 
+class TestEmptyBins:
+    def test_empty_bin_is_not_a_separation(self):
+        bins = {3: 4, 500: 0}
+        spec = SeparationSpectrum(bins)
+        assert spec.max_separation() == 3
+        assert spec == SeparationSpectrum({3: 4})
+        assert (spec.total_intervals, spec.total_singletons) == (4, 12)
+        assert bins == {3: 4, 500: 0}  # the caller's dict is left as it was
+
+    def test_only_empty_bins(self):
+        spec = SeparationSpectrum({0: 0, 7: 0})
+        assert spec.max_separation() is None
+        assert spec == SeparationSpectrum()
+
+
 class TestCountAbove:
     @pytest.mark.parametrize(
         "seps", [[], [3], [0, 0, 1, 1, 2, 1, 5, 5, 9, 12]], ids=["empty", "one", "gaps"]
@@ -351,3 +366,9 @@ class TestCsv:
         path.write_text("s,count\n1,2\n1,3\n")
         with pytest.raises(ValidationError):
             read_spectrum_csv(path)
+
+    def test_zero_count_row_reads_as_absent(self, tmp_path):
+        with_zero, without = tmp_path / "with_zero.csv", tmp_path / "without.csv"
+        with_zero.write_text("s,count\n0,5\n1,2\n500,0\n")
+        without.write_text("s,count\n0,5\n1,2\n")
+        assert read_spectrum_csv(with_zero) == read_spectrum_csv(without)
