@@ -10,16 +10,31 @@
  * 17, 19, 23, 29 (mod 30).  Byte 0 starts at low - low % 30; bits below low
  * and at or above high are clear.  The bytes are sieved in blocks of
  * `block` bytes, a power of two from 8 to 2**28.  A prime p crosses p*m, m
- * coprime to 30, as 8 progressions, one per residue of m mod 30: each is a
- * stride-p byte progression with a fixed bit.  The primes fall in three
- * tiers:
+ * coprime to 30, from max(p*p, low) on.  For each residue of m mod 30 that
+ * is a stride-p byte progression with a fixed bit, and the 8 hits with m in
+ * one period of 30 lie within p bytes.  The primes fall in three tiers:
  *   presieve  7..97: a block starts as the AND, one 64-bit word at a time,
  *             of eight byte patterns built once per call, each periodic in
  *             the product of one group of PRESIEVE (7387 to 33611 bytes);
  *             the presieved primes in range are then set back;
- *   middle    base primes 97 < p < block: each progression crosses the
- *             block in a stride-p loop, from max(p*p, low) on, and carries
- *             its next byte to the next block;
+ *   middle    base primes 97 < p < block, one state each: the byte where
+ *             its next period starts (struct mid).  A loop compiled for each
+ *             class p mod 30 clears a whole period's 8 hits per step, at
+ *             constant offsets (multiples of p / 30) with constant masks.
+ *             Each period that starts in a block is crossed whole, so the
+ *             last one's hits run up to p bytes on, into a pad after the
+ *             block that the next block ANDs in; no period is cut, and no
+ *             wheel index is kept.  The first period is the one where the
+ *             first hit falls; its hits below that one are composites p*m,
+ *             m > 90, and may fall before byte 0, in a pad before the block.
+ *             Primes below SMALL_PRIME cross each block in sub-blocks of
+ *             SUB_BLOCK bytes, which stay in L1, and the rest cross the
+ *             whole block.  One chunk of about 2**27 integers on one CPU
+ *             of a 2-vCPU Xeon took 13.4 ms near 1e9 (25.8 ms with a
+ *             stride-p loop per residue), 18.4 ms near 1e10 (33.9), 26.2 ms
+ *             near 1e11 (42.7) and 36.5 ms near 1e12 (51.4), the best of 9,
+ *             and sieve_range to 1e9 about 0.067 s on both CPUs (0.115 s),
+ *             a median;
  *   large     base primes p >= block, whose progressions hit a block at
  *             most once: a bucket sieve (Oliveira e Silva, Herzog and
  *             Pardi, Math. Comp. 83, 2014).  Each progression waits in the
@@ -71,6 +86,11 @@
 #define NGROUP 8
 #define PRESIEVE_LAST 97
 #define PAGE_MAX 1024 /* bucket entries per page, at most */
+/* middle primes below SMALL_PRIME, which have 2 or more periods in a sub-block, cross each
+ * block (sieve.py's KERNEL_BLOCK, 64 KB) in sub-blocks of SUB_BLOCK bytes, clamped to the
+ * block; chosen by a sweep of 97..32768 and of 16 and 32 KB, per chunk near 1e9..1e12 */
+#define SMALL_PRIME 16384
+#define SUB_BLOCK (1 << 15)
 
 static const int64_t R[8] = {1, 7, 11, 13, 17, 19, 23, 29};
 /* the presieved primes 7..97 by pattern; 1 pads a pair */
@@ -189,17 +209,54 @@ static HOT void presieve(uint8_t *flags, int64_t len, uint8_t *const *pat, int64
     }
 }
 
-/* cross the middle progressions into the block of len bytes at chunk byte b0 */
-static HOT void cross(uint8_t *flags, int64_t b0, int64_t len, int64_t *next, const uint8_t *mask,
-                      const int64_t *p, int64_t n)
-{
-    for (int64_t k = 0; k < n; k++) {
-        int64_t j = next[k] - b0, step = p[k / 8];
-        uint8_t m = mask[k];
-        for (; j < len; j += step)
-            flags[j] &= m;
-        next[k] = b0 + j;
+/* A middle prime p = 30q + r hits p*m, m = 30k + R[j], at chunk byte kp + R[j]q + rR[j] / 30
+ * (less w0 / 30), bit bit_of(rR[j] % 30).  So the 8 hits of period k fall within p bytes from
+ * the first, p(30k + 1), at offsets (R[j] - 1)q + rR[j] / 30 from it.  A middle prime's state is
+ * the chunk byte `at` where its next period starts; its class r is known from where the state
+ * is kept. */
+struct mid {
+    int32_t at; /* chunks are under 2**29 bytes */
+    uint32_t q;
+};
+
+/* the bit of a residue x coprime to 30, as a constant expression */
+#define BIT(x) ((x) == 1 ? 0 : (x) == 7 ? 1 : (x) == 11 ? 2 : (x) == 13 ? 3 : \
+                (x) == 17 ? 4 : (x) == 19 ? 5 : (x) == 23 ? 6 : 7)
+/* hit m of the period at f, for p = 30q + r */
+#define HIT(r, m) f[((m) - 1) * q + (r) * (m) / 30] &= (uint8_t) ~(1 << BIT((r) * (m) % 30))
+
+/* cross the middle primes of class r, m[0..n), into the len bytes from chunk byte b0: each
+ * period that starts there is crossed whole, so its last hits may fall up to p bytes past
+ * len */
+#define CROSS(r)                                                                                \
+    static HOT void cross##r(uint8_t *flags, int64_t b0, int64_t len, struct mid *m, int64_t n) \
+    {                                                                                           \
+        for (struct mid *end = m + n; m < end; m++) {                                           \
+            int64_t q = m->q, p = 30 * q + (r), s = m->at - b0;                                 \
+            for (; s < len; s += p) {                                                           \
+                uint8_t *f = flags + s;                                                         \
+                HIT(r, 1), HIT(r, 7), HIT(r, 11), HIT(r, 13);                                   \
+                HIT(r, 17), HIT(r, 19), HIT(r, 23), HIT(r, 29);                                 \
+            }                                                                                   \
+            m->at = (int32_t)(s + b0);                                                          \
+        }                                                                                       \
     }
+CROSS(1)
+CROSS(7)
+CROSS(11)
+CROSS(13)
+CROSS(17)
+CROSS(19)
+CROSS(23)
+CROSS(29)
+
+/* cross one tier of middle primes, class by class: class j is m[cut[j] .. cut[j + 1]) */
+static void cross(uint8_t *flags, int64_t b0, int64_t len, struct mid *m, const int64_t *cut)
+{
+    static void (*const by_class[8])(uint8_t *, int64_t, int64_t, struct mid *, int64_t) = {
+        cross1, cross7, cross11, cross13, cross17, cross19, cross23, cross29};
+    for (int j = 0; j < 8; j++)
+        by_class[j](flags, b0, len, m + cut[j], cut[j + 1] - cut[j]);
 }
 
 /* cross the bucket of the block at chunk byte b0, filing each progression again or dropping
@@ -399,12 +456,13 @@ int64_t twinsep_sieve_chunk(int64_t low, int64_t high, int64_t block,
         ;
     for (k2 = k1; k2 < nbase && base[k2] * base[k2] < high; k2++)
         ;
-    /* working memory: per middle progression its next byte and bit mask; a bucket per block
-     * and the page pool, which holds every large progression with one page per bucket to
-     * spare (a page holds about the entries of one block, so many small blocks stay cheap);
-     * the block, cut to the chunk (span bytes, 8 of padding); each pattern for one period, or
-     * for the chunk if that is shorter (lim bytes), and 8 more */
-    int64_t nmid = 8 * (k1 - k0), nlarge = 8 * (k2 - k1), span = block < nbytes ? block : nbytes;
+    /* working memory: a state per middle prime; a bucket per block and the page pool, which
+     * holds every large progression with one page per bucket to spare (a page holds about the
+     * entries of one block, so many small blocks stay cheap); the block, cut to the chunk (span
+     * bytes), with `pad` bytes before it and pad + 8 after, pad the largest middle prime; each
+     * pattern for one period, or for the chunk if that is shorter (lim bytes), and 8 more */
+    int64_t nmid = k1 - k0, nlarge = 8 * (k2 - k1), span = block < nbytes ? block : nbytes;
+    int64_t pad = nmid ? base[k1 - 1] : 0;
     int64_t cap = nlarge / nblk < PAGE_MAX ? nlarge / nblk + 8 : PAGE_MAX;
     int64_t stride = offsetof(struct page, h) + cap * sizeof(hit);
     int64_t npages = nlarge ? nlarge / cap + nblk + 2 : 0, period[NGROUP], lim[NGROUP], size = 0;
@@ -413,16 +471,16 @@ int64_t twinsep_sieve_chunk(int64_t low, int64_t high, int64_t block,
         lim[g] = period[g] < nbytes ? period[g] : nbytes;
         size += lim[g] + 8;
     }
-    int64_t *next = malloc(9 * nmid + sizeof(struct bucket) * nblk + stride * npages + span + 8 +
-                           size);
-    if (!next)
+    struct mid *mid = malloc(sizeof(struct mid) * nmid + sizeof(struct bucket) * nblk +
+                             stride * npages + pad + span + pad + 8 + size);
+    if (!mid)
         return -1;
-    struct buckets bk = {(struct bucket *)(next + nmid), NULL, cap, shift + 3};
-    uint8_t *pool = (uint8_t *)(bk.of + nblk), *mask = pool + stride * npages;
-    uint8_t *flags = mask + nmid, *pat[NGROUP];
+    struct buckets bk = {(struct bucket *)(mid + nmid), NULL, cap, shift + 3};
+    uint8_t *pool = (uint8_t *)(bk.of + nblk), *flags = pool + stride * npages + pad;
+    uint8_t *pat[NGROUP];
     int64_t at[NGROUP] = {0}; /* each pattern's byte at the next block */
     for (int g = 0; g < NGROUP; g++) {
-        pat[g] = g ? pat[g - 1] + lim[g - 1] + 8 : flags + span + 8;
+        pat[g] = g ? pat[g - 1] + lim[g - 1] + 8 : flags + span + pad + 8;
         pattern(pat[g], w0 / 30 % period[g], lim[g] + 8, PRESIEVE[g]);
     }
     memset(bk.of, 0, sizeof(struct bucket) * nblk);
@@ -431,16 +489,29 @@ int64_t twinsep_sieve_chunk(int64_t low, int64_t high, int64_t block,
         pg->next = bk.spare;
         bk.spare = pg;
     }
+    /* the middle primes by tier, those below SMALL_PRIME first, and within a tier by class:
+     * group g = 8 * tier + bit_of(p % 30) is mid[cut[g] .. cut[g + 1]) */
+    int64_t cut[17] = {0}, fill[16];
+    for (int64_t k = k0; k < k1; k++)
+        cut[8 * (base[k] >= SMALL_PRIME) + bit_of(base[k] % 30) + 1]++;
+    for (int g = 0; g < 16; g++) {
+        fill[g] = cut[g];
+        cut[g + 1] += cut[g];
+    }
     for (int64_t k = k0; k < k2; k++) {
         int64_t p = base[k], m0 = (low + p - 1) / p, i = 0;
         if (m0 < p)
             m0 = p;
+        /* a middle prime starts at the period of m0; its hits below m0 are composites p*m,
+         * m > 90, and those before byte 0 fall in the pad */
+        if (k < k1) {
+            struct mid e = {(int32_t)((m0 / 30 * 30 + 1) * p / 30 - w0 / 30), (uint32_t)(p / 30)};
+            mid[fill[8 * (p >= SMALL_PRIME) + bit_of(p % 30)]++] = e;
+            continue;
+        }
         for (int r = m0 % 30; i < 8; i++) {
             int64_t byte = (p * (m0 + (R[i] - r + 30) % 30) - w0) / 30;
-            if (k < k1) {
-                next[8 * (k - k0) + i] = byte;
-                mask[8 * (k - k0) + i] = (uint8_t)~(1 << bit_of(p * R[i] % 30));
-            } else if (byte < nbytes)
+            if (byte < nbytes)
                 file(&bk, (uint64_t)p << 32 | (uint64_t)byte << 3 | bit_of(p * R[i] % 30));
         }
     }
@@ -453,7 +524,13 @@ int64_t twinsep_sieve_chunk(int64_t low, int64_t high, int64_t block,
     for (int64_t b0 = 0; b0 < nbytes; b0 += block) {
         int64_t len = nbytes - b0 < block ? nbytes - b0 : block;
         presieve(flags, len, pat, at, lim);
-        memset(flags + len, 0, 8); /* zero-padded to a whole word */
+        /* the hits that the middle primes' last periods left past the previous block, read a
+         * word at a time from the pad bytes after it, and 8 more that no hit reaches */
+        for (int64_t j = 0; b0 && j < pad && j < len; j += 8) {
+            uint64_t x = word(flags + j) & word(flags + block + j);
+            memcpy(flags + j, &x, 8);
+        }
+        memset(flags + len, 0xff, pad + 8);
         if (b0 == 0) {
             for (int q = 0; q < 3 * NGROUP; q++) { /* they sit in bytes 0..3 */
                 int64_t v = PRESIEVE[q / 3][q % 3];
@@ -464,7 +541,11 @@ int64_t twinsep_sieve_chunk(int64_t low, int64_t high, int64_t block,
         }
         if (b0 + len == nbytes)
             flags[len - 1] &= bits_below(high - w0 - 30 * (nbytes - 1));
-        cross(flags, b0, len, next, mask, base + k0, nmid);
+        for (int64_t sb = 0; sb < len; sb += SUB_BLOCK) /* the small primes, in L1 */
+            cross(flags + sb, b0 + sb, len - sb < SUB_BLOCK ? len - sb : SUB_BLOCK, mid, cut);
+        cross(flags, b0, len, mid, cut + 8);
+        if (b0 + len == nbytes)
+            memset(flags + len, 0, 8); /* the scan reads the last word whole */
         if (nlarge)
             drain(&bk, flags, b0, nbytes);
         scan(&s, flags, len, w0 + 30 * b0, vector);
@@ -473,7 +554,7 @@ int64_t twinsep_sieve_chunk(int64_t low, int64_t high, int64_t block,
         row(&s);
     int64_t res[6] = {s.primes, s.twins, s.tw_low, s.tw_first, s.tw_last, s.nrec};
     memcpy(out, res, sizeof res);
-    free(next);
+    free(mid);
     return 0;
 }
 

@@ -54,6 +54,9 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
+# report's decade rows: every power of ten from 1e3 up to the largest --limit, 2**62
+REPORT_DECADES = frozenset(10**k for k in range(3, 19))
+
 CONVENTIONS = {
     "raw": S0Convention.RAW,
     "paper": S0Convention.PAPER_OFFSET,
@@ -339,14 +342,13 @@ def cmd_report(args):
         )
 
     print(f"{'n':>12} {'s0':>8} {'l_cut':>8} {'obs_max':>8} {'over':>6} {'exceed':>7} {'ks':>8}")
-    decades = {10**k for k in range(3, 14)}
     for rec in table.rows:
         s0, law = laws[rec.n]
         flag = "" if maxes[rec.n] <= overshoot_bound(law) else "  > overshoot bound"
-        if rec.n not in decades and not flag:
+        if rec.n not in REPORT_DECADES and not flag:
             continue
         ks = ""
-        if rec.n in decades:
+        if rec.n in REPORT_DECADES:
             try:
                 ks = f"{gof_compare(spectra[rec.n], solve_f0(s0)).ks_distance:.5f}"
             except ValidationError:

@@ -18,9 +18,14 @@ The chunks are sieved by `_kernel.c`, compiled on first use into a
 per-user cache and called through ctypes (`_load_kernel`, `_kernel_chunk`).
 It sieves a mod-30 wheel (one byte per 30 integers) in 64 KB blocks, with
 base primes in three tiers: 7..97 are presieved by ANDing fixed-period
-patterns a 64-bit word at a time, primes below one block cross it in
-stride-p loops, and primes above one block wait in per-block buckets (a
-bucket sieve) until the block they hit.  It emits the summary fields in
+patterns a 64-bit word at a time; primes below one block cross it a
+period of 30 multiples (8 hits) per step of a loop compiled for each class
+p mod 30, those below 16384 in L1-sized sub-blocks of 32 KB, and the last
+period's hits past the block are carried into the next block; and primes
+above one block wait in per-block buckets (a bucket sieve) until the block
+they hit.  On one CPU of a 2-vCPU Xeon a chunk near 1e9 takes about 13 ms
+(26 ms with a stride-p loop per residue), and `sieve_range` to 1e9 about
+0.07 s on both CPUs (0.115 s).  It emits the summary fields in
 one fused scan that finds twins eight 64-bit words at a time on a CPU with
 AVX-512 VPOPCNTDQ, and one word at a time on other CPUs, at the tail of a
 block and wherever a checkpoint falls.  Without a C compiler that builds

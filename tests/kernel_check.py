@@ -7,7 +7,9 @@ same checks, e.g. `python tests/kernel_check.py -fsanitize=undefined
 -fno-sanitize-recover=all`.  It fails when the kernel does not build,
 when the counts at 1e8 differ from the published pi and pi2 (OEIS
 A006880, A007508), when one chunk across 2**32, where a C int would
-wrap, differs from the numpy reference in `reference.py`, when the
+wrap, or one whole chunk of CHUNK_SPAN integers ending at 1e9, which
+crosses all 64 blocks with both tiers of middle primes (base primes up
+to 31607), differs from the numpy reference in `reference.py`, when the
 scan by groups of 8 words (a chunk with no checkpoints, on a CPU with
 AVX-512 VPOPCNTDQ) or by words (a checkpoint every 1000 integers) differs
 from the reference (in blocks of 64 bytes and of the kernel's own size,
@@ -140,15 +142,15 @@ def main(flags):
     row = rep.counts[0]
     assert (row.n, row.pi1, row.pi2) == (10**8, 5761455, 440312), row
 
-    low = 2**32 - 2**22 + 1
-    high = low + 2**23
-    grid = (low, 2**32 - 1, 2**32 + 15, high - 1)
-    base = sieve._odd_base_primes(math.isqrt(high))
-    got = sieve._kernel_chunk(sieve._load_kernel(), low, high, base, grid)
-    want = reference.sieve_chunk(low, high, 1 << 20, base, grid)
-    assert got.seps.tolist() == want.seps.tolist()
-    assert dataclasses.replace(got, seps=None) == dataclasses.replace(want, seps=None)
     lib = sieve._load_kernel()
+    for low, high, grid in ((2**32 - 2**22 + 1, 2**32 + 2**22 + 1, (2**32 - 1, 2**32 + 15)),
+                            (10**9 + 1 - sieve.CHUNK_SPAN, 10**9 + 1, (10**9 - 10**8,))):
+        grid = (low, *grid, high - 1)
+        base = sieve._odd_base_primes(math.isqrt(high - 1))
+        got = sieve._kernel_chunk(lib, low, high, base, grid)
+        want = reference.sieve_chunk(low, high, 1 << 20, base, grid)
+        assert got.seps.tolist() == want.seps.tolist(), (low, high)
+        assert dataclasses.replace(got, seps=None) == dataclasses.replace(want, seps=None)
     check_scan(lib)
     check_fill(lib)
     check_geometric(lib)

@@ -556,6 +556,10 @@ class TestReportCommand:
             assert proc.wait(timeout=120) == 0, err
         assert err == b""
 
+    def test_decade_rows_reach_the_largest_limit(self):
+        # a row for every power of ten from 1e3 that a --limit up to 2**62 can reach
+        assert cli.REPORT_DECADES == {10**k for k in range(3, 30) if 10**k <= sieve.MAX_LIMIT}
+
     def test_smoke(self, capsys):
         assert main(["report", "--limit", "1000000", "--start", "10000"]) == 0
         assert any(l.startswith("m0 law:") for l in capsys.readouterr().out.splitlines())

@@ -40,6 +40,12 @@ PUBLISHED_PI2 = (2, 8, 35, 205, 1224, 8169, 58980, 440312)
 # boundaries below 1e5
 CHUNK_SPANS = (6, 12, 66, 1002, 30 << 9)
 
+# the residues coprime to 30, in the order of a wheel byte's bits
+WHEEL = (1, 7, 11, 13, 17, 19, 23, 29)
+# a middle prime of each class p % 30, in WHEEL order, then one on each side of the kernel's
+# small-prime threshold (16384), below which a middle prime crosses each block in sub-blocks
+MIDDLE_PRIMES = (151, 127, 101, 103, 107, 109, 113, 149, 16381, 16411)
+
 
 def run(limit, grid=()):
     return sieve_range(SieveConfig(limit=limit, checkpoint_grid=grid))
@@ -548,6 +554,44 @@ class TestKernel:
             mp.setattr(sieve, "KERNEL_BLOCK", 64)
             got = sieve._kernel_chunk(kernel, low, high, base, grid)
         assert_same_summary(got, reference.sieve_chunk(low, high, 1 << 20, base, grid))
+
+    @pytest.mark.parametrize("block", [64, 256, sieve.KERNEL_BLOCK])
+    @pytest.mark.parametrize("p", MIDDLE_PRIMES)
+    def test_middle_prime_periods(self, kernel, p, block):
+        # p crosses p*m for m coprime to 30: one hit for each wheel residue of m in a period of
+        # 30 consecutive m.  Each chunk starts on p*m for a prime m at one residue (a composite
+        # that no other base prime crosses), and
+        # ends just past p*m' for a prime m' three residues on, about 1.2e6 integers later, so
+        # high cuts a period.  The primes below 256 are middle primes at blocks of 256 and of
+        # KERNEL_BLOCK wheel bytes, the two near 16384 at KERNEL_BLOCK, and all are bucketed at 64
+        primes = sieve._odd_base_primes(50_000).tolist()
+        for j, r in enumerate(WHEEL):
+            m = next(x for x in primes if x > p + 30 and x % 30 == r)
+            m_end = next(x for x in primes
+                         if x > m + 1_200_000 // p and x % 30 == WHEEL[(j + 3) % 8])
+            low, high = p * m, p * m_end + 1
+            base = sieve._odd_base_primes(math.isqrt(high - 1))
+            grid = (low, high - 1)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(sieve, "KERNEL_BLOCK", block)
+                got = sieve._kernel_chunk(kernel, low, high, base, grid)
+            assert_same_summary(got, reference.sieve_chunk(low, high, 1 << 20, base, grid))
+
+    def test_period_across_a_sub_block_edge(self, kernel):
+        # 16381, below the small-prime threshold, crosses each block in sub-blocks of 32 KB.  Its
+        # period from 16381 * 16411 on starts at wheel byte 32760 of the chunk, and its hits at
+        # the primes 16417, 16421, 16427 and 16433 (composites no smaller base prime crosses)
+        # fall past the first sub-block's edge, at byte 32768
+        p, first, later = 16381, 16411, (16417, 16421, 16427, 16433)
+        assert set(later) <= set(sieve._odd_base_primes(16433).tolist())
+        low = p * first - 30 * 32760
+        high = low + 30 * (2 * sieve.KERNEL_BLOCK)
+        w0 = low - low % 30  # wheel byte 0
+        assert (p * first - w0) // 30 == 32760
+        assert all(32768 <= (p * m - w0) // 30 < sieve.KERNEL_BLOCK for m in later)
+        base = sieve._odd_base_primes(math.isqrt(high - 1))
+        got = sieve._kernel_chunk(kernel, low, high, base, ())
+        assert_same_summary(got, reference.sieve_chunk(low, high, 1 << 20, base, ()))
 
     def test_chunk_above_2_32(self, kernel):
         # low and every prime index arithmetic pass 2**32: a C int would wrap
