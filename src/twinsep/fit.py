@@ -71,15 +71,11 @@ def fit_exp_slope(spectrum: SeparationSpectrum) -> FitResult:
     the intercept estimates log of (total intervals * a).  Zero-count bins
     carry no datum and are excluded, not padded.
     """
-    pts = sorted((s, c) for s, c in spectrum.bins.items() if c >= 1)
-    if len(pts) < 3:
-        raise ValidationError(
-            f"insufficient data: need >= 3 nonzero bins, got {len(pts)}"
-        )
-    s = np.array([p[0] for p in pts], dtype=float)
-    y = np.log([p[1] for p in pts])
+    s, counts = spectrum.separations.astype(float), spectrum.counts
+    if counts.size < 3:
+        raise ValidationError(f"insufficient data: need >= 3 nonzero bins, got {counts.size}")
     X = np.column_stack([np.ones_like(s), s])
-    return _ols(X, y, MODEL_EXP_SLOPE)
+    return _ols(X, np.log(counts), MODEL_EXP_SLOPE)
 
 
 def _finite_points(points, value: str) -> list[tuple[float, float]]:

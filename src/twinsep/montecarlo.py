@@ -9,7 +9,6 @@ plus a KS distance) are reporting conventions of this toolkit.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -154,25 +153,24 @@ def gof_compare(
     cut = params.l_cut is not None
     top = math.floor(params.l_cut) if cut else math.ceil(1200 / -math.log2(q))
     norm = -math.expm1((top + 1) * math.log(q)) if cut else 1.0  # 1 - q**(top+1)
-    keys = sorted(empirical.bins)
-    s_max = keys[-1]
+    s_max = empirical.max_separation()
     if not cut:
         tail = q ** (s_max + 1)  # the model's mass beyond s_max
     else:
         tail = max(0.0, (q ** (s_max + 1) - q ** (top + 1)) / norm) if s_max < top else 0.0
     last = min(s_max, top)  # bins above it have no model mass
-    n_in = bisect.bisect_right(keys, last)
-    s_in = np.array(keys[:n_in], dtype=np.int64)
+    n_in = int(np.searchsorted(empirical.separations, last, side="right"))
+    s_in = empirical.separations[:n_in].astype(np.int64)
     probs = (1.0 - q) * q**s_in
     if cut:
         probs /= norm
-    counts = np.array([empirical.bins[s] for s in keys], dtype=np.float64)
+    counts = empirical.counts.astype(np.float64)
 
     # pool from the tail down: the mass beyond s_max, the bins above the support (which
     # expect nothing), then the support, one occupied bin or one run of empty bins at a time
     pools = _Pools(q, total / norm, float(counts[n_in:].sum()), total * tail)
     upper = last
-    for s, o, e in zip(keys[:n_in][::-1], counts[:n_in][::-1].tolist(),
+    for s, o, e in zip(s_in[::-1].tolist(), counts[:n_in][::-1].tolist(),
                        (total * probs[::-1]).tolist()):
         if s < upper:
             pools.empty_run(s + 1, upper)

@@ -1,11 +1,10 @@
 """Count-table ingestion, per-checkpoint views and plot-ready dataset assembly.
 
 A CountTable is the bridge between sieved runs and externally published
-count tables: rows of (n, pi1, pi2[, pi1_adjusted]) sorted by n.  At each
-checkpoint the separation stream is read once, as the running spectrum of
-the separations closed by then (spectrum._running_spectra, the one
-counting path); the running maximum and the count beyond the cutoff
-(SeparationSpectrum.count_above) are reads of that spectrum.
+count tables: rows of (n, pi1, pi2[, pi1_adjusted]) sorted by n.  Each
+checkpoint's spectrum is a row of one cumulative table over the separation
+stream (spectrum._running_spectra, the one fold); the running maximum and
+the count beyond the cutoff are array reads of that spectrum.
 The figure pipeline turns a table (plus, optionally, those spectra) into
 three CSV-ready datasets: slopes against log(pi1), the average separation
 against log(pi1), and the predicted maximal separation against log(n)
@@ -122,8 +121,8 @@ def _closed_intervals(size, table: CountTable):
 def per_checkpoint_spectra(separations, table: CountTable) -> dict[int, SeparationSpectrum]:
     """Spectrum of the separations completed by each checkpoint.
 
-    The stream is counted once, slice by slice between checkpoints, in the
-    one running fold of `spectrum._running_spectra`, and every other
+    The stream is counted once, slice by slice between checkpoints, into the
+    rows of `spectrum._running_spectra`'s cumulative table, and every other
     per-checkpoint view is read from these spectra.
     """
     arr = np.asarray(separations)
@@ -149,12 +148,12 @@ def count_cutoff_exceedances(
     The cutoff is solved from the checkpoint's counts, or under interval_exact
     from its spectrum.
     """
+    f, conv = risk_factor(f), S0Convention(convention)
     spectra = per_checkpoint_spectra(separations, table)
-    f = risk_factor(f)
     out: dict[int, int] = {}
     for rec in table.rows:
         try:
-            law = solve_checkpoint(rec, f, convention, spectrum=spectra[rec.n])
+            law = solve_checkpoint(rec, f, conv, spectrum=spectra[rec.n])
         except ValidationError as exc:
             raise ValidationError(f"checkpoint n={rec.n}: {exc}") from exc
         out[rec.n] = spectra[rec.n].count_above(law.l_cut)

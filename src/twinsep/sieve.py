@@ -279,7 +279,7 @@ def _load_kernel():
     twinsep_philox_fill (the Philox stream that twinsep_geometric draws
     from, alone), twinsep_geometric, which returns how many draws it left
     pending (see montecarlo.sample_separations), and twinsep_histogram (see
-    spectrum._count_pieces), which returns -1 for a stream with a value
+    spectrum._count_rows), which returns -1 for a stream with a value
     outside its table; the table's size is read into lib.histogram_cap.
 
     It is built on first use, never at import, into

@@ -1,19 +1,19 @@
 """Separation histograms and the average-separation estimate.
 
-Spectra are value objects holding only their bins, and the
-totals, the maximum and the count beyond a cutoff are read off the bins.
-Every spectrum is counted on one path, `_running_spectra`, a running fold
-over the slices of a stream between stops: `accumulate` is the fold with
-one stop, and `pipeline.per_checkpoint_spectra` the fold with one stop
-per checkpoint.  Three s0 conventions are kept first-class because
-published count tables and interval-exact bookkeeping disagree by small
-offsets.
+A spectrum holds its occupied separations and their counts as read-only
+arrays; the totals, the maximum and the count beyond a cutoff are read off
+them.  Every spectrum is one row of a cumulative table from one running
+fold, `_running_spectra`: `accumulate` is the fold with one stop, and
+`pipeline.per_checkpoint_spectra` the fold with one stop per checkpoint.
+Three s0 conventions are kept first-class because published count tables
+and interval-exact bookkeeping disagree by small offsets.
 """
 
 from __future__ import annotations
 
+import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -24,10 +24,9 @@ from .ioutil import read_csv, write_csv
 from .sieve import CountRecord
 
 
-BINCOUNT_BLOCK = 1 << 16  # elements per np.bincount call on values that need a cast to intp
 BLOCK_VALUES = 1 << 16  # values per piece a worker of the compiled histogram claims
-# slices counted at once by _running_spectra: a worker's table is then at most 256 x 1024
-# int64s (2 MB)
+# slices counted at once by _running_spectra: a worker's table is then at most 256 rows of
+# at most 1024 int64s (2 MB), as many as the stream's greatest value + 1
 ROWS_AT_ONCE = 256
 
 
@@ -35,6 +34,10 @@ class S0Convention(str, Enum):
     RAW = "raw"                        # (pi1 - 2*pi2) / pi2
     PAPER_OFFSET = "paper_offset"      # (pi1 - 2*pi2 + 2) / (pi2 - 2)
     INTERVAL_EXACT = "interval_exact"  # singletons inside intervals / intervals
+
+    @classmethod
+    def _missing_(cls, value):
+        raise ValidationError(f"convention must be raw, paper_offset or interval_exact: {value!r}")
 
 
 @dataclass(frozen=True)
@@ -49,36 +52,60 @@ class S0Estimate:
             raise ValidationError(f"s0 must be finite and >= 0, got {self.value}")
 
 
-@dataclass
 class SeparationSpectrum:
-    """Histogram of separations: bins maps separation -> occurrence count.
+    """Histogram of separations: the occupied ones in ascending order and how often each
+    occurs, as read-only arrays, whose totals are exact Python ints.  SeparationSpectrum(bins)
+    takes a dict separation -> count, and `bins` gives one back in ascending order; a bin with
+    a count of 0 is dropped, since an empty bin is not a separation."""
 
-    A bin with a count of 0 is dropped: an empty bin is not a separation.
-    The totals are read off the bins once, as Python ints: the number of
-    intervals and the number of singletons inside them.
-    """
+    __slots__ = ("separations", "counts")
 
-    bins: dict[int, int] = field(default_factory=dict)
-    total_intervals: int = field(init=False)
-    total_singletons: int = field(init=False)
+    def __init__(self, bins: dict[int, int] | None = None):
+        pairs = sorted((bins or {}).items())
+        if pairs and not (0 <= pairs[0][0] and pairs[-1][0] < 2**64
+                          and all(0 <= c < 2**63 for _, c in pairs)):
+            raise ValidationError("bins must have keys in [0, 2**64) and counts in [0, 2**63)")
+        seps, counts = [s for s, c in pairs if c], [c for _, c in pairs if c]
+        dtype = np.uint64 if seps and seps[-1] >= 2**63 else np.int64
+        self.separations, self.counts = np.array(seps, dtype), np.array(counts, np.int64)
+        self.separations.flags.writeable = self.counts.flags.writeable = False
 
-    def __post_init__(self):
-        bins = self.bins
-        if bins:
-            least = min(bins.values())
-            if min(bins) < 0 or least < 0:
-                raise ValidationError("bins must have non-negative keys and counts")
-            if least == 0:
-                self.bins = bins = {s: c for s, c in bins.items() if c}
-        self.total_intervals = sum(bins.values())
-        self.total_singletons = sum(map(operator.mul, bins, bins.values()))
+    @classmethod
+    def _rows(cls, table, columns) -> list[SeparationSpectrum]:
+        """The spectrum of each row of a table of counts, a column per value in `columns`."""
+        occupied = np.flatnonzero(table)  # the nonzero bins, row after row
+        seps, counts = columns[occupied % columns.size], table.ravel()[occupied]
+        seps.flags.writeable = counts.flags.writeable = False  # each row holds a slice of them
+        ends = np.searchsorted(occupied, columns.size * np.arange(1, len(table) + 1)).tolist()
+        spectra = [cls.__new__(cls) for _ in ends]
+        for spec, lo, hi in zip(spectra, [0, *ends], ends):
+            spec.separations, spec.counts = seps[lo:hi], counts[lo:hi]
+        return spectra
+
+    @property
+    def bins(self) -> dict[int, int]:
+        return dict(zip(self.separations.tolist(), self.counts.tolist()))
+
+    @property
+    def total_intervals(self) -> int:
+        return sum(self.counts.tolist())
+
+    @property
+    def total_singletons(self) -> int:
+        return sum(map(operator.mul, self.separations.tolist(), self.counts.tolist()))
+
+    def __eq__(self, other):
+        return isinstance(other, SeparationSpectrum) and self.bins == other.bins
 
     def max_separation(self) -> int | None:
-        return max(self.bins) if self.bins else None
+        return int(self.separations[-1]) if self.separations.size else None
 
     def count_above(self, x: float) -> int:
         """How many separations exceed x."""
-        return sum(c for s, c in self.bins.items() if s > x)
+        if not (self.separations.size and x < int(self.separations[-1])):  # nan is never below
+            return 0
+        # a Python int threshold, so that the comparison is exact at any size
+        return int(self.counts[self.separations > math.floor(max(x, -1))].sum())
 
 
 def accumulate(separations) -> SeparationSpectrum:
@@ -96,95 +123,74 @@ def accumulate(separations) -> SeparationSpectrum:
 def _running_spectra(arr, stops) -> list[SeparationSpectrum]:
     """[the spectrum of arr[:stop] for each stop], stops non-decreasing and at most arr.size.
 
-    The one counting path.  The slices between stops are cut into pieces of BLOCK_VALUES
-    values, and `_count_pieces` counts them into one row of the compiled histogram's table
-    per slice, at most ROWS_AT_ONCE slices at a time.  Each spectrum's bins are a copy of
-    the previous one's with the slice's nonzero bins added in ascending order, so a bin keeps
-    the place where it first appeared.  A batch that holds a value outside the table is
-    counted slice by slice instead (`_count_slice`).  The kernel is not loaded when nothing
-    is counted.
+    The one counting path: the slices between stops are counted into rows of a table, each
+    added to the one before.  The stream's greatest value, read once, picks the counter:
+    below the kernel's `histogram_cap`, `_count_rows`, into rows as wide as that value + 1;
+    otherwise `_count_slice`, into rows with a column per value in the stream.  The kernel is
+    not loaded when nothing is counted.
     """
-    end = stops[-1] if stops else 0
-    if end == 0:
+    if not (stops and stops[-1]):
         return [SeparationSpectrum() for _ in stops]
-    arr = sieve._checked_stream(arr.reshape(-1)[:end])
+    arr = sieve._checked_stream(arr.reshape(-1)[: stops[-1]])
+    # the greatest value in one pass, where a negative int64 reads as 2**63 or more
+    top = int(arr.max() if arr.dtype == np.uint32 else arr.view(np.uint64).max()) + 1
+    if arr.dtype == np.int64 and top > 2**63:
+        raise ValidationError("separations must be >= 0")
     kernel = sieve._load_kernel()
     bounds = list(zip([0, *stops], stops))
-    spectra, bins = [], {}
-    for b in range(0, len(bounds), ROWS_AT_ONCE):
-        batch = bounds[b : b + ROWS_AT_ONCE]
-        pieces = [(r, lo, min(lo + BLOCK_VALUES, stop))
-                  for r, (start, stop) in enumerate(batch)
-                  for lo in range(start, stop, BLOCK_VALUES)]
-        rows = _count_pieces(kernel, arr, pieces, len(batch),
-                             sieve._worker_count(len(pieces) // 2))
-        for r, (start, stop) in enumerate(batch):
-            if rows is None:
-                vals, cnts = _count_slice(arr[start:stop])
-            else:
-                vals = np.flatnonzero(rows[r])
-                cnts = rows[r][vals]
-            pairs = zip(vals.tolist(), cnts.tolist())
-            if bins:
-                bins = dict(bins)
-                for s, c in pairs:
-                    bins[s] = bins.get(s, 0) + c
-            else:  # the first slice with a value: its bins alone, in one call
-                bins = dict(pairs)
-            spectra.append(SeparationSpectrum(bins))
+    spectra = []
+    if top <= kernel.histogram_cap:
+        running, columns = np.zeros(top, dtype=np.int64), np.arange(top)
+        for b in range(0, len(bounds), ROWS_AT_ONCE):
+            table = _count_rows(kernel, arr, bounds[b : b + ROWS_AT_ONCE], top)
+            for row in table:
+                row += running
+                running = row
+            spectra += SeparationSpectrum._rows(table, columns)
+        return spectra
+    columns = _count_slice(arr)[0]  # every value the stream holds
+    running = np.zeros((1, columns.size), dtype=np.int64)
+    for start, stop in bounds:
+        vals, cnts = _count_slice(arr[start:stop])
+        running[0, np.searchsorted(columns, vals)] += cnts
+        spectra += SeparationSpectrum._rows(running, columns)
     return spectra
 
 
 def _count_slice(arr):
-    """(values, counts) of a slice that the compiled table may not hold, in ascending order:
-    by np.bincount when its largest value is below its length (so the dense count is never
+    """(values, counts) of a slice in ascending order, the values of the slice's dtype: by
+    np.bincount when its largest value is below its length (so the dense count is never
     larger than the slice), by np.unique otherwise."""
-    if arr.size == 0:
-        return np.array([], dtype=np.int64), np.array([], dtype=np.int64)
-    if arr.dtype == np.int64 and arr.min() < 0:
-        raise ValidationError("separations must be >= 0")
-    top = int(arr.max()) + 1
+    top = int(arr.max()) + 1 if arr.size else 0
     if top > arr.size:
         return np.unique(arr, return_counts=True)
-    # bincount will not cast uint64 safely; every value here is below the size
-    if arr.dtype == np.uint64:
-        arr = arr.view(np.int64)
-    # bincount casts to intp: a block at a time, so the cast never copies the slice
-    step = arr.size if arr.dtype == np.intp else max(BINCOUNT_BLOCK, top)
-    cnts = np.zeros(top, dtype=np.intp)
-    for i in range(0, arr.size, step):
-        cnts += np.bincount(arr[i : i + step], minlength=top)
+    cnts = np.bincount(arr.astype(np.intp, copy=False), minlength=top)
     vals = np.flatnonzero(cnts)
-    return vals, cnts[vals]
+    return vals.astype(arr.dtype), cnts[vals]
 
 
-def _count_pieces(kernel, arr, pieces, rows, workers):
-    """A rows x kernel.histogram_cap table: row r counts the values arr[lo:hi] of each piece
-    (r, lo, hi), or None when a piece holds a value outside the table.
+def _count_rows(kernel, arr, bounds, top):
+    """A len(bounds) x top table: row r counts the values arr[start:stop] of bounds[r].
 
-    arr is a contiguous int64, uint64 or uint32 stream.  The workers (`sieve._on_workers`)
-    claim the pieces in turn, each adds its pieces into a table of its own, and the tables
-    are summed, so the count does not depend on the CPU count.
+    arr is a contiguous int64, uint64 or uint32 stream of values below top <= histogram_cap.
+    Workers (`sieve._on_workers`), one per two pieces' worth of values (more would pass the GIL
+    to and fro), claim pieces of BLOCK_VALUES values in turn, each into a table of its own; the
+    tables are summed, so the count does not depend on the CPU count.
     """
-    cap, width, at_arr = kernel.histogram_cap, arr.itemsize, arr.ctypes.data
-    tables = [np.zeros((rows, cap), dtype=np.int64) for _ in range(workers)]
+    pieces = [(r, lo, min(lo + BLOCK_VALUES, stop))
+              for r, (start, stop) in enumerate(bounds)
+              for lo in range(start, stop, BLOCK_VALUES)]
+    workers = sieve._worker_count((bounds[-1][1] - bounds[0][0]) // (2 * BLOCK_VALUES))
+    width, at_arr = arr.itemsize, arr.ctypes.data
 
-    def count(jobs):
-        table = tables.pop()
+    def count(jobs):  # into a table of this worker's own
+        table = np.zeros((len(bounds), top), dtype=np.int64)
         at_table, stride = table.ctypes.data, table.strides[0]
         for r, lo, hi in jobs:
-            top = kernel.twinsep_histogram(at_arr + lo * width, hi - lo, width,
-                                           at_table + r * stride)
-            if top < 0:
-                for _ in jobs:  # drop the pieces left: every worker stops
-                    pass
-                return None
+            kernel.twinsep_histogram(at_arr + lo * width, hi - lo, width, at_table + r * stride)
         return table
 
-    counted = sieve._on_workers(count, iter(pieces), workers)
-    if any(table is None for table in counted):
-        return None
-    return sum(counted[1:], counted[0])
+    return sum(sieve._on_workers(count, iter(pieces), workers))
 
 
 def s0_from_counts(
@@ -226,7 +232,7 @@ def s0_from_counts(
 
 def write_spectrum_csv(path, spectrum: SeparationSpectrum, metadata=None) -> None:
     """CSV with columns s,count sorted ascending, plus metadata comments."""
-    write_csv(path, metadata or {}, ["s", "count"], sorted(spectrum.bins.items()))
+    write_csv(path, metadata or {}, ["s", "count"], spectrum.bins.items())
 
 
 def read_spectrum_csv(path) -> tuple[SeparationSpectrum, dict[str, str]]:

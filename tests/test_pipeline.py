@@ -245,9 +245,9 @@ class TestCheckpointViews:
     def test_running_tables_match_merged_slices(self, run100k, on_cpus, monkeypatch, dtype,
                                                 wide, cpus):
         # pieces of 100 values and batches of 4 checkpoints, so that several workers claim
-        # pieces and the running spectrum carries from batch to batch; a batch with a value
-        # outside the compiled table is counted slice by slice, and an int32 stream is cast
-        # to int64 and counted like the others
+        # pieces and the running spectrum carries from batch to batch; a stream with a value
+        # outside the compiled table is counted slice by slice on the calling thread, and an
+        # int32 stream is cast to int64 and counted like the others
         report, table = run100k
         seps = report.separations.astype(dtype)
         if wide is not None:
@@ -263,7 +263,7 @@ class TestCheckpointViews:
             done = k
         assert got == want and list(got) == list(want)
         assert all(type(s) is type(c) is int for v in got.values() for s, c in v.bins.items())
-        assert (workers > 1) == (cpus > 1)
+        assert (workers > 1) == (cpus > 1 and wide is None)
 
     def test_running_tables_reject_a_negative_value(self, run100k):
         report, table = run100k
@@ -299,6 +299,16 @@ class TestCheckpointViews:
         report, table = run100k
         with pytest.raises(ValidationError, match="f must be > 0"):
             count_cutoff_exceedances(report.separations, table, f=0.0)
+
+    @pytest.mark.parametrize("f,conv", [(-1.0, "raw"), (0.0, "raw"), (1.0, "bogus")])
+    def test_exceedances_check_arguments_before_the_fold(self, run100k, monkeypatch, f, conv):
+        def fold(*args):
+            raise AssertionError("the stream was counted before the arguments were checked")
+
+        monkeypatch.setattr(spectrum, "_running_spectra", fold)
+        report, table = run100k
+        with pytest.raises(ValidationError):
+            count_cutoff_exceedances(report.separations, table, f=f, convention=conv)
 
     def test_exceedances_stay_near_risk_factor(self, run100k):
         # with f=1, about one completed separation should exceed each
@@ -416,3 +426,20 @@ class TestTableValidation:
     def test_unsorted_rejected(self):
         with pytest.raises(ValidationError):
             CountTable(rows=[CountRecord(n=100, pi1=25, pi2=8), CountRecord(n=10, pi1=4, pi2=2)])
+
+
+ENTRY_POINTS = {
+    "s0_from_counts": lambda run, conv: s0_from_counts(run[1].rows[-1], conv),
+    "solve_checkpoint": lambda run, conv: solve_checkpoint(run[1].rows[-1], 1.0, conv),
+    "figure_pipeline": lambda run, conv: figure_pipeline(run[1], convention=conv),
+    "count_cutoff_exceedances": lambda run, conv: count_cutoff_exceedances(
+        run[0].separations, run[1], convention=conv
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+@pytest.mark.parametrize("conv", ["bogus", "exact", "", None, 1])
+def test_unknown_convention_is_a_validation_error(run100k, entry, conv):
+    with pytest.raises(ValidationError, match="raw, paper_offset or interval_exact"):
+        ENTRY_POINTS[entry](run100k, conv)

@@ -1,4 +1,5 @@
 import collections
+import math
 import warnings
 
 import numpy as np
@@ -95,11 +96,12 @@ class TestAccumulate:
     @pytest.mark.parametrize(
         "size,top",
         [(1, 0), (1000, 30), (1000, 999), (1000, 1000), (50, 10**6),
-         (2**16 - 1, 60), (2**16 + 1, 60), (3 * 2**16 + 5, 60), (3 * 2**16 + 5, 2**17)],
+         (2**16 - 1, 60), (2**16 + 1, 60), (3 * 2**16 + 5, 60), (3 * 2**16 + 5, 2**17),
+         (5000, 2000)],
     )
     def test_matches_counter(self, dtype, size, top):
-        # both branches: bincount while max < size, np.unique above; uint32 and uint64
-        # streams longer than BINCOUNT_BLOCK are counted a block at a time
+        # every counter: the kernel's table while max < 1024, and above it bincount while
+        # max < size and np.unique beyond
         arr = np.random.default_rng(size + top).integers(0, top + 1, size).astype(dtype)
         counts = collections.Counter(int(x) for x in arr)
         spec = accumulate(arr)
@@ -256,13 +258,19 @@ class TestRunningSpectra:
             return
         got, _ = on_cpus(cpus, spectrum._running_spectra, arr, stops)
         assert len(got) == len(stops)
-        order = []  # a bin keeps the place where it first appeared, each slice in ascending order
-        for spec, start, stop in zip(got, [0, *stops], stops):
-            order += sorted(set(values[start:stop]) - set(order))
+        for spec, stop in zip(got, stops):
             assert spec.bins == collections.Counter(values[:stop])
-            assert list(spec.bins) == [s for s in order if s in spec.bins]
+            assert list(spec.bins) == sorted(spec.bins)  # ascending
             assert all(type(s) is type(c) is int for s, c in spec.bins.items())
-        assert len({id(spec.bins) for spec in got}) == len(got)  # no two share their bins
+            assert (spec.total_intervals, spec.total_singletons) == (
+                stop, sum(values[:stop])
+            )
+        # rows may share the fold's arrays, so no spectrum can write to them
+        for spec in got:
+            for array in (spec.separations, spec.counts):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = 0
 
 
 class TestEmptyBins:
@@ -280,15 +288,35 @@ class TestEmptyBins:
         assert spec == SeparationSpectrum()
 
 
+class TestFromBins:
+    @pytest.mark.parametrize("bins", [{-1: 2}, {3: -1}, {-1: 0}, {2**64: 1}, {1: 2**63}])
+    def test_out_of_range_is_a_validation_error(self, bins):
+        with pytest.raises(ValidationError, match=r"keys in \[0, 2\*\*64\)"):
+            SeparationSpectrum(bins)
+
+    def test_arrays_ascending_and_read_only(self):
+        spec = SeparationSpectrum({2**64 - 1: 1, 7: 0, 1: 2})
+        assert spec.separations.tolist() == [1, 2**64 - 1] and spec.counts.tolist() == [2, 1]
+        assert list(spec.bins) == [1, 2**64 - 1]
+        assert (spec.total_intervals, spec.total_singletons) == (3, 2**64 + 1)
+        assert (spec.max_separation(), spec.count_above(2.0**63)) == (2**64 - 1, 1)
+        assert not spec.separations.flags.writeable and not spec.counts.flags.writeable
+
+
 class TestCountAbove:
     @pytest.mark.parametrize(
         "seps", [[], [3], [0, 0, 1, 1, 2, 1, 5, 5, 9, 12]], ids=["empty", "one", "gaps"]
     )
-    @pytest.mark.parametrize("x", [-7, -0.5, 0, 0.5, 2, 3, 3.5, 4, 8.999, 9, 11.25, 12, 12.5, 1e9])
-    def test_matches_counter(self, seps, x):
-        # x < 0, on a bin, between bins (4 and 11.25 in "gaps"), non-integer and above the maximum
-        spec = SeparationSpectrum(dict(collections.Counter(seps)))
-        assert spec.count_above(x) == sum(1 for s in seps if s > x)
+    @pytest.mark.parametrize("x", [-7, -0.5, 0, 0.5, 2, 3, 3.5, 4, 8.999, 9, 11.25, 12, 12.5, 1e9,
+                                   -math.inf, math.inf, math.nan])
+    def test_matches_counter(self, kernel, seps, x):
+        # x < 0, on a bin, between bins (4 and 11.25 in "gaps"), non-integer, above the maximum,
+        # infinite and nan (the total, 0 and 0); on a spectrum built from a dict, and on the
+        # last row of a fold with three stops
+        arr = np.array(seps, dtype=np.int64)
+        folded = spectrum._running_spectra(arr, [0, arr.size // 2, arr.size])[-1]
+        for spec in (SeparationSpectrum(dict(collections.Counter(seps))), folded):
+            assert spec.count_above(x) == sum(1 for s in seps if s > x)
 
 
 class TestS0:
