@@ -876,17 +876,21 @@ int64_t twinsep_geometric(const uint64_t *key, const uint64_t *counter, int64_t 
  * (width 4) values into counts, which holds twinsep_histogram_cap (SUB_TOP) entries.  When
  * every value lies in [0, SUB_TOP), it adds the count of each value v to counts[v] and
  * returns top, the greatest value plus one (0 when n = 0).  Otherwise it returns -1, leaves
- * counts as they were, and the caller counts.  It takes one pass: each value v is counted as
- * v & (SUB_TOP - 1) into SUB interleaved sub-tables, element i into sub[v * SUB + i % SUB],
- * so that a run of one value (the geometric law's s = 0) does not wait on its own last
- * increment, and the values are ORed together; an OR below SUB_TOP shows that every value
- * lay in [0, SUB_TOP) (a negative int64 reads as 2**63 or more), so the sub-tables hold the
- * histogram, and every value lies below the power of two above the OR's top bit, so only
- * the bins below it are read.  The sub-tables are a fixed 32 KB on the stack.  The pass is
- * inlined once per width, so its loop reads one fixed type.
+ * counts as they were, and the caller counts.  A stream of at most SMALL values is read once
+ * for its greatest value, then counted straight into counts: zeroing the sub-tables below
+ * costs more than that (a 1-value call took as long as a 10-value one).  A longer one takes
+ * one pass: each value v is counted as v & (SUB_TOP - 1) into SUB interleaved sub-tables,
+ * element i into sub[v * SUB + i % SUB], so that a run of one value (the geometric law's
+ * s = 0) does not wait on its own last increment, and the values are ORed together; an OR
+ * below SUB_TOP shows that every value lay in [0, SUB_TOP) (a negative int64 reads as 2**63
+ * or more), so the sub-tables hold the histogram, and every value lies below the power of
+ * two above the OR's top bit, so only the bins below it are read.  The sub-tables are a
+ * fixed 32 KB on the stack.  The pass is inlined once per width, so its loop reads one
+ * fixed type.
  */
 #define SUB 4
 #define SUB_TOP 1024 /* a power of two */
+#define SMALL 256    /* a stream this short skips the sub-tables */
 
 const int64_t twinsep_histogram_cap = SUB_TOP;
 
@@ -905,6 +909,16 @@ INLINE int64_t bin(const int64_t *sub, int64_t v) /* the count of v over the sub
 
 INLINE int64_t histogram(const void *x, int64_t n, int width, int64_t *counts)
 {
+    if (n <= SMALL) {
+        uint64_t most = 0;
+        for (int64_t i = 0; i < n; i++)
+            most = at(x, width, i) > most ? at(x, width, i) : most;
+        if (most >= SUB_TOP)
+            return -1;
+        for (int64_t i = 0; i < n; i++)
+            counts[at(x, width, i)]++;
+        return n ? (int64_t)most + 1 : 0;
+    }
     int64_t sub[SUB * SUB_TOP] = {0}, i = 0;
     uint64_t any = 0;
     for (; i + SUB <= n; i += SUB) { /* written out: gcc -O2 keeps a loop over k */

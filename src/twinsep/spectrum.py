@@ -5,6 +5,9 @@ arrays; the totals, the maximum and the count beyond a cutoff are read off
 them.  Every spectrum is one row of a cumulative table from one running
 fold, `_running_spectra`: `accumulate` is the fold with one stop, and
 `pipeline.per_checkpoint_spectra` the fold with one stop per checkpoint.
+The fold reads the stream once: the compiled histogram that counts it also
+gives the greatest value, so no pass of its own is taken for that, except
+on a stream with a value outside the histogram's table.
 Three s0 conventions are kept first-class because published count tables
 and interval-exact bookkeeping disagree by small offsets.
 """
@@ -26,7 +29,7 @@ from .sieve import CountRecord
 
 BLOCK_VALUES = 1 << 16  # values per piece a worker of the compiled histogram claims
 # slices counted at once by _running_spectra: a worker's table is then at most 256 rows of
-# at most 1024 int64s (2 MB), as many as the stream's greatest value + 1
+# the kernel's 1024 int64s (2 MB), cut to the greatest value + 1 before the tables are summed
 ROWS_AT_ONCE = 256
 
 
@@ -124,37 +127,42 @@ def _running_spectra(arr, stops) -> list[SeparationSpectrum]:
     """[the spectrum of arr[:stop] for each stop], stops non-decreasing and at most arr.size.
 
     The one counting path: the slices between stops are counted into rows of a table, each
-    added to the one before.  The stream's greatest value, read once, picks the counter:
-    below the kernel's `histogram_cap`, `_count_rows`, into rows as wide as that value + 1;
-    otherwise `_count_slice`, into rows with a column per value in the stream.  The kernel is
-    not loaded when nothing is counted.
+    added to the one before.  `_count_rows` counts them, ROWS_AT_ONCE at a time, with the
+    kernel's histogram, which also returns each piece's greatest value + 1: a batch's rows are
+    as wide as the greatest value seen so far + 1, so the stream is read once.  Once a piece
+    holds a value outside the kernel's table (or a negative int64), the stream is checked
+    for negatives and counted whole by `_count_slice`, which gives the columns, a value each,
+    and the last spectrum; the slices left before it are counted by `_count_slice` into a
+    row over those columns, carried on from the rows counted before.  The kernel is not
+    loaded when nothing is counted.
     """
     if not (stops and stops[-1]):
         return [SeparationSpectrum() for _ in stops]
     arr = sieve._checked_stream(arr.reshape(-1)[: stops[-1]])
-    # the greatest value in one pass, where a negative int64 reads as 2**63 or more
-    top = int(arr.max() if arr.dtype == np.uint32 else arr.view(np.uint64).max()) + 1
-    if arr.dtype == np.int64 and top > 2**63:
-        raise ValidationError("separations must be >= 0")
     kernel = sieve._load_kernel()
     bounds = list(zip([0, *stops], stops))
-    spectra = []
-    if top <= kernel.histogram_cap:
-        running, columns = np.zeros(top, dtype=np.int64), np.arange(top)
-        for b in range(0, len(bounds), ROWS_AT_ONCE):
-            table = _count_rows(kernel, arr, bounds[b : b + ROWS_AT_ONCE], top)
-            for row in table:
-                row += running
-                running = row
-            spectra += SeparationSpectrum._rows(table, columns)
+    spectra, running = [], np.zeros(0, dtype=np.int64)
+    for b in range(0, len(bounds), ROWS_AT_ONCE):
+        table = _count_rows(kernel, arr, bounds[b : b + ROWS_AT_ONCE], running.size)
+        if table is None:
+            break
+        np.cumsum(table, axis=0, out=table)
+        table[:, : running.size] += running
+        running = table[-1]
+        spectra += SeparationSpectrum._rows(table, np.arange(running.size))
+    if len(spectra) == len(bounds):
         return spectra
-    columns = _count_slice(arr)[0]  # every value the stream holds
-    running = np.zeros((1, columns.size), dtype=np.int64)
-    for start, stop in bounds:
+    if arr.dtype == np.int64 and arr.min() < 0:
+        raise ValidationError("separations must be >= 0")
+    columns, total = _count_slice(arr)  # every value the stream holds, and the last spectrum
+    wide = np.zeros((1, columns.size), dtype=np.int64)
+    seen = np.flatnonzero(running)
+    wide[0, np.searchsorted(columns, seen.astype(columns.dtype))] = running[seen]
+    for start, stop in bounds[len(spectra) : -1]:
         vals, cnts = _count_slice(arr[start:stop])
-        running[0, np.searchsorted(columns, vals)] += cnts
-        spectra += SeparationSpectrum._rows(running, columns)
-    return spectra
+        wide[0, np.searchsorted(columns, vals)] += cnts
+        spectra += SeparationSpectrum._rows(wide, columns)
+    return spectra + SeparationSpectrum._rows(total[None], columns)
 
 
 def _count_slice(arr):
@@ -169,28 +177,42 @@ def _count_slice(arr):
     return vals.astype(arr.dtype), cnts[vals]
 
 
-def _count_rows(kernel, arr, bounds, top):
-    """A len(bounds) x top table: row r counts the values arr[start:stop] of bounds[r].
+def _count_rows(kernel, arr, bounds, width):
+    """A len(bounds) x max(width, top) table, where row r counts the values arr[start:stop] of
+    bounds[r] and top is their greatest value + 1; None once a value lies outside the kernel's
+    table of histogram_cap entries (a negative int64 among them).
 
-    arr is a contiguous int64, uint64 or uint32 stream of values below top <= histogram_cap.
-    Workers (`sieve._on_workers`), one per two pieces' worth of values (more would pass the GIL
-    to and fro), claim pieces of BLOCK_VALUES values in turn, each into a table of its own; the
-    tables are summed, so the count does not depend on the CPU count.
+    arr is a contiguous int64, uint64 or uint32 stream.  Workers (`sieve._on_workers`), one per
+    two pieces' worth of values (more would pass the GIL to and fro), claim pieces of
+    BLOCK_VALUES values in turn, each into a full-width table of its own; a worker whose piece
+    lies outside the table drops the pieces left, so the others stop at their next claim.  The
+    tables, cut to the width, are summed, so the count does not depend on the CPU count.
     """
     pieces = [(r, lo, min(lo + BLOCK_VALUES, stop))
               for r, (start, stop) in enumerate(bounds)
               for lo in range(start, stop, BLOCK_VALUES)]
     workers = sieve._worker_count((bounds[-1][1] - bounds[0][0]) // (2 * BLOCK_VALUES))
-    width, at_arr = arr.itemsize, arr.ctypes.data
+    size, at_arr = arr.itemsize, arr.ctypes.data
 
-    def count(jobs):  # into a table of this worker's own
-        table = np.zeros((len(bounds), top), dtype=np.int64)
+    def count(jobs):  # (a table of this worker's own, its greatest top), or None
+        table = np.zeros((len(bounds), kernel.histogram_cap), dtype=np.int64)
         at_table, stride = table.ctypes.data, table.strides[0]
+        top = 0
         for r, lo, hi in jobs:
-            kernel.twinsep_histogram(at_arr + lo * width, hi - lo, width, at_table + r * stride)
-        return table
+            got = kernel.twinsep_histogram(at_arr + lo * size, hi - lo, size,
+                                           at_table + r * stride)
+            if got < 0:
+                for _ in jobs:  # drop the pieces left
+                    pass
+                return None
+            top = max(top, got)
+        return table, top
 
-    return sum(sieve._on_workers(count, iter(pieces), workers))
+    counted = sieve._on_workers(count, iter(pieces), workers)
+    if None in counted:
+        return None
+    width = max(width, *(top for _, top in counted))
+    return sum(table[:, :width] for table, _ in counted)
 
 
 def s0_from_counts(

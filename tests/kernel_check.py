@@ -96,7 +96,8 @@ def check_geometric(lib):
 def check_histogram(lib):
     cap = lib.histogram_cap
     rng = np.random.default_rng(4)
-    streams = [rng.geometric(0.1, 1000) - 1, rng.integers(0, 5000, 10000), np.array([0]),
+    streams = [rng.geometric(0.1, 1000) - 1, rng.geometric(0.1, 100) - 1,
+               rng.integers(0, 5000, 10000), np.array([0]),
                np.array([cap - 1]), np.array([cap]), np.array([cap + 1, cap + 6, 0]),
                np.array([3, -1, 2]), np.array([2**62, 5])]
     for stream in streams:

@@ -245,8 +245,10 @@ class TestCheckpointViews:
     def test_running_tables_match_merged_slices(self, run100k, on_cpus, monkeypatch, dtype,
                                                 wide, cpus):
         # pieces of 100 values and batches of 4 checkpoints, so that several workers claim
-        # pieces and the running spectrum carries from batch to batch; a stream with a value
-        # outside the compiled table is counted slice by slice on the calling thread, and an
+        # pieces and the running spectrum carries from batch to batch; from the batch with a
+        # value outside the compiled table on, the stream is counted slice by slice on the
+        # calling thread, so a late one is first met by the workers, and one in slice 0 only
+        # by the first batch's single worker (its 4 slices hold too few values for two); an
         # int32 stream is cast to int64 and counted like the others
         report, table = run100k
         seps = report.separations.astype(dtype)
@@ -263,11 +265,16 @@ class TestCheckpointViews:
             done = k
         assert got == want and list(got) == list(want)
         assert all(type(s) is type(c) is int for v in got.values() for s, c in v.bins.items())
-        assert (workers > 1) == (cpus > 1 and wide is None)
+        assert (workers > 1) == (cpus > 1 and wide != 0)
 
-    def test_running_tables_reject_a_negative_value(self, run100k):
+    def test_running_tables_reject_a_negative_value(self, run100k, monkeypatch):
+        # batches of 4 checkpoints, so that a negative in a middle or the last batch is met
+        # after the batches before it were counted
         report, table = run100k
-        for at in (0, report.separations.size - 1):
+        monkeypatch.setattr(spectrum, "BLOCK_VALUES", 100)
+        monkeypatch.setattr(spectrum, "ROWS_AT_ONCE", 4)
+        middle = table.rows[len(table.rows) // 2].pi2 - 3
+        for at in (0, middle, report.separations.size - 1):
             seps = report.separations.astype(np.int64)
             seps[at] = -1
             with pytest.raises(ValidationError, match="must be >= 0"):

@@ -1,5 +1,7 @@
 import collections
+import ctypes
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -174,8 +176,8 @@ class TestCompiledHistogram:
 
 class TestWorkerCount:
     """The spectrum is the same on 1, 2 or 3 CPUs: each worker counts the blocks it claims into
-    a table of its own, and a block outside the table sends the stream to np.bincount or
-    np.unique on the calling thread."""
+    a table of its own, and a block outside the table sends the rest of the stream to
+    np.bincount or np.unique on the calling thread."""
 
     SIZE = 20_000 + 3
     POSITIONS = (0, 9_500, SIZE - 1)  # in the first, a middle and the last block
@@ -208,6 +210,36 @@ class TestWorkerCount:
             for k in (1, 2, 3):
                 with pytest.raises(ValidationError, match=">= 0"):
                     on_cpus(k, accumulate, arr)
+
+    def test_a_wide_first_block_stops_every_worker(self, kernel, on_cpus, monkeypatch):
+        # a value outside the table in the first block: the worker that claims it drops the
+        # blocks left, so the others stop at their next claim, and numpy counts the stream.
+        # The kernel is called here through a PyDLL handle, which keeps the GIL, and no
+        # thread is made to give the GIL up on a timer, so no worker can claim a block
+        # between that call and the drop: the calls are counted, not raced.
+        monkeypatch.setattr(spectrum, "BLOCK_VALUES", 100)
+        held = ctypes.PyDLL(kernel._name).twinsep_histogram
+        held.argtypes, held.restype = kernel.twinsep_histogram.argtypes, ctypes.c_int64
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return held(*args)
+
+        monkeypatch.setattr(kernel, "twinsep_histogram", counted)
+        arr = self.stream(np.int64)
+        arr[0] = 1024
+        want = dict(collections.Counter(arr.tolist()))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(100.0)
+        try:
+            for k in (1, 2, 3):
+                calls.clear()
+                spec, workers = on_cpus(k, accumulate, arr)
+                assert spec.bins == want, k
+                assert workers == k and len(calls) <= workers, (k, workers, len(calls))
+        finally:
+            sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("dtype,wide", [(np.int64, 1024), (np.int64, 10**12),
                                             (np.uint32, 5000), (np.uint64, 2**64 - 1)])
