@@ -134,14 +134,15 @@ def gof_compare(
     critical value at the given alpha.
 
     The model's support is 0..top: floor(l_cut) with a cutoff, otherwise
-    the s past which q**s < 2**-1200, where the pmf is exactly 0.0.  The
-    walk visits the occupied bins one by one and each run of empty bins
-    between them at once (`_Pools.empty_run`), so its memory grows with the
-    number of bins, and its time with the bins and the pools that span
-    several empty bins, but neither with the largest separation.  The
-    results equal a walk over every bin up to the largest separation (the
-    test suite's `dense_gof`): dof and the verdict exactly, chi2 and ks to
-    rounding.
+    the s past which q**s < 2**-1200, where the pmf is exactly 0.0.  A pool
+    closes on what it expects alone, so `_pool_bounds` finds the pools of
+    several bins from the model; every bin below them is a pool of its own.
+    One searchsorted reads the counts into the pools, and numpy scores the
+    single bins, each run of empty ones by its closed-form mass.  Memory and
+    time grow with the occupied bins plus the pools of several bins, not
+    with the largest separation.  The results equal a walk over every bin up
+    to the largest separation (the test suite's `dense_gof`): dof and the
+    verdict exactly, chi2 and ks to rounding.
     """
     total = empirical.total_intervals
     if total < 50:
@@ -150,9 +151,10 @@ def gof_compare(
         raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
 
     q = params.q
+    lnq = math.log(q)
     cut = params.l_cut is not None
     top = math.floor(params.l_cut) if cut else math.ceil(1200 / -math.log2(q))
-    norm = -math.expm1((top + 1) * math.log(q)) if cut else 1.0  # 1 - q**(top+1)
+    norm = -math.expm1((top + 1) * lnq) if cut else 1.0  # 1 - q**(top+1)
     s_max = empirical.max_separation()
     if not cut:
         tail = q ** (s_max + 1)  # the model's mass beyond s_max
@@ -161,40 +163,36 @@ def gof_compare(
     last = min(s_max, top)  # bins above it have no model mass
     n_in = int(np.searchsorted(empirical.separations, last, side="right"))
     s_in = empirical.separations[:n_in].astype(np.int64)
-    probs = (1.0 - q) * q**s_in
-    if cut:
-        probs /= norm
     counts = empirical.counts.astype(np.float64)
-
-    # pool from the tail down: the mass beyond s_max, the bins above the support (which
-    # expect nothing), then the support, one occupied bin or one run of empty bins at a time
-    pools = _Pools(q, total / norm, float(counts[n_in:].sum()), total * tail)
-    upper = last
-    for s, o, e in zip(s_in[::-1].tolist(), counts[:n_in][::-1].tolist(),
-                       (total * probs[::-1]).tolist()):
-        if s < upper:
-            pools.empty_run(s + 1, upper)
-        pools.acc_o += o
-        pools.acc_e += e
-        if pools.acc_e >= POOL_MIN_EXPECTED:
-            pools.close()
-        upper = s - 1
-    if upper >= 0:
-        pools.empty_run(0, upper)
-    chi2, dof = pools.finish()
-    crit = _chi2_isf(dof, alpha)
-
-    # KS, at each bin the walk visits: the empirical CDF is flat over a run of empty bins and
-    # the model's rises, so their gap is largest at one end of the run; above the support the
-    # model's stays at its value at `last`
+    below = np.concatenate(([0.0], np.cumsum(counts)))  # below[i]: what the first i bins hold
     edges = np.concatenate(([-1], s_in, [last + 1]))
     runs = np.flatnonzero(np.diff(edges) > 1)
-    cum = np.cumsum(counts) / total
-    flat = np.concatenate(([0.0], cum))[runs]
-    at = np.concatenate((s_in, edges[runs] + 1, edges[runs + 1] - 1,
-                         np.full(counts.size - n_in, last)))
-    emp = np.concatenate((cum[:n_in], flat, flat, cum[n_in:]))
-    ks = float(np.max(np.abs(emp + np.expm1((at + 1) * math.log(q)) / norm)))
+    lo, hi = edges[runs] + 1, edges[runs + 1] - 1  # the runs of empty bins in the support
+
+    # the pools of several bins, of which the top one also holds the counts above the support
+    scale = total / norm
+    lows, expected, one = _pool_bounds(q, scale, total * tail, last)
+    observed = -np.diff(below[np.append(counts.size, np.searchsorted(s_in, lows))])
+    chi2 = np.sum((observed - expected) ** 2 / expected)
+    # bins one..0, a pool each: the occupied ones, then the empty runs, as (0 - e)**2 / e = e
+    n_one = int(np.searchsorted(s_in, one, side="right"))
+    e = total * ((1.0 - q) * q ** s_in[:n_one] / norm)
+    chi2 += np.sum((counts[:n_one] - e) ** 2 / e)
+    n_run = int(np.searchsorted(lo, one, side="right"))
+    width = np.minimum(hi[:n_run], one) - lo[:n_run] + 1
+    chi2 += scale * np.sum(q ** lo[:n_run] * -np.expm1(width * lnq))
+    dof = len(lows) + one
+    if dof < 1:
+        raise ValidationError("insufficient data: fewer than 2 bins after pooling")
+    crit = _chi2_isf(dof, alpha)
+
+    # KS, at each occupied bin and at both ends of each run of empty bins: the empirical CDF
+    # is flat over a run and the model's rises, so their gap is largest at one end of it; above
+    # the support the model's stays at its value at `last`
+    cum = below / total
+    at = np.concatenate((s_in, lo, hi, np.full(counts.size - n_in, last)))
+    emp = np.concatenate((cum[1:n_in + 1], cum[runs], cum[runs], cum[n_in + 1:]))
+    ks = float(np.max(np.abs(emp + np.expm1((at + 1) * lnq) / norm)))
 
     return GofReport(
         chi2=float(chi2),
@@ -206,87 +204,49 @@ def gof_compare(
     )
 
 
-class _Pools:
-    """gof_compare's pooling, from the tail down, in running sums.
+def _pool_bounds(q, scale, carry, last):
+    """gof_compare's pools from the tail down, by the model alone: (lows, expected, one).
 
-    (acc_o, acc_e) is the open pool, which closes once it expects
-    POOL_MIN_EXPECTED.  The pool closed last stays apart from chi2: what is
-    left open at the bottom joins it.  A run of empty bins a..b expects
-    scale * (q**a - q**(b+1)), so the bins each pool of the run takes are
-    found by a logarithm; once one bin alone expects POOL_MIN_EXPECTED,
-    every bin below it does too, and is a pool of its own.
+    Bin s expects scale * (1 - q) * q**s and the tail beyond `last` expects
+    `carry`; a pool closes once it expects POOL_MIN_EXPECTED, and its width
+    is found by a logarithm of its closed-form mass.  Pool i holds the bins
+    from lows[i] up to the pool above and expects expected[i]; the top pool
+    is always one of them, and what the bottom bins leave short joins the
+    pool above.  Bins one..0 are a pool each: once a bin alone expects
+    POOL_MIN_EXPECTED, every bin below it does too.
     """
+    lnq = math.log(q)
 
-    def __init__(self, q, scale, acc_o, acc_e):
-        self.q, self.lnq, self.scale = q, math.log(q), scale
-        self.acc_o, self.acc_e = acc_o, acc_e
-        self.chi2, self.count, self.low = 0.0, 0, None
-        if acc_e >= POOL_MIN_EXPECTED:
-            self.close()
+    def mass(a, b):  # what the bins a..b expect: scale * (q**a - q**(b+1))
+        return scale * q**a * -math.expm1((b - a + 1) * lnq)
 
-    def close(self):
-        if self.low is not None:
-            o, e = self.low
-            self.chi2 += (o - e) ** 2 / e
-        self.low = (self.acc_o, self.acc_e)
-        self.count += 1
-        self.acc_o = self.acc_e = 0.0
-
-    def _mass(self, a, b):
-        """What the bins a..b expect."""
-        return self.scale * self.q**a * -math.expm1((b - a + 1) * self.lnq)
-
-    def empty_run(self, a, b):
-        """The empty bins b, b - 1, ..., a."""
-        while b >= a:
-            if self.acc_o == self.acc_e == 0.0 and self._mass(b, b) >= POOL_MIN_EXPECTED:
-                # b .. a are a pool each, and (0 - e)**2 / e = e
-                self.acc_e = self._mass(b, b)
-                self.close()
-                if b > a + 1:  # b - 1 .. a + 1 at once: the pool closed last stays a's
-                    self.acc_e = self._mass(a + 1, b - 1)
-                    self.close()
-                    self.count += b - a - 2
-                if b > a:
-                    self.acc_e = self._mass(a, a)
-                    self.close()
-                return
-            k = self._width(b)
-            if k > b - a + 1:
-                self.acc_e += self._mass(a, b)
-                return
-            self.acc_e += self._mass(b - k + 1, b)
-            self.close()
-            b -= k
-
-    def _width(self, b):
-        """The fewest bins b, b - 1, ... that fill the open pool."""
-        need = POOL_MIN_EXPECTED - self.acc_e
-        x = self.scale * self.q ** (b + 1)  # k bins expect x * (q**-k - 1)
+    lows, expected, acc, b = [], [], carry, last
+    if acc >= POOL_MIN_EXPECTED:  # the tail alone
+        lows, expected, acc = [last + 1], [acc], 0.0
+    while b >= 0:
+        # the fewest bins b, b - 1, ... that fill the pool: k bins expect x * (q**-k - 1)
+        need, x = POOL_MIN_EXPECTED - acc, scale * q ** (b + 1)
         if x > 0.0 and need / x < math.inf:
-            w = math.log1p(need / x) / -self.lnq
+            w = math.log1p(need / x) / -lnq
         else:  # q**(b + 1) is negligible
-            w = b + 1 - math.log(need / self.scale) / self.lnq
+            w = b + 1 - math.log(need / scale) / lnq
         k = max(1, min(math.ceil(min(w, 2.0**62)), b + 2))  # b + 2: past bin 0
         # the logarithm can be a bin off: settle k by the sum the pool takes
-        if k > 1 and self.acc_e + self._mass(b - k + 2, b) >= POOL_MIN_EXPECTED:
+        if k > 1 and acc + mass(b - k + 2, b) >= POOL_MIN_EXPECTED:
             k -= 1
-        elif self.acc_e + self._mass(b - k + 1, b) < POOL_MIN_EXPECTED:
+        elif acc + mass(b - k + 1, b) < POOL_MIN_EXPECTED:
             k += 1
-        return k
-
-    def finish(self):
-        """(chi2, dof) once the bottom bin is in: what is left open joins the pool closed last."""
-        if self.acc_o or self.acc_e:
-            if self.low is None:
-                self.close()
-            else:
-                o, e = self.low
-                self.low = (o + self.acc_o, e + self.acc_e)
-        if self.count < 2:
-            raise ValidationError("insufficient data: fewer than 2 bins after pooling")
-        o, e = self.low
-        return self.chi2 + (o - e) ** 2 / e, self.count - 1
+        if lows and k == 1:  # bin b alone fills a pool with nothing carried, as do those below
+            break
+        if k > b + 1:  # bins b..0 fall short of a pool: they join the pool above, if any
+            if lows:
+                lows.pop()
+                acc = expected.pop()
+            return [*lows, 0], [*expected, acc + mass(0, b)], -1
+        lows.append(b - k + 1)
+        expected.append(acc + mass(b - k + 1, b))
+        acc, b = 0.0, b - k
+    return lows, expected, b
 
 
 def _log_gamma_tails(a: float, y: float) -> tuple[float, float, float]:
@@ -338,7 +298,7 @@ def _chi2_isf(dof: int, alpha: float) -> float:
     log P = log1p(-alpha) instead, so neither tail loses digits to a
     complement.  Each log tail is concave in log x, so the iterates
     overshoot the root at most once.  Agrees with scipy.special.chdtri to
-    1.5e-14 relative over dof 1..400 and 500..1e5, alpha 1e-300..0.999999.
+    1.5e-14 relative over dof 1..400 and 500..2e5, alpha 1e-300..0.999999.
     """
     from statistics import NormalDist  # 4 ms of imports that only gof_compare needs
 

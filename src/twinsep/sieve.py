@@ -199,8 +199,10 @@ def geometric_checkpoints(limit, per_decade=20, start=1000):
 def _segment_primes(low, high, base):
     """Odd primes in [low, high), low odd, given every odd prime <= isqrt(high - 1).
 
-    This is the one marking loop: each base prime p crosses out its odd
-    multiples from max(p*p, low) on.
+    Each base prime p crosses out its odd multiples from max(p*p, low) on,
+    in numpy.  The compiled kernel marks every chunk of `sieve_range`; this
+    loop sieves only the base primes (`_odd_base_primes`) and the segments
+    of the test suite's numpy reference.
     """
     flags = np.ones((high - low + 1) // 2, dtype=bool)  # index i <-> low + 2i
     for p in base.tolist():

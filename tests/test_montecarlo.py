@@ -386,7 +386,8 @@ def dense_gof(empirical, params):
 
 def assert_matches_dense(spec, params):
     """gof_compare against dense_gof: dof and the verdict exactly, chi2 and ks to rounding (the
-    walk sums runs of bins in closed form, and from the tail down)."""
+    dense walk adds bin by bin, while gof_compare sums each pool of several bins and each run
+    of empty bins in closed form)."""
     chi2, dof, ks = dense_gof(spec, params)
     if dof < 1:
         with pytest.raises(ValidationError, match="fewer than 2 bins"):
@@ -432,6 +433,10 @@ class TestGof:
             (1000.0, None, {5: 20, 700: 15, 2500: 10, 6000: 5, 9000: 2}),
             (1000.0, "typical", {0: 30, 1500: 20, 2999: 5}),
             (1000.0, "typical", {0: 30, 1500: 20, 2999: 5, 3001: 1, 10**5: 2}),
+            # the top bin of the support (13) alone expects 5 or more, so it is a pool of its
+            # own, and the counts above the support join it, whether it is occupied or empty
+            (4.0, "typical", {0: 2000, 1: 1600, 2: 1300, 10: 400, 11: 300, 13: 60, 14: 3, 40: 2}),
+            (4.0, "typical", {0: 2000, 1: 1600, 2: 1300, 10: 400, 11: 300, 15: 4}),
         ],
     )
     def test_empty_runs_match_dense_walk(self, s0, cut, bins):
@@ -532,7 +537,7 @@ class TestGof:
             GofReport(chi2=1.0, dof=3, ks_distance=1.5, passed=False, alpha=0.01, chi2_critical=1.0)
 
 
-ORACLE_DOFS = [*range(1, 401), 500, 1000, 10**4, 10**5]
+ORACLE_DOFS = [*range(1, 401), 500, 1000, 10**4, 10**5, 2 * 10**5]
 ALPHAS = [1e-300, 1e-100, 1e-20, 1e-6, 0.001, 0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.999999]
 
 
