@@ -30,11 +30,14 @@
  *             Primes below SMALL_PRIME cross each block in sub-blocks of
  *             SUB_BLOCK bytes, which stay in L1, and the rest cross the
  *             whole block.  One chunk of about 2**27 integers on one CPU
- *             of a 2-vCPU Xeon took 13.4 ms near 1e9 (25.8 ms with a
- *             stride-p loop per residue), 18.4 ms near 1e10 (33.9), 26.2 ms
- *             near 1e11 (42.7) and 36.5 ms near 1e12 (51.4), the best of 9,
- *             and sieve_range to 1e9 about 0.067 s on both CPUs (0.115 s),
- *             a median;
+ *             of a 2-vCPU Xeon took 12.0 ms near 1e9, 16.4 ms near 1e10,
+ *             24.7 ms near 1e11 and 33.3 ms near 1e12, the best of 9 (13.4,
+ *             17.8, 25.8 and 34.3 ms in the same runs with the scan before
+ *             the one below), and sieve_range to 1e9 0.051 s on both CPUs
+ *             (0.059 s), medians of 20 alternating runs.  When a stride-p
+ *             loop per residue was replaced, it took 25.8, 33.9, 42.7 and
+ *             51.4 ms against 13.4, 18.4, 26.2 and 36.5 ms (sieve_range
+ *             0.115 s against 0.067 s);
  *   large     base primes p >= block, whose progressions hit a block at
  *             most once: a bucket sieve (Oliveira e Silva, Herzog and
  *             Pardi, Math. Comp. 83, 2014).  Each progression waits in the
@@ -46,18 +49,28 @@
  * twins alone: lower members sit at bits 2, 4, 7 of a byte (11, 17, 29 mod
  * 30), so a word's own twins are x & x >> 1 & TWIN_LOWER, and one more
  * spans the previous word when its bit 63 and this word's bit 0 are both
- * primes.  With AVX-512F and VPOPCNTDQ (chosen at run time, so the build
- * needs no -march) it takes 8 words (1920 integers) at a time, one a lane:
- * a prefix sum over the lanes gives each word its first prime index and
- * its first slot in a buffer, each lane's slots hold its twins in bit
- * order, and the lanes' slots follow one another, so the buffer holds the
- * group's twins in ascending order for one scalar pass to turn into
- * separations and records.  The scalar scan, one 64-bit word (240
- * integers) at a time, takes the tail of a block under 8 words, every
- * group that reaches a checkpoint, and other CPUs; there only a word that
- * reaches a checkpoint walks every prime.  Both find the same twins in the
- * same order.  The scan emits the fields of a ChunkSummary directly, so
- * the caller allocates only the outputs:
+ * primes.  On a CPU with AVX-512 VPOPCNTDQ, BITALG and VBMI2 (and F, BW, DQ
+ * and VBMI; chosen at run time, so the build needs no -march) it takes 8
+ * words (1920 integers) at a time with no loop over the twins.  An upper
+ * member sits at bit 0, 3 or 5 of a byte (1, 13, 19 mod 30; bit 0 pairs
+ * with bit 7 of the byte before), and each of a group's 192 candidates gets
+ * its prime index in the group as a byte: the primes of the words before it
+ * (a prefix sum over the lanes), of the bytes before it in its word (the
+ * byte counts times 0x0101..01) and of its byte below it.  vpcompressb keeps
+ * those that are upper members, in order, and the separations are each
+ * index less the one before, less 2, widened and stored 16 at a time.  The
+ * group of the chunk's first twin, one that sets a record, one that holds
+ * 256 primes or more or more than 64 twins (none past the integer 1929) go
+ * by words, as do the tail of a block under 8 words, every group that
+ * reaches a checkpoint, and other CPUs; the scan by words, one 64-bit word
+ * (240 integers) at a time, walks every prime only in a word that reaches a
+ * checkpoint.  Both find the same twins in the same order.  On one CPU of
+ * the 2-vCPU Xeon above, the scan of a chunk near 1e9 took 2.3 Mcycles of
+ * the TSC (the least of 9) against 5.8 with a scatter into slots per twin
+ * and a scalar pass over them, and the chunk 12.1 ms against 13.9 (16.6
+ * against 18.0 near 1e10), medians of 9 alternating runs.  The scan emits
+ * the fields of a ChunkSummary directly, so the caller allocates only the
+ * outputs:
  *   seps[t - 1]     separation closed by the chunk's t-th own twin (t >= 1);
  *   recs[2r], [2r+1] r-th running-maximum record: (separation, lower member);
  *   rows[3g..3g+2]  at grid[g]: primes <= n, twins with upper member <= n,
@@ -354,8 +367,30 @@ INLINE void scan_word(struct scan *s, uint64_t x, int64_t v0)
 }
 
 #if defined(__x86_64__)
-#define AVX512_SCAN __attribute__((target("avx512f,avx512vpopcntdq")))
+/* vpopcntb (BITALG), vpermb and vpermt2b (VBMI), vpcompressb (VBMI2), vpmullq (DQ) */
+#define AVX512_SCAN \
+    __attribute__((target("avx512f,avx512bw,avx512dq,avx512vbmi,avx512vbmi2,avx512bitalg," \
+                           "avx512vpopcntdq,popcnt")))
 #define GROUP 64 /* bytes (8 words, 1920 integers) per vector step */
+
+/* C(b) for each byte b of a group */
+#define EIGHT(C, b) C(b), C(b + 1), C(b + 2), C(b + 3), C(b + 4), C(b + 5), C(b + 6), C(b + 7)
+#define BYTES(C) EIGHT(C, 0), EIGHT(C, 8), EIGHT(C, 16), EIGHT(C, 24), EIGHT(C, 32), \
+                 EIGHT(C, 40), EIGHT(C, 48), EIGHT(C, 56)
+/* A group's candidate upper members, k = 3b + c for byte b: c = 0, 1, 2 for bits 0, 3, 5.
+ * FROM[k] picks b from the first table of vpermt2b, or from the second with bit 6 (c = 1);
+ * SEL[k] is the candidate's bit. */
+#define FROM_B(b) (b), 64 | (b), (b)
+#define SEL_B(b) 1, 8, 32
+static const uint8_t FROM[3 * GROUP] = {BYTES(FROM_B)}, SEL[3 * GROUP] = {BYTES(SEL_B)};
+
+/* a, opaque to the compiler: so a constant stays in a register through a loop, where gcc
+ * would otherwise build it again each time by a broadcast, on the port that the permutes use */
+static inline AVX512_SCAN __m512i opaque(__m512i a)
+{
+    __asm__("" : "+v"(a));
+    return a;
+}
 
 static inline AVX512_SCAN __m512i prefix8(__m512i a) /* the inclusive prefix sum of the lanes */
 {
@@ -365,63 +400,120 @@ static inline AVX512_SCAN __m512i prefix8(__m512i a) /* the inclusive prefix sum
     return _mm512_add_epi64(a, _mm512_alignr_epi64(a, zero, 4));
 }
 
-/* scan whole groups of flags[i..len) while none reaches a checkpoint; returns the byte where it
- * stopped: at such a group, or at the tail of fewer than GROUP bytes */
+/* candidates 64j .. 64j + 63 of a group whose bytes' candidates have the indices at, at3 and
+ * at5: the indices of those that are upper members, in order from lane 0, and how many */
+static inline AVX512_SCAN __m512i upper64(int j, __m512i at, __m512i at3, __m512i at5, __m512i up,
+                                          int64_t *n)
+{
+    __m512i from = _mm512_loadu_si512(FROM + GROUP * j), sel = _mm512_loadu_si512(SEL + GROUP * j);
+    __m512i idx = _mm512_permutex2var_epi8(at, from, at3);
+    __mmask64 c2 = _mm512_movepi8_mask(_mm512_slli_epi64(sel, 2)); /* where SEL is 32 */
+    idx = _mm512_mask_permutexvar_epi8(idx, c2, from, at5);
+    __mmask64 twin = _mm512_test_epi8_mask(_mm512_permutexvar_epi8(from, up), sel);
+    *n = __builtin_popcountll(_cvtmask64_u64(twin));
+    return _mm512_maskz_compress_epi8(twin, idx);
+}
+
+/* scan whole groups of flags[i..len), after the chunk's first twin, while each reaches no
+ * checkpoint, holds fewer than 256 primes and 65 twins (as every group past the integer 1929
+ * does), and sets no record; returns the byte where it stopped: at another group, or at the
+ * tail of fewer than GROUP bytes.  flags[-8..-1] is the word before the block: its bit 63 is
+ * set when v - 1 is prime. */
 static HOT AVX512_SCAN int64_t scan_avx512(struct scan *all, const uint8_t *flags, int64_t len,
                                            int64_t v, int64_t i)
 {
-    const __m512i one = _mm512_set1_epi64(1), low32 = _mm512_set1_epi64(0xffffffff);
-    const __m512i lower_bits = _mm512_set1_epi64((int64_t)TWIN_LOWER), res = _mm512_loadu_si512(R);
-    const __m512i tens = _mm512_set_epi64(210, 180, 150, 120, 90, 60, 30, 0); /* 30 (u >> 3) */
-    const __m512i lane = _mm512_set_epi64(1680, 1440, 1200, 960, 720, 480, 240, 0);
+    if (!all->twins)
+        return i;
+    const __m512i lower_bits = opaque(_mm512_set1_epi64((int64_t)TWIN_LOWER));
+    const __m512i ones = opaque(_mm512_set1_epi8(1)), two = opaque(_mm512_set1_epi8(2));
+    const __m512i low3 = opaque(_mm512_set1_epi8(7)), low5 = opaque(_mm512_set1_epi8(31));
+    /* the record, at most 255; -1 (no separation yet) reads as 255, as every twin's first
+     * separation is then a record */
+    const __m512i best = opaque(_mm512_set1_epi8((char)(all->best < 255 ? all->best : 255)));
     struct scan s = *all; /* a copy, so the scan state stays in registers */
-    int64_t index[8 * 24], lower[8 * 24]; /* a word has at most 23 own twins and 1 spanning */
-    for (; i + GROUP <= len; i += GROUP) {
+    int64_t lim = len, seen = -1; /* seen: the last group with a prime */
+    if (s.g < s.ngrid && (s.grid[s.g] - v) / 30 < len) /* a group that ends past it reaches it */
+        lim = (s.grid[s.g] - v) / 30;
+    uint8_t up_at[2 * GROUP] = {0}; /* a group's twins by their upper member's index in it */
+    for (; i + GROUP <= lim; i += GROUP) {
         __m512i x = _mm512_loadu_si512(flags + i);
-        __mmask8 nz = _mm512_test_epi64_mask(x, x);
-        if (!nz)
+        if (!_mm512_test_epi64_mask(x, x))
             continue;
-        int64_t v0 = v + 30 * i;
-        if (s.g < s.ngrid && s.grid[s.g] < v0 + 30 * GROUP)
+        __m512i n = _mm512_popcnt_epi64(x), sum = prefix8(n);
+        int64_t total = _mm_extract_epi64(_mm512_extracti32x4_epi32(sum, 3), 1);
+        if (total > 255) /* the indices below are bytes */
             break;
         /* twins by their upper member's bit u; bit 0 of word j pairs with bit 63 of word j - 1 */
-        __m512i spans = _mm512_set1_epi64(s.last == v0 - 1 ? INT64_MIN : 0); /* bit 63 before */
-        __m512i prev = _mm512_alignr_epi64(x, spans, 7);                        /* word j - 1 */
+        __m512i prev = _mm512_loadu_si512(flags + i - 8);
         __m512i own = _mm512_ternarylogic_epi64(x, _mm512_srli_epi64(x, 1), lower_bits, 0x80);
         __m512i up = _mm512_or_si512(_mm512_slli_epi64(own, 1),
                                      _mm512_and_si512(x, _mm512_srli_epi64(prev, 63)));
-        /* per word: primes in the low half, twins in the high half; summed over the words before */
-        __m512i n = _mm512_add_epi64(_mm512_popcnt_epi64(x),
-                                     _mm512_slli_epi64(_mm512_popcnt_epi64(up), 32));
-        __m512i sum = prefix8(n), before = _mm512_sub_epi64(sum, n);
-        __m512i first = _mm512_add_epi64(_mm512_set1_epi64(s.primes - 1),
-                                         _mm512_and_si512(before, low32));
-        __m512i at = _mm512_srli_epi64(before, 32);
-        __m512i base = _mm512_add_epi64(_mm512_set1_epi64(v0 - 2), lane);
-        /* each lane's twins in bit order into its own slots, so index[] and lower[] are in order:
-         * the lower member's index is first + the primes below u, its value that of bit u - 2 */
-        for (__mmask8 k; (k = _mm512_test_epi64_mask(up, up));) {
-            __m512i below = _mm512_andnot_si512(up, _mm512_sub_epi64(up, one)); /* the bits < u */
-            __m512i u = _mm512_popcnt_epi64(below);
-            __m512i idx = _mm512_add_epi64(first, _mm512_popcnt_epi64(_mm512_and_si512(x, below)));
-            __m512i val = _mm512_add_epi64(_mm512_permutexvar_epi64(u, res),
-                                           _mm512_permutexvar_epi64(_mm512_srli_epi64(u, 3), tens));
-            _mm512_mask_i64scatter_epi64(index, k, at, idx, 8);
-            _mm512_mask_i64scatter_epi64(lower, k, at, _mm512_add_epi64(base, val), 8);
-            at = _mm512_mask_add_epi64(at, k, at, one);
-            up = _mm512_and_si512(up, _mm512_sub_epi64(up, one));
+        /* per byte, the group's primes before it (at), before its bit 3 (at3) and before its
+         * bit 5 (at5), the index in the group of a prime there: at is a word's primes before it,
+         * in byte 0, and its byte counts shifted up a byte, summed into each byte by a multiply */
+        __m512i at = _mm512_or_si512(_mm512_sub_epi64(sum, n),
+                                     _mm512_slli_epi64(_mm512_popcnt_epi8(x), 8));
+        at = _mm512_mullo_epi64(at, ones);
+        __m512i at3 = _mm512_add_epi8(at, _mm512_popcnt_epi8(_mm512_and_si512(x, low3)));
+        __m512i at5 = _mm512_add_epi8(at, _mm512_popcnt_epi8(_mm512_and_si512(x, low5)));
+        /* the upper members' indices in order: those among candidates 0..63, 64..127 and
+         * 128..191, one run after another */
+        int64_t n0, n1, n2;
+        __m512i u0 = upper64(0, at, at3, at5, up, &n0), u1 = upper64(1, at, at3, at5, up, &n1);
+        __m512i u2 = upper64(2, at, at3, at5, up, &n2);
+        int64_t t = n0 + n1 + n2;
+        if (t > GROUP)
+            break;
+        _mm512_storeu_si512(up_at, u0);
+        _mm512_storeu_si512(up_at + n0, u1);
+        _mm512_storeu_si512(up_at + n0 + n1, u2);
+        __m512i u = _mm512_loadu_si512(up_at);
+        /* the separation closed by the group's first twin, from the twin before, and in lane k
+         * of sep, k < t - 1 (later), that closed by twin k + 1, from twin k */
+        int64_t first = s.primes + up_at[0] - 3 - s.tw_last;
+        __m512i sep = _mm512_sub_epi8(_mm512_sub_epi8(_mm512_loadu_si512(up_at + 1), u), two);
+        __mmask64 later = _cvtu64_mask64(t > 1 ? ~0ULL >> (65 - t) : 0);
+        if ((t && first > s.best) || _mm512_mask_cmpgt_epu8_mask(later, sep, best))
+            break; /* a record: the group by words */
+        uint32_t *seps = s.seps + s.twins - 1;
+        if (t)
+            seps[0] = (uint32_t)first;
+        for (int64_t k = 0;; k += 16) {
+            _mm512_mask_storeu_epi32(seps + 1 + k, (__mmask16)(_cvtmask64_u64(later) >> k),
+                                     _mm512_cvtepu8_epi32(_mm512_castsi512_si128(sep)));
+            if (k + 17 >= t)
+                break;
+            sep = _mm512_alignr_epi32(sep, sep, 4);
         }
-        uint64_t total = (uint64_t)_mm_extract_epi64(_mm512_extracti32x4_epi32(sum, 3), 1);
-        for (int64_t t = 0; t < (int64_t)(total >> 32); t++)
-            twin(&s, lower[t], index[t]);
-        s.primes += (int64_t)(total & 0xffffffff);
-        int j = 31 - __builtin_clz(nz);
-        s.last = value(v0 + 240 * j, 63 - __builtin_clzll(word(flags + i + 8 * j)));
+        s.tw_last = t ? s.primes + up_at[t - 1] - 1 : s.tw_last;
+        s.twins += t;
+        s.primes += total;
+        seen = i;
+    }
+    if (seen >= 0) { /* the last prime, in the last group that has one */
+        int j = 7;
+        while (!word(flags + seen + 8 * j))
+            j--;
+        s.last = value(v + 30 * seen + 240 * j, 63 - __builtin_clzll(word(flags + seen + 8 * j)));
     }
     *all = s;
     return i;
 }
 #endif
+
+/* 1 when this CPU scans by groups (scan_avx512, with every feature in AVX512_SCAN), 0 when
+ * by words */
+int64_t twinsep_vector_scan(void)
+{
+#if defined(__x86_64__)
+    return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw") &&
+           __builtin_cpu_supports("avx512dq") && __builtin_cpu_supports("avx512vbmi") &&
+           __builtin_cpu_supports("avx512vbmi2") && __builtin_cpu_supports("avx512bitalg") &&
+           __builtin_cpu_supports("avx512vpopcntdq");
+#else
+    return 0;
+#endif
+}
 
 /* scan a finished block of len bytes whose byte 0 starts at the integer v, vector groups first
  * when the CPU has them */
@@ -459,10 +551,10 @@ int64_t twinsep_sieve_chunk(int64_t low, int64_t high, int64_t block,
     /* working memory: a state per middle prime; a bucket per block and the page pool, which
      * holds every large progression with one page per bucket to spare (a page holds about the
      * entries of one block, so many small blocks stay cheap); the block, cut to the chunk (span
-     * bytes), with `pad` bytes before it and pad + 8 after, pad the largest middle prime; each
-     * pattern for one period, or for the chunk if that is shorter (lim bytes), and 8 more */
+     * bytes), with `pad` bytes before it and pad + 8 after, pad the largest middle prime, or 8;
+     * each pattern for one period, or for the chunk if that is shorter (lim bytes), and 8 more */
     int64_t nmid = k1 - k0, nlarge = 8 * (k2 - k1), span = block < nbytes ? block : nbytes;
-    int64_t pad = nmid ? base[k1 - 1] : 0;
+    int64_t pad = nmid ? base[k1 - 1] : 8; /* >= 8: the scan reads the word before the block */
     int64_t cap = nlarge / nblk < PAGE_MAX ? nlarge / nblk + 8 : PAGE_MAX;
     int64_t stride = offsetof(struct page, h) + cap * sizeof(hit);
     int64_t npages = nlarge ? nlarge / cap + nblk + 2 : 0, period[NGROUP], lim[NGROUP], size = 0;
@@ -517,10 +609,7 @@ int64_t twinsep_sieve_chunk(int64_t low, int64_t high, int64_t block,
     }
 
     struct scan s = {0, 0, 0, -1, -1, 0, -1, 0, 0, ngrid, grid, seps, recs, rows};
-    int vector = 0;
-#if defined(__x86_64__)
-    vector = __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512vpopcntdq");
-#endif
+    int vector = twinsep_vector_scan();
     for (int64_t b0 = 0; b0 < nbytes; b0 += block) {
         int64_t len = nbytes - b0 < block ? nbytes - b0 : block;
         presieve(flags, len, pat, at, lim);
@@ -548,6 +637,8 @@ int64_t twinsep_sieve_chunk(int64_t low, int64_t high, int64_t block,
             memset(flags + len, 0, 8); /* the scan reads the last word whole */
         if (nlarge)
             drain(&bk, flags, b0, nbytes);
+        uint64_t before = (uint64_t)(s.last == w0 + 30 * b0 - 1) << 63; /* the integer before */
+        memcpy(flags - 8, &before, 8);
         scan(&s, flags, len, w0 + 30 * b0, vector);
     }
     while (s.g < ngrid)

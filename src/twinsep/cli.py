@@ -313,7 +313,7 @@ def cmd_report(args):
     print(
         f"sieve to {args.limit:.3g}: {stats['wall_s']:.1f}s  pi1={final.pi1} pi2={final.pi2}  "
         f"({stats['workers']} workers, {stats['chunks']} chunks, "
-        f"{stats['segments_per_s']:.0f} segments/s)"
+        f"{stats['segments_per_s']:.0f} segments/s, scan: {stats['scan']})"
     )
     print(f"separations: {report.separations.size}, max {maxes[final.n]}")
 

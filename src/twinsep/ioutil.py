@@ -38,39 +38,55 @@ def read_csv(path, columns) -> tuple[dict[str, str], list[tuple[int, dict[str, s
     that is not text among them, name the file and line.
     """
     metadata: dict[str, str] = {}
-    lines: list[tuple[int, list[str]]] = []
+    # each data line's number and fields; the fields as a tuple of strings, which the garbage
+    # collector stops tracking once it has seen it, where it would walk a list in every pass
+    numbers: list[int] = []
+    cells: list[tuple[str, ...]] = []
     lineno = 0
+
+    def data_lines(fh):
+        """The data lines, stripped, for one csv.reader; a line with a quote is parsed on its own,
+        so that a quote it leaves open does not run into the next line."""
+        nonlocal lineno
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                body = line.lstrip("#").strip()
+                if body.startswith(METADATA_PREFIX):
+                    key, _, value = body[len(METADATA_PREFIX):].strip().partition("=")
+                    metadata[key.strip()] = value.strip()
+                continue
+            if '"' in line:
+                numbers.append(lineno)
+                cells.append(tuple(next(csv.reader([line]))))
+                continue
+            yield line
+
     try:
         with open(path, newline="") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    body = line.lstrip("#").strip()
-                    if body.startswith(METADATA_PREFIX):
-                        key, _, value = body[len(METADATA_PREFIX):].strip().partition("=")
-                        metadata[key.strip()] = value.strip()
-                    continue
-                lines.append((lineno, next(csv.reader([line]))))
+            # the reader reads no further than the line of the row it returns, so that row's
+            # line number is lineno
+            for fields in csv.reader(data_lines(fh)):
+                numbers.append(lineno)
+                cells.append(tuple(fields))
     except UnicodeDecodeError:
         raise ValidationError(f"{path}: not a text file") from None
     except csv.Error as exc:  # a NUL byte, before Python 3.11
         raise ValidationError(f"{path}:{lineno}: {exc}") from None
-    if not lines:
+    if not cells:
         raise ValidationError(f"{path}: no data rows")
 
-    header_line, header = lines[0]
-    names = [h.strip() for h in header]
+    names = [h.strip() for h in cells[0]]
     for column in columns:
         if column not in names:
-            raise ValidationError(f"{path}:{header_line}: missing column {column!r}")
-    rows = []
-    for lineno, fields in lines[1:]:
+            raise ValidationError(f"{path}:{numbers[0]}: missing column {column!r}")
+    del numbers[0], cells[0]
+    for lineno, fields in zip(numbers, cells):
         if len(fields) < len(names):
-            raise ValidationError(f"{path}:{lineno}: unparseable row {fields!r}")
-        rows.append((lineno, dict(zip(names, fields))))
-    return metadata, rows
+            raise ValidationError(f"{path}:{lineno}: unparseable row {list(fields)!r}")
+    return metadata, [(lineno, dict(zip(names, fields))) for lineno, fields in zip(numbers, cells)]
 
 
 def read_columns(path, columns, kind) -> tuple[dict[str, str], list[tuple]]:

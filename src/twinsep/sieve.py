@@ -23,14 +23,17 @@ period of 30 multiples (8 hits) per step of a loop compiled for each class
 p mod 30, those below 16384 in L1-sized sub-blocks of 32 KB, and the last
 period's hits past the block are carried into the next block; and primes
 above one block wait in per-block buckets (a bucket sieve) until the block
-they hit.  On one CPU of a 2-vCPU Xeon a chunk near 1e9 takes about 13 ms
-(26 ms with a stride-p loop per residue), and `sieve_range` to 1e9 about
-0.07 s on both CPUs (0.115 s).  It emits the summary fields in
-one fused scan that finds twins eight 64-bit words at a time on a CPU with
-AVX-512 VPOPCNTDQ, and one word at a time on other CPUs, at the tail of a
-block and wherever a checkpoint falls.  Without a C compiler that builds
-it, `_load_kernel` raises `KernelError`.  Only the base primes are sieved
-in numpy, by `_segment_primes(low, high, base)`.
+they hit.  It emits the summary fields in one fused scan that takes eight
+64-bit words at a time on a CPU with AVX-512 VPOPCNTDQ, BITALG and VBMI2,
+their separations in vector code with no loop over the twins, and one word
+at a time on other CPUs, at the tail of a block, wherever a checkpoint
+falls, and for the chunk's first twin and each record; stats["scan"] says
+which ("vector" or "words").  On one CPU of a 2-vCPU Xeon a chunk near 1e9
+takes about 12 ms (13.4 ms with a scalar pass per twin; a stride-p
+marking loop per residue once took twice as long), and `sieve_range` to
+1e9 about 0.05 s on both CPUs (0.06 s with the scalar pass).  Without a C
+compiler that builds it, `_load_kernel` raises `KernelError`.  Only the
+base primes are sieved in numpy, by `_segment_primes(low, high, base)`.
 
 `sieve_range` sieves the chunks on `_on_workers` (the calling thread, plus
 the kept threads of one ThreadPoolExecutor, one per further CPU), and
@@ -142,9 +145,10 @@ class SieveReport:
     neighbouring twins (anomalous pair (3 5) discarded first), and
     max_separation_onsets lists each new running-maximum separation with
     the bound at which it first occurred.  stats describes the run itself
-    (workers, chunks, segments as kernel blocks, wall_s, segments_per_s,
-    peak_rss_mb); it never enters metadata, so the files written from a
-    report do not depend on the machine.
+    (workers, chunks, segments as kernel blocks, scan: "vector" or "words",
+    the kernel's scan on this CPU, wall_s, segments_per_s, peak_rss_mb); it
+    never enters metadata, so the files written from a report do not
+    depend on the machine.
     """
 
     counts: list[CountRecord]
@@ -282,7 +286,10 @@ def _load_kernel():
     from, alone), twinsep_geometric, which returns how many draws it left
     pending (see montecarlo.sample_separations), and twinsep_histogram (see
     spectrum._count_rows), which returns -1 for a stream with a value
-    outside its table; the table's size is read into lib.histogram_cap.
+    outside its table; the table's size is read into lib.histogram_cap, and
+    the scan that twinsep_sieve_chunk takes on this CPU, by groups of 8
+    words or by words (twinsep_vector_scan), into lib.scan as "vector" or
+    "words".
 
     It is built on first use, never at import, into
     ${XDG_CACHE_HOME:-~/.cache}/twinsep, keyed by the source, the compiler
@@ -335,6 +342,8 @@ def _load_kernel():
     lib.twinsep_histogram.argtypes = [ptr, i64, i64, ptr]
     lib.twinsep_histogram.restype = i64
     lib.histogram_cap = i64.in_dll(lib, "twinsep_histogram_cap").value
+    lib.twinsep_vector_scan.argtypes, lib.twinsep_vector_scan.restype = [], i64
+    lib.scan = "vector" if lib.twinsep_vector_scan() else "words"
     return lib
 
 
@@ -500,7 +509,8 @@ def sieve_range(config: SieveConfig) -> SieveReport:
     of KERNEL_BLOCK bytes.
     """
     t0 = time.perf_counter()
-    chunk = functools.partial(_kernel_chunk, _load_kernel())  # first: a missing kernel fails fast
+    kernel = _load_kernel()  # first: a missing kernel fails fast
+    chunk = functools.partial(_kernel_chunk, kernel)
     limit = config.limit
     cps = config.checkpoint_grid or (limit,)
     base = _odd_base_primes(math.isqrt(limit))
@@ -535,6 +545,7 @@ def sieve_range(config: SieveConfig) -> SieveReport:
             "workers": workers,
             "chunks": len(plan),
             "segments": segments,
+            "scan": kernel.scan,
             "wall_s": wall,
             "segments_per_s": segments / wall,
             "peak_rss_mb": peak_kb / 1024,

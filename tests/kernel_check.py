@@ -11,12 +11,15 @@ wrap, or one whole chunk of CHUNK_SPAN integers ending at 1e9, which
 crosses all 64 blocks with both tiers of middle primes (base primes up
 to 31607), differs from the numpy reference in `reference.py`, when the
 scan by groups of 8 words (a chunk with no checkpoints, on a CPU with
-AVX-512 VPOPCNTDQ) or by words (a checkpoint every 1000 integers) differs
-from the reference (in blocks of 64 bytes and of the kernel's own size,
-ending in a short group and a tail), when the compiled Philox fill
-differs from numpy's `Generator(Philox).random` (over lengths that end
-inside a group of 16 counters, from an offset inside a block, and from a
-counter whose word 0 wraps and carries into words 1..3), when the
+AVX-512 VPOPCNTDQ, BITALG and VBMI2) or by words (a checkpoint every 1000
+integers) differs from the reference or from the other (in blocks of 64
+bytes and of the kernel's own size, ending in a short group and a tail;
+from 9 and from a twin, with records in the middle and in the last word
+of a group, and with a group whose first twin's upper member is bit 0 of
+a byte inside a word), when the compiled Philox fill differs from numpy's
+`Generator(Philox).random` (over lengths that end inside a group of 16
+counters, from an offset inside a block, and from a counter whose word 0
+wraps and carries into words 1..3), when the
 sampler's draws differ from numpy's log1p, floor and minimum (with and
 without a cap, and at a q that puts a quotient within ulps of an integer,
 which must pend, and at q = 1 - 2**-53, where every draw must pend; a
@@ -26,7 +29,8 @@ must return how many pend), or when the histogram differs from a Counter
 with a value outside it, the call must return -1 and leave the counts
 untouched).  Each call gets one element more than it may touch (the
 sampler's out one on each side), and a store there, or a read of it,
-fails the check.
+fails the check.  It prints which scan the kernel takes on this CPU: on
+one without those features, only the scan by words is checked.
 """
 
 import collections
@@ -122,17 +126,29 @@ def check_histogram(lib):
 
 def check_scan(lib):
     kernel_block = sieve.KERNEL_BLOCK
-    for low, high in ((9, 30 * (2 * kernel_block + 100) + 1),
+    # from 9, the densest twins, the first, (11 13), in the first group of 8 words; from the
+    # twin of 1000037, whose separation from no twin before, -1, sets no record; records in
+    # the middle of a group (closed by the twin of 1002719, word 3 of group 1) and in a group's
+    # last word (1270559, word 7 of group 140); the twin of 3000299 as group 1's first, its
+    # upper member bit 0 of byte 4 of the group's first word; a chunk across 2**32
+    for low, high in ((9, 30 * (2 * kernel_block + 100) + 1), (1_000_037, 1_100_037),
+                      (999_999, 1_300_000), (3000301 - 30 * 68, 3100299),
                       (2**32 - 2**20 + 1, 2**32 + 2**20 + 1)):
         base = sieve._odd_base_primes(math.isqrt(high))
-        for grid in ((), tuple(range(low, high, 1000))):
-            want = reference.sieve_chunk(low, high, 1 << 20, base, grid)
-            for block in (64, kernel_block):
-                sieve.KERNEL_BLOCK = block
-                got = sieve._kernel_chunk(lib, low, high, base, grid)
+        grids = ((), tuple(range(low, high, 1000)))
+        wants = [reference.sieve_chunk(low, high, 1 << 20, base, grid) for grid in grids]
+        for block in (64, kernel_block):
+            sieve.KERNEL_BLOCK = block
+            got = [sieve._kernel_chunk(lib, low, high, base, grid) for grid in grids]
+            for grid, summary, want in zip(grids, got, wants):
                 case = (low, high, len(grid), block)
-                assert got.seps.tolist() == want.seps.tolist(), case
-                assert dataclasses.replace(got, seps=want.seps) == want, case
+                assert summary.seps.tolist() == want.seps.tolist(), case
+                assert dataclasses.replace(summary, seps=want.seps) == want, case
+            # with no grid, the scan by groups of 8 words where the CPU has it; with a checkpoint
+            # every 1000 integers, by words: the same stream, records and counts
+            vector, words = (dataclasses.replace(g, seps=g.seps.tolist(), checkpoints=())
+                             for g in got)
+            assert vector == words, (low, high, block)
     sieve.KERNEL_BLOCK = kernel_block
 
 
@@ -144,6 +160,12 @@ def main(flags):
     assert (row.n, row.pi1, row.pi2) == (10**8, 5761455, 440312), row
 
     lib = sieve._load_kernel()
+    if lib.scan == "vector":
+        print("scan: vector; the scans by groups of 8 words and by words are both checked")
+    else:
+        print("scan: words; this CPU lacks an AVX-512 feature of the scan by groups of 8 "
+              "words (F, BW, DQ, VBMI, VBMI2, BITALG, VPOPCNTDQ), so only the scan by words is "
+              "checked")
     for low, high, grid in ((2**32 - 2**22 + 1, 2**32 + 2**22 + 1, (2**32 - 1, 2**32 + 15)),
                             (10**9 + 1 - sieve.CHUNK_SPAN, 10**9 + 1, (10**9 - 10**8,))):
         grid = (low, *grid, high - 1)

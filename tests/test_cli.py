@@ -125,9 +125,10 @@ class TestSieveCommand:
         stats = json.loads((out / "stats.json").read_text())
         assert set(stats) == {
             "limit", "python", "numpy",
-            "workers", "chunks", "segments", "wall_s", "segments_per_s", "peak_rss_mb",
+            "workers", "chunks", "segments", "scan", "wall_s", "segments_per_s", "peak_rss_mb",
         }
         assert (stats["limit"], stats["workers"], stats["chunks"]) == (50000, 1, 1)
+        assert stats["scan"] == sieve._load_kernel().scan
         # the manifest is the only file that describes the run; the data files are unchanged
         for name, path in [("counts.csv", counts), ("seps.bin", seps), ("onsets.csv", onsets)]:
             assert (out / name).read_bytes() == path.read_bytes(), name
@@ -562,7 +563,10 @@ class TestReportCommand:
 
     def test_smoke(self, capsys):
         assert main(["report", "--limit", "1000000", "--start", "10000"]) == 0
-        assert any(l.startswith("m0 law:") for l in capsys.readouterr().out.splitlines())
+        lines = capsys.readouterr().out.splitlines()
+        assert any(l.startswith("m0 law:") for l in lines)
+        # the header line names the scan the kernel takes on this CPU
+        assert lines[0].endswith(f"scan: {sieve._load_kernel().scan})"), lines[0]
 
     def test_m0_is_the_fig1_law(self, tmp_path, capsys):
         # the printed law and fig1's m0_curve come from one figure_pipeline call

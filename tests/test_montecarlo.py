@@ -568,6 +568,26 @@ class TestChi2Isf:
     def test_pinned_values(self, dof, alpha, want):
         assert math.isclose(_chi2_isf(dof, alpha), want, rel_tol=1e-12)
 
+    @pytest.mark.parametrize(
+        "dof,alpha,want",
+        [
+            # mpmath 1.3.0's gammainc and findroot at 50 digits, to 30: past dof 2e5 at alpha
+            # near 1, scipy.special.chdtri drifts (at alpha 0.999999 by 4.8e-12 relative at dof
+            # 1e6 and 4.9e-8 at 4e6), and _chi2_isf is within 1e-15 of these
+            (2 * 10**5, 0.75, 199573.052626334353317853788488),
+            (2 * 10**5, 0.95, 198960.841493577431045153730589),
+            (2 * 10**5, 0.999999, 197008.054130199071587746103736),
+            (10**6, 0.75, 999045.76441877541862086101432),
+            (10**6, 0.95, 997674.963276473819341384716979),
+            (10**6, 0.999999, 993292.033737399476989392187155),
+            (4 * 10**6, 0.75, 3998091.89169290027295840750487),
+            (4 * 10**6, 0.95, 3995348.78869172235518693145723),
+            (4 * 10**6, 0.999999, 3986569.67953045730130587255858),
+        ],
+    )
+    def test_large_dof_near_1(self, dof, alpha, want):
+        assert math.isclose(_chi2_isf(dof, alpha), want, rel_tol=1e-14)
+
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_closed_forms(self, alpha):
         # two degrees of freedom: an exponential tail; one: a squared normal

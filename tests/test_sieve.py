@@ -341,8 +341,10 @@ class TestChunks:
         config = SieveConfig(limit=100_000)
         rep = sieve_range(config)
         assert set(rep.stats) == {
-            "workers", "chunks", "segments", "wall_s", "segments_per_s", "peak_rss_mb"
+            "workers", "chunks", "segments", "scan", "wall_s", "segments_per_s", "peak_rss_mb"
         }
+        # the scan the kernel takes on this CPU
+        assert rep.stats["scan"] == sieve._load_kernel().scan in ("vector", "words")
         # 3334 wheel bytes: one 64 KB kernel block
         assert (rep.stats["workers"], rep.stats["chunks"], rep.stats["segments"]) == (1, 1, 1)
         assert rep.stats["peak_rss_mb"] > 0
@@ -606,7 +608,9 @@ class TestKernel:
 
     @pytest.mark.parametrize("block", [64, sieve.KERNEL_BLOCK])
     @pytest.mark.parametrize("case", ["block edge", "group edge", "inside a group",
-                                      "short last block", "above 2**32"])
+                                      "short last block", "above 2**32", "from 9",
+                                      "from a twin", "record mid-group",
+                                      "record in last word", "bit 0 mid-word"])
     def test_vector_scan_matches_word_scan(self, kernel, case, block):
         # The scan takes 8 words (1920 integers) at a time on a CPU with AVX-512 VPOPCNTDQ, and
         # any group that reaches a checkpoint word by word: a chunk with no grid and the same
@@ -614,7 +618,9 @@ class TestKernel:
         # twin p, p + 2 with p = 29 (mod 30) spans two words when the chunk's wheel starts at
         # low - 1 = p + 1 - span, span a multiple of 240: 30 * block (a block edge for the
         # kernel's own block), 5 * 1920 (lane 7 to lane 0 of the next group), or 720 (lane 2
-        # to lane 3).
+        # to lane 3).  A group emits its twins' separations in vector code, except the group of
+        # the chunk's first twin and one that sets a record, which go by words; the last five
+        # cases put one of each where the vector code must hand over or get it right.
         span = {"block edge": 30 * sieve.KERNEL_BLOCK, "group edge": 5 * 1920,
                 "inside a group": 720}.get(case)
         if span is not None:
@@ -622,9 +628,18 @@ class TestKernel:
             low, high = p + 2 - span, p + 10**5
         elif case == "short last block":  # 100 bytes past the last whole block: a group, a tail
             low, high = 31, 30 * (2 * sieve.KERNEL_BLOCK + 100) + 1
-        else:
+        elif case == "above 2**32":
             low = 2**32 - 2**20 + 1
             high = low + 2**21
+        elif case == "from 9":  # the densest twins; the first, (11 13), in the first group
+            low, high = 9, 30 * 2 * sieve.KERNEL_BLOCK + 1
+        elif case == "from a twin":  # its first separation, -1 from no twin, is no record
+            low, high = 1_000_037, 1_100_037
+        elif case.startswith("record"):
+            low, high = 999_999, 1_300_000
+        else:  # a twin p = 29 (mod 30) whose upper member is bit 0 of byte 4 of word 8
+            p = twin_at_29_mod_30(3 * 10**6)
+            low, high = p + 2 - 30 * 68, p + 10**5
         base = sieve._odd_base_primes(math.isqrt(high))
         dense = tuple(range(low, high, 1000))
         with pytest.MonkeyPatch.context() as mp:
@@ -634,6 +649,27 @@ class TestKernel:
         assert_same_summary(vector, reference.sieve_chunk(low, high, 1 << 20, base, ()))
         assert_same_summary(by_words, reference.sieve_chunk(low, high, 1 << 20, base, dense))
         assert vector.records and vector.twins > 100
+
+        # where the case's twin lies: wheel bytes from low - low % 30, groups of 64 bytes
+        def byte(upper):
+            return (upper - (low - low % 30)) // 30
+
+        first = byte(vector.first_twin[0] + 2)
+        later = [byte(lower + 2) for _, lower in vector.records if byte(lower + 2) >= 64]
+        if case == "from 9":
+            assert first < 64 and vector.first_twin == (11, 0)
+        elif case == "from a twin":
+            assert vector.first_twin == (low, 0)
+        elif case == "record mid-group":  # a word of the group other than its first and last
+            assert first < 64 and any(8 <= b % 64 < 56 for b in later)
+        elif case == "record in last word":
+            assert first < 64 and any(b % 64 >= 56 for b in later)
+        elif case == "bit 0 mid-word":  # group 1's first twin, closing no record
+            primes = sieve._segment_primes(low, high, base)
+            uppers = primes[1:][np.diff(primes) == 2]
+            assert byte(p + 2) == 68 and (p + 2) % 30 == 1
+            assert uppers[byte(uppers) >= 64][0] == p + 2 and first < 64
+            assert p not in [lower for _, lower in vector.records]
 
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
     def test_compiler_means_compiled_kernel(self):
