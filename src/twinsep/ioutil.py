@@ -3,12 +3,13 @@
 Conventions (log base, s0 convention, risk factor, generators) travel with
 the data as `# metadata: key=value` lines before the CSV header.  The
 metadata lines end in a bare newline; the header and the data rows are
-written by `csv.writer` and end in CRLF.
+written by `csv.writer` and end in CRLF.  A file is read as columns.
 """
 
 from __future__ import annotations
 
 import csv
+from contextlib import suppress
 
 from .errors import ValidationError
 
@@ -20,7 +21,9 @@ def format_metadata(metadata: dict[str, str]) -> list[str]:
 
 
 def write_csv(path, metadata: dict[str, str], header, rows) -> None:
-    """Write metadata lines, then the header and rows as CSV."""
+    """Write metadata lines, none with a line break in its key or value, then header and rows."""
+    if bad := [k for k, v in metadata.items() if set(f"{k}{v}") & {"\r", "\n"}]:
+        raise ValidationError(f"metadata {bad[0]!r} must not hold a line break")
     with open(path, "w", newline="") as fh:
         for line in format_metadata(metadata):
             fh.write(line + "\n")
@@ -29,73 +32,68 @@ def write_csv(path, metadata: dict[str, str], header, rows) -> None:
         writer.writerows(rows)
 
 
-def read_csv(path, columns) -> tuple[dict[str, str], list[tuple[int, dict[str, str]]]]:
-    """Metadata and data rows of a metadata-CSV file.
+def read_csv(path, columns) -> tuple[dict[str, str], list[int], dict[str, list[str]]]:
+    """Metadata, the line number of each data row, and {header name: its cells, row by row}.
 
-    The first non-comment line is the header, and it must name every one
-    of columns.  Each data row comes back as (line number, {header name:
-    cell}); blank lines and other comments are skipped.  Errors, a file
-    that is not text among them, name the file and line.
+    The first non-comment line is the header, and it must name every one of columns (a name
+    it repeats keeps its last column); blank lines and other comments are skipped.  Errors, a
+    file that is not text among them, name the file and line.
     """
     metadata: dict[str, str] = {}
-    # each data line's number and fields; the fields as a tuple of strings, which the garbage
-    # collector stops tracking once it has seen it, where it would walk a list in every pass
-    numbers: list[int] = []
-    cells: list[tuple[str, ...]] = []
-    lineno = 0
+    numbers: list[int] = []  # the line of the header, then of each data row
+    short = None  # the first data row with fewer cells than the header, and its line
 
     def data_lines(fh):
-        """The data lines, stripped, for one csv.reader; a line with a quote is parsed on its own,
-        so that a quote it leaves open does not run into the next line."""
-        nonlocal lineno
+        """The data lines, stripped, one row each for one csv.reader: a line with a quote is
+        parsed alone, so an open quote cannot run on, and passed on with every cell quoted."""
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
-            if not line:
-                continue
             if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if body.startswith(METADATA_PREFIX):
+                if (body := line.lstrip("#").strip()).startswith(METADATA_PREFIX):
                     key, _, value = body[len(METADATA_PREFIX):].strip().partition("=")
                     metadata[key.strip()] = value.strip()
-                continue
-            if '"' in line:
+            elif line:
                 numbers.append(lineno)
-                cells.append(tuple(next(csv.reader([line]))))
-                continue
-            yield line
+                if '"' in line:
+                    fields = next(csv.reader([line]))
+                    line = ",".join('"' + cell.replace('"', '""') + '"' for cell in fields)
+                yield line
 
     try:
         with open(path, newline="") as fh:
-            # the reader reads no further than the line of the row it returns, so that row's
-            # line number is lineno
-            for fields in csv.reader(data_lines(fh)):
-                numbers.append(lineno)
-                cells.append(tuple(fields))
+            rows = csv.reader(data_lines(fh))  # read no further than a row's line, numbers[-1]
+            names = [name.strip() for name in next(rows, [])]
+            flat: list[str] = []  # each row's cells, as many as the header has, row after row
+            for fields in rows:
+                if len(fields) < len(names) and not short:
+                    short = numbers[-1], fields
+                flat += fields[: len(names)]
     except UnicodeDecodeError:
         raise ValidationError(f"{path}: not a text file") from None
     except csv.Error as exc:  # a NUL byte, before Python 3.11
-        raise ValidationError(f"{path}:{lineno}: {exc}") from None
-    if not cells:
+        raise ValidationError(f"{path}:{numbers[-1]}: {exc}") from None
+    if not numbers:
         raise ValidationError(f"{path}: no data rows")
+    if missing := [column for column in columns if column not in names]:
+        raise ValidationError(f"{path}:{numbers[0]}: missing column {missing[0]!r}")
+    if short:
+        raise ValidationError(f"{path}:{short[0]}: unparseable row {short[1]!r}")
+    return metadata, numbers[1:], {name: flat[j :: len(names)] for j, name in enumerate(names)}
 
-    names = [h.strip() for h in cells[0]]
-    for column in columns:
-        if column not in names:
-            raise ValidationError(f"{path}:{numbers[0]}: missing column {column!r}")
-    del numbers[0], cells[0]
-    for lineno, fields in zip(numbers, cells):
-        if len(fields) < len(names):
-            raise ValidationError(f"{path}:{lineno}: unparseable row {list(fields)!r}")
-    return metadata, [(lineno, dict(zip(names, fields))) for lineno, fields in zip(numbers, cells)]
+
+def _row(columns, i) -> dict[str, str]:
+    return {name: cells[i] for name, cells in columns.items()}  # data row i, for a message
 
 
 def read_columns(path, columns, kind) -> tuple[dict[str, str], list[tuple]]:
-    """Metadata and, per data row, the tuple of its columns converted by kind."""
-    metadata, rows = read_csv(path, columns)
+    """Metadata and, per data row, the tuple of its columns, each converted whole by kind."""
+    metadata, numbers, cells = read_csv(path, columns)
+    with suppress(ValueError):  # kind rejects a cell: then row by row, to the first such row
+        return metadata, list(zip(*(list(map(kind, cells[c])) for c in columns)))
     values = []
-    for lineno, row in rows:
+    for i, lineno in enumerate(numbers):
         try:
-            values.append(tuple(kind(row[c]) for c in columns))
+            values.append(tuple(kind(cells[c][i]) for c in columns))
         except ValueError as exc:
-            raise ValidationError(f"{path}:{lineno}: unparseable row {row!r}") from exc
+            raise ValidationError(f"{path}:{lineno}: unparseable row {_row(cells, i)!r}") from exc
     return metadata, values

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import operator
+from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import sieve
 from .errors import ValidationError
-from .ioutil import read_csv, write_csv
+from .ioutil import _row, read_csv, write_csv
 from .sieve import CountRecord
 
 
@@ -259,9 +260,15 @@ def write_spectrum_csv(path, spectrum: SeparationSpectrum, metadata=None) -> Non
 
 def read_spectrum_csv(path) -> tuple[SeparationSpectrum, dict[str, str]]:
     """The spectrum and metadata of a CSV from write_spectrum_csv; errors name the file and line."""
-    meta, rows = read_csv(path, ("s", "count"))
+    meta, numbers, columns = read_csv(path, ("s", "count"))
+    with suppress(ValueError, OverflowError):  # a cell int() rejects, or a value beyond int64
+        seps, counts = (np.array(columns[c], dtype=np.int64) for c in ("s", "count"))
+        order = np.argsort(seps)
+        if min(seps.min(initial=0), counts.min(initial=0)) >= 0 and np.diff(seps[order]).all():
+            return SeparationSpectrum._rows(counts[order][None], seps[order])[0], meta
     bins: dict[int, int] = {}
-    for lineno, row in rows:
+    for i, lineno in enumerate(numbers):  # a file the columns fail, row by row to its first fault
+        row = _row(columns, i)
         try:
             s, c = int(row["s"]), int(row["count"])
         except ValueError as exc:

@@ -375,6 +375,18 @@ class TestSpectrumAndS0:
         assert spec.total_intervals == read_separations(seps).size
         assert "intervals" in meta
 
+    def test_source_with_line_break_exits_2(self, sieved, tmp_path, capsys):
+        # the source path is written as metadata, where a line break would end its line early
+        # and leave a file that does not read back; no file is written
+        seps = tmp_path / "s\nx.bin"
+        seps.write_bytes(sieved[1].read_bytes())
+        out = tmp_path / "sp.csv"
+        capsys.readouterr()
+        assert main(["spectrum", "--separations", str(seps), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.strip().splitlines() == ["error: metadata 'source' must not hold a line break"]
+        assert not out.exists()
+
     def test_s0_raw_stdout(self, sieved, capsys):
         counts, _, _ = sieved
         assert main(["s0", "--counts", str(counts), "--convention", "raw"]) == 0

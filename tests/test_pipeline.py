@@ -167,6 +167,22 @@ class TestIngest:
         with pytest.raises(ValidationError, match=r"counts\.csv:3: pi1_adjusted must be in \[0, "):
             ingest_counts(path)
 
+    @pytest.mark.parametrize("text, problem", [
+        # a later check's fault on an earlier line wins over an earlier check's on a later one
+        ("n,pi1,pi2\n10,4,2\n10,4,2\n20,x,3\n", "duplicate n=10 (first seen on line 2)"),
+        ("n,pi1,pi2\n10,25,8\n100,20,9\n200,30,x\n",
+         "monotonicity violation at n=100 (previous row had n=10, pi1=25, pi2=8)"),
+        ("n,pi1,pi2,pi1_adjusted\n10,4,2,\n100,25,8,-7\n100,x,35,\n",
+         "pi1_adjusted must be in [0, pi1], got -7"),
+    ], ids=["duplicate-before-unparseable", "monotonicity-before-unparseable",
+            "record-before-unparseable"])
+    def test_first_faulty_line_wins(self, tmp_path, text, problem):
+        path = tmp_path / "counts.csv"
+        path.write_text(text)
+        with pytest.raises(ValidationError) as info:
+            ingest_counts(path)
+        assert str(info.value) == f"{path}:3: {problem}"
+
     def test_roundtrip(self, tmp_path):
         table = CountTable(
             rows=[

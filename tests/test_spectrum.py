@@ -1,16 +1,19 @@
 import collections
 import ctypes
+import gc
 import math
+import re
 import sys
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from twinsep import spectrum
 from twinsep.errors import ValidationError
+from twinsep.ioutil import read_csv, write_csv
 from twinsep.sieve import CountRecord, SieveConfig, sieve_range
 from twinsep.spectrum import (
     S0Convention,
@@ -406,6 +409,33 @@ class TestSieveAgreement:
         assert diffs[100_000] < diffs[1000]
 
 
+SPECTRUM_CELLS = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.sampled_from(["x", "", "+4", "1_0", "-0", "1.0", str(2**63 - 1), str(2**63),
+                     str(-(2**63)), str(-(2**63) - 1), str(10**30)]),
+)
+
+
+def spectrum_row_by_row(path, rows):
+    """The (separation, count) pairs in ascending order, or the error message, of a spectrum
+    CSV's rows of (s, count) cells checked one at a time, as read_spectrum_csv checks them."""
+    bins = {}
+    for lineno, (s_text, c_text) in enumerate(rows, start=2):
+        row = {"s": s_text, "count": c_text}
+        try:
+            s, c = int(s_text), int(c_text)
+        except ValueError:
+            return f"{path}:{lineno}: unparseable row {row!r}"
+        if s < 0 or c < 0:
+            return f"{path}:{lineno}: negative separation or count {row!r}"
+        if max(s, c) >= 2**63:
+            return f"{path}:{lineno}: separation or count is 2**63 or more"
+        if s in bins:
+            return f"{path}:{lineno}: duplicate separation {s}"
+        bins[s] = c
+    return [(s, c) for s, c in sorted(bins.items()) if c]
+
+
 class TestCsv:
     def test_roundtrip(self, tmp_path):
         spec = accumulate([0, 0, 1, 5, 5, 5])
@@ -432,3 +462,69 @@ class TestCsv:
         with_zero.write_text("s,count\n0,5\n1,2\n500,0\n")
         without.write_text("s,count\n0,5\n1,2\n")
         assert read_spectrum_csv(with_zero) == read_spectrum_csv(without)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.tuples(SPECTRUM_CELLS, SPECTRUM_CELLS), max_size=12))
+    @example([("5", "1"), ("1", "2"), ("3", "0"), ("5", "3")])  # unsorted, a repeat apart
+    @example([("5", "1"), ("1", "2"), ("3", "0")])
+    def test_matches_row_by_row_reading(self, tmp_path, rows):
+        # the whole-column parse and checks give the spectrum, or the first faulty line's
+        # message, that reading the rows one by one gives
+        path = tmp_path / "rows.csv"
+        path.write_text("s,count\n" + "".join(f"{s},{c}\n" for s, c in rows))
+        try:
+            spec = read_spectrum_csv(path)[0]
+            got = list(zip(spec.separations.tolist(), spec.counts.tolist()))
+        except ValidationError as exc:
+            got = str(exc)
+        assert got == spectrum_row_by_row(path, rows)
+
+    @pytest.mark.parametrize("text, line, problem", [
+        # a later check's fault on an earlier line wins over an earlier check's on a later one
+        ("s,count\n1,2\n1,3\n4,5\nx,1\n", 3, "duplicate separation 1"),
+        (f"s,count\n1,2\n3,{2**63}\n3,1\n-1,1\n", 3, "separation or count is 2**63 or more"),
+        ("s,count\n5,1\n5,-1\nx,1\n", 3, "negative separation or count {'s': '5', 'count': '-1'}"),
+    ], ids=["duplicate-before-unparseable", "2-63-before-duplicate", "negative-before-duplicate"])
+    def test_first_faulty_line_wins(self, tmp_path, text, line, problem):
+        path = tmp_path / "two_faults.csv"
+        path.write_text(text)
+        with pytest.raises(ValidationError) as info:
+            read_spectrum_csv(path)
+        assert str(info.value) == f"{path}:{line}: {problem}"
+
+    def test_read_csv_columns(self, tmp_path):
+        # a quoted cell may hold a comma or a quote, and a cell past the header's is dropped
+        path = tmp_path / "quoted.csv"
+        path.write_text('# metadata: k=v\ns,count\n"1,2",3,extra\n\n"a""b",4\n7,8\n')
+        assert read_csv(path, ("s",)) == ({"k": "v"}, [3, 5, 6],
+                                          {"s": ["1,2", 'a"b', "7"], "count": ["3", "4", "8"]})
+
+    def test_read_csv_names_the_first_short_row(self, tmp_path):
+        # a quote left open ends with its line, which is then one cell short
+        path = tmp_path / "short.csv"
+        path.write_text('s,count\n1,2\n"5,6\n3\n')
+        with pytest.raises(ValidationError) as info:
+            read_csv(path, ("s",))
+        assert str(info.value) == f"{path}:3: unparseable row ['5,6']"
+
+    def test_reading_makes_no_object_per_row(self, tmp_path):
+        # the cells are held as strings in a list per column, and the spectrum as arrays, so
+        # the garbage collector tracks a few more objects, however many rows the file holds
+        path = tmp_path / "wide.csv"
+        write_spectrum_csv(path, accumulate(np.arange(10**5)))
+        for read in (lambda: read_csv(path, ("s", "count")), lambda: read_spectrum_csv(path)):
+            gc.collect()
+            before = len(gc.get_objects())
+            held = read()
+            assert len(gc.get_objects()) - before < 100
+            del held
+
+    @pytest.mark.parametrize("key, value", [("source", "s\nx.bin"), ("source", "s\rx.bin"),
+                                            ("a\nb", "1")])
+    def test_metadata_line_break_rejected_before_writing(self, tmp_path, key, value):
+        # a line break would end the metadata line early, and the file would not read back
+        path = tmp_path / "spectrum.csv"
+        with pytest.raises(ValidationError, match=f"metadata {re.escape(repr(key))} must not"):
+            write_csv(path, {key: value}, ["s", "count"], [(1, 2)])
+        assert not path.exists()
