@@ -9,7 +9,6 @@ written by `csv.writer` and end in CRLF.  A file is read as columns.
 from __future__ import annotations
 
 import csv
-from contextlib import suppress
 
 from .errors import ValidationError
 
@@ -49,7 +48,8 @@ def read_csv(path, columns) -> tuple[dict[str, str], list[int], dict[str, list[s
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if line.startswith("#"):
-                if (body := line.lstrip("#").strip()).startswith(METADATA_PREFIX):
+                body = line.lstrip("#").strip()
+                if body.startswith(METADATA_PREFIX):
                     key, _, value = body[len(METADATA_PREFIX):].strip().partition("=")
                     metadata[key.strip()] = value.strip()
             elif line:
@@ -74,26 +74,22 @@ def read_csv(path, columns) -> tuple[dict[str, str], list[int], dict[str, list[s
         raise ValidationError(f"{path}:{numbers[-1]}: {exc}") from None
     if not numbers:
         raise ValidationError(f"{path}: no data rows")
-    if missing := [column for column in columns if column not in names]:
-        raise ValidationError(f"{path}:{numbers[0]}: missing column {missing[0]!r}")
+    for column in columns:
+        if column not in names:
+            raise ValidationError(f"{path}:{numbers[0]}: missing column {column!r}")
     if short:
         raise ValidationError(f"{path}:{short[0]}: unparseable row {short[1]!r}")
     return metadata, numbers[1:], {name: flat[j :: len(names)] for j, name in enumerate(names)}
 
 
-def _row(columns, i) -> dict[str, str]:
-    return {name: cells[i] for name, cells in columns.items()}  # data row i, for a message
-
-
 def read_columns(path, columns, kind) -> tuple[dict[str, str], list[tuple]]:
-    """Metadata and, per data row, the tuple of its columns, each converted whole by kind."""
+    """Metadata and, per data row, the tuple of its columns converted by kind."""
     metadata, numbers, cells = read_csv(path, columns)
-    with suppress(ValueError):  # kind rejects a cell: then row by row, to the first such row
-        return metadata, list(zip(*(list(map(kind, cells[c])) for c in columns)))
     values = []
     for i, lineno in enumerate(numbers):
         try:
             values.append(tuple(kind(cells[c][i]) for c in columns))
         except ValueError as exc:
-            raise ValidationError(f"{path}:{lineno}: unparseable row {_row(cells, i)!r}") from exc
+            row = {name: column[i] for name, column in cells.items()}
+            raise ValidationError(f"{path}:{lineno}: unparseable row {row!r}") from exc
     return metadata, values

@@ -26,7 +26,7 @@ import numpy as np
 from . import spectrum
 from .errors import ValidationError
 from .fit import FitResult, fit_exp_slope, fit_m0, fit_s0_linear
-from .ioutil import _row, read_csv, write_csv
+from .ioutil import read_csv, write_csv
 from .model import DEFAULT_RISK_FACTOR, cutoff_law, risk_factor, solve_checkpoint
 from .sieve import CountRecord, SieveReport
 from .spectrum import S0Convention, SeparationSpectrum, s0_from_counts
@@ -57,27 +57,34 @@ def ingest_counts(path) -> CountTable:
     metadata, numbers, cells = read_csv(path, required)
     if not numbers:
         raise ValidationError(f"{path}: no data rows")
-    rows, seen = [], {}  # the records, and the line each n is first seen on
+    rows: list[CountRecord] = []
+    seen: dict[int, int] = {}
+    prev: CountRecord | None = None
     adjusted = cells.get("pi1_adjusted", [""] * len(numbers))
     for i, lineno in enumerate(numbers):
         try:
             n, pi1, pi2 = (int(cells[c][i]) for c in required)
-            adj = int(adjusted[i].strip()) if adjusted[i].strip() else None
+            adj_text = adjusted[i].strip()
+            adj = int(adj_text) if adj_text else None
         except ValueError as exc:
-            raise ValidationError(f"{path}:{lineno}: unparseable row {_row(cells, i)!r}") from exc
+            fields = {name: column[i] for name, column in cells.items()}
+            raise ValidationError(f"{path}:{lineno}: unparseable row {fields!r}") from exc
         if n in seen:
             raise ValidationError(
-                f"{path}:{lineno}: duplicate n={n} (first seen on line {seen[n]})")
+                f"{path}:{lineno}: duplicate n={n} (first seen on line {seen[n]})"
+            )
         seen[n] = lineno
         try:
             rec = CountRecord(n=n, pi1=pi1, pi2=pi2, pi1_adjusted=adj)
         except ValidationError as exc:
             raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-        prev = rows[-1] if rows else rec
-        if n < prev.n or pi1 < prev.pi1 or pi2 < prev.pi2:
-            raise ValidationError(f"{path}:{lineno}: monotonicity violation at n={n} "
-                                  f"(previous row had n={prev.n}, pi1={prev.pi1}, pi2={prev.pi2})")
+        if prev is not None and (n < prev.n or pi1 < prev.pi1 or pi2 < prev.pi2):
+            raise ValidationError(
+                f"{path}:{lineno}: monotonicity violation at n={n} "
+                f"(previous row had n={prev.n}, pi1={prev.pi1}, pi2={prev.pi2})"
+            )
         rows.append(rec)
+        prev = rec
     return CountTable(rows=rows, metadata=metadata)
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import sieve
 from .errors import ValidationError
-from .ioutil import _row, read_csv, write_csv
+from .ioutil import read_csv, write_csv
 from .sieve import CountRecord
 
 
@@ -268,12 +268,13 @@ def read_spectrum_csv(path) -> tuple[SeparationSpectrum, dict[str, str]]:
             return SeparationSpectrum._rows(counts[order][None], seps[order])[0], meta
     bins: dict[int, int] = {}
     for i, lineno in enumerate(numbers):  # a file the columns fail, row by row to its first fault
-        row = _row(columns, i)
         try:
-            s, c = int(row["s"]), int(row["count"])
+            s, c = int(columns["s"][i]), int(columns["count"][i])
         except ValueError as exc:
+            row = {name: cells[i] for name, cells in columns.items()}
             raise ValidationError(f"{path}:{lineno}: unparseable row {row!r}") from exc
         if s < 0 or c < 0:
+            row = {name: cells[i] for name, cells in columns.items()}
             raise ValidationError(f"{path}:{lineno}: negative separation or count {row!r}")
         if max(s, c) >= 2**63:
             raise ValidationError(f"{path}:{lineno}: separation or count is 2**63 or more")
