@@ -64,8 +64,7 @@ def ingest_counts(path) -> CountTable:
     for i, lineno in enumerate(numbers):
         try:
             n, pi1, pi2 = (int(cells[c][i]) for c in required)
-            adj_text = adjusted[i].strip()
-            adj = int(adj_text) if adj_text else None
+            adj = int(adjusted[i]) if adjusted[i].strip() else None
         except ValueError as exc:
             fields = {name: column[i] for name, column in cells.items()}
             raise ValidationError(f"{path}:{lineno}: unparseable row {fields!r}") from exc

@@ -38,8 +38,12 @@ base primes are sieved in numpy, by `_segment_primes(low, high, base)`.
 `sieve_range` sieves the chunks on `_on_workers` (the calling thread, plus
 the kept threads of one ThreadPoolExecutor, one per further CPU), and
 folds the summaries in order, carrying four values from one chunk to the
-next, so the result is exact and identical for any CPU count.  The Monte
-Carlo sampler and the histogram split their streams over the same workers.
+next, so the result is exact and identical for any CPU count.  Each
+summary keeps the kernel's separation buffer, trimmed in place, and the
+fold copies the chunks into one stream of exact size, dropping each chunk
+once copied, so a run holds about one stream at its peak, not two.  The
+Monte Carlo sampler and the histogram split their streams over the same
+workers.
 """
 
 from __future__ import annotations
@@ -148,7 +152,10 @@ class SieveReport:
     (workers, chunks, segments as kernel blocks, scan: "vector" or "words",
     the kernel's scan on this CPU, wall_s, segments_per_s, peak_rss_mb); it
     never enters metadata, so the files written from a report do not
-    depend on the machine.
+    depend on the machine.  peak_rss_mb is the process's `ru_maxrss`, its
+    high-water mark since it started, not this run's: a later run in the
+    same process reports an earlier, larger peak, and on Linux a process
+    started from a larger one may begin at that one's peak.
     """
 
     counts: list[CountRecord]
@@ -426,7 +433,14 @@ def _on_workers(work, jobs, workers: int) -> list:
 
 
 def _kernel_chunk(kernel, low, high, base, grid) -> ChunkSummary:
-    """The summary of the chunk [low, high), from one call of the compiled kernel."""
+    """The summary of the chunk [low, high), from one call of the compiled kernel.
+
+    The kernel writes the chunk's separations into a buffer sized for the
+    most twins the chunk can hold, and the summary keeps that buffer,
+    trimmed in place to the separations written: `ndarray.resize` shrinks
+    it by a realloc, which for a buffer this size is an mremap of its
+    pages, with no copy.
+    """
     grid = np.asarray(grid, dtype=np.int64)
     # Bounds: every own twin has its lower member = 5 (mod 6); k records are
     # distinct separations, so k(k-1)/2 <= their sum <= primes <= (high-low+1)/2.
@@ -438,12 +452,14 @@ def _kernel_chunk(kernel, low, high, base, grid) -> ChunkSummary:
                                   recs, rows, out):
         raise MemoryError(f"sieve kernel could not allocate for [{low}, {high})")
     primes, twins, first_twin, first_index, last_twin, nrec = out.tolist()
+    # no view of seps exists: the kernel keeps none, so the reference count check can be skipped
+    seps.resize(max(0, twins - 1), refcheck=False)
     return ChunkSummary(
         primes=primes,
         twins=twins,
         first_twin=(first_twin, first_index) if twins else None,
         last_twin=last_twin if twins else None,
-        seps=seps[: max(0, twins - 1)].copy(),
+        seps=seps,
         records=tuple(map(tuple, recs[:nrec].tolist())),
         checkpoints=tuple(
             (n, p, k, i if k else None) for n, (p, k, i) in zip(grid.tolist(), rows.tolist())
@@ -451,23 +467,33 @@ def _kernel_chunk(kernel, low, high, base, grid) -> ChunkSummary:
     )
 
 
-def _fold(summaries, cps, limit):
+def _fold(summaries: list, cps, limit):
     """Stitch chunk summaries, in order, onto the prelude: counts, stream, onsets.
 
     Four values carry from one chunk to the next.  No twin spans two
     chunks (see _chunk_plan), so a chunk's first twin alone closes the
     interval before the chunk's own separations.  A chunk's local record
     is a global record only if it beats the running maximum so far.
+
+    The stream is allocated once, at its exact size (one separation per
+    twin of a chunk: its first twin's gap, then the separations after
+    it), and each chunk's gap and separations are copied into it in
+    order.  The fold empties the list `summaries` as it goes, so each
+    chunk's buffer is dropped before the next one is copied, and the
+    fold holds about one stream, not two.
     """
     counts = [_prelude(c) for c in cps if c < FIRST_SEGMENT]
-    sep_chunks = [np.empty(0, dtype=np.uint32)]
+    separations = np.empty(sum(s.twins for s in summaries), dtype=np.uint32)
+    filled = 0  # separations copied so far
     onsets: list[tuple[int, int]] = []
     head = _prelude(min(limit, FIRST_SEGMENT - 1))
     prime_count, twin_count = head.pi1, head.pi2
     last_twin = PRELUDE_LAST_TWIN  # 0-based index of the last twin's lower member
     running_max = -1
 
-    for s in summaries:
+    summaries.reverse()  # popped from the end, so in order
+    while summaries:
+        s = summaries.pop()  # the previous chunk's summary, and with it its buffer, goes here
         for n, pi1, pi2, adj in s.checkpoints:
             counts.append(
                 CountRecord(
@@ -480,7 +506,9 @@ def _fold(summaries, cps, limit):
         if s.first_twin is not None:
             lower, index = s.first_twin
             gap = prime_count + index - last_twin - 2  # closed by the chunk's first twin
-            sep_chunks += [np.array([gap], dtype=np.uint32), s.seps]
+            separations[filled] = gap
+            separations[filled + 1 : filled + 1 + s.seps.size] = s.seps
+            filled += 1 + s.seps.size
             for sep, n in ((gap, lower), *s.records):
                 if sep > running_max:
                     running_max = sep
@@ -489,8 +517,7 @@ def _fold(summaries, cps, limit):
         twin_count += s.twins
         prime_count += s.primes
 
-    separations = np.concatenate(sep_chunks)
-    assert separations.size == max(0, twin_count - 2), "separation accounting out of sync"
+    assert filled == separations.size == max(0, twin_count - 2), "separation accounting out of sync"
     return counts, separations, onsets
 
 

@@ -56,14 +56,14 @@ def sieve_chunk(low, high, segment_size, base, grid) -> sieve.ChunkSummary:
 def sieve_range(config: sieve.SieveConfig, segment_size=1 << 20):
     """(counts, separations, onsets) of sieve.sieve_range(config), from sieve_chunk's summaries
     of the same chunk plan in segments of segment_size odd numbers, folded in-process by
-    sieve._fold."""
+    sieve._fold, which takes them as a list (it sizes the stream from them first)."""
     cps = config.checkpoint_grid or (config.limit,)
     base = sieve._odd_base_primes(math.isqrt(config.limit))
-    summaries = (
+    summaries = [
         sieve_chunk(low, high, segment_size, base,
                     cps[bisect.bisect_left(cps, low) : bisect.bisect_left(cps, high)])
         for low, high in sieve._chunk_plan(config.limit)
-    )
+    ]
     return sieve._fold(summaries, cps, config.limit)
 
 

@@ -161,6 +161,20 @@ class TestIngest:
         with pytest.raises(ValidationError, match=":2:"):
             ingest_counts(path)
 
+    @pytest.mark.parametrize("row", ["100,\x1c25,8,19", "100,25,8,\x1c19"],
+                             ids=["pi1", "pi1_adjusted"])
+    def test_pi1_adjusted_parses_as_the_counts_do(self, tmp_path, row):
+        # \x1c is whitespace to str.strip() but not to int(): no column may strip it first
+        path = tmp_path / "counts.csv"
+        path.write_text(f"n,pi1,pi2,pi1_adjusted\n10,4,2,\n{row}\n")
+        with pytest.raises(ValidationError, match=r"counts\.csv:3: unparseable row"):
+            ingest_counts(path)
+
+    def test_blank_pi1_adjusted_is_none(self, tmp_path):
+        path = tmp_path / "counts.csv"
+        path.write_text("n,pi1,pi2,pi1_adjusted\n10,4,2,  \n100,25,8, 19 \n")
+        assert [r.pi1_adjusted for r in ingest_counts(path).rows] == [None, 19]
+
     def test_negative_pi1_adjusted_names_the_line(self, tmp_path):
         path = tmp_path / "counts.csv"
         path.write_text("n,pi1,pi2,pi1_adjusted\n10,4,2,\n100,25,8,-7\n")

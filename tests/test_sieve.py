@@ -352,6 +352,34 @@ class TestChunks:
         # the numpy reference walks 49 segments of 1024 odd flags to the same report
         assert_matches_reference(rep, config, 1024)
 
+    def test_stream_is_held_once(self):
+        # each chunk keeps its kernel buffer trimmed in place, and the fold moves the chunks
+        # into one stream, dropping each as it goes: in a fresh interpreter, the peak RSS that
+        # a 1e9 run adds stays below 1.5 streams (about 1.3; 2.0 with a copy per chunk and a
+        # concatenated second stream).  The peak is VmHWM, the high-water mark of the new
+        # image alone: Linux starts a child's ru_maxrss at the peak of the process that
+        # started it, here the test runner's
+        code = (
+            "from twinsep import sieve\n"
+            "def status(key):\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        return next(int(line.split()[1]) for line in fh if line.startswith(key))\n"
+            "sieve._load_kernel()\n"
+            "before = status('VmRSS:')\n"
+            "rep = sieve.sieve_range(sieve.SieveConfig(limit=10**9))\n"
+            "added = (status('VmHWM:') - before) * 1024\n"
+            "print(added, rep.separations.nbytes, rep.counts[-1].pi2)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        added, nbytes, pi2 = map(int, proc.stdout.split())
+        assert pi2 == 3424506  # OEIS A007508 at 1e9
+        assert nbytes == 4 * (pi2 - 2)
+        assert added < 1.5 * nbytes, f"the run added {added / nbytes:.2f} streams of RSS"
+
     def test_import_leaves_process_pool_unloaded(self, tmp_path):
         # and builds no kernel (that waits for the first sieve) and starts no thread (the
         # helpers wait for the first call that splits its work)
