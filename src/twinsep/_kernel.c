@@ -963,25 +963,25 @@ int64_t twinsep_geometric(const uint64_t *key, const uint64_t *counter, int64_t 
     return npend;
 }
 
-/* Spectra: twinsep_histogram histograms a stream x[0..n) of int64 (width 8) or uint32
- * (width 4) values into counts, which holds twinsep_histogram_cap (SUB_TOP) entries.  When
- * every value lies in [0, SUB_TOP), it adds the count of each value v to counts[v] and
- * returns top, the greatest value plus one (0 when n = 0).  Otherwise it returns -1, leaves
- * counts as they were, and the caller counts.  A stream of at most SMALL values is read once
- * for its greatest value, then counted straight into counts: zeroing the sub-tables below
- * costs more than that (a 1-value call took as long as a 10-value one).  A longer one takes
- * one pass: each value v is counted as v & (SUB_TOP - 1) into SUB interleaved sub-tables,
- * element i into sub[v * SUB + i % SUB], so that a run of one value (the geometric law's
- * s = 0) does not wait on its own last increment, and the values are ORed together; an OR
- * below SUB_TOP shows that every value lay in [0, SUB_TOP) (a negative int64 reads as 2**63
- * or more), so the sub-tables hold the histogram, and every value lies below the power of
- * two above the OR's top bit, so only the bins below it are read.  The sub-tables are a
- * fixed 32 KB on the stack.  The pass is inlined once per width, so its loop reads one
- * fixed type.
+/* Spectra: twinsep_histogram counts a piece x[lo..hi) of a stream of int64 (width 8) or
+ * uint32 (width 4) values into the rows of table, each twinsep_histogram_cap (SUB_TOP)
+ * entries: row r takes the piece's values at or above ends[r - 1] and below ends[r] (ends
+ * ascending, hi at most the last), so one call counts every row the piece overlaps.  When
+ * every value lies in [0, SUB_TOP), it adds the count of each value v of row r to
+ * table[r * SUB_TOP + v] and returns top, the greatest value plus one (0 for an empty piece).
+ * Otherwise it returns -1 and the caller counts; the rows before the one that held the value
+ * may already have been counted into.  Each row's part takes one pass: each value v is
+ * counted as v & (SUB_TOP - 1) into SUB interleaved sub-tables, element i into
+ * sub[v * SUB + i % SUB], so that a run of one value (the geometric law's s = 0) does not
+ * wait on its own last increment, and the values are ORed together; an OR below SUB_TOP
+ * shows that every value lay in [0, SUB_TOP) (a negative int64 reads as 2**63 or more), so
+ * the sub-tables hold the row's histogram, and every value lies below the power of two above
+ * the OR's top bit, so only the bins below it are added into the row and zeroed for the next
+ * row.  The sub-tables are a fixed 32 KB on the stack, zeroed once a call.  The pass is
+ * inlined once per width, so its loop reads one fixed type.
  */
 #define SUB 4
 #define SUB_TOP 1024 /* a power of two */
-#define SMALL 256    /* a stream this short skips the sub-tables */
 
 const int64_t twinsep_histogram_cap = SUB_TOP;
 
@@ -990,52 +990,44 @@ INLINE uint64_t at(const void *x, int width, int64_t i) /* a negative int64 is 2
     return width == 8 ? (uint64_t)((const int64_t *)x)[i] : ((const uint32_t *)x)[i];
 }
 
-INLINE int64_t bin(const int64_t *sub, int64_t v) /* the count of v over the sub-tables */
+INLINE int64_t histogram(const void *x, int width, int64_t lo, int64_t hi, const int64_t *ends,
+                         int64_t *table)
 {
-    int64_t c = 0;
-    for (int k = 0; k < SUB; k++)
-        c += sub[SUB * v + k];
-    return c;
-}
-
-INLINE int64_t histogram(const void *x, int64_t n, int width, int64_t *counts)
-{
-    if (n <= SMALL) {
-        uint64_t most = 0;
-        for (int64_t i = 0; i < n; i++)
-            most = at(x, width, i) > most ? at(x, width, i) : most;
-        if (most >= SUB_TOP)
+    int64_t sub[SUB * SUB_TOP] = {0}, most = 0, i = lo;
+    for (int64_t *row = table; i < hi; row += SUB_TOP, ends++) {
+        int64_t end = *ends < hi ? *ends : hi;
+        uint64_t any = 0;
+        for (; i + SUB <= end; i += SUB) { /* written out: gcc -O2 keeps a loop over k */
+            uint64_t v0 = at(x, width, i), v1 = at(x, width, i + 1);
+            uint64_t v2 = at(x, width, i + 2), v3 = at(x, width, i + 3);
+            any |= v0 | v1 | v2 | v3;
+            sub[(v0 & (SUB_TOP - 1)) * SUB]++;
+            sub[(v1 & (SUB_TOP - 1)) * SUB + 1]++;
+            sub[(v2 & (SUB_TOP - 1)) * SUB + 2]++;
+            sub[(v3 & (SUB_TOP - 1)) * SUB + 3]++;
+        }
+        for (; i < end; i++) {
+            any |= at(x, width, i);
+            sub[(at(x, width, i) & (SUB_TOP - 1)) * SUB]++;
+        }
+        if (any >= SUB_TOP)
             return -1;
-        for (int64_t i = 0; i < n; i++)
-            counts[at(x, width, i)]++;
-        return n ? (int64_t)most + 1 : 0;
+        int64_t top = (int64_t)2 << (63 - __builtin_clzll(any | 1)); /* above every value */
+        for (int64_t v = 0; v < top; v++) {
+            int64_t c = 0;
+            for (int k = 0; k < SUB; k++) {
+                c += sub[SUB * v + k];
+                sub[SUB * v + k] = 0;
+            }
+            row[v] += c;
+            most = c && v >= most ? v + 1 : most;
+        }
     }
-    int64_t sub[SUB * SUB_TOP] = {0}, i = 0;
-    uint64_t any = 0;
-    for (; i + SUB <= n; i += SUB) { /* written out: gcc -O2 keeps a loop over k */
-        uint64_t v0 = at(x, width, i), v1 = at(x, width, i + 1);
-        uint64_t v2 = at(x, width, i + 2), v3 = at(x, width, i + 3);
-        any |= v0 | v1 | v2 | v3;
-        sub[(v0 & (SUB_TOP - 1)) * SUB]++;
-        sub[(v1 & (SUB_TOP - 1)) * SUB + 1]++;
-        sub[(v2 & (SUB_TOP - 1)) * SUB + 2]++;
-        sub[(v3 & (SUB_TOP - 1)) * SUB + 3]++;
-    }
-    for (; i < n; i++) {
-        any |= at(x, width, i);
-        sub[(at(x, width, i) & (SUB_TOP - 1)) * SUB]++;
-    }
-    if (any >= SUB_TOP)
-        return -1;
-    int64_t top = (int64_t)2 << (63 - __builtin_clzll(any | 1)); /* above every value */
-    while (top > 0 && !bin(sub, top - 1))
-        top--;
-    for (int64_t v = 0; v < top; v++)
-        counts[v] += bin(sub, v);
-    return top;
+    return most;
 }
 
-int64_t twinsep_histogram(const void *x, int64_t n, int64_t width, int64_t *counts)
+int64_t twinsep_histogram(const void *x, int64_t lo, int64_t hi, int64_t width,
+                          const int64_t *ends, int64_t *table)
 {
-    return width == 8 ? histogram(x, n, 8, counts) : histogram(x, n, 4, counts);
+    return width == 8 ? histogram(x, 8, lo, hi, ends, table) : histogram(x, 4, lo, hi, ends, table);
 }

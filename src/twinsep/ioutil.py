@@ -20,9 +20,16 @@ def format_metadata(metadata: dict[str, str]) -> list[str]:
 
 
 def write_csv(path, metadata: dict[str, str], header, rows) -> None:
-    """Write metadata lines, none with a line break in its key or value, then header and rows."""
-    if bad := [k for k, v in metadata.items() if set(f"{k}{v}") & {"\r", "\n"}]:
-        raise ValidationError(f"metadata {bad[0]!r} must not hold a line break")
+    """Write metadata lines, then header and rows.  Each metadata line reads back as written,
+    so a key or value with a line break, or one that str.strip() would change, and a key with
+    "=" are a ValidationError before the file is opened."""
+    for key, value in metadata.items():
+        k, v = f"{key}", f"{value}"
+        if set(k + v) & {"\r", "\n"}:
+            raise ValidationError(f"metadata {key!r} must not hold a line break")
+        if "=" in k or k.strip() != k or v.strip() != v:
+            raise ValidationError(f"metadata {key!r} must not hold '=' in its key, nor "
+                                  "whitespace at either end of its key or value")
     with open(path, "w", newline="") as fh:
         for line in format_metadata(metadata):
             fh.write(line + "\n")

@@ -152,10 +152,12 @@ class SieveReport:
     (workers, chunks, segments as kernel blocks, scan: "vector" or "words",
     the kernel's scan on this CPU, wall_s, segments_per_s, peak_rss_mb); it
     never enters metadata, so the files written from a report do not
-    depend on the machine.  peak_rss_mb is the process's `ru_maxrss`, its
-    high-water mark since it started, not this run's: a later run in the
-    same process reports an earlier, larger peak, and on Linux a process
-    started from a larger one may begin at that one's peak.
+    depend on the machine.  peak_rss_mb is the process's high-water mark,
+    not this run's: a later run in the same process reports an earlier,
+    larger peak.  It is VmHWM from /proc/self/status where that file exists,
+    which counts only the program the process runs, and `ru_maxrss`
+    elsewhere; on Linux `ru_maxrss` also holds the peak of the process it
+    was started from, when that was larger.
     """
 
     counts: list[CountRecord]
@@ -345,8 +347,9 @@ def _load_kernel():
     ptr = ctypes.c_void_p  # addresses: an ndpointer check costs 3-5 us a call
     lib.twinsep_geometric.argtypes = [ptr, ptr, i64, i64, f64, f64, f64, ptr]
     lib.twinsep_geometric.restype = i64
-    # the stream is int64 or uint32, by its width in bytes; counts has histogram_cap int64s
-    lib.twinsep_histogram.argtypes = [ptr, i64, i64, ptr]
+    # x[lo:hi) of an int64 or uint32 stream, by its width in bytes, into a table whose rows of
+    # histogram_cap int64s end at the int64s of ends
+    lib.twinsep_histogram.argtypes = [ptr, i64, i64, i64, ptr, ptr]
     lib.twinsep_histogram.restype = i64
     lib.histogram_cap = i64.in_dll(lib, "twinsep_histogram_cap").value
     lib.twinsep_vector_scan.argtypes, lib.twinsep_vector_scan.restype = [], i64
@@ -557,7 +560,6 @@ def sieve_range(config: SieveConfig) -> SieveReport:
     counts, separations, onsets = _fold(summaries, cps, limit)
 
     wall = time.perf_counter() - t0
-    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     meta = {
         "limit": str(limit),
         "onset_n": ONSET_CONVENTION,
@@ -575,9 +577,22 @@ def sieve_range(config: SieveConfig) -> SieveReport:
             "scan": kernel.scan,
             "wall_s": wall,
             "segments_per_s": segments / wall,
-            "peak_rss_mb": peak_kb / 1024,
+            "peak_rss_mb": _peak_rss_mb(),
         },
     )
+
+
+def _peak_rss_mb() -> float:
+    """This process's peak RSS in MB: VmHWM from /proc/self/status, the high-water mark of the
+    program it runs, where that file has it; ru_maxrss elsewhere."""
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024  # kB
+    except OSError:
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def _checked_stream(arr):

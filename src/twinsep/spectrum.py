@@ -5,9 +5,10 @@ arrays; the totals, the maximum and the count beyond a cutoff are read off
 them.  Every spectrum is one row of a cumulative table from one running
 fold, `_running_spectra`: `accumulate` is the fold with one stop, and
 `pipeline.per_checkpoint_spectra` the fold with one stop per checkpoint.
-The fold reads the stream once: the compiled histogram that counts it also
-gives the greatest value, so no pass of its own is taken for that, except
-on a stream with a value outside the histogram's table.
+The fold reads the stream once, in pieces, each counted by one call of the
+compiled histogram into the row of every slice it overlaps; the histogram
+also gives the greatest value, so no pass of its own is taken for that,
+except on a stream with a value outside the histogram's table.
 Three s0 conventions are kept first-class because published count tables
 and interval-exact bookkeeping disagree by small offsets.
 """
@@ -128,14 +129,14 @@ def _running_spectra(arr, stops) -> list[SeparationSpectrum]:
     """[the spectrum of arr[:stop] for each stop], stops non-decreasing and at most arr.size.
 
     The one counting path: the slices between stops are counted into rows of a table, each
-    added to the one before.  `_count_rows` counts them, ROWS_AT_ONCE at a time, with the
-    kernel's histogram, which also returns each piece's greatest value + 1: a batch's rows are
-    as wide as the greatest value seen so far + 1, so the stream is read once.  Once a piece
-    holds a value outside the kernel's table (or a negative int64), the stream is checked
-    for negatives and counted whole by `_count_slice`, which gives the columns, a value each,
-    and the last spectrum; the slices left before it are counted by `_count_slice` into a
-    row over those columns, carried on from the rows counted before.  The kernel is not
-    loaded when nothing is counted.
+    added to the one before.  `_count_rows` counts them, ROWS_AT_ONCE at a time, with one call
+    of the kernel's histogram per piece of the stream they cover, which also returns the
+    piece's greatest value + 1: a batch's rows are as wide as the greatest value seen so far
+    + 1, so the stream is read once.  Once a piece holds a value outside the kernel's table
+    (or a negative int64), the stream is checked for negatives and counted whole by
+    `_count_slice`, which gives the columns, a value each, and the last spectrum; the slices
+    left before it are counted by `_count_slice` into a row over those columns, carried on
+    from the rows counted before.  The kernel is not loaded when nothing is counted.
     """
     if not (stops and stops[-1]):
         return [SeparationSpectrum() for _ in stops]
@@ -144,7 +145,7 @@ def _running_spectra(arr, stops) -> list[SeparationSpectrum]:
     bounds = list(zip([0, *stops], stops))
     spectra, running = [], np.zeros(0, dtype=np.int64)
     for b in range(0, len(bounds), ROWS_AT_ONCE):
-        table = _count_rows(kernel, arr, bounds[b : b + ROWS_AT_ONCE], running.size)
+        table = _count_rows(kernel, arr, bounds[b][0], stops[b : b + ROWS_AT_ONCE], running.size)
         if table is None:
             break
         np.cumsum(table, axis=0, out=table)
@@ -178,38 +179,37 @@ def _count_slice(arr):
     return vals.astype(arr.dtype), cnts[vals]
 
 
-def _count_rows(kernel, arr, bounds, width):
-    """A len(bounds) x max(width, top) table, where row r counts the values arr[start:stop] of
-    bounds[r] and top is their greatest value + 1; None once a value lies outside the kernel's
-    table of histogram_cap entries (a negative int64 among them).
+def _count_rows(kernel, arr, start, ends, width):
+    """A len(ends) x max(width, top) table, where row r counts the values arr[ends[r - 1]:ends[r]]
+    (arr[start:ends[0]] for row 0) and top is their greatest value + 1; None once a value lies
+    outside the kernel's table of histogram_cap entries (a negative int64 among them).
 
     arr is a contiguous int64, uint64 or uint32 stream.  Workers (`sieve._on_workers`), one per
     two pieces' worth of values (more would pass the GIL to and fro), claim pieces of
-    BLOCK_VALUES values in turn, each into a full-width table of its own; a worker whose piece
-    lies outside the table drops the pieces left, so the others stop at their next claim.  The
-    tables, cut to the width, are summed, so the count does not depend on the CPU count.
+    BLOCK_VALUES values of arr[start:ends[-1]] in turn, and count each with one kernel call
+    into every row it overlaps of a full-width table of their own.  A worker whose piece lies
+    outside the table drops the pieces left, so the others stop at their next claim; the rows
+    that call counted before it met the value are harmless, as the batch is then discarded.
+    The tables, cut to the width, are summed, so the count does not depend on the CPU count.
     """
-    pieces = [(r, lo, min(lo + BLOCK_VALUES, stop))
-              for r, (start, stop) in enumerate(bounds)
-              for lo in range(start, stop, BLOCK_VALUES)]
-    workers = sieve._worker_count((bounds[-1][1] - bounds[0][0]) // (2 * BLOCK_VALUES))
-    size, at_arr = arr.itemsize, arr.ctypes.data
+    stop, ends = ends[-1], np.array(ends, dtype=np.int64)
+    workers = sieve._worker_count((stop - start) // (2 * BLOCK_VALUES))
+    size, at_arr, at_ends = arr.itemsize, arr.ctypes.data, ends.ctypes.data
 
-    def count(jobs):  # (a table of this worker's own, its greatest top), or None
-        table = np.zeros((len(bounds), kernel.histogram_cap), dtype=np.int64)
-        at_table, stride = table.ctypes.data, table.strides[0]
+    def count(pieces):  # (a table of this worker's own, its greatest top), or None
+        table = np.zeros((ends.size, kernel.histogram_cap), dtype=np.int64)
         top = 0
-        for r, lo, hi in jobs:
-            got = kernel.twinsep_histogram(at_arr + lo * size, hi - lo, size,
-                                           at_table + r * stride)
+        for lo in pieces:
+            got = kernel.twinsep_histogram(at_arr, lo, min(lo + BLOCK_VALUES, stop), size,
+                                           at_ends, table.ctypes.data)
             if got < 0:
-                for _ in jobs:  # drop the pieces left
+                for _ in pieces:  # drop the pieces left
                     pass
                 return None
             top = max(top, got)
         return table, top
 
-    counted = sieve._on_workers(count, iter(pieces), workers)
+    counted = sieve._on_workers(count, iter(range(start, stop, BLOCK_VALUES)), workers)
     if None in counted:
         return None
     width = max(width, *(top for _, top in counted))

@@ -25,9 +25,10 @@ without a cap, and at a q that puts a quotient within ulps of an integer,
 which must pend, and at q = 1 - 2**-53, where every draw must pend; a
 pending draw must hold the bits of its v in its own slot, and the call
 must return how many pend), or when the histogram differs from a Counter
-(int64 and uint32 streams, with values inside its table; for a stream
-with a value outside it, the call must return -1 and leave the counts
-untouched).  Each call gets one element more than it may touch (the
+(int64 and uint32 streams, with values inside its table, counted into rows
+of 0, 1, 255, 256 and 257 values by pieces that split rows; for a piece with
+a value outside it, the call must return -1, and for a one-row stream leave
+the counts untouched).  Each call gets one element more than it may touch (the
 sampler's out one on each side), and a store there, or a read of it,
 fails the check.  It prints which scan the kernel takes on this CPU: on
 one without those features, only the scan by words is checked.
@@ -97,6 +98,28 @@ def check_geometric(lib):
             assert pending[[i - first for i in must if first <= i < first + n]].all(), case
 
 
+def histogram(lib, stream, ends, pieces):
+    """[(the Counter of each row of the table, the call's return value)] for each piece (lo, hi)
+    of the stream counted by twinsep_histogram into rows that end at ends, as int64 and, where
+    every value fits, as uint32; a row the calls left at zero is an empty Counter."""
+    cap, got = lib.histogram_cap, []
+    ends = np.array(ends, dtype=np.int64)
+    for dtype, past in ((np.int64, -1), (np.uint32, 2**32 - 1)):
+        if dtype == np.uint32 and not all(0 <= x < 2**32 for x in stream.tolist()):
+            continue
+        # one more value and one more count than the calls may touch, each of which would
+        # change the result if it were read or written
+        x = np.append(stream, past).astype(dtype)
+        table = np.zeros(ends.size * cap + 1, dtype=np.int64)
+        tops = [lib.twinsep_histogram(x.ctypes.data, lo, hi, x.itemsize, ends.ctypes.data,
+                                      table.ctypes.data) for lo, hi in pieces]
+        assert table[-1] == 0, dtype
+        rows = [collections.Counter({v: int(c) for v, c in enumerate(row) if c})
+                for row in table[:-1].reshape(ends.size, cap)]
+        got.append((rows, tops))
+    return got
+
+
 def check_histogram(lib):
     cap = lib.histogram_cap
     rng = np.random.default_rng(4)
@@ -104,24 +127,31 @@ def check_histogram(lib):
                rng.integers(0, 5000, 10000), np.array([0]),
                np.array([cap - 1]), np.array([cap]), np.array([cap + 1, cap + 6, 0]),
                np.array([3, -1, 2]), np.array([2**62, 5])]
-    for stream in streams:
+    for stream in streams:  # one row, one piece
         counter = collections.Counter(stream.tolist())
         # -1 for a value outside the table [0, cap), whatever it is
         want_top = max(counter) + 1 if 0 <= min(counter) and max(counter) < cap else -1
-        for dtype, past in ((np.int64, -1), (np.uint32, 2**32 - 1)):
-            if dtype == np.uint32 and not all(0 <= x < 2**32 for x in counter):
-                continue
-            # one more value that would change the result if it were read
-            x = np.append(stream, past).astype(dtype)
-            got = np.zeros(cap + 1, dtype=np.int64)
-            top = lib.twinsep_histogram(x.ctypes.data, stream.size, x.itemsize, got.ctypes.data)
-            assert top == want_top, (dtype, top, want_top)
-            if top >= 0:
-                bins = {v: int(c) for v, c in enumerate(got[:cap]) if c}
-                assert bins == counter, dtype
-            else:
-                assert not got.any(), dtype  # counts untouched
-            assert got[cap] == 0, dtype
+        for rows, tops in histogram(lib, stream, [stream.size], [(0, stream.size)]):
+            assert tops == [want_top], (stream, tops, want_top)
+            assert rows == [counter if want_top >= 0 else {}], stream  # -1: counts untouched
+    # rows of 0, 1, 255, 256 and 257 values, in one piece, in pieces that split rows, the
+    # 257-value row across two of them, and in pieces of 64 values
+    sizes = [0, 1, 255, 256, 0, 257, 1]
+    ends = np.cumsum(sizes).tolist()
+    stream = rng.geometric(0.1, ends[-1]) - 1
+    want = [collections.Counter(stream[lo:hi].tolist()) for lo, hi in zip([0, *ends], ends)]
+    for cuts in ((), (100, 256), (600,), tuple(range(64, ends[-1], 64))):
+        pieces = list(zip([0, *cuts], [*cuts, ends[-1]]))
+        for rows, tops in histogram(lib, stream, ends, pieces):
+            assert rows == want, cuts
+            assert max(tops) == stream.max() + 1 and min(tops) >= 0, (cuts, tops)
+    # a value outside the table in a later row: the piece that holds it returns -1
+    for wide in (cap, cap + 5, -1, 2**62):
+        bad = stream.copy()
+        bad[700] = wide
+        pieces = [(0, 600), (600, ends[-1])]
+        for _, tops in histogram(lib, bad, ends, pieces):
+            assert tops[0] >= 0 and tops[1] == -1, (wide, tops)
 
 
 def check_scan(lib):

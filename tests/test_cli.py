@@ -133,6 +133,19 @@ class TestSieveCommand:
         for name, path in [("counts.csv", counts), ("seps.bin", seps), ("onsets.csv", onsets)]:
             assert (out / name).read_bytes() == path.read_bytes(), name
 
+    def test_stats_peak_rss_is_the_run_s_own(self, tmp_path):
+        # a run started from a process holding 200 MB: on Linux its ru_maxrss starts at that
+        # process's peak, and the manifest gives the peak of the run's own program
+        held = np.ones(25_000_000)
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        argv = [sys.executable, "-m", "twinsep.cli", "sieve", "--limit", "1000",
+                "--out", str(tmp_path / "c.csv"), "--separations", str(tmp_path / "s.bin"),
+                "--stats", str(tmp_path / "m.json")]
+        subprocess.run(argv, env=env, check=True, capture_output=True, timeout=120)
+        del held
+        assert json.loads((tmp_path / "m.json").read_text())["peak_rss_mb"] < 150
+
 
 BAD_FILES = {
     "non_integer": "separation,n\n0,11\n1,twenty-nine\n",
@@ -386,6 +399,18 @@ class TestSpectrumAndS0:
         err = capsys.readouterr().err
         assert err.strip().splitlines() == ["error: metadata 'source' must not hold a line break"]
         assert not out.exists()
+
+    def test_source_with_leading_space_exits_2(self, sieved, tmp_path, monkeypatch, capsys):
+        # the reader strips a metadata value, so ' x.bin' would read back as 'x.bin'
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / " x.bin").write_bytes(sieved[1].read_bytes())
+        capsys.readouterr()
+        assert main(["spectrum", "--separations", " x.bin", "--out", "s.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.strip().splitlines() == [
+            "error: metadata 'source' must not hold '=' in its key, nor whitespace at either "
+            "end of its key or value"]
+        assert not (tmp_path / "s.csv").exists()
 
     def test_s0_raw_stdout(self, sieved, capsys):
         counts, _, _ = sieved

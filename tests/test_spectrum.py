@@ -26,6 +26,8 @@ from twinsep.spectrum import (
 )
 
 sep_lists = st.lists(st.integers(min_value=0, max_value=60), max_size=200)
+# a metadata key or value that write_csv accepts, but for the "=" it rejects in a key
+metadata_text = st.text().filter(lambda text: not set(text) & {"\r", "\n"} and text.strip() == text)
 
 
 class TestAccumulate:
@@ -177,6 +179,21 @@ class TestCompiledHistogram:
             assert accumulate(stream[lo:hi]).bins == dict(want)
 
 
+def counted_calls(kernel, monkeypatch):
+    """The list that the arguments of each twinsep_histogram call are appended to from now on;
+    the calls go through a PyDLL handle, which keeps the GIL."""
+    held = ctypes.PyDLL(kernel._name).twinsep_histogram
+    held.argtypes, held.restype = kernel.twinsep_histogram.argtypes, ctypes.c_int64
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return held(*args)
+
+    monkeypatch.setattr(kernel, "twinsep_histogram", counted)
+    return calls
+
+
 class TestWorkerCount:
     """The spectrum is the same on 1, 2 or 3 CPUs: each worker counts the blocks it claims into
     a table of its own, and a block outside the table sends the rest of the stream to
@@ -221,15 +238,7 @@ class TestWorkerCount:
         # thread is made to give the GIL up on a timer, so no worker can claim a block
         # between that call and the drop: the calls are counted, not raced.
         monkeypatch.setattr(spectrum, "BLOCK_VALUES", 100)
-        held = ctypes.PyDLL(kernel._name).twinsep_histogram
-        held.argtypes, held.restype = kernel.twinsep_histogram.argtypes, ctypes.c_int64
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return held(*args)
-
-        monkeypatch.setattr(kernel, "twinsep_histogram", counted)
+        calls = counted_calls(kernel, monkeypatch)
         arr = self.stream(np.int64)
         arr[0] = 1024
         want = dict(collections.Counter(arr.tolist()))
@@ -306,6 +315,19 @@ class TestRunningSpectra:
                 assert not array.flags.writeable
                 with pytest.raises(ValueError, match="read-only"):
                     array[...] = 0
+
+    def test_one_kernel_call_per_piece_per_batch(self, kernel, monkeypatch):
+        # 5000 stops into 20,000 values make 20 batches of at most 256 slices, each batch
+        # within one piece of BLOCK_VALUES values: a call counts every slice the piece
+        # overlaps, so 20 calls count the stream, not one a slice
+        rng = np.random.default_rng(31)
+        arr = (rng.geometric(0.1, 20_000) - 1).astype(np.uint32)
+        stops = np.sort(rng.integers(0, arr.size + 1, 5000)).tolist()
+        calls = counted_calls(kernel, monkeypatch)
+        got = spectrum._running_spectra(arr, stops)
+        assert len(calls) <= -(-len(stops) // spectrum.ROWS_AT_ONCE) == 20
+        for i in (0, 1, 2500, 4999):
+            assert got[i].bins == collections.Counter(arr[: stops[i]].tolist()), i
 
 
 class TestEmptyBins:
@@ -528,3 +550,22 @@ class TestCsv:
         with pytest.raises(ValidationError, match=f"metadata {re.escape(repr(key))} must not"):
             write_csv(path, {key: value}, ["s", "count"], [(1, 2)])
         assert not path.exists()
+
+    @pytest.mark.parametrize("key, value", [("a=b", "1"), ("source", " x.bin"),
+                                            ("source", "x.bin\t"), (" k", "1"), ("k\x0c", "1")])
+    def test_metadata_that_would_not_read_back_rejected_before_writing(self, tmp_path, key,
+                                                                       value):
+        # the reader splits a metadata line at its first "=" and strips the key and the value
+        path = tmp_path / "spectrum.csv"
+        with pytest.raises(ValidationError, match=f"metadata {re.escape(repr(key))} must not"):
+            write_csv(path, {key: value}, ["s", "count"], [(1, 2)])
+        assert not path.exists()
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.dictionaries(metadata_text.filter(lambda key: "=" not in key), metadata_text,
+                           max_size=4))
+    def test_accepted_metadata_reads_back(self, tmp_path, metadata):
+        path = tmp_path / "meta.csv"
+        write_csv(path, metadata, ["s", "count"], [(1, 2)])
+        assert read_csv(path, ("s",))[0] == metadata
