@@ -47,37 +47,30 @@ def read_csv(path, columns) -> tuple[dict[str, str], list[int], dict[str, list[s
     """
     metadata: dict[str, str] = {}
     numbers: list[int] = []  # the line of the header, then of each data row
+    names: list[str] = []
+    flat: list[str] = []  # the header's cells, then each row's, as many as the header has
     short = None  # the first data row with fewer cells than the header, and its line
-
-    def data_lines(fh):
-        """The data lines, stripped, one row each for one csv.reader: a line with a quote is
-        parsed alone, so an open quote cannot run on, and passed on with every cell quoted."""
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if body.startswith(METADATA_PREFIX):
-                    key, _, value = body[len(METADATA_PREFIX):].strip().partition("=")
-                    metadata[key.strip()] = value.strip()
-            elif line:
-                numbers.append(lineno)
-                if '"' in line:
-                    fields = next(csv.reader([line]))
-                    line = ",".join('"' + cell.replace('"', '""') + '"' for cell in fields)
-                yield line
-
     try:
         with open(path, newline="") as fh:
-            rows = csv.reader(data_lines(fh))  # read no further than a row's line, numbers[-1]
-            names = [name.strip() for name in next(rows, [])]
-            flat: list[str] = []  # each row's cells, as many as the header has, row after row
-            for fields in rows:
-                if len(fields) < len(names) and not short:
-                    short = numbers[-1], fields
-                flat += fields[: len(names)]
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if line.startswith("#"):
+                    body = line.lstrip("#").strip()
+                    if body.startswith(METADATA_PREFIX):
+                        key, _, value = body[len(METADATA_PREFIX):].strip().partition("=")
+                        metadata[key.strip()] = value.strip()
+                elif line:
+                    numbers.append(lineno)
+                    # a line with a quote is parsed alone, so an open quote cannot run on
+                    fields = next(csv.reader([line])) if '"' in line else line.split(",")
+                    if len(numbers) == 1:
+                        names = [name.strip() for name in fields]
+                    elif len(fields) < len(names) and not short:
+                        short = lineno, fields
+                    flat += fields[: len(names)]
     except UnicodeDecodeError:
         raise ValidationError(f"{path}: not a text file") from None
-    except csv.Error as exc:  # a NUL byte, before Python 3.11
+    except csv.Error as exc:  # in a quoted line: a NUL byte before Python 3.11, or a huge cell
         raise ValidationError(f"{path}:{numbers[-1]}: {exc}") from None
     if not numbers:
         raise ValidationError(f"{path}: no data rows")
@@ -86,7 +79,8 @@ def read_csv(path, columns) -> tuple[dict[str, str], list[int], dict[str, list[s
             raise ValidationError(f"{path}:{numbers[0]}: missing column {column!r}")
     if short:
         raise ValidationError(f"{path}:{short[0]}: unparseable row {short[1]!r}")
-    return metadata, numbers[1:], {name: flat[j :: len(names)] for j, name in enumerate(names)}
+    width = len(names)
+    return metadata, numbers[1:], {name: flat[width + j :: width] for j, name in enumerate(names)}
 
 
 def read_columns(path, columns, kind) -> tuple[dict[str, str], list[tuple]]:

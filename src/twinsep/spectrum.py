@@ -7,8 +7,9 @@ fold, `_running_spectra`: `accumulate` is the fold with one stop, and
 `pipeline.per_checkpoint_spectra` the fold with one stop per checkpoint.
 The fold reads the stream once, in pieces, each counted by one call of the
 compiled histogram into the row of every slice it overlaps; the histogram
-also gives the greatest value, so no pass of its own is taken for that,
-except on a stream with a value outside the histogram's table.
+also gives the greatest value, so no pass of its own is taken for that.  A
+stream with a value outside the histogram's table is counted by np.unique
+alone, from its first slice on.
 Three s0 conventions are kept first-class because published count tables
 and interval-exact bookkeeping disagree by small offsets.
 """
@@ -132,57 +133,47 @@ def _running_spectra(arr, stops) -> list[SeparationSpectrum]:
     added to the one before.  `_count_rows` counts them, ROWS_AT_ONCE at a time, with one call
     of the kernel's histogram per piece of the stream they cover, which also returns the
     piece's greatest value + 1: a batch's rows are as wide as the greatest value seen so far
-    + 1, so the stream is read once.  Once a piece holds a value outside the kernel's table
-    (or a negative int64), the stream is checked for negatives and counted whole by
-    `_count_slice`, which gives the columns, a value each, and the last spectrum; the slices
-    left before it are counted by `_count_slice` into a row over those columns, carried on
-    from the rows counted before.  The kernel is not loaded when nothing is counted.
+    + 1, so the stream is read once.  A stream with a value outside the kernel's table (or a
+    negative int64) is counted by `_unique_spectra` instead, from its first slice on, so every
+    spectrum of a fold comes from one table.  The kernel is not loaded when nothing is counted.
     """
     if not (stops and stops[-1]):
         return [SeparationSpectrum() for _ in stops]
     arr = sieve._checked_stream(arr.reshape(-1)[: stops[-1]])
     kernel = sieve._load_kernel()
-    bounds = list(zip([0, *stops], stops))
     spectra, running = [], np.zeros(0, dtype=np.int64)
-    for b in range(0, len(bounds), ROWS_AT_ONCE):
-        table = _count_rows(kernel, arr, bounds[b][0], stops[b : b + ROWS_AT_ONCE], running.size)
+    for b in range(0, len(stops), ROWS_AT_ONCE):
+        table = _count_rows(kernel, arr, stops[b - 1] if b else 0, stops[b : b + ROWS_AT_ONCE],
+                            running.size)
         if table is None:
-            break
+            return _unique_spectra(arr, stops)
         np.cumsum(table, axis=0, out=table)
         table[:, : running.size] += running
         running = table[-1]
         spectra += SeparationSpectrum._rows(table, np.arange(running.size))
-    if len(spectra) == len(bounds):
-        return spectra
+    return spectra
+
+
+def _unique_spectra(arr, stops) -> list[SeparationSpectrum]:
+    """`_running_spectra` by np.unique: the whole stream gives the columns, a value each, and
+    the last spectrum, and each slice before the last is counted into one running row over
+    those columns.  The separations keep the stream's dtype."""
     if arr.dtype == np.int64 and arr.min() < 0:
         raise ValidationError("separations must be >= 0")
-    columns, total = _count_slice(arr)  # every value the stream holds, and the last spectrum
-    wide = np.zeros((1, columns.size), dtype=np.int64)
-    seen = np.flatnonzero(running)
-    wide[0, np.searchsorted(columns, seen.astype(columns.dtype))] = running[seen]
-    for start, stop in bounds[len(spectra) : -1]:
-        vals, cnts = _count_slice(arr[start:stop])
-        wide[0, np.searchsorted(columns, vals)] += cnts
-        spectra += SeparationSpectrum._rows(wide, columns)
+    columns, total = np.unique(arr, return_counts=True)
+    running, spectra = np.zeros((1, columns.size), dtype=np.int64), []
+    for start, stop in zip([0, *stops], stops[:-1]):
+        vals, cnts = np.unique(arr[start:stop], return_counts=True)
+        running[0, np.searchsorted(columns, vals)] += cnts
+        spectra += SeparationSpectrum._rows(running, columns)
     return spectra + SeparationSpectrum._rows(total[None], columns)
-
-
-def _count_slice(arr):
-    """(values, counts) of a slice in ascending order, the values of the slice's dtype: by
-    np.bincount when its largest value is below its length (so the dense count is never
-    larger than the slice), by np.unique otherwise."""
-    top = int(arr.max()) + 1 if arr.size else 0
-    if top > arr.size:
-        return np.unique(arr, return_counts=True)
-    cnts = np.bincount(arr.astype(np.intp, copy=False), minlength=top)
-    vals = np.flatnonzero(cnts)
-    return vals.astype(arr.dtype), cnts[vals]
 
 
 def _count_rows(kernel, arr, start, ends, width):
     """A len(ends) x max(width, top) table, where row r counts the values arr[ends[r - 1]:ends[r]]
     (arr[start:ends[0]] for row 0) and top is their greatest value + 1; None once a value lies
-    outside the kernel's table of histogram_cap entries (a negative int64 among them).
+    outside the kernel's table of histogram_cap entries (a negative int64 among them), and the
+    fold then counts the whole stream with np.unique.
 
     arr is a contiguous int64, uint64 or uint32 stream.  Workers (`sieve._on_workers`), one per
     two pieces' worth of values (more would pass the GIL to and fro), claim pieces of

@@ -240,7 +240,7 @@ class TestContract:
             (["simulate", "--s0", "5", "--n", str(2**64), "--seed", "1", "--out", "{tmp}/sp.csv"],
              "n_events must be in [1, 2**60)"),
             (["predict", "--counts", "{counts_nul}", "--out", "{tmp}/o.csv"],
-             "counts_nul.csv:3:"),  # "line contains NUL" before Python 3.11
+             "counts_nul.csv:3: unparseable row {'n': '1000', 'pi1': '16\\x008', 'pi2': '35'}"),
         ],
         ids=[
             "onsets-non-integer",

@@ -107,8 +107,8 @@ class TestAccumulate:
          (5000, 2000)],
     )
     def test_matches_counter(self, dtype, size, top):
-        # every counter: the kernel's table while max < 1024, and above it bincount while
-        # max < size and np.unique beyond
+        # both counters: the kernel's table while max < 1024, and np.unique of the whole
+        # stream above it
         arr = np.random.default_rng(size + top).integers(0, top + 1, size).astype(dtype)
         counts = collections.Counter(int(x) for x in arr)
         spec = accumulate(arr)
@@ -135,7 +135,7 @@ def kernel_streams():
     """(name, stream) pairs for the compiled histogram, each checked against a Counter."""
     rng = np.random.default_rng(19)
     geometric = rng.geometric(0.1, 5000) - 1
-    wide = rng.integers(0, 3000, 5000)  # top above the kernel's table, below the size
+    wide = rng.integers(0, 3000, 5000)  # top above the kernel's table
     return [
         ("int64", geometric.astype(np.int64)),
         ("uint32", geometric.astype(np.uint32)),
@@ -196,8 +196,8 @@ def counted_calls(kernel, monkeypatch):
 
 class TestWorkerCount:
     """The spectrum is the same on 1, 2 or 3 CPUs: each worker counts the blocks it claims into
-    a table of its own, and a block outside the table sends the rest of the stream to
-    np.bincount or np.unique on the calling thread."""
+    a table of its own, and a block outside the table sends the whole stream to np.unique on
+    the calling thread."""
 
     SIZE = 20_000 + 3
     POSITIONS = (0, 9_500, SIZE - 1)  # in the first, a middle and the last block
@@ -302,6 +302,8 @@ class TestRunningSpectra:
             return
         got, _ = on_cpus(cpus, spectrum._running_spectra, arr, stops)
         assert len(got) == len(stops)
+        # every spectrum of a fold comes from one table: the kernel's, or np.unique's
+        assert len({spec.separations.dtype for spec in got}) == 1
         for spec, stop in zip(got, stops):
             assert spec.bins == collections.Counter(values[:stop])
             assert list(spec.bins) == sorted(spec.bins)  # ascending
@@ -521,6 +523,12 @@ class TestCsv:
         path.write_text('# metadata: k=v\ns,count\n"1,2",3,extra\n\n"a""b",4\n7,8\n')
         assert read_csv(path, ("s",)) == ({"k": "v"}, [3, 5, 6],
                                           {"s": ["1,2", 'a"b', "7"], "count": ["3", "4", "8"]})
+        # a quoted header names its columns as a plain one does
+        path.write_text('"s","c,d"\n1,2\n')
+        assert read_csv(path, ("s", "c,d")) == ({}, [2], {"s": ["1"], "c,d": ["2"]})
+        # a quote left open ends with its line, and the next line is a row of its own
+        path.write_text('s,count\n5,"6\n7,8\n')
+        assert read_csv(path, ("s",)) == ({}, [2, 3], {"s": ["5", "7"], "count": ["6", "8"]})
 
     def test_read_csv_names_the_first_short_row(self, tmp_path):
         # a quote left open ends with its line, which is then one cell short
