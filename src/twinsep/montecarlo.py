@@ -134,15 +134,18 @@ def gof_compare(
     critical value at the given alpha.
 
     The model's support is 0..top: floor(l_cut) with a cutoff, otherwise
-    the s past which q**s < 2**-1200, where the pmf is exactly 0.0.  A pool
-    closes on what it expects alone, so `_pool_bounds` finds the pools of
-    several bins from the model; every bin below them is a pool of its own.
-    One searchsorted reads the counts into the pools, and numpy scores the
-    single bins, each run of empty ones by its closed-form mass.  Memory and
-    time grow with the occupied bins plus the pools of several bins, not
-    with the largest separation.  The results equal a walk over every bin up
-    to the largest separation (the test suite's `dense_gof`): dof and the
-    verdict exactly, chi2 and ks to rounding.
+    the s past which q**s < 2**-1200, where the pmf is exactly 0.0.  Both
+    laws take the cutoff's formulas: without a cutoff, q**(top + 1) is 0.0
+    and the normaliser 1 - q**(top + 1) is exactly 1.0.  A pool closes on
+    what it expects alone, so `_pool_bounds` finds the pools of several
+    bins from the model; every bin below them is a pool of its own.  One
+    searchsorted reads the counts into the pools, and numpy scores the
+    single bins: the occupied ones, and the empty ones by the gaps between
+    consecutive occupied bins, each gap by its closed-form mass.  Memory
+    and time grow with the occupied bins plus the pools of several bins,
+    not with the largest separation.  The results equal a walk over every
+    bin up to the largest separation (the test suite's `dense_gof`): dof
+    and the verdict exactly, chi2 and ks to rounding.
     """
     total = empirical.total_intervals
     if total < 50:
@@ -152,46 +155,39 @@ def gof_compare(
 
     q = params.q
     lnq = math.log(q)
-    cut = params.l_cut is not None
-    top = math.floor(params.l_cut) if cut else math.ceil(1200 / -math.log2(q))
-    norm = -math.expm1((top + 1) * lnq) if cut else 1.0  # 1 - q**(top+1)
+    top = math.floor(params.l_cut) if params.l_cut is not None else math.ceil(1200 / -math.log2(q))
+    norm = -math.expm1((top + 1) * lnq)  # 1 - q**(top+1): exactly 1.0 with no cutoff
     s_max = empirical.max_separation()
-    if not cut:
-        tail = q ** (s_max + 1)  # the model's mass beyond s_max
-    else:
-        tail = max(0.0, (q ** (s_max + 1) - q ** (top + 1)) / norm) if s_max < top else 0.0
+    tail = max(0.0, (q ** (s_max + 1) - q ** (top + 1)) / norm) if s_max < top else 0.0
     last = min(s_max, top)  # bins above it have no model mass
     n_in = int(np.searchsorted(empirical.separations, last, side="right"))
     s_in = empirical.separations[:n_in].astype(np.int64)
     counts = empirical.counts.astype(np.float64)
     below = np.concatenate(([0.0], np.cumsum(counts)))  # below[i]: what the first i bins hold
-    edges = np.concatenate(([-1], s_in, [last + 1]))
-    runs = np.flatnonzero(np.diff(edges) > 1)
-    lo, hi = edges[runs] + 1, edges[runs + 1] - 1  # the runs of empty bins in the support
 
     # the pools of several bins, of which the top one also holds the counts above the support
     scale = total / norm
     lows, expected, one = _pool_bounds(q, scale, total * tail, last)
     observed = -np.diff(below[np.append(counts.size, np.searchsorted(s_in, lows))])
     chi2 = np.sum((observed - expected) ** 2 / expected)
-    # bins one..0, a pool each: the occupied ones, then the empty runs, as (0 - e)**2 / e = e
+    # bins one..0, a pool each: the occupied ones, then the empty ones, as (0 - e)**2 / e = e,
+    # each gap between consecutive occupied bins by its closed-form mass
     n_one = int(np.searchsorted(s_in, one, side="right"))
     e = total * ((1.0 - q) * q ** s_in[:n_one] / norm)
     chi2 += np.sum((counts[:n_one] - e) ** 2 / e)
-    n_run = int(np.searchsorted(lo, one, side="right"))
-    width = np.minimum(hi[:n_run], one) - lo[:n_run] + 1
-    chi2 += scale * np.sum(q ** lo[:n_run] * -np.expm1(width * lnq))
+    edges = np.concatenate(([-1], s_in[:n_one], [one + 1]))
+    chi2 += scale * np.sum(q ** (edges[:-1] + 1) * -np.expm1((np.diff(edges) - 1) * lnq))
     dof = len(lows) + one
     if dof < 1:
         raise ValidationError("insufficient data: fewer than 2 bins after pooling")
     crit = _chi2_isf(dof, alpha)
 
-    # KS, at each occupied bin and at both ends of each run of empty bins: the empirical CDF
-    # is flat over a run and the model's rises, so their gap is largest at one end of it; above
-    # the support the model's stays at its value at `last`
+    # KS, at each occupied bin, at the bin before it and at `last`: the empirical CDF steps up
+    # only at occupied bins and the model's rises, so their gap is largest at one of these;
+    # above the support the model's stays at its value at `last`
     cum = below / total
-    at = np.concatenate((s_in, lo, hi, np.full(counts.size - n_in, last)))
-    emp = np.concatenate((cum[1:n_in + 1], cum[runs], cum[runs], cum[n_in + 1:]))
+    at = np.concatenate((s_in, s_in - 1, np.full(counts.size - n_in + 1, last)))
+    emp = np.concatenate((cum[1:n_in + 1], cum[:n_in], cum[n_in:]))
     ks = float(np.max(np.abs(emp + np.expm1((at + 1) * lnq) / norm)))
 
     return GofReport(

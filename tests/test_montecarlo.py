@@ -358,7 +358,8 @@ def dense_gof(empirical, params):
         norm = -math.expm1((m + 1) * math.log(q))
         probs = np.where(s <= m, probs / norm, 0.0)
         tail = max(0.0, (q ** (s_max + 1) - q ** (m + 1)) / norm) if s_max < m else 0.0
-    observed = np.array([empirical.bins.get(k, 0) for k in range(s_max + 1)] + [0.0])
+    bins = empirical.bins
+    observed = np.array([bins.get(k, 0) for k in range(s_max + 1)] + [0.0])
     expected = np.append(total * probs, total * tail)
     pooled = []
     acc_o = acc_e = 0.0
@@ -386,8 +387,8 @@ def dense_gof(empirical, params):
 
 def assert_matches_dense(spec, params):
     """gof_compare against dense_gof: dof and the verdict exactly, chi2 and ks to rounding (the
-    dense walk adds bin by bin, while gof_compare sums each pool of several bins and each run
-    of empty bins in closed form)."""
+    dense walk adds bin by bin, while gof_compare sums each pool of several bins and the empty
+    bins between each pair of occupied ones in closed form)."""
     chi2, dof, ks = dense_gof(spec, params)
     if dof < 1:
         with pytest.raises(ValidationError, match="fewer than 2 bins"):
@@ -414,6 +415,12 @@ class TestGof:
             (CUT5, {0: 40, 1: 20, 2: 10, 3: 2}),
             (LAWS["f0"](), None),
             (LAWS["f1"](), None),
+            # every occupied bin above the support; one at `last` with bins above it; one at
+            # the top of the support alone; the first occupied bin far above 0
+            (CUT5, {math.floor(CUT5.l_cut) + 1: 60, math.floor(CUT5.l_cut) + 5: 10}),
+            (CUT5, {0: 40, 1: 20, math.floor(CUT5.l_cut): 30, math.floor(CUT5.l_cut) + 2: 4}),
+            (CUT5, {math.floor(CUT5.l_cut): 70}),
+            (solve_f0(1000.0), {3000: 60, 3001: 1}),
         ],
     )
     def test_matches_dense_walk(self, params, bins):
@@ -441,6 +448,15 @@ class TestGof:
     )
     def test_empty_runs_match_dense_walk(self, s0, cut, bins):
         assert_matches_dense(SeparationSpectrum(bins), law_with_cut(s0, cut))
+
+    @pytest.mark.parametrize("s0", [1e-3, 0.5, 1.0, 8.0, 1e4, 1e7, 1e15])
+    def test_no_cutoff_top_is_exact(self, s0):
+        # with no cutoff gof_compare takes the cutoff's formulas at this top: they give the
+        # plain law only because q**(top + 1) is 0.0 and the normaliser exactly 1.0
+        q = solve_f0(s0).q
+        top = math.ceil(1200 / -math.log2(q))
+        assert q ** (top + 1) == 0.0
+        assert -math.expm1((top + 1) * math.log(q)) == 1.0
 
     @pytest.mark.parametrize("s0", [30.0, 20.0])
     def test_empty_bin_changes_nothing(self, s0):
