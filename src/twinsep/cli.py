@@ -27,9 +27,12 @@ from .model import cutoff_law, overshoot_bound, risk_factor, solve_f0
 from .montecarlo import GENERATOR, SimConfig, gof_compare, sample_separations
 from .pipeline import (
     check_onsets,
+    checkpoint_rows,
     figure_pipeline,
+    figures_from_rows,
     ingest_counts,
     per_checkpoint_spectra,
+    require_laws,
     table_from_report,
     write_counts,
 )
@@ -207,25 +210,12 @@ def cmd_fit(args):
 def cmd_predict(args):
     conv = CONVENTIONS[args.convention]
     table = ingest_counts(args.counts)
-    spectra = _exact_spectra(args, conv, table)
     rows = []
-    for rec in table.rows:
-        try:
-            s0 = s0_from_counts(rec, conv, spectrum=spectra.get(rec.n)).value
-            params = cutoff_law(s0, rec.pi2, args.f)
-        except ValidationError:
-            continue
-        rows.append(
-            [
-                rec.n,
-                repr(math.log(rec.n)),
-                repr(s0),
-                repr(params.sbar),
-                repr(params.a),
-                repr(params.l_cut),
-                params.l_ceil,
-            ]
-        )
+    for row in checkpoint_rows(table, _exact_spectra(args, conv, table), args.f, conv):
+        n, law = row.record.n, row.law
+        if law is not None:
+            rows.append([n, repr(math.log(n)), repr(row.s0), repr(law.sbar), repr(law.a),
+                         repr(law.l_cut), law.l_ceil])
     write_csv(
         args.out,
         {"risk_factor": repr(args.f), "s0_convention": conv.value, "log_base": "natural"},
@@ -290,35 +280,29 @@ def cmd_figures(args):
 
 
 def cmd_report(args):
-    """Sieve, then print the laws of one figure_pipeline call and a per-checkpoint table.
+    """Sieve, then print the laws of the figure datasets and a per-checkpoint table.
 
-    A law that could not be fitted prints n/a; a decade whose spectrum
-    gof_compare rejects gets a blank ks.  A checkpoint is also listed when
-    its running maximum passes overshoot_bound; "over" is (max - L)/sbar.
+    Each value is derived once, in checkpoint_rows: the table prints those rows,
+    and the figures are a projection of them.  A law that could not be fitted
+    prints n/a; a decade whose spectrum gof_compare rejects gets a blank ks.  A
+    checkpoint is also listed when its running maximum passes overshoot_bound;
+    "over" is (max - L)/sbar.
     """
     grid = geometric_checkpoints(args.limit, per_decade=args.per_decade, start=args.start)
     report = sieve_range(SieveConfig(limit=args.limit, checkpoint_grid=grid))
     stats, table = report.stats, table_from_report(report)
     final = table.rows[-1]
-    spectra = per_checkpoint_spectra(report.separations, table)
-    # each row's s0 and law, before any output, so that a table no law solves for fails first
-    laws = {}
-    for rec in table.rows:
-        try:
-            s0 = s0_from_counts(rec).value
-            laws[rec.n] = s0, cutoff_law(s0, rec.pi2, args.f)
-        except ValidationError as exc:
-            raise ValidationError(f"checkpoint n={rec.n}: {exc}") from exc
-    maxes = {n: spec.max_separation() for n, spec in spectra.items()}
+    rows = checkpoint_rows(table, per_checkpoint_spectra(report.separations, table), args.f)
+    require_laws(rows)  # before any output, so that a table no law solves for fails first
     print(
         f"sieve to {args.limit:.3g}: {stats['wall_s']:.1f}s  pi1={final.pi1} pi2={final.pi2}  "
         f"({stats['workers']} workers, {stats['chunks']} chunks, "
         f"{stats['segments_per_s']:.0f} segments/s, scan: {stats['scan']})"
     )
-    print(f"separations: {report.separations.size}, max {maxes[final.n]}")
+    print(f"separations: {report.separations.size}, max {rows[-1].max_separation}")
 
     t0 = time.monotonic()
-    figs = figure_pipeline(table, spectra=spectra, f=args.f, onsets=report.max_separation_onsets)
+    figs = figures_from_rows(table, rows, args.f, S0Convention.RAW, report.max_separation_onsets)
     m0, lin = figs.m0_fit, figs.s0_fit
     print(
         f"m0 law: m0 = {m0.coefficients[0]:.4f} +- {m0.std_errors[0]:.4f} "
@@ -342,21 +326,21 @@ def cmd_report(args):
         )
 
     print(f"{'n':>12} {'s0':>8} {'l_cut':>8} {'obs_max':>8} {'over':>6} {'exceed':>7} {'ks':>8}")
-    for rec in table.rows:
-        s0, law = laws[rec.n]
-        flag = "" if maxes[rec.n] <= overshoot_bound(law) else "  > overshoot bound"
-        if rec.n not in REPORT_DECADES and not flag:
+    for row in rows:
+        n, s0, law, top = row.record.n, row.s0, row.law, row.max_separation
+        flag = "" if top <= overshoot_bound(law) else "  > overshoot bound"
+        if n not in REPORT_DECADES and not flag:
             continue
         ks = ""
-        if rec.n in REPORT_DECADES:
+        if n in REPORT_DECADES:
             try:
-                ks = f"{gof_compare(spectra[rec.n], solve_f0(s0)).ks_distance:.5f}"
+                ks = f"{gof_compare(row.spectrum, solve_f0(s0)).ks_distance:.5f}"
             except ValidationError:
                 pass
-        over = (maxes[rec.n] - law.l_cut) / law.sbar
+        over = (top - law.l_cut) / law.sbar
         print(
-            f"{rec.n:>12} {s0:>8.3f} {law.l_cut:>8.2f} {maxes[rec.n]:>8} {over:>6.2f} "
-            f"{spectra[rec.n].count_above(law.l_cut):>7} {ks:>8}{flag}"
+            f"{n:>12} {s0:>8.3f} {law.l_cut:>8.2f} {top:>8} {over:>6.2f} "
+            f"{row.exceedances:>7} {ks:>8}{flag}"
         )
 
     if args.out_dir:

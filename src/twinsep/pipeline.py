@@ -1,17 +1,17 @@
-"""Count-table ingestion, per-checkpoint views and plot-ready dataset assembly.
+"""Count-table ingestion, per-checkpoint rows and plot-ready dataset assembly.
 
 A CountTable is the bridge between sieved runs and externally published
 count tables: rows of (n, pi1, pi2[, pi1_adjusted]) sorted by n.  Each
 checkpoint's spectrum is a row of one cumulative table over the separation
-stream (spectrum._running_spectra, the one fold); the running maximum and
-the count beyond the cutoff are array reads of that spectrum.
-The figure pipeline turns a table (plus, optionally, those spectra) into
-three CSV-ready datasets: slopes against log(pi1), the average separation
-against log(pi1), and the predicted maximal separation against log(n)
-alongside observed record onsets.  It derives each checkpoint's slope, s0
-and cutoff law (model.cutoff_law, as every view here) once, in one pass
-over the rows, then fits the m0 and linear s0 laws over what that pass
-found; the interval_exact convention needs the spectra.
+stream (spectrum._running_spectra, the one fold).  checkpoint_rows derives
+every per-checkpoint value once: the s0, the cutoff law (model.cutoff_law),
+and from the spectrum the running maximum and the count beyond the cutoff.
+`report`, `figures` and `predict` are views of those rows.  The figures are
+a projection of them into three CSV-ready datasets: slopes against
+log(pi1), the average separation against log(pi1), and the predicted
+maximal separation against log(n) alongside observed record onsets; the
+projection fits each slope and then the m0 and linear s0 laws.  The
+interval_exact convention needs the spectra.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from . import spectrum
 from .errors import ValidationError
 from .fit import FitResult, fit_exp_slope, fit_m0, fit_s0_linear
 from .ioutil import read_csv, write_csv
-from .model import DEFAULT_RISK_FACTOR, cutoff_law, risk_factor, solve_checkpoint
+from .model import DEFAULT_RISK_FACTOR, ModelParams, cutoff_law, risk_factor
 from .sieve import CountRecord, SieveReport
 from .spectrum import S0Convention, SeparationSpectrum, s0_from_counts
 
@@ -133,7 +133,8 @@ def per_checkpoint_spectra(separations, table: CountTable) -> dict[int, Separati
 
 
 def max_separation_by_checkpoint(separations, table: CountTable) -> dict[int, int | None]:
-    """Running-maximum separation seen by each checkpoint (None before data)."""
+    """Running-maximum separation seen by each checkpoint (None before data); kept only because
+    perfbench calls it with the raw stream, until ROADMAP item 2's re-pin."""
     spectra = per_checkpoint_spectra(separations, table)
     return {n: spec.max_separation() for n, spec in spectra.items()}
 
@@ -146,19 +147,57 @@ def count_cutoff_exceedances(
 ) -> dict[int, int]:
     """Per checkpoint, how many completed separations exceed that checkpoint's cutoff.
 
-    The cutoff is solved from the checkpoint's counts, or under interval_exact
-    from its spectrum.
+    The exceedances field of checkpoint_rows over the stream's spectra, kept only because
+    perfbench calls it with the raw stream, until ROADMAP item 2's re-pin.
     """
     f, conv = risk_factor(f), S0Convention(convention)
-    spectra = per_checkpoint_spectra(separations, table)
-    out: dict[int, int] = {}
+    rows = checkpoint_rows(table, per_checkpoint_spectra(separations, table), f, conv)
+    require_laws(rows)
+    return {row.record.n: row.exceedances for row in rows}
+
+
+@dataclass(frozen=True)
+class CheckpointRow:
+    """One checkpoint's values.  s0 and law are None where its counts support neither (error
+    says why); the maximum and the exceedances of the cutoff are None without a spectrum."""
+
+    record: CountRecord
+    spectrum: SeparationSpectrum | None
+    s0: float | None
+    law: ModelParams | None
+    error: ValidationError | None
+    max_separation: int | None
+    exceedances: int | None
+
+
+def checkpoint_rows(
+    table: CountTable,
+    spectra: dict[int, SeparationSpectrum] | None = None,
+    f: float = DEFAULT_RISK_FACTOR,
+    convention: S0Convention | str = S0Convention.RAW,
+) -> list[CheckpointRow]:
+    """One row per checkpoint, in order, each value derived once: s0 under convention (from
+    the spectrum under interval_exact), and model.cutoff_law at that s0, pi2 and f."""
+    conv, f, spectra = S0Convention(convention), risk_factor(f), spectra or {}
+    rows = []
     for rec in table.rows:
+        spec, s0, law, error = spectra.get(rec.n), None, None, None
         try:
-            law = solve_checkpoint(rec, f, conv, spectrum=spectra[rec.n])
+            s0 = s0_from_counts(rec, conv, spectrum=spec).value
+            law = cutoff_law(s0, rec.pi2, f)
         except ValidationError as exc:
-            raise ValidationError(f"checkpoint n={rec.n}: {exc}") from exc
-        out[rec.n] = spectra[rec.n].count_above(law.l_cut)
-    return out
+            error = exc
+        top = None if spec is None else spec.max_separation()
+        exceed = None if spec is None or law is None else spec.count_above(law.l_cut)
+        rows.append(CheckpointRow(rec, spec, s0, law, error, top, exceed))
+    return rows
+
+
+def require_laws(rows: list[CheckpointRow]) -> None:
+    """Raise for the first row with no law, naming its checkpoint."""
+    for row in rows:
+        if row.law is None:
+            raise ValidationError(f"checkpoint n={row.record.n}: {row.error}") from row.error
 
 
 @dataclass
@@ -201,51 +240,52 @@ def figure_pipeline(
     convention: S0Convention | str = S0Convention.RAW,
     onsets: list[tuple[int, int]] | None = None,
 ) -> FigureSet:
-    """Assemble the three plot datasets from a count table.
+    """The three plot datasets of a count table: figures_from_rows of its checkpoint_rows.
 
-    spectra (keyed by checkpoint n) feed the computed-slope series of the
-    first dataset and are required under interval_exact; onsets,
-    (separation >= 0, n >= 1) pairs, feed the observed-record series of the
-    third.  Each row's slope, s0 and cutoff law are derived once; a row whose
-    counts cannot support one of them is left out of the datasets that need
-    it rather than failing the whole export.
+    spectra (keyed by checkpoint n) are required under interval_exact.
     """
-    conv = S0Convention(convention)
-    f = risk_factor(f)  # checked here: fig3 skips rows that fail, which would hide a bad f
+    conv, f = S0Convention(convention), risk_factor(f)
     if spectra is None and conv is S0Convention.INTERVAL_EXACT:
         raise ValidationError("interval_exact convention requires spectra")
-    check_onsets(onsets or [])
-    spectra = spectra or {}
+    return figures_from_rows(table, checkpoint_rows(table, spectra, f, conv), f, conv, onsets)
 
+
+def figures_from_rows(
+    table: CountTable,
+    rows: list[CheckpointRow],
+    f: float,
+    convention: S0Convention,
+    onsets: list[tuple[int, int]] | None = None,
+) -> FigureSet:
+    """The three plot datasets, a projection of checkpoint_rows(table, ..., f, convention).
+
+    Each fig1 slope is fitted here from the row's spectrum, then the m0 and linear s0 laws;
+    onsets, (separation >= 0, n >= 1) pairs, feed the observed-record series of fig3.  A
+    row with no s0 or no law is left out of the datasets that need it rather than failing
+    the whole export.
+    """
+    check_onsets(onsets or [])
     slope_by_n: dict[int, tuple[float, float]] = {}
-    s0_by_n: dict[int, float] = {}
-    fig3 = []
-    for rec in table.rows:
-        spec = spectra.get(rec.n)
-        if spec is not None:
+    m0_points, fig3 = [], []
+    for row in rows:
+        rec, law = row.record, row.law
+        if row.spectrum is not None:
             with suppress(ValidationError):
-                fit = fit_exp_slope(spec)
+                fit = fit_exp_slope(row.spectrum)
                 slope_by_n[rec.n] = (-fit.coefficients[1], fit.std_errors[1])
-        try:
-            s0 = s0_by_n[rec.n] = s0_from_counts(rec, conv, spectrum=spec).value
-            law = cutoff_law(s0, rec.pi2, f)
-        except ValidationError:
-            continue
-        row = ("predicted", rec.n, math.log(rec.n), law.l_cut, law.l_ceil)
-        fig3.append(dict(zip(FIG3_COLUMNS, row)))
+        if rec.n in slope_by_n and rec.pi1 >= 3:
+            m0_points.append((rec.pi1, slope_by_n[rec.n][0]))
+        if law is not None:
+            predicted = ("predicted", rec.n, math.log(rec.n), law.l_cut, law.l_ceil)
+            fig3.append(dict(zip(FIG3_COLUMNS, predicted)))
     fig3 += [dict(zip(FIG3_COLUMNS, ("onset", n, math.log(n), sep, ""))) for sep, n in onsets or []]
 
-    m0_points = [
-        (rec.pi1, slope_by_n[rec.n][0])
-        for rec in table.rows
-        if rec.n in slope_by_n and rec.pi1 >= 3
-    ]
     m0_fit = fit_m0(m0_points) if m0_points else None
-    s0_points = [(rec.pi1, s0_by_n[rec.n]) for rec in table.rows if rec.n in s0_by_n]
+    s0_points = [(row.record.pi1, row.s0) for row in rows if row.s0 is not None]
     s0_fit = fit_s0_linear(s0_points) if len({p for p, _ in s0_points}) >= 2 else None
     fig1, fig2 = [], []
-    for rec in table.rows:
-        s0 = s0_by_n.get(rec.n)
+    for row in rows:
+        rec, s0 = row.record, row.s0
         if s0 is None or rec.pi1 < 1:
             continue
         x = math.log(rec.pi1)
@@ -256,6 +296,6 @@ def figure_pipeline(
             curve = m0_fit.coefficients[0] / x if m0_fit else ""
             fig1.append(dict(zip(FIG1_COLUMNS, (rec.n, rec.pi1, x, 1.0 / s0, m, se, curve))))
 
-    metadata = dict(table.metadata)
-    metadata.update({"log_base": "natural", "s0_convention": conv.value, "risk_factor": repr(f)})
+    metadata = {**table.metadata, "log_base": "natural", "s0_convention": convention.value,
+                "risk_factor": repr(f)}
     return FigureSet(fig1, fig2, fig3, metadata, m0_fit=m0_fit, s0_fit=s0_fit)

@@ -1,3 +1,4 @@
+import collections
 import functools
 import json
 import math
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from twinsep import cli, model, sieve
+from twinsep import cli, model, pipeline, sieve
 from twinsep.cli import main
 from twinsep.ioutil import read_columns
 from twinsep.model import SolverInput, cutoff_law, solve_exact
@@ -579,6 +580,20 @@ class TestFiguresCommand:
         assert "onset" in fig3 and "predicted" in fig3
 
 
+# stdout of `report --limit 1000000 --start 10000`, timings masked; one chunk, so one worker
+REPORT_1E6 = """\
+sieve to 1e+06: <wall>s  pi1=78498 pi2=8169  (1 workers, 1 chunks, <rate> segments/s, scan: {scan})
+separations: 8167, max 101
+m0 law: m0 = 1.1906 +- 0.0112 (41 checkpoints, <fit>s)
+s0 linear: slope 0.8542 +- 0.0072, intercept -2.0016 +- 0.0667
+s0 three-term: intercept -4.632, linear 0.6125, loglog 2.196, upper-half deltas 7.322, 0.5933, -5.768
+           n       s0    l_cut  obs_max   over  exceed       ks
+       10000    3.995    22.85       22  -0.19       0  0.02191
+      100000    5.837    43.96       52   1.27       1  0.01370
+     1000000    7.609    71.96      101   3.59       2  0.01273
+"""
+
+
 class TestReportCommand:
     def test_reader_closing_early_exits_0(self):
         # `twinsep report ... | head -1`: unbuffered, so each line is written as printed
@@ -605,8 +620,20 @@ class TestReportCommand:
         # the header line names the scan the kernel takes on this CPU
         assert lines[0].endswith(f"scan: {sieve._load_kernel().scan})"), lines[0]
 
+    def test_stdout_is_pinned(self, capsys):
+        # the whole of stdout is pinned but for three timings: the sieve's wall time and
+        # segments/s, and the m0 fit's seconds
+        assert main(["report", "--limit", "1000000", "--start", "10000"]) == 0
+        out = capsys.readouterr().out
+        for pattern, mask in ((r"(?<=: )\d+\.\ds(?=  pi1=)", "<wall>s"),
+                              (r"\d+(?= segments/s)", "<rate>"),
+                              (r"(?<=checkpoints, )\d+\.\ds\)$", "<fit>s)")):
+            out, masked = re.subn(pattern, mask, out, flags=re.M)
+            assert masked == 1, (pattern, out)
+        assert out == REPORT_1E6.format(scan=sieve._load_kernel().scan)
+
     def test_m0_is_the_fig1_law(self, tmp_path, capsys):
-        # the printed law and fig1's m0_curve come from one figure_pipeline call
+        # the printed law and fig1's m0_curve come from one projection of the checkpoint rows
         out_dir = tmp_path / "figs"
         argv = ["report", "--limit", "1000000", "--start", "10000", "--out-dir", str(out_dir)]
         assert main(argv) == 0
@@ -645,6 +672,42 @@ def run1e6(tmp_path_factory):
     assert main(["sieve", "--limit", "1000000", "--checkpoints", grid, "--out", str(paths[0]),
                  "--separations", str(paths[1]), "--onsets", str(paths[2])]) == 0
     return paths
+
+
+def counted_derivations(monkeypatch):
+    """A Counter of the calls of s0_from_counts and cutoff_law, through every module that
+    calls them."""
+    calls = collections.Counter()
+    for fn in (s0_from_counts, cutoff_law):
+        def counted(*args, fn=fn, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+
+        for module in (cli, model, pipeline):
+            if getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "command, conv",
+    [("report", "raw"), *((c, conv) for c in ("figures", "predict")
+                          for conv in ("raw", "paper", "exact"))],
+)
+def test_one_derivation_per_checkpoint(command, conv, run1e6, tmp_path, monkeypatch):
+    # each checkpoint's s0 and law are derived once, in checkpoint_rows, whichever views read
+    # them: report's table and figures, the figure datasets and predict's rows
+    counts, seps, onsets = map(str, run1e6)
+    files = ["--counts", counts, "--separations", seps, "--convention", conv]
+    argv, start = {
+        "report": (["report", "--limit", "1000000", "--start", "10000"], 10**4),
+        "figures": (["figures", *files, "--onsets", onsets, "--out-dir", str(tmp_path)], 10**5),
+        "predict": (["predict", *files, "--out", str(tmp_path / "lmax.csv")], 10**5),
+    }[command]
+    checkpoints = len(geometric_checkpoints(10**6, start=start))
+    calls = counted_derivations(monkeypatch)
+    assert main(argv) == 0
+    assert calls == {"s0_from_counts": checkpoints, "cutoff_law": checkpoints}
 
 
 class TestLawSwap:

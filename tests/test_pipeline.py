@@ -7,9 +7,10 @@ import pytest
 from twinsep import spectrum
 from twinsep.errors import ValidationError
 from twinsep.fit import fit_exp_slope, fit_m0, fit_s0_linear
-from twinsep.model import solve_checkpoint
+from twinsep.model import cutoff_law, solve_checkpoint
 from twinsep.pipeline import (
     CountTable,
+    checkpoint_rows,
     count_cutoff_exceedances,
     figure_pipeline,
     ingest_counts,
@@ -54,6 +55,15 @@ def attempt(fn, *args, **kwargs):
         return fn(*args, **kwargs)
     except ValidationError:
         return None
+
+
+def message(fn, *args, **kwargs):
+    """The text of the ValidationError fn(*args, **kwargs) raises, or None."""
+    try:
+        fn(*args, **kwargs)
+    except ValidationError as exc:
+        return str(exc)
+    return None
 
 
 def oracle_figures(table, spectra, f, conv, onsets):
@@ -297,6 +307,41 @@ class TestCheckpointViews:
         assert all(type(s) is type(c) is int for v in got.values() for s, c in v.bins.items())
         assert (workers > 1) == (cpus > 1 and wide != 0)
 
+    @pytest.mark.parametrize("f", [1.0, 3.5])
+    @pytest.mark.parametrize("conv", list(S0Convention))
+    @pytest.mark.parametrize("data", ["1e5", "edge"])
+    def test_checkpoint_rows_match_oracle(self, data, conv, f, run100k):
+        # every field of every row, each from the call that defines it or from the stream
+        # itself: on the 1e5 run the prefix a checkpoint has closed, on the edge table the
+        # values of its hand-made spectrum; a row with no spectrum has no maximum and no
+        # exceedances, and a row with no law names the first call that failed
+        report, table = run100k
+        spectra = per_checkpoint_spectra(report.separations, table)
+        streams = {rec.n: report.separations[: max(0, rec.pi2 - 2)] for rec in table.rows}
+        if data == "edge":
+            table, spectra = EDGE_TABLE, EDGE_SPECTRA
+            streams = {n: np.repeat(spec.separations, spec.counts) for n, spec in spectra.items()}
+        rows = checkpoint_rows(table, spectra, f, conv)
+        assert [row.record for row in rows] == table.rows
+        for row in rows:
+            rec, spec, seps = row.record, spectra.get(row.record.n), streams.get(row.record.n)
+            est = attempt(s0_from_counts, rec, conv, spectrum=spec)
+            s0 = None if est is None else est.value
+            law = None if s0 is None else attempt(cutoff_law, s0, rec.pi2, f)
+            error = message(s0_from_counts, rec, conv, spectrum=spec) or (
+                None if law is not None else message(cutoff_law, s0, rec.pi2, f)
+            )
+            assert row.spectrum is spec, rec.n
+            assert (row.s0, row.law) == (s0, law), rec.n
+            assert (None if row.error is None else str(row.error)) == error, rec.n
+            assert (law is None) == (error is not None), rec.n
+            top = None if seps is None or not seps.size else int(seps.max())
+            exceed = None if seps is None or law is None else np.count_nonzero(seps > law.l_cut)
+            assert (row.max_separation, row.exceedances) == (top, exceed), rec.n
+        if data == "edge" and conv is S0Convention.RAW:
+            # raw s0 == 0 at n=10 and pi2 < 3 at n=12: an s0, but no law
+            assert [r.record.n for r in rows if r.s0 is not None and r.law is None] == [10, 12]
+
     def test_running_tables_reject_a_negative_value(self, run100k, monkeypatch):
         # batches of 4 checkpoints, so that a negative in a middle or the last batch is met
         # after the batches before it were counted
@@ -469,6 +514,7 @@ ENTRY_POINTS = {
     "s0_from_counts": lambda run, conv: s0_from_counts(run[1].rows[-1], conv),
     "solve_checkpoint": lambda run, conv: solve_checkpoint(run[1].rows[-1], 1.0, conv),
     "figure_pipeline": lambda run, conv: figure_pipeline(run[1], convention=conv),
+    "checkpoint_rows": lambda run, conv: checkpoint_rows(run[1], convention=conv),
     "count_cutoff_exceedances": lambda run, conv: count_cutoff_exceedances(
         run[0].separations, run[1], convention=conv
     ),
