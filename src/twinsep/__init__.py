@@ -19,7 +19,6 @@ from .model import (
     cutoff_law,
     eval_pmf,
     solve_approx,
-    solve_checkpoint,
     solve_exact,
     solve_f0,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "sample_separations",
     "sieve_range",
     "solve_approx",
-    "solve_checkpoint",
     "solve_exact",
     "solve_f0",
     "table_from_report",

@@ -25,8 +25,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, ValidationError
-from .sieve import CountRecord
-from .spectrum import S0Convention, SeparationSpectrum, s0_from_counts
 
 DEFAULT_TOL = 1e-12
 MAX_ITERATIONS = 200
@@ -181,13 +179,3 @@ def cutoff_law(s0: float, pi2: int, f: float) -> ModelParams:
     """
     return solve_approx(SolverInput(s0=s0, pi2=pi2, f=f))
 
-
-def solve_checkpoint(
-    record: CountRecord,
-    f: float,
-    convention: S0Convention | str = S0Convention.RAW,
-    spectrum: SeparationSpectrum | None = None,
-) -> ModelParams:
-    """cutoff_law at the checkpoint's pi2 and its s0 under convention and spectrum."""
-    f = risk_factor(f)
-    return cutoff_law(s0_from_counts(record, convention, spectrum=spectrum).value, record.pi2, f)

@@ -5,17 +5,18 @@ arrays; the totals, the maximum and the count beyond a cutoff are read off
 them.  Every spectrum is one row of a cumulative table from one running
 fold, `_running_spectra`: `accumulate` is the fold with one stop, and
 `pipeline.per_checkpoint_spectra` the fold with one stop per checkpoint.
-The fold reads the stream once, in pieces, each counted by one call of the
-compiled histogram into the row of every slice it overlaps; the histogram
-also gives the greatest value, so no pass of its own is taken for that.  A
-stream with a value outside the histogram's table is counted by np.unique
-alone, from its first slice on.
+Its one batch loop, `_fold`, takes a counter.  The kernel's reads the stream
+once, in pieces, each counted by one call of the compiled histogram into the
+row of every slice it overlaps, and also gives the greatest value.  A stream
+with a value outside that table is folded again by numpy's counter, one
+searchsorted and one bincount a batch over the stream's distinct values.
 Three s0 conventions are kept first-class because published count tables
 and interval-exact bookkeeping disagree by small offsets.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from contextlib import suppress
@@ -129,51 +130,62 @@ def accumulate(separations) -> SeparationSpectrum:
 def _running_spectra(arr, stops) -> list[SeparationSpectrum]:
     """[the spectrum of arr[:stop] for each stop], stops non-decreasing and at most arr.size.
 
-    The one counting path: the slices between stops are counted into rows of a table, each
-    added to the one before.  `_count_rows` counts them, ROWS_AT_ONCE at a time, with one call
-    of the kernel's histogram per piece of the stream they cover, which also returns the
-    piece's greatest value + 1: a batch's rows are as wide as the greatest value seen so far
-    + 1, so the stream is read once.  A stream with a value outside the kernel's table (or a
-    negative int64) is counted by `_unique_spectra` instead, from its first slice on, so every
-    spectrum of a fold comes from one table.  The kernel is not loaded when nothing is counted.
+    The one counting path: `_fold` with the kernel's counter, `_count_rows`, over the columns
+    0 to histogram_cap - 1.  Once the kernel meets a value outside that table (or a negative
+    int64), the fold starts again from the first slice with numpy's counter, `_count_values`,
+    over the stream's distinct values: one np.unique of the whole stream gives them and the
+    last spectrum, so that fold counts only the slices before the last stop.  Either way every
+    spectrum of a fold is a row of one table.  The kernel is not loaded when nothing is counted.
     """
     if not (stops and stops[-1]):
         return [SeparationSpectrum() for _ in stops]
     arr = sieve._checked_stream(arr.reshape(-1)[: stops[-1]])
     kernel = sieve._load_kernel()
-    spectra, running = [], np.zeros(0, dtype=np.int64)
-    for b in range(0, len(stops), ROWS_AT_ONCE):
-        table = _count_rows(kernel, arr, stops[b - 1] if b else 0, stops[b : b + ROWS_AT_ONCE],
-                            running.size)
-        if table is None:
-            return _unique_spectra(arr, stops)
-        np.cumsum(table, axis=0, out=table)
-        table[:, : running.size] += running
-        running = table[-1]
-        spectra += SeparationSpectrum._rows(table, np.arange(running.size))
-    return spectra
-
-
-def _unique_spectra(arr, stops) -> list[SeparationSpectrum]:
-    """`_running_spectra` by np.unique: the whole stream gives the columns, a value each, and
-    the last spectrum, and each slice before the last is counted into one running row over
-    those columns.  The separations keep the stream's dtype."""
+    spectra = _fold(arr, stops, functools.partial(_count_rows, kernel),
+                    np.arange(kernel.histogram_cap), ROWS_AT_ONCE)
+    if spectra is not None:
+        return spectra
     if arr.dtype == np.int64 and arr.min() < 0:
         raise ValidationError("separations must be >= 0")
     columns, total = np.unique(arr, return_counts=True)
-    running, spectra = np.zeros((1, columns.size), dtype=np.int64), []
-    for start, stop in zip([0, *stops], stops[:-1]):
-        vals, cnts = np.unique(arr[start:stop], return_counts=True)
-        running[0, np.searchsorted(columns, vals)] += cnts
-        spectra += SeparationSpectrum._rows(running, columns)
-    return spectra + SeparationSpectrum._rows(total[None], columns)
+    rows = max(1, ROWS_AT_ONCE * kernel.histogram_cap // columns.size)
+    return (_fold(arr, stops[:-1], functools.partial(_count_values, columns), columns, rows)
+            + SeparationSpectrum._rows(total[None], columns))
+
+
+def _fold(arr, stops, count, columns, rows) -> list[SeparationSpectrum] | None:
+    """[the spectrum of arr[:stop] for each stop], or None as soon as count gives None.
+
+    count(arr, start, ends, width) tables the slices arr[start:ends[0]], arr[ends[0]:ends[1]],
+    ... `rows` at a time, a row each, over at least width leading `columns`.  Each row is added
+    to the one before, and the first to the row carried from the batch before, so each stop's
+    spectrum is its row of one cumulative table.
+    """
+    spectra, running = [], np.zeros(0, dtype=np.int64)
+    for b in range(0, len(stops), rows):
+        table = count(arr, stops[b - 1] if b else 0, stops[b : b + rows], running.size)
+        if table is None:
+            return None
+        np.cumsum(table, axis=0, out=table)
+        table[:, : running.size] += running
+        running = table[-1]
+        spectra += SeparationSpectrum._rows(table, columns[: running.size])
+    return spectra
+
+
+def _count_values(columns, arr, start, ends, width):
+    """`_count_rows` by numpy over `columns`, the stream's values in ascending order: every
+    table is columns.size wide, from one searchsorted and one bincount."""
+    cells = np.searchsorted(columns, arr[start : ends[-1]])
+    cells += np.repeat(np.arange(len(ends)) * columns.size, np.diff([start, *ends]))
+    return np.bincount(cells, minlength=len(ends) * columns.size).reshape(len(ends), -1)
 
 
 def _count_rows(kernel, arr, start, ends, width):
     """A len(ends) x max(width, top) table, where row r counts the values arr[ends[r - 1]:ends[r]]
     (arr[start:ends[0]] for row 0) and top is their greatest value + 1; None once a value lies
-    outside the kernel's table of histogram_cap entries (a negative int64 among them), and the
-    fold then counts the whole stream with np.unique.
+    outside the kernel's table of histogram_cap entries (a negative int64 among them), and
+    `_running_spectra` then folds the stream again with `_count_values`.
 
     arr is a contiguous int64, uint64 or uint32 stream.  Workers (`sieve._on_workers`), one per
     two pieces' worth of values (more would pass the GIL to and fro), claim pieces of

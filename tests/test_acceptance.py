@@ -33,9 +33,9 @@ from twinsep.fit import fit_exp_slope, fit_m0, fit_s0_linear, fit_s0_loglog
 from twinsep.model import (
     OVERSHOOT_ALPHA,
     SolverInput,
+    cutoff_law,
     overshoot_bound,
     solve_approx,
-    solve_checkpoint,
     solve_exact,
     solve_f0,
 )
@@ -172,7 +172,7 @@ def test_criterion_4_desk_scale_s1(bigrun, capsys):
 
 def cutoff_laws(rows, f=1.0):
     """The cutoff law at risk factor f for every checkpoint row, keyed by n."""
-    return {rec.n: solve_checkpoint(rec, f) for rec in rows}
+    return {rec.n: cutoff_law(s0_from_counts(rec).value, rec.pi2, f) for rec in rows}
 
 
 def plus_one_bound(law):
@@ -246,7 +246,8 @@ def test_criterion_5_cutoff_consistency(bigrun, capsys):
     }
     worst_n = max(overshoots, key=overshoots.get)
 
-    l_final = solve_checkpoint(bigrun.table.rows[-1], 1.0).l_cut
+    final = bigrun.table.rows[-1]
+    l_final = cutoff_law(s0_from_counts(final).value, final.pi2, 1.0).l_cut
     exceedances = int(np.count_nonzero(bigrun.report.separations > l_final))
 
     ok = not violations and exceedances <= 3

@@ -15,11 +15,12 @@ from twinsep.model import (
     cutoff_law,
     eval_pmf,
     solve_approx,
-    solve_checkpoint,
     solve_exact,
     solve_f0,
 )
+from twinsep.pipeline import CountTable, checkpoint_rows
 from twinsep.sieve import CountRecord
+from twinsep.spectrum import s0_from_counts
 
 ROOT = Path(__file__).resolve().parents[1]
 s0_values = st.floats(min_value=0.1, max_value=1000.0, allow_nan=False)
@@ -255,7 +256,7 @@ class TestEvalPmf:
 class TestPredictLmax:
     def test_n100_case(self):
         rec = CountRecord(n=100, pi1=25, pi2=8)
-        params = solve_checkpoint(rec, f=1.0)
+        params = cutoff_law(s0_from_counts(rec).value, rec.pi2, 1.0)
         assert params == cutoff_law(9 / 8, 8, 1.0)
         l_cut = solve_approx(SolverInput(s0=9 / 8, pi2=8, f=1.0)).l_cut
         assert l_cut == pytest.approx(2.4548166450612476, abs=1e-12)
@@ -271,7 +272,8 @@ class TestPredictLmax:
 
     def test_decreasing_in_f(self):
         rec = CountRecord(n=10**6, pi1=78498, pi2=8169)
-        ls = [solve_checkpoint(rec, f=f).l_cut for f in (0.5, 1.0, 2.0, 4.0)]
+        s0 = s0_from_counts(rec).value
+        ls = [cutoff_law(s0, rec.pi2, f).l_cut for f in (0.5, 1.0, 2.0, 4.0)]
         assert all(a > b for a, b in zip(ls, ls[1:]))
 
     def test_increasing_in_pi2_at_fixed_s0(self):
@@ -291,7 +293,7 @@ class TestPredictLmax:
     def test_requires_positive_f(self):
         for f in (0.0, -1.0):
             with pytest.raises(ValidationError):
-                solve_checkpoint(CountRecord(n=100, pi1=25, pi2=8), f=f)
+                checkpoint_rows(CountTable(rows=[CountRecord(n=100, pi1=25, pi2=8)]), f=f)
 
 
 class TestModelParamsValidation:

@@ -7,7 +7,7 @@ import pytest
 from twinsep import spectrum
 from twinsep.errors import ValidationError
 from twinsep.fit import fit_exp_slope, fit_m0, fit_s0_linear
-from twinsep.model import cutoff_law, solve_checkpoint
+from twinsep.model import cutoff_law
 from twinsep.pipeline import (
     CountTable,
     checkpoint_rows,
@@ -83,7 +83,7 @@ def oracle_figures(table, spectra, f, conv, onsets):
         fit = None if spec is None else attempt(fit_exp_slope, spec)
         if fit is not None:
             slope[rec.n] = (-fit.coefficients[1], fit.std_errors[1])
-        params = attempt(solve_checkpoint, rec, f, conv, spectrum=spec)
+        params = None if est is None else attempt(cutoff_law, est.value, rec.pi2, f)
         if params is not None:
             law[rec.n] = params
     m0_points = [(r.pi1, slope[r.n][0]) for r in table.rows if r.n in slope and r.pi1 >= 3]
@@ -274,7 +274,7 @@ class TestCheckpointViews:
         for f in (1.0, 5.0):  # f = 5 still solves at n = 100, where pi2 = 8
             counts = count_cutoff_exceedances(seps, table, f=f)
             for rec in table.rows:
-                l_cut = solve_checkpoint(rec, f).l_cut
+                l_cut = cutoff_law(s0_from_counts(rec).value, rec.pi2, f).l_cut
                 k = max(0, rec.pi2 - 2)
                 assert counts[rec.n] == int(np.count_nonzero(seps[:k] > l_cut)), (f, rec.n)
             assert max(counts.values()) > 1
@@ -361,7 +361,9 @@ class TestCheckpointViews:
         spectra = per_checkpoint_spectra(report.separations, table)
         for conv in ("raw", "paper_offset"):
             assert count_cutoff_exceedances(report.separations, table, 1.0, conv) == {
-                rec.n: spectra[rec.n].count_above(solve_checkpoint(rec, 1.0, conv).l_cut)
+                rec.n: spectra[rec.n].count_above(
+                    cutoff_law(s0_from_counts(rec, conv).value, rec.pi2, 1.0).l_cut
+                )
                 for rec in table.rows
             }, conv
         # under interval_exact each cutoff is solve_approx of that spectrum's own mean
@@ -512,7 +514,6 @@ class TestTableValidation:
 
 ENTRY_POINTS = {
     "s0_from_counts": lambda run, conv: s0_from_counts(run[1].rows[-1], conv),
-    "solve_checkpoint": lambda run, conv: solve_checkpoint(run[1].rows[-1], 1.0, conv),
     "figure_pipeline": lambda run, conv: figure_pipeline(run[1], convention=conv),
     "checkpoint_rows": lambda run, conv: checkpoint_rows(run[1], convention=conv),
     "count_cutoff_exceedances": lambda run, conv: count_cutoff_exceedances(

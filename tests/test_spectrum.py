@@ -194,10 +194,22 @@ def counted_calls(kernel, monkeypatch):
     return calls
 
 
+def counted_numpy(monkeypatch, name):
+    """The list that the arguments of each np.<name> call are appended to from now on."""
+    fn, calls = getattr(np, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(np, name, counted)
+    return calls
+
+
 class TestWorkerCount:
     """The spectrum is the same on 1, 2 or 3 CPUs: each worker counts the blocks it claims into
-    a table of its own, and a block outside the table sends the whole stream to np.unique on
-    the calling thread."""
+    a table of its own, and a block outside the table sends the whole stream to numpy's
+    counter on the calling thread."""
 
     SIZE = 20_000 + 3
     POSITIONS = (0, 9_500, SIZE - 1)  # in the first, a middle and the last block
@@ -330,6 +342,43 @@ class TestRunningSpectra:
         assert len(calls) <= -(-len(stops) // spectrum.ROWS_AT_ONCE) == 20
         for i in (0, 1, 2500, 4999):
             assert got[i].bins == collections.Counter(arr[: stops[i]].tolist()), i
+
+    @pytest.mark.parametrize("late", [False, True], ids=["early", "last"])
+    def test_one_sort_per_wide_fold(self, kernel, monkeypatch, late):
+        # the same fold with 5000, a value outside the kernel's table, in an early slice or the
+        # last: numpy folds the stream again from its first slice with one sort of the whole
+        # stream, not one a slice, and one bincount per batch of the slices before the last
+        rng = np.random.default_rng(31)
+        arr = (rng.geometric(0.1, 20_000) - 1).astype(np.uint32)
+        stops = np.sort(rng.integers(0, arr.size + 1, 5000)).tolist()
+        arr[stops[-1] - 1 if late else 50] = 5000
+        assert stops[-2] < stops[-1] - 1 and stops[-1] > 50
+        rows = max(1, spectrum.ROWS_AT_ONCE * kernel.histogram_cap // np.unique(arr).size)
+        sorts = counted_numpy(monkeypatch, "unique")
+        bincounts = counted_numpy(monkeypatch, "bincount")
+        got = spectrum._running_spectra(arr, stops)
+        monkeypatch.undo()
+        assert len(sorts) == 1
+        assert len(bincounts) <= -(-4999 // rows)
+        for i in [*range(0, len(stops), 500), len(stops) - 1]:
+            assert got[i].bins == collections.Counter(arr[: stops[i]].tolist()), i
+
+    @pytest.mark.parametrize("dtype", [np.uint32, np.int64, np.uint64])
+    def test_one_row_per_batch_past_the_cell_budget(self, kernel, monkeypatch, dtype):
+        # more distinct values than ROWS_AT_ONCE x histogram_cap cells hold: each numpy batch
+        # is one row, and the spectra keep the stream's dtype and stay read-only
+        monkeypatch.setattr(spectrum, "ROWS_AT_ONCE", 1)
+        rng = np.random.default_rng(37)
+        arr = rng.integers(0, 3000, 5000).astype(dtype)
+        assert np.unique(arr).size > kernel.histogram_cap
+        stops = np.sort(rng.integers(0, arr.size + 1, 20)).tolist()
+        bincounts = counted_numpy(monkeypatch, "bincount")
+        got = spectrum._running_spectra(arr, stops)
+        assert len(got) == len(stops) and len(bincounts) == len(stops) - 1
+        for spec, stop in zip(got, stops):
+            assert spec.bins == collections.Counter(arr[:stop].tolist()), stop
+            assert spec.separations.dtype == dtype and spec.counts.dtype == np.int64
+            assert not (spec.separations.flags.writeable or spec.counts.flags.writeable)
 
 
 class TestEmptyBins:
